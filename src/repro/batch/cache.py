@@ -14,14 +14,6 @@ The cache exploits that twice:
 The disk format is versioned; a version or settings-fingerprint
 mismatch silently discards the file rather than serving stale verdicts
 from a different detector configuration.
-
-:class:`CacheBackend` is the protocol this class incidentally defined
-and the cluster made explicit: anything with ``get``/``put``/``stats``/
-``flush``/``close`` and a settings ``fingerprint`` can stand in for the
-LRU — ``repro.cluster.cache`` ships a write-through on-disk backend and
-a socket-backed shared cache server behind the same five methods, so
-:class:`~repro.batch.scanner.BatchScanner` and the scan service never
-know which topology they are running in.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
+from typing import Any, Dict, Optional, Union
 
 from repro.batch.report import VerdictSummary
 
@@ -44,41 +36,6 @@ CACHE_FORMAT_VERSION = 1
 def content_digest(data: bytes) -> str:
     """The cache key for a document: hex SHA-256 of its raw bytes."""
     return hashlib.sha256(data).hexdigest()
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What scanners and shards require of a verdict cache.
-
-    Semantics every implementation must honour (the parametric
-    conformance suite in ``tests/cluster/test_cache_backends.py`` runs
-    these against all backends):
-
-    * ``get`` returns the stored :class:`VerdictSummary` or None and
-      accounts a hit/miss in ``stats``;
-    * ``put`` never stores errored summaries (failures are retried, not
-      memoised) and is safe under concurrent writers;
-    * entries are only served to callers with the same settings
-      ``fingerprint`` — a different detector configuration sees a miss,
-      never a stale verdict;
-    * ``flush`` persists what can be persisted (no-op for pure-memory
-      backends), ``close`` flushes and releases resources;
-    * a broken backing store (missing file, dead cache server) degrades
-      to misses — a cache must never be able to fail a scan.
-    """
-
-    fingerprint: str
-
-    def get(self, digest: str) -> Optional[VerdictSummary]: ...
-
-    def put(self, digest: str, summary: VerdictSummary) -> None: ...
-
-    @property
-    def stats(self) -> Dict[str, Any]: ...
-
-    def flush(self) -> None: ...
-
-    def close(self) -> None: ...
 
 
 class VerdictCache:
@@ -160,7 +117,7 @@ class VerdictCache:
         }
 
     def flush(self) -> None:
-        """Persist to ``self.path`` when configured (protocol surface)."""
+        """Persist to ``self.path`` when configured; no-op otherwise."""
         if self.path is not None:
             self.save()
 

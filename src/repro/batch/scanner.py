@@ -28,7 +28,10 @@ Backends
 ``process``
     Real CPU parallelism (the benchmark's >1.5x speedup comes from
     here).  Requires picklable work, which is why workers rebuild the
-    pipeline from :class:`~repro.core.pipeline.PipelineSettings`.
+    pipeline from :class:`~repro.core.pipeline.PipelineSettings`.  A
+    worker killed mid-scan breaks the whole pool and fails every scan
+    in it; the next submission replaces the pool (batch runs retry the
+    lost documents, the scan service answers them 503).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import (
 
 from repro import limits as limits_mod
 from repro import obs as obs_mod
-from repro.batch.cache import CacheBackend, VerdictCache, content_digest
+from repro.batch.cache import VerdictCache, content_digest
 from repro.batch.report import (
     STATUS_ERRORED,
     STATUS_OK,
@@ -344,6 +347,26 @@ class ScanHandle:
 
 # -- orchestration -----------------------------------------------------------
 
+def _submit(
+    executor: cf.Executor,
+    replace: Callable[[cf.Executor], cf.Executor],
+    *call: Any,
+) -> Tuple[cf.Executor, "cf.Future[Any]"]:
+    """Submit ``call``; if a dead worker broke the pool, ``replace`` it
+    and submit again.
+
+    A crashed process worker takes the whole process pool down, and a
+    broken pool rejects the submission before anything runs, so the
+    second submission cannot scan a document twice.  Returns the pool
+    that took the call, with its future.
+    """
+    try:
+        return executor, executor.submit(*call)
+    except cf.BrokenExecutor:
+        executor = replace(executor)
+        return executor, executor.submit(*call)
+
+
 @dataclass
 class _Task:
     """One scheduled scan for one unique document."""
@@ -420,7 +443,7 @@ class BatchScanner:
         max_backoff: float = 1.0,
         settings: Optional[PipelineSettings] = None,
         pipeline_factory: Optional[PipelineFactory] = None,
-        cache: Union[CacheBackend, None, bool] = None,
+        cache: Union[VerdictCache, None, bool] = None,
         obs: Optional[obs_mod.Observability] = None,
     ) -> None:
         if jobs < 1:
@@ -450,7 +473,7 @@ class BatchScanner:
         self.pipeline_factory = pipeline_factory
         self.obs = obs if obs is not None else obs_mod.get_default()
         if cache is False:
-            self.cache: Optional[CacheBackend] = None
+            self.cache: Optional[VerdictCache] = None
         elif cache is None or cache is True:
             self.cache = VerdictCache(fingerprint=_settings_fingerprint(self.settings))
         else:
@@ -460,6 +483,9 @@ class BatchScanner:
         self._service_executor: Optional[cf.Executor] = None
         self._service_worker: Optional[Callable[..., Any]] = None
         self._service_lock = threading.Lock()
+        #: Times a dead worker broke the persistent pool and it was
+        #: replaced (see :meth:`_replace_service_executor`).
+        self.worker_respawns = 0
 
     # -- input conveniences ----------------------------------------------
 
@@ -550,7 +576,10 @@ class BatchScanner:
         both ways (a verdict produced under tighter budgets must not be
         served to default-budget requests, and vice versa).  For the
         same reason a scan whose budget was tightened by ``deadline_at``
-        and that aborted on a limit is never written to the cache.
+        and that aborted on a limit is never written to the cache.  A
+        pool broken by a dead worker is replaced before submitting; a
+        worker that dies during this scan fails the handle with
+        ``concurrent.futures.BrokenExecutor``.
         """
         self.start()
         digest = content_digest(data)
@@ -564,15 +593,17 @@ class BatchScanner:
                     name, digest,
                     outcome=ScanOutcome(hit, None, 0.0, cached=True),
                 )
-        assert self._service_executor is not None and self._service_worker is not None
+        executor, worker = self._service_executor, self._service_worker
+        if executor is None or worker is None:
+            raise RuntimeError("scanner has been shut down")
         # Capture the submitting thread's span context (the enclosing
         # serve.request span) so the worker's spans parent to it.
         # Process workers get None: span ids are per-process counters.
         parent_span_id = (
             self.obs.tracer.current_span_id if self.backend == "thread" else None
         )
-        future = self._service_executor.submit(
-            self._service_worker, name, data,
+        _, future = _submit(
+            executor, self._replace_service_executor, worker, name, data,
             self.effective_limits(limits), deadline_at, parent_span_id,
         )
         if cache is not None:
@@ -603,6 +634,24 @@ class BatchScanner:
         return self.submit_one(
             name, data, limits=limits, deadline_at=deadline_at
         ).result(wait_timeout)
+
+    def _replace_service_executor(self, broken: cf.Executor) -> cf.Executor:
+        """Swap the broken persistent pool for a fresh one, exactly once.
+
+        Every request that finds the pool broken lands here; only the
+        first swaps it (and counts a respawn), the rest get that
+        replacement.  A pool torn down by :meth:`shutdown` is never
+        rebuilt.
+        """
+        with self._service_lock:
+            if self._service_executor is None:
+                raise RuntimeError("scanner has been shut down")
+            if self._service_executor is broken:
+                self._service_executor = self._make_executor()
+                self.worker_respawns += 1
+            fresh = self._service_executor
+        broken.shutdown(wait=False)
+        return fresh
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear down the persistent pool (no-op when never started)."""
@@ -752,21 +801,17 @@ class BatchScanner:
             self.obs.tracer.current_span_id if self.backend == "thread" else None
         )
 
+        def replace(broken: cf.Executor) -> cf.Executor:
+            broken.shutdown(wait=False)
+            return self._make_executor()
+
         def submit(task: _Task) -> None:
             nonlocal executor
             task.submitted_at = time.monotonic()
-            try:
-                future = executor.submit(
-                    worker, task.name, task.data, task.delay, parent_span_id
-                )
-            except (cf.BrokenExecutor, RuntimeError):
-                # A crashed worker can take the whole process pool down;
-                # rebuild it once so the rest of the corpus still scans.
-                executor.shutdown(wait=False)
-                executor = self._make_executor()
-                future = executor.submit(
-                    worker, task.name, task.data, task.delay, parent_span_id
-                )
+            executor, future = _submit(
+                executor, replace,
+                worker, task.name, task.data, task.delay, parent_span_id,
+            )
             pending[future] = task
 
         def retry_or_fail(task: _Task, status: str, error: Optional[str]) -> None:

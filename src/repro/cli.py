@@ -275,100 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "env var, then bytecode)",
     )
 
-    cluster = sub.add_parser(
-        "cluster", help="sharded scan cluster (router + N shard processes)"
-    )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument(
-        "--port", type=int, default=8291,
-        help="router listen port (0 = ephemeral; default 8291)",
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="shard processes to run (default 4)",
-    )
-    cluster.add_argument(
-        "--shard-jobs", type=int, default=2, metavar="N",
-        help="scan workers inside each shard (default 2)",
-    )
-    cluster.add_argument(
-        "--backend", default=None, choices=("thread", "process"),
-        help="worker pool kind inside each shard (default: the "
-        "measured-fastest batch backend)",
-    )
-    cluster.add_argument(
-        "--queue-depth", type=int, default=16, metavar="N",
-        help="per-shard admission queue depth (default 16)",
-    )
-    cluster.add_argument(
-        "--max-in-flight", type=int, default=None, metavar="N",
-        help="per-shard concurrent scans (default: --shard-jobs)",
-    )
-    cluster.add_argument(
-        "--deadline", type=float, default=30.0, metavar="S",
-        help="router per-request budget, hops and queue wait included "
-        "(default 30; 0 = unlimited)",
-    )
-    cluster.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="S",
-        help="Retry-After hint on shed/failure responses (default 1)",
-    )
-    cluster.add_argument(
-        "--max-pending-async", type=int, default=None, metavar="N",
-        help="per-shard async job backlog cap (default: shard default)",
-    )
-    cluster.add_argument(
-        "--cache", default="memory",
-        choices=("memory", "disk", "server", "none"),
-        help="verdict cache topology: per-shard in-memory LRU (default), "
-        "per-shard on-disk JSON, one shared socket cache server, or off",
-    )
-    cluster.add_argument(
-        "--cache-path", type=Path, metavar="FILE",
-        help="base path for --cache disk (each shard appends .shardN) "
-        "or for the spawned --cache server's persistence",
-    )
-    cluster.add_argument(
-        "--cache-server", metavar="HOST:PORT",
-        help="with --cache server: connect to an existing cache server "
-        "instead of spawning one",
-    )
-    cluster.add_argument(
-        "--probe-interval", type=float, default=0.5, metavar="S",
-        help="supervisor health-probe cadence (default 0.5)",
-    )
-    cluster.add_argument(
-        "--probe-timeout", type=float, default=2.0, metavar="S",
-        help="per-probe timeout before a shard counts as unresponsive "
-        "(default 2)",
-    )
-    cluster.add_argument("--reader-version", default="9.0", choices=("8.0", "9.0"))
-    cluster.add_argument(
-        "--triage", action="store_true",
-        help="benign-triage fast path for provably clean documents",
-    )
-    cluster.add_argument(
-        "--limits", metavar="K=V,...",
-        help="default per-request resource budgets (clients may "
-        "override per request via ?limits=...)",
-    )
-    cluster.add_argument(
-        "--trace", type=Path, metavar="FILE.jsonl",
-        help="write a JSONL span/metric trace of router activity",
-    )
-    cluster.add_argument(
-        "--metrics", action="store_true",
-        help="collect per-shard metrics and print a router summary to "
-        "stderr on exit",
-    )
-    cluster.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for every scan worker (default: REPRO_JS_ENGINE "
-        "env var, then bytecode)",
-    )
-
     report = sub.add_parser("report", help="aggregate a scan trace")
     report.add_argument("trace", type=Path)
 
@@ -744,15 +650,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     else:
         cache = None  # private in-memory cache
-    scanner = BatchScanner(
-        jobs=args.jobs,
-        backend=args.backend,
-        timeout=args.timeout,
-        retries=args.retries,
-        settings=settings,
-        cache=cache,
-        obs=obs,
-    )
+    try:
+        scanner = BatchScanner(
+            jobs=args.jobs,
+            backend=args.backend,
+            timeout=args.timeout,
+            retries=args.retries,
+            settings=settings,
+            cache=cache,
+            obs=obs,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     report = scanner.scan_items(items)
 
     print(report.summary())
@@ -814,25 +724,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         cache = None  # private in-memory cache
-    admission = AdmissionConfig(
-        max_queue_depth=args.queue_depth,
-        max_in_flight=(
-            args.max_in_flight if args.max_in_flight is not None else args.jobs
-        ),
-        deadline_seconds=args.deadline if args.deadline > 0 else None,
-        retry_after_seconds=args.retry_after,
-    )
-    service = ScanService(
-        settings=settings,
-        jobs=args.jobs,
-        backend=args.backend,
-        admission=admission,
-        cache=cache,
-        max_pending_async=args.max_pending_async,
-        obs=obs,
-        slow_threshold=args.slow_threshold,
-        slow_capacity=args.slow_capacity,
-    )
+    try:
+        admission = AdmissionConfig(
+            max_queue_depth=args.queue_depth,
+            max_in_flight=(
+                args.max_in_flight if args.max_in_flight is not None else args.jobs
+            ),
+            deadline_seconds=args.deadline if args.deadline > 0 else None,
+            retry_after_seconds=args.retry_after,
+        )
+        service = ScanService(
+            settings=settings,
+            jobs=args.jobs,
+            backend=args.backend,
+            admission=admission,
+            cache=cache,
+            max_pending_async=args.max_pending_async,
+            obs=obs,
+            slow_threshold=args.slow_threshold,
+            slow_capacity=args.slow_capacity,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     handle = start_server(service, host=args.host, port=args.port)
     print(f"repro serve listening on {handle.url} "
           f"({args.jobs} {args.backend} worker(s), "
@@ -867,115 +781,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from repro.cluster import CacheSpec, ClusterConfig, ClusterRouter
-    from repro.core.pipeline import PipelineSettings
-    from repro.serve import start_server
-
-    try:
-        obs = _build_scan_obs(args)
-    except OSError as error:
-        print(f"error: cannot open trace file: {error}", file=sys.stderr)
-        return 2
-    try:
-        limits = _parse_limits_arg(args)
-    except ValueError as error:
-        print(f"error: bad --limits: {error}", file=sys.stderr)
-        return 2
-    if limits is not None:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            limits=limits, js_engine=args.js_engine,
-        )
-    else:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            js_engine=args.js_engine,
-        )
-    address = None
-    if args.cache_server is not None:
-        host, _, port_text = args.cache_server.rpartition(":")
-        try:
-            address = (host or "127.0.0.1", int(port_text))
-        except ValueError:
-            print(f"error: bad --cache-server {args.cache_server!r} "
-                  "(want HOST:PORT)", file=sys.stderr)
-            return 2
-    if args.cache == "disk" and args.cache_path is None:
-        print("error: --cache disk needs --cache-path", file=sys.stderr)
-        return 2
-    try:
-        cache = CacheSpec(
-            kind=args.cache,
-            path=str(args.cache_path) if args.cache_path is not None else None,
-            address=address,
-        )
-    except ValueError as error:
-        print(f"error: bad cache spec: {error}", file=sys.stderr)
-        return 2
-    config_kwargs = dict(
-        shards=args.shards,
-        shard_jobs=args.shard_jobs,
-        queue_depth=args.queue_depth,
-        max_in_flight=args.max_in_flight,
-        deadline_seconds=args.deadline if args.deadline > 0 else None,
-        retry_after_seconds=args.retry_after,
-        max_pending_async=args.max_pending_async,
-        probe_interval=args.probe_interval,
-        probe_timeout=args.probe_timeout,
-        shard_metrics=args.metrics,
-    )
-    if args.backend is not None:
-        config_kwargs["backend"] = args.backend
-    try:
-        config = ClusterConfig(**config_kwargs)
-    except ValueError as error:
-        print(f"error: bad cluster config: {error}", file=sys.stderr)
-        return 2
-    router = ClusterRouter(
-        settings=settings, config=config, cache=cache, obs=obs
-    )
-    try:
-        handle = start_server(router, host=args.host, port=args.port)
-    except RuntimeError as error:
-        print(f"error: cluster failed to start: {error}", file=sys.stderr)
-        return 2
-    print(f"repro cluster listening on {handle.url} "
-          f"({config.shards} shard(s) x {config.shard_jobs} worker(s), "
-          f"cache {cache.kind})")
-
-    stop = threading.Event()
-
-    def _on_signal(_signum: int, _frame: object) -> None:
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    try:
-        stop.wait()
-    finally:
-        print("draining cluster...", file=sys.stderr)
-        drained = handle.stop()
-        stats = router.stats()
-        print(
-            f"routed {stats['requests']} request(s), "
-            f"{stats['reroutes']} reroute(s), "
-            f"{sum(stats['respawns'].values())} respawn(s); "
-            f"drain {'clean' if drained else 'timed out'}",
-            file=sys.stderr,
-        )
-        if obs is not None:
-            if args.metrics:
-                print(obs.metrics.render(), file=sys.stderr)
-            obs.close()
-            if args.trace is not None:
-                print(f"trace written to {args.trace}", file=sys.stderr)
-    return 0
-
-
 _COMMANDS = {
     "scan": _cmd_scan,
     "lint": _cmd_lint,
@@ -985,7 +790,6 @@ _COMMANDS = {
     "features": _cmd_features,
     "corpus": _cmd_corpus,
     "serve": _cmd_serve,
-    "cluster": _cmd_cluster,
     "report": _cmd_report,
     "profile": _cmd_profile,
 }

@@ -216,24 +216,6 @@ def cap_deadline(limits: ScanLimits, seconds: Optional[float]) -> ScanLimits:
     return limits
 
 
-def merge_deadlines(*instants: Optional[float]) -> Optional[float]:
-    """Earliest of several ``time.monotonic`` deadline instants.
-
-    ``None`` means "no deadline" and never wins.  This is how external
-    deadlines compose across layers: the cluster router's per-request
-    budget, a shard's own admission deadline and the scanner's
-    per-attempt timeout each contribute an instant, and the request
-    runs under the tightest — deadline propagation is a ``min``, never
-    a replacement, so no layer can *extend* a budget set above it.
-    """
-    merged: Optional[float] = None
-    for instant in instants:
-        if instant is None:
-            continue
-        merged = instant if merged is None else min(merged, instant)
-    return merged
-
-
 class ScanBudget:
     """Mutable per-scan state enforcing one :class:`ScanLimits`.
 
@@ -360,5 +342,4 @@ __all__ = [
     "activate",
     "active",
     "cap_deadline",
-    "merge_deadlines",
 ]

@@ -261,37 +261,6 @@ def aggregate_triage(metrics: Iterable[Dict[str, Any]]) -> List[List[str]]:
     return sorted(rows)
 
 
-def aggregate_cluster(metrics: Iterable[Dict[str, Any]]) -> List[List[str]]:
-    """Rows for the cluster router's counters (``repro cluster
-    --trace``): routed requests by status, respawns by reason, and the
-    router-side latency histogram."""
-    rows = []
-    for record in metrics:
-        key = str(record.get("key", record.get("name", "")))
-        base = key.split("{", 1)[0]
-        if base == "cluster_requests":
-            status = "?"
-            if "status=" in key:
-                status = key.split("status=", 1)[1].rstrip("}")
-            rows.append(["requests", status, str(record.get("value"))])
-        elif base == "cluster_respawns":
-            reason = "?"
-            if "reason=" in key:
-                reason = key.split("reason=", 1)[1].rstrip("}")
-            rows.append(["respawns", reason, str(record.get("value"))])
-        elif (
-            base == "cluster_router_latency_seconds"
-            and record.get("kind") == "histogram"
-        ):
-            rows.append([
-                "router latency", "-",
-                f"count={record.get('count')} "
-                f"mean={record.get('mean', 0):.4g}s "
-                f"max={record.get('max', 0):.4g}s",
-            ])
-    return sorted(rows)
-
-
 def aggregate_limits(metrics: Iterable[Dict[str, Any]]) -> List[List[str]]:
     """Rows for ``limits_hit{kind=...}`` counters: which resource
     budgets aborted scans, and how often."""
@@ -357,12 +326,6 @@ def render_report(path: Union[str, Path]) -> str:
             + format_table(
                 ["span", "count", "total (s)", "mean (s)", "max (s)"], span_rows
             )
-        )
-    cluster_rows = aggregate_cluster(trace["metrics"])
-    if cluster_rows:
-        sections.append(
-            "Cluster router\n"
-            + format_table(["metric", "label", "value"], cluster_rows)
         )
     triage_rows = aggregate_triage(trace["metrics"])
     if triage_rows:

@@ -18,6 +18,7 @@ Request flow for one ``POST /scan``::
     scanner.submit_one(..., deadline_at=ticket.deadline_at)
       │            └── remaining time caps the in-scan resource budget
     verdict / structured limit report / errored report
+    (worker died mid-scan: 503 worker-failure, Retry-After)
       │
     release slot, record metrics (serve.request span, counters)
 
@@ -34,7 +35,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import limits as limits_mod
 from repro import obs as obs_mod
 from repro.batch.cache import VerdictCache
 from repro.batch.scanner import BatchScanner
@@ -185,7 +185,6 @@ class ScanService:
         name: str = "document.pdf",
         limits_spec: Optional[str] = None,
         use_cache: bool = True,
-        deadline_left: Optional[float] = None,
     ) -> ServeResult:
         """Full admission-controlled scan of one document.
 
@@ -193,17 +192,6 @@ class ScanService:
         a fresh scan — cache hits answer with the summarised verdict
         only (``"report": null``), so clients that need the full
         OpenReport payload opt out of the cache.
-
-        ``deadline_left`` is the transport seam for router-level
-        deadline propagation: seconds remaining in an *upstream* budget
-        (the cluster router's per-request deadline, minus time already
-        spent routing).  It tightens the admission ticket's deadline —
-        never loosens it (:func:`repro.limits.merge_deadlines`) — so a
-        shard never keeps scanning for a request whose caller has
-        already given up.  Unlike a ``limits=deadline=...`` override it
-        does *not* mark the request as custom-limits, so the verdict
-        cache stays in play (the scanner separately refuses to cache a
-        scan that aborted under a deadline-tightened budget).
         """
         limits: Optional[ScanLimits] = None
         if limits_spec:
@@ -225,10 +213,6 @@ class ScanService:
                 ticket = self.admission.admit()
             except RequestShed as shed:
                 return self._finish(self._shed_result(shed, name), span=span)
-            if deadline_left is not None:
-                ticket.deadline_at = limits_mod.merge_deadlines(
-                    ticket.deadline_at, time.monotonic() + deadline_left
-                )
             try:
                 try:
                     with self.obs.tracer.span("serve.queue_wait"):
@@ -280,6 +264,18 @@ class ScanService:
             return ServeResult(
                 503,
                 {"error": "scan exceeded its deadline and was abandoned",
+                 "name": name, "sha256": handle.digest},
+                retry_after=self.admission.config.retry_after_seconds,
+            )
+        except cf.BrokenExecutor:
+            # The worker process died mid-scan (OOM kill, SIGKILL) and
+            # took the pool down; the next request gets a fresh pool.
+            # Delivery is at-most-once: the client decides whether to
+            # resend.
+            return ServeResult(
+                503,
+                {"error": "scan worker died mid-scan",
+                 "reason": "worker-failure",
                  "name": name, "sha256": handle.digest},
                 retry_after=self.admission.config.retry_after_seconds,
             )
@@ -436,6 +432,8 @@ class ScanService:
             #: requests were abandoned; true occupancy is
             #: in_flight + abandoned_workers.
             "abandoned_workers": self.abandoned_workers,
+            #: Worker pools replaced after a dead worker broke them.
+            "worker_respawns": self.scanner.worker_respawns,
             "pending_jobs": self.jobs.pending_count(),
         }
         return ServeResult(503 if snap["draining"] else 200, payload)
@@ -446,6 +444,7 @@ class ScanService:
             "admission": self.admission.snapshot(),
             "jobs": self.jobs.snapshot(),
             "abandoned_workers": self.abandoned_workers,
+            "worker_respawns": self.scanner.worker_respawns,
         }
         if self.scanner.cache is not None:
             payload["cache"] = self.scanner.cache.stats
@@ -474,6 +473,7 @@ class ScanService:
         live.set_gauge("serve_admission_in_flight", snap["in_flight"])
         live.set_gauge("serve_admission_draining", int(snap["draining"]))
         live.set_gauge("serve_abandoned_workers_live", self.abandoned_workers)
+        live.set_gauge("serve_worker_respawns", self.scanner.worker_respawns)
         live.set_gauge("serve_pending_jobs", self.jobs.pending_count())
         live.set_gauge("serve_uptime_seconds", time.time() - self.started_at)
         live.set_gauge("serve_slow_scans_retained", slow["retained"])

@@ -1,6 +1,7 @@
 """Verdict cache: LRU behaviour, persistence, corruption tolerance."""
 
 import json
+import threading
 
 import pytest
 
@@ -46,6 +47,35 @@ class TestLRU:
         with pytest.raises(ValueError):
             VerdictCache(max_entries=0)
 
+    def test_concurrent_writers_lose_nothing(self):
+        """32 threads hammering put/get: every stored digest must be
+        retrievable afterwards with its own verdict."""
+        cache = VerdictCache()
+        digests = [f"{i:02x}" * 32 for i in range(32)]
+        errors = []
+
+        def work(digest, index):
+            try:
+                cache.put(digest, summary(malscore=index / 100.0))
+                cache.get(digest)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=work, args=(digest, index))
+            for index, digest in enumerate(digests)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for index, digest in enumerate(digests):
+            got = cache.get(digest)
+            assert got is not None, digest
+            assert got.malscore == pytest.approx(index / 100.0)
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
@@ -60,6 +90,27 @@ class TestPersistence:
         assert got is not None
         assert got.malicious and got.malscore == 28.0
         assert got.features == ("F8", "F10")
+
+    def test_same_fingerprint_shares_the_file(self, tmp_path):
+        path = tmp_path / "cache.json"
+        writer = VerdictCache(path=path, fingerprint="fp")
+        writer.put("d1", summary(malicious=True, malscore=12.0))
+        writer.flush()
+        reader = VerdictCache(path=path, fingerprint="fp")
+        got = reader.get("d1")
+        assert got is not None and got.malscore == 12.0
+
+    @pytest.mark.parametrize("persisted", [False, True])
+    def test_flush_and_close_are_safe(self, tmp_path, persisted):
+        path = tmp_path / "cache.json" if persisted else None
+        cache = VerdictCache(path=path)
+        cache.put("d1", summary())
+        cache.flush()
+        cache.close()
+        cache.close()
+        assert cache.peek("d1") is not None
+        if persisted:
+            assert len(VerdictCache(path=path)) == 1
 
     def test_fingerprint_mismatch_discards(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Any, Dict, Optional, Tuple
 
@@ -98,6 +99,12 @@ def http_server():
     handle = start_server(svc)
     yield handle
     handle.stop()
+
+
+def scan_url(server, name: str, **query: str) -> str:
+    """``POST /scan`` URL on ``server`` for document ``name``."""
+    query["name"] = name
+    return f"{server.url}/scan?{urllib.parse.urlencode(query)}"
 
 
 def http_post(

@@ -10,7 +10,6 @@ import base64
 import concurrent.futures as cf
 import json
 import time
-import urllib.parse
 
 import pytest
 
@@ -21,15 +20,11 @@ from tests.serve.conftest import (
     assert_verdict_matches,
     http_get,
     http_post,
+    scan_url,
     service_settings,
 )
 
 pytestmark = pytest.mark.serve
-
-
-def scan_url(server, name, **query):
-    query["name"] = name
-    return f"{server.url}/scan?{urllib.parse.urlencode(query)}"
 
 
 class TestScanEndpoint:

@@ -92,6 +92,27 @@ class TestBatch:
         assert "scanned 1 document(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "{pdf}", "--jobs", "0"],
+        ["batch", "{pdf}", "--timeout", "0"],
+        ["serve", "--jobs", "0"],
+        ["serve", "--queue-depth", "-1"],
+        ["serve", "--max-in-flight", "0"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("{pdf} ", ""),
+)
+def test_bad_pool_option_is_a_usage_error(argv, benign_file, capsys):
+    """Exit 2 with a one-line message — not a traceback and exit 1,
+    which ``batch`` uses for "malicious found"."""
+    argv = [str(benign_file) if arg == "{pdf}" else arg for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestScan:
     def test_benign_exit_code_zero(self, benign_file, capsys):
         assert main(["scan", str(benign_file)]) == 0
