@@ -13,6 +13,11 @@ Pipeline per document (§III-A):
    monitoring wrapper (§III-C); scripts installed at runtime are
    covered by the generated method wrappers.
 
+Steps 1-2 (plus the static JS analysis) are the *analyse* step and
+step 3 is the *rewrite* step.  :meth:`Instrumenter.instrument` runs
+both; a caller that can decide the document from the analysis alone
+(the scan pipeline's triage) passes ``rewrite`` to skip step 3.
+
 Each phase runs inside a tracer span (``instrument.parse``,
 ``instrument.features``, ``instrument.rewrite``, nested under one
 ``instrument.document`` root per document); spans are timed with a
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import obs as obs_mod
 from repro.limits import ResourceLimitExceeded
@@ -137,6 +142,28 @@ class InstrumentationResult:
         return self.js_analysis.triage_fail_open_reason
 
 
+@dataclass
+class DocumentAnalysis:
+    """Output of the analyse step: the parsed, decrypted, decompressed
+    document plus everything learnt from it before any rewrite.
+
+    The rewrite step mutates :attr:`document` in place, so after
+    :meth:`Instrumenter.instrument` returns it is the instrumented
+    document (or the untouched input, when nothing was rewritten).
+    """
+
+    data: bytes
+    name: str
+    document: PDFDocument
+    was_encrypted: bool
+    already_instrumented: bool
+    chains: ChainAnalysis
+    features: StaticFeatures
+    timings: PhaseTimings
+    #: None when the document was already instrumented.
+    js_analysis: Optional[DocumentJSAnalysis]
+
+
 class Instrumenter:
     """Phase-I front-end component."""
 
@@ -166,6 +193,7 @@ class Instrumenter:
         name: str = "document.pdf",
         output: str = "rewrite",
         _depth: int = 0,
+        rewrite: Optional[Callable[[DocumentAnalysis], bool]] = None,
     ) -> InstrumentationResult:
         """Run the full front-end over raw PDF bytes.
 
@@ -174,108 +202,182 @@ class Instrumenter:
         incremental update carrying only the touched objects — the
         original bytes stay intact (signed/large documents) and the
         cost no longer scales with file size.
+
+        ``rewrite`` is consulted between the analyse and the rewrite
+        step.  When it returns False the document is not rewritten: its
+        key (and those of its embedded PDFs) is still issued, so every
+        later key stays the same, but ``data`` is the input bytes and no
+        script is wrapped.  It may keep ``analysis.document``, which is
+        the rewritten document once this call returns.
         """
         if output not in ("rewrite", "incremental"):
             raise ValueError(f"unknown output mode {output!r}")
-        timings = PhaseTimings()
-        tracer = self.obs.tracer
 
-        with tracer.span(
+        with self.obs.tracer.span(
             "instrument.document", document=name, bytes=len(data), depth=_depth
         ) as doc_span:
-            with tracer.span("instrument.parse") as parse_span:
-                document = PDFDocument.from_bytes(data)
-                was_encrypted = False
-                if "Encrypt" in document.trailer:
-                    pdf_encryption.remove_owner_password(document)
-                    was_encrypted = True
-                self._decompress_all(document)
-            timings.parse_decompress = parse_span.duration
+            analysis = self._analyse(data, name)
+            rewritten = rewrite is None or rewrite(analysis)
+            if rewritten:
+                result = self._rewrite(analysis, output, _depth)
+            else:
+                result = self._issue_keys(analysis, _depth)
 
-            with tracer.span("instrument.features") as features_span:
-                chains = analyze_chains(document)
-                features = extract_static_features(document, chains=chains)
-            timings.feature_extraction = features_span.duration
-
-            already = self._is_instrumented_by_us(document)
-            js_analysis: Optional[DocumentJSAnalysis] = None
-            if not already:
-                # Static JS analysis runs over the *original* scripts,
-                # before monitor-wrapping obscures them.
-                with tracer.span("instrument.jsast", document=name):
-                    with profile_mod.phase("jsast"):
-                        js_analysis = analyze_document(document, obs=self.obs)
-
-            with tracer.span("instrument.rewrite") as rewrite_span, \
-                    profile_mod.phase("instrument"):
-                key = self.key_store.issue(name, fingerprint(data))
-                spec = DeinstrumentationSpec(key_text=key.render(), document_name=name)
-                instrumented = 0
-                merged = 0
-                methods: Set[str] = set()
-                embedded: List[InstrumentationResult] = []
-                if not already:
-                    max_num_before = max(
-                        (ref.num for ref in document.store.objects), default=0
-                    )
-                    instrumented, merged, methods, changed = self._instrument_document(
-                        document, key, spec
-                    )
-                    if self.instrument_embedded and _depth < 2:
-                        embedded = self._instrument_embedded_pdfs(document, name, _depth)
-                        changed.update(
-                            entry.ref
-                            for entry in document.store
-                            if isinstance(entry.value, PDFStream)
-                            and str(entry.value.dictionary.get("Type", "")) == "EmbeddedFile"
-                        )
-                    if not (instrumented or embedded):
-                        out_data = data
-                    elif output == "incremental" and not was_encrypted:
-                        from repro.pdf.writer import write_incremental_update
-
-                        changed.update(
-                            entry.ref
-                            for entry in document.store
-                            if entry.num > max_num_before
-                        )
-                        out_data = write_incremental_update(
-                            data, document.store, document.trailer, changed
-                        )
-                    else:
-                        out_data = document.to_bytes()
-                else:
-                    out_data = data
-            timings.instrumentation = rewrite_span.duration
-
-            doc_span.set_tag("scripts", instrumented)
-            doc_span.set_tag("chains", len(chains.chains))
-            doc_span.set_tag(
-                "triage_eligible",
-                js_analysis is not None and js_analysis.triage_eligible,
-            )
+            doc_span.set_tag("scripts", result.instrumented_scripts)
+            doc_span.set_tag("chains", len(analysis.chains.chains))
+            doc_span.set_tag("triage_eligible", result.triage_eligible)
             if self.obs.enabled:
                 metrics = self.obs.metrics
-                metrics.inc("docs_instrumented")
-                metrics.inc("js_chains_found", len(chains.chains))
-                metrics.inc("scripts_instrumented", instrumented)
+                metrics.inc("js_chains_found", len(analysis.chains.chains))
+                if rewritten:
+                    metrics.inc("docs_instrumented")
+                    metrics.inc("scripts_instrumented", result.instrumented_scripts)
+        return result
 
+    # -- the two steps ------------------------------------------------------
+
+    def _analyse(self, data: bytes, name: str) -> DocumentAnalysis:
+        """Parse, decrypt, decompress, extract features, analyse the JS."""
+        tracer = self.obs.tracer
+        timings = PhaseTimings()
+        with tracer.span("instrument.parse") as parse_span:
+            document = PDFDocument.from_bytes(data)
+            was_encrypted = False
+            if "Encrypt" in document.trailer:
+                pdf_encryption.remove_owner_password(document)
+                was_encrypted = True
+            self._decompress_all(document)
+        timings.parse_decompress = parse_span.duration
+
+        with tracer.span("instrument.features") as features_span:
+            chains = analyze_chains(document)
+            features = extract_static_features(document, chains=chains)
+        timings.feature_extraction = features_span.duration
+
+        already = self._is_instrumented_by_us(document)
+        js_analysis: Optional[DocumentJSAnalysis] = None
+        if not already:
+            # Static JS analysis runs over the *original* scripts,
+            # before monitor-wrapping obscures them.
+            with tracer.span("instrument.jsast", document=name):
+                with profile_mod.phase("jsast"):
+                    js_analysis = analyze_document(document, obs=self.obs)
+        return DocumentAnalysis(
+            data=data,
+            name=name,
+            document=document,
+            was_encrypted=was_encrypted,
+            already_instrumented=already,
+            chains=chains,
+            features=features,
+            timings=timings,
+            js_analysis=js_analysis,
+        )
+
+    def _rewrite(
+        self, analysis: DocumentAnalysis, output: str, depth: int
+    ) -> InstrumentationResult:
+        """Issue the key, wrap the scripts, instrument embedded PDFs and
+        serialise."""
+        data, name, document = analysis.data, analysis.name, analysis.document
+        with self.obs.tracer.span("instrument.rewrite") as rewrite_span, \
+                profile_mod.phase("instrument"):
+            key = self.key_store.issue(name, fingerprint(data))
+            spec = DeinstrumentationSpec(key_text=key.render(), document_name=name)
+            instrumented = 0
+            merged = 0
+            methods: Set[str] = set()
+            embedded: List[InstrumentationResult] = []
+            if not analysis.already_instrumented:
+                max_num_before = max(
+                    (ref.num for ref in document.store.objects), default=0
+                )
+                instrumented, merged, methods, changed = self._instrument_document(
+                    document, key, spec
+                )
+                if self.instrument_embedded and depth < 2:
+                    embedded = self._instrument_embedded_pdfs(document, name, depth)
+                    changed.update(
+                        entry.ref
+                        for entry in document.store
+                        if isinstance(entry.value, PDFStream)
+                        and str(entry.value.dictionary.get("Type", "")) == "EmbeddedFile"
+                    )
+                if not (instrumented or embedded):
+                    out_data = data
+                elif output == "incremental" and not analysis.was_encrypted:
+                    from repro.pdf.writer import write_incremental_update
+
+                    changed.update(
+                        entry.ref
+                        for entry in document.store
+                        if entry.num > max_num_before
+                    )
+                    out_data = write_incremental_update(
+                        data, document.store, document.trailer, changed
+                    )
+                else:
+                    out_data = document.to_bytes()
+            else:
+                out_data = data
+        analysis.timings.instrumentation = rewrite_span.duration
+        return self._result(
+            analysis, key, spec, out_data, instrumented, merged, methods, embedded
+        )
+
+    def _issue_keys(
+        self, analysis: DocumentAnalysis, depth: int
+    ) -> InstrumentationResult:
+        """Everything :meth:`_rewrite` leaves in the key store, without
+        the rewrite: the document's key, then the keys of the embedded
+        PDFs it would have instrumented, in the same order."""
+        key = self.key_store.issue(analysis.name, fingerprint(analysis.data))
+        if (
+            not analysis.already_instrumented
+            and self.instrument_embedded
+            and depth < 2
+        ):
+            for _stream, payload, sub_name in self._embedded_pdfs(
+                analysis.document, analysis.name
+            ):
+                try:
+                    self.instrument(
+                        payload, sub_name, _depth=depth + 1, rewrite=lambda _: False
+                    )
+                except ResourceLimitExceeded:
+                    raise
+                except Exception:  # noqa: BLE001 - corrupt inner document
+                    continue
+        spec = DeinstrumentationSpec(key_text=key.render(), document_name=analysis.name)
+        return self._result(analysis, key, spec, analysis.data)
+
+    @staticmethod
+    def _result(
+        analysis: DocumentAnalysis,
+        key: InstrumentationKey,
+        spec: DeinstrumentationSpec,
+        out_data: bytes,
+        instrumented: int = 0,
+        merged: int = 0,
+        methods: Optional[Set[str]] = None,
+        embedded: Optional[List[InstrumentationResult]] = None,
+    ) -> InstrumentationResult:
         return InstrumentationResult(
             data=out_data,
             key_text=key.render(),
-            features=features,
-            chains=chains,
+            features=analysis.features,
+            chains=analysis.chains,
             spec=spec,
-            timings=timings,
+            timings=analysis.timings,
             instrumented_scripts=instrumented,
             merged_sequential_scripts=merged,
-            object_count=len(document.store),
-            input_size=len(data),
-            already_instrumented=already,
-            was_encrypted=was_encrypted,
-            runtime_script_methods=sorted(methods),
-            js_analysis=js_analysis,
-            embedded=embedded,
+            object_count=len(analysis.document.store),
+            input_size=len(analysis.data),
+            already_instrumented=analysis.already_instrumented,
+            was_encrypted=analysis.was_encrypted,
+            runtime_script_methods=sorted(methods or ()),
+            js_analysis=analysis.js_analysis,
+            embedded=embedded or [],
         )
 
     # -- internals ----------------------------------------------------------
@@ -299,16 +401,11 @@ class Instrumenter:
     def _is_instrumented_by_us(document: PDFDocument) -> bool:
         return MARKER_KEY in document.catalog
 
-    def _instrument_embedded_pdfs(
-        self, document: PDFDocument, host_name: str, depth: int
-    ) -> List[InstrumentationResult]:
-        """§VI extension: recursively instrument attached PDF files.
-
-        Malicious documents can nest the real attack inside an embedded
-        PDF that scripts later export and open; instrumenting it at
-        protect time keeps those scripts monitored too.
-        """
-        results: List[InstrumentationResult] = []
+    @staticmethod
+    def _embedded_pdfs(
+        document: PDFDocument, host_name: str
+    ) -> Iterator[Tuple[PDFStream, bytes, str]]:
+        """Each attached PDF file as ``(stream, payload, name)``."""
         counter = 0
         for entry in document.store:
             value = entry.value
@@ -325,10 +422,21 @@ class Instrumenter:
             if b"%PDF-" not in payload[:1024]:
                 continue
             counter += 1
+            yield value, payload, f"{host_name}::embedded{counter}.pdf"
+
+    def _instrument_embedded_pdfs(
+        self, document: PDFDocument, host_name: str, depth: int
+    ) -> List[InstrumentationResult]:
+        """§VI extension: recursively instrument attached PDF files.
+
+        Malicious documents can nest the real attack inside an embedded
+        PDF that scripts later export and open; instrumenting it at
+        protect time keeps those scripts monitored too.
+        """
+        results: List[InstrumentationResult] = []
+        for value, payload, sub_name in self._embedded_pdfs(document, host_name):
             try:
-                sub = self.instrument(
-                    payload, f"{host_name}::embedded{counter}.pdf", _depth=depth + 1
-                )
+                sub = self.instrument(payload, sub_name, _depth=depth + 1)
             except ResourceLimitExceeded:
                 raise
             except Exception:  # noqa: BLE001 - corrupt inner document

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import limits as limits_mod
 from repro import obs as obs_mod
@@ -38,12 +38,17 @@ from repro.core.detector import (
     FeatureVector,
     Verdict,
 )
-from repro.core.instrument import InstrumentationResult, Instrumenter
+from repro.core.instrument import (
+    DocumentAnalysis,
+    InstrumentationResult,
+    Instrumenter,
+)
 from repro.core.keys import KeyStore
 from repro.core.runtime_monitor import Alert, RuntimeMonitor
 from repro.core.soap import TinySOAPServer
 from repro.core.static_features import StaticFeatures
 from repro.limits import DEFAULT_LIMITS, ResourceLimitExceeded, ScanLimits
+from repro.pdf.document import PDFDocument
 from repro.pdf.filters import FilterError
 from repro.pdf.lexer import LexerError
 from repro.pdf.parser import PDFParseError
@@ -269,14 +274,18 @@ class MonitoredSession:
         protected: ProtectedDocument,
         pump_seconds: float = 5.0,
         fire_close: bool = True,
+        document: Optional[PDFDocument] = None,
     ) -> OpenReport:
-        """Open one protected document and watch what happens."""
+        """Open one protected document and watch what happens.
+
+        ``document`` is ``protected.data`` already parsed, when the
+        caller holds it (see :meth:`Reader.open`)."""
         with self.obs.tracer.span("session.open", document=protected.name) as sp:
             virtual_start = self.system.clock.now()
             self._register_tree(protected)
             process = self.reader.process()
             self.monitor.attach_reader_process(process)
-            outcome = self.reader.open(protected.data, protected.name)
+            outcome = self.reader.open(protected.data, protected.name, document)
             if not outcome.crashed:
                 self.reader.pump(pump_seconds)
             if fire_close and not outcome.crashed and outcome.handle.open:
@@ -433,12 +442,35 @@ class ProtectionPipeline:
     # -- Phase I -----------------------------------------------------------
 
     def protect(self, data: bytes, name: str = "document.pdf") -> ProtectedDocument:
+        return self._protect(data, name, triage=False)[0]
+
+    def _protect(
+        self, data: bytes, name: str, triage: bool
+    ) -> Tuple[ProtectedDocument, Optional[PDFDocument]]:
+        """Run the front end, consulting triage (if asked) between its
+        analyse and rewrite steps.
+
+        Returns the protected document and its rewritten in-memory form,
+        which the reader takes instead of re-parsing
+        ``protected.data``; ``None`` when triage decided the document,
+        which was then not rewritten.
+        """
+        handoff: Optional[PDFDocument] = None
+
+        def will_open(analysis: DocumentAnalysis) -> bool:
+            nonlocal handoff
+            js = analysis.js_analysis
+            if triage and js is not None and (js.proven_malicious or js.triage_eligible):
+                return False
+            handoff = analysis.document
+            return True
+
         with limits_mod.activate(self.limits):
             with self.obs.tracer.span("pipeline.protect", document=name):
-                result = self.instrumenter.instrument(data, name)
+                result = self.instrumenter.instrument(data, name, rewrite=will_open)
         if self.obs.enabled:
             self.obs.metrics.inc("docs_protected")
-        return self._wrap_result(result, name)
+        return self._wrap_result(result, name), handoff
 
     def _wrap_result(self, result: InstrumentationResult, name: str) -> ProtectedDocument:
         return ProtectedDocument(
@@ -473,11 +505,12 @@ class ProtectionPipeline:
         protected: ProtectedDocument,
         pump_seconds: float = 5.0,
         fire_close: bool = True,
+        document: Optional[PDFDocument] = None,
     ) -> OpenReport:
         session = self.session()
         try:
             return session.open(
-                protected, pump_seconds=pump_seconds, fire_close=fire_close
+                protected, pump_seconds=pump_seconds, fire_close=fire_close, document=document
             )
         finally:
             session.close()
@@ -491,11 +524,15 @@ class ProtectionPipeline:
 
         With ``triage`` enabled, a document whose static analysis is
         provably clean (no JS, or JS with no suspicious findings, no
-        side-effect APIs and no active content) skips the monitored
-        reader session; its verdict is synthesised from the static
-        features alone and is byte-identical to what a full run would
-        report.  Anything the analysis is unsure about — including the
-        analysis itself erroring — falls through to full emulation.
+        side-effect APIs and no active content) skips the instrumentation
+        rewrite and the monitored reader session; its verdict is
+        synthesised from the static features alone and is byte-identical
+        to what a full run would report.  Anything the analysis is
+        unsure about — including the analysis itself erroring — falls
+        through to full emulation.
+
+        A document that is opened is handed to the reader in memory,
+        as the front end rewrote it, so it is parsed once per scan.
         """
         with self.obs.tracer.span("pipeline.scan", document=name) as span:
             scan_profile: Optional[profile_mod.ScanProfile] = None
@@ -508,16 +545,16 @@ class ProtectionPipeline:
             ):
                 try:
                     with limits_mod.activate(self.limits):
-                        protected = self.protect(data, name)
-                        if self.triage and protected.triage_proven_malicious:
+                        protected, document = self._protect(data, name, self.triage)
+                        if document is not None:
+                            report = self.open_protected(protected, document=document)
+                        elif protected.triage_proven_malicious:
                             report = self._triage_malicious_report(protected)
                             span.set_tag("triaged", True)
                             span.set_tag("proven", "malicious")
-                        elif self.triage and protected.triage_eligible:
+                        else:
                             report = self._triage_report(protected)
                             span.set_tag("triaged", True)
-                        else:
-                            report = self.open_protected(protected)
                 except ResourceLimitExceeded as error:
                     report = OpenReport.limit_report(name, error)
                     span.set_tag("errored", True)

@@ -275,25 +275,39 @@ class Reader:
 
     # -- opening documents ----------------------------------------------------
 
-    def open(self, data: bytes, name: str = "document.pdf") -> OpenOutcome:
-        """Open a document: parse, render, and fire its open triggers."""
+    def open(
+        self,
+        data: bytes,
+        name: str = "document.pdf",
+        document: Optional[PDFDocument] = None,
+    ) -> OpenOutcome:
+        """Open a document: parse, render, and fire its open triggers.
+
+        ``document``, when given, is ``data`` already parsed (the scan
+        pipeline hands over the document its front end just rewrote and
+        serialised to ``data``): the reader then does not parse ``data``
+        again, and uses it only to size the render memory.
+        """
         with self.obs.tracer.span("reader.open", document=name, bytes=len(data)) as sp:
             virtual_start = self.clock.now()
             try:
-                outcome = self._open_inner(data, name)
+                outcome = self._open_inner(data, name, document)
             finally:
                 sp.set_tag("virtual_s", self.clock.now() - virtual_start)
             sp.set_tag("crashed", outcome.crashed)
             return outcome
 
-    def _open_inner(self, data: bytes, name: str) -> OpenOutcome:
+    def _open_inner(
+        self, data: bytes, name: str, document: Optional[PDFDocument]
+    ) -> OpenOutcome:
         process = self.process()
-        try:
-            document = PDFDocument.from_bytes(data)
-        except PDFParseError as exc:
-            dummy = DocumentHandle(self, self._next_doc_id, PDFDocument(), name, len(data))
-            self._next_doc_id += 1
-            return OpenOutcome(handle=dummy, parse_error=str(exc))
+        if document is None:
+            try:
+                document = PDFDocument.from_bytes(data)
+            except PDFParseError as exc:
+                dummy = DocumentHandle(self, self._next_doc_id, PDFDocument(), name, len(data))
+                self._next_doc_id += 1
+                return OpenOutcome(handle=dummy, parse_error=str(exc))
 
         handle = DocumentHandle(self, self._next_doc_id, document, name, len(data))
         self._next_doc_id += 1
