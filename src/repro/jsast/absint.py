@@ -35,20 +35,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.js import nodes as ast
-from repro.js.parser import parse
 from repro.jsast import lattice as lat
+from repro.jsast.analyzer import LayerScans, scan_layer
 from repro.jsast.fold import js_unescape
-from repro.jsast.report import Severity
 from repro.jsast.rules import (
     EXPLOIT_CALL_SUFFIXES,
-    RULES,
     SIDE_EFFECT_COMPONENTS,
     SIDE_EFFECT_PREFIXES,
     SPRAY_LENGTH_THRESHOLD,
     RuleContext,
-    build_context,
     member_path,
-    side_effect_apis,
 )
 
 #: Default per-script step budget (see ``repro.limits.max_absint_steps``).
@@ -473,12 +469,10 @@ def _describe(value: lat.AbsValue) -> str:
 
 
 class _Engine:
-    def __init__(self, budget: _Budget) -> None:
+    def __init__(self, budget: _Budget, scans: LayerScans) -> None:
         self.budget = budget
+        self.scans = scans
         self.result = AbsintResult()
-        #: Node ids of eval/export sites already processed by an interp.
-        self.handled_evals: Set[int] = set()
-        self.handled_exports: Set[int] = set()
         self._channel_keys: Set[Tuple[str, str, int]] = set()
 
     def channel(self, kind: str, path: str, layer: int) -> None:
@@ -490,7 +484,7 @@ class _Engine:
     def analyze_layer(
         self, code: str, depth: int, must: bool, label: str
     ) -> Tuple[Optional[Set[str]], bool]:
-        """Parse and abstractly run one script layer.
+        """Scan and abstractly run one script layer.
 
         Returns ``(written_names, may_abort)``; ``written_names`` is
         ``None`` when the caller must havoc everything (depth cap).
@@ -503,20 +497,21 @@ class _Engine:
             return None, True
         layer = EvalLayer(label=label, depth=depth, must=must)
         self.result.layers.append(layer)
-        try:
-            program = parse(code)
-        except Exception as exc:  # noqa: BLE001 - fail-open per layer
-            layer.parse_error = f"{type(exc).__name__}: {exc}"
+        scan = scan_layer(code, self.scans)
+        program = scan.program
+        if program is None:
+            layer.parse_error = scan.parse_exception
             # A syntax error in eval'd code throws at runtime: the code
             # never runs (no writes) and the caller may abort.
             return set(), True
-        ctx = self._classic_scan(code, program, layer)
+        layer.blocking_rules = list(scan.blocking_rules)
+        layer.side_effect_apis = list(scan.side_effect_apis)
 
         interp = _Interp(self, program, depth, label)
         interp.must = must
         interp.run()
 
-        walker = _ChannelWalker(self, interp, program, depth, label, ctx)
+        walker = _ChannelWalker(self, interp, program, depth, label, scan.ctx)
         walker.run()
 
         for name in sorted(interp.env):
@@ -538,40 +533,6 @@ class _Engine:
                 for name, value in sorted(interp.env.items())
             }
         return interp.written, interp.aborted or _may_abort(program)
-
-    def _classic_scan(
-        self, code: str, program: ast.Program, layer: EvalLayer
-    ) -> Optional[RuleContext]:
-        """Run the classic rule registry over the layer, recording the
-        SUSPICIOUS+ rules that block a benign proof.
-
-        ``eval-computed-string`` is excluded: the interpreter supersedes
-        it by peeling const layers itself and channeling opaque ones.
-        """
-        try:
-            ctx = build_context(code, program)
-        except Exception:  # noqa: BLE001 - fail-open
-            layer.blocking_rules.append("analysis-error")
-            return None
-        for rule_id, rule_fn in RULES.items():
-            try:
-                findings = list(rule_fn(ctx))
-            except Exception:  # noqa: BLE001 - one broken rule
-                if "analysis-error" not in layer.blocking_rules:
-                    layer.blocking_rules.append("analysis-error")
-                continue
-            for finding in findings:
-                if (
-                    finding.severity >= Severity.SUSPICIOUS
-                    and finding.rule != "eval-computed-string"
-                    and finding.rule not in layer.blocking_rules
-                ):
-                    layer.blocking_rules.append(finding.rule)
-        try:
-            layer.side_effect_apis = side_effect_apis(ctx)
-        except Exception:  # noqa: BLE001 - fail-open: assume side effects
-            layer.side_effect_apis = ["<analysis-error>"]
-        return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +584,11 @@ class _Interp:
         self.record = True
         #: Trip-count lower bounds of enclosing recording-pass loops.
         self.trips: List[int] = []
+        #: Ids of this layer's eval/export sites already handled: per
+        #: layer, as ids are unique only among live nodes and every peel
+        #: of one source shares its AST.
+        self.handled_evals: Set[int] = set()
+        self.handled_exports: Set[int] = set()
 
     @property
     def must_now(self) -> bool:
@@ -1581,9 +1547,9 @@ class _Interp:
     def _record_export(
         self, node: ast.Node, path: str, arguments: List[ast.Node]
     ) -> None:
-        if not self.record or id(node) in self.engine.handled_exports:
+        if not self.record or id(node) in self.handled_exports:
             return
-        self.engine.handled_exports.add(id(node))
+        self.handled_exports.add(id(node))
         launch: Optional[float] = None
         name: Optional[str] = None
         if arguments and isinstance(arguments[0], ast.ObjectLiteral):
@@ -1623,7 +1589,7 @@ class _Interp:
             self.havoc_all()
             return lat.TOP
         if isinstance(arg, lat.AbsConst) and isinstance(arg.value, str):
-            self.engine.handled_evals.add(id(node))
+            self.handled_evals.add(id(node))
             written, may_abort = self.engine.analyze_layer(
                 arg.value,
                 self.depth + 1,
@@ -1828,7 +1794,7 @@ class _ChannelWalker:
     def _classify_call(
         self, node: ast.Node, mask: Set[str], local_funcs: Set[str]
     ) -> None:
-        if id(node) in self.engine.handled_evals:
+        if id(node) in self.interp.handled_evals:
             return
         callee = node.callee  # type: ignore[attr-defined]
         arguments: List[ast.Node] = node.arguments  # type: ignore[attr-defined]
@@ -1946,7 +1912,7 @@ class _ChannelWalker:
         if code is None:
             self.engine.channel(CHANNEL_OPAQUE_EVAL, path, self.depth)
             return
-        self.engine.handled_evals.add(id(node))
+        self.interp.handled_evals.add(id(node))
         self.engine.analyze_layer(
             code,
             self.depth + 1,
@@ -1980,8 +1946,13 @@ def interpret_script(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     label: str = "script",
+    scans: Optional[LayerScans] = None,
 ) -> AbsintResult:
     """Abstractly interpret ``code`` and every constant layer it stages.
+
+    Every layer is read through ``scans``
+    (:func:`repro.jsast.analyzer.scan_layer`); ``analyze_script`` passes
+    its own, so a layer it already scanned is not scanned again.
 
     Raises :class:`AbsintBudgetExceeded` only internally — budget
     exhaustion is reported via ``status == "budget-exhausted"``.  Other
@@ -1989,7 +1960,7 @@ def interpret_script(
     wraps this with a never-raises guarantee.
     """
     budget = _Budget(max_steps)
-    engine = _Engine(budget)
+    engine = _Engine(budget, {} if scans is None else scans)
     try:
         engine.analyze_layer(code, 0, True, label)
     except AbsintBudgetExceeded:

@@ -1,8 +1,9 @@
 """Script- and document-level static analysis drivers.
 
-:func:`analyze_script` takes one JavaScript source string through
-parse → constant fold → rule registry and returns a
-:class:`~repro.jsast.report.JSStaticReport`.  Constant ``eval``
+:func:`scan_layer` parses, constant-folds and lints a JavaScript layer
+once per :func:`analyze_script` call, for the lint report and the proof
+tier alike.  :func:`analyze_script` returns a
+:class:`~repro.jsast.report.JSStaticReport`; constant ``eval``
 arguments get one more layer of the same treatment, with findings
 re-labelled ``eval:<rule>`` so provenance survives.
 
@@ -20,15 +21,17 @@ triage-eligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro import obs as obs_mod
+from repro.js import nodes as ast
 from repro.js.errors import JSSyntaxError
 from repro.js.parser import parse
 from repro.jsast.report import Finding, JSStaticReport, Severity
 from repro.jsast.rules import (
     RULES,
+    RuleContext,
     build_context,
     ruleset_version,
     side_effect_apis,
@@ -44,45 +47,125 @@ GUARD_RICH_MEDIA = "rich-media"
 GUARD_UNDECODABLE_JS = "undecodable-js"
 
 
+@dataclass
+class LayerScan:
+    """One JS layer parsed, folded and run through every rule.  The
+    lint report reads its findings, the abstract interpreter the rest."""
+
+    program: Optional[ast.Program] = None
+    #: ``None`` when the layer does not parse or folding crashed.
+    ctx: Optional[RuleContext] = None
+    findings: List[Finding] = field(default_factory=list)
+    side_effect_apis: List[str] = field(default_factory=list)
+    #: The report's text for a parse or folding failure.
+    parse_error: Optional[str] = None
+    #: Absint's text for a parse failure: ``Type: message``.
+    parse_exception: Optional[str] = None
+    #: SUSPICIOUS+ rules but ``eval-computed-string`` (absint peels
+    #: constant layers itself and channels opaque ones), each once and
+    #: in rule order; a crashed fold or rule blocks as ``analysis-error``.
+    blocking_rules: List[str] = field(default_factory=list)
+
+
+#: The layer scans of one :func:`analyze_script` call, keyed by source;
+#: dropped when the call returns, as they hold every layer's AST.
+LayerScans = Dict[str, LayerScan]
+
+
+def _analysis_error(message: str) -> Finding:
+    return Finding(
+        rule="analysis-error",
+        severity=Severity.SUSPICIOUS,
+        message=message,
+        score=1.0,
+    )
+
+
+def scan_layer(code: str, scans: LayerScans) -> LayerScan:
+    """Parse, fold and lint ``code`` once per ``scans``; never raises."""
+    if code in scans:
+        return scans[code]
+    scan = scans[code] = LayerScan()
+    try:
+        program = parse(code)
+    except Exception as exc:  # noqa: BLE001 - fail-open, never raise
+        scan.parse_exception = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, JSSyntaxError):
+            scan.parse_error = str(exc)
+            message, evidence = f"script does not parse: {exc}", code
+        else:
+            scan.parse_error = scan.parse_exception
+            message, evidence = f"parser crashed: {scan.parse_exception}", ""
+        scan.findings.append(
+            Finding(
+                rule="unparseable-js",
+                severity=Severity.SUSPICIOUS,
+                message=message,
+                evidence=evidence,
+                score=2.0,
+            )
+        )
+        return scan
+    scan.program = program
+
+    try:
+        ctx = scan.ctx = build_context(code, program)
+    except Exception as exc:  # noqa: BLE001 - fail-open
+        scan.parse_error = f"analysis error: {type(exc).__name__}: {exc}"
+        scan.findings.append(
+            _analysis_error(f"constant folding crashed: {type(exc).__name__}")
+        )
+        scan.blocking_rules.append("analysis-error")
+        return scan
+
+    for rule_id, rule_fn in RULES.items():
+        first = len(scan.findings)
+        try:
+            scan.findings.extend(rule_fn(ctx))
+            fired = [
+                finding.rule
+                for finding in scan.findings[first:]
+                if finding.severity >= Severity.SUSPICIOUS
+            ]
+        except Exception as exc:  # noqa: BLE001 - one broken rule
+            # must not silence the rest, and must not grant triage.
+            scan.findings.append(
+                _analysis_error(f"rule {rule_id!r} crashed: {type(exc).__name__}")
+            )
+            fired = ["analysis-error"]
+        for rule in fired:
+            if rule != "eval-computed-string" and rule not in scan.blocking_rules:
+                scan.blocking_rules.append(rule)
+
+    try:
+        scan.side_effect_apis = side_effect_apis(ctx)
+    except Exception:  # noqa: BLE001 - fail-open: assume side effects
+        scan.side_effect_apis = ["<analysis-error>"]
+    return scan
+
+
 def analyze_script(
     code: str,
     label: str = "script",
     obs: Optional[obs_mod.Observability] = None,
     _depth: int = 0,
+    _scans: Optional[LayerScans] = None,
 ) -> JSStaticReport:
     """Statically analyse one script; never raises."""
     obs = obs if obs is not None else obs_mod.get_default()
+    scans: LayerScans = {} if _scans is None else _scans
     report = JSStaticReport(script=label, ruleset_version=ruleset_version())
 
     with obs.tracer.span("jsast.analyze", script=label, depth=_depth) as span:
-        try:
-            program = parse(code)
-        except JSSyntaxError as exc:
-            report.parse_error = str(exc)
-            report.findings.append(
-                Finding(
-                    rule="unparseable-js",
-                    severity=Severity.SUSPICIOUS,
-                    message=f"script does not parse: {exc}",
-                    evidence=code,
-                    score=2.0,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - fail-open, never raise
-            report.parse_error = f"{type(exc).__name__}: {exc}"
-            report.findings.append(
-                Finding(
-                    rule="unparseable-js",
-                    severity=Severity.SUSPICIOUS,
-                    message=f"parser crashed: {type(exc).__name__}: {exc}",
-                    score=2.0,
-                )
-            )
-        else:
-            _run_rules(code, program, report, label, obs, _depth)
+        scan = scan_layer(code, scans)
+        report.findings.extend(scan.findings)
+        report.side_effect_apis = list(scan.side_effect_apis)
+        report.parse_error = scan.parse_error
+        if scan.ctx is not None:
+            _follow_evals(scan.ctx, report, obs, _depth, scans)
 
         if _depth == 0 and report.parse_error is None:
-            _run_absint(code, report, label, obs)
+            _run_absint(code, report, obs, scans)
 
         report.obfuscation_score = min(
             10.0, sum(f.score for f in report.findings)
@@ -99,18 +182,15 @@ def analyze_script(
 
 
 def _run_absint(
-    code: str,
-    report: JSStaticReport,
-    label: str,
-    obs: obs_mod.Observability,
+    code: str, report: JSStaticReport, obs: obs_mod.Observability, scans: LayerScans
 ) -> None:
     """Run the abstract-interpretation proof tier (depth 0 only — it
     peels nested layers itself).  Never raises."""
     from repro.jsast.rules_absint import proof_findings, run_absint
 
-    with obs.tracer.span("jsast.absint", script=label) as span:
+    with obs.tracer.span("jsast.absint", script=report.script) as span:
         with profile_mod.phase("absint"):
-            section = run_absint(code, label=label)
+            section = run_absint(code, label=report.script, scans=scans)
         report.absint = section
         report.findings.extend(proof_findings(section))
         span.set_tag("verdict", section.get("verdict", "unknown"))
@@ -122,65 +202,25 @@ def _run_absint(
             )
 
 
-def _run_rules(
-    code: str,
-    program,
+def _follow_evals(
+    ctx: RuleContext,
     report: JSStaticReport,
-    label: str,
     obs: obs_mod.Observability,
     depth: int,
+    scans: LayerScans,
 ) -> None:
-    """Fold, run every registered rule, then follow constant evals."""
-    try:
-        ctx = build_context(code, program)
-    except Exception as exc:  # noqa: BLE001 - fail-open
-        report.parse_error = f"analysis error: {type(exc).__name__}: {exc}"
-        report.findings.append(
-            Finding(
-                rule="analysis-error",
-                severity=Severity.SUSPICIOUS,
-                message=f"constant folding crashed: {type(exc).__name__}",
-                score=1.0,
-            )
-        )
-        return
-
-    for rule_id, rule_fn in RULES.items():
-        try:
-            report.findings.extend(rule_fn(ctx))
-        except Exception as exc:  # noqa: BLE001 - one broken rule
-            # must not silence the rest, and must not grant triage.
-            report.findings.append(
-                Finding(
-                    rule="analysis-error",
-                    severity=Severity.SUSPICIOUS,
-                    message=f"rule {rule_id!r} crashed: {type(exc).__name__}",
-                    score=1.0,
-                )
-            )
-
-    try:
-        report.side_effect_apis = side_effect_apis(ctx)
-    except Exception:  # noqa: BLE001 - fail-open: assume side effects
-        report.side_effect_apis = ["<analysis-error>"]
-
+    """Analyse the constant ``eval`` layers the rules queued."""
     if depth < MAX_NESTED_DEPTH:
         for nested_label, nested_code in ctx.nested:
             nested = analyze_script(
                 nested_code,
-                label=f"{label}::{nested_label}",
+                label=f"{report.script}::{nested_label}",
                 obs=obs,
                 _depth=depth + 1,
+                _scans=scans,
             )
             report.findings.extend(
-                Finding(
-                    rule=f"eval:{f.rule}",
-                    severity=f.severity,
-                    message=f.message,
-                    evidence=f.evidence,
-                    score=f.score,
-                )
-                for f in nested.findings
+                replace(f, rule=f"eval:{f.rule}") for f in nested.findings
             )
             report.side_effect_apis = sorted(
                 set(report.side_effect_apis) | set(nested.side_effect_apis)

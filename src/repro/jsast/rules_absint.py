@@ -46,12 +46,13 @@ from repro.jsast.absint import (
     AbsintResult,
     interpret_script,
 )
+from repro.jsast.analyzer import LayerScans
 from repro.jsast.report import Finding, Severity
 from repro.jsast.rules import SPRAY_LENGTH_THRESHOLD
 
 #: Version stamp embedded in cache fingerprints: bump on any change to
 #: the interpreter's precision or the proof rules below.
-ABSINT_VERSION = "1"
+ABSINT_VERSION = "2"
 
 #: F8's threshold (Table VII ``memory_threshold_bytes``); duplicated as
 #: a literal to keep :mod:`repro.jsast` import-independent from
@@ -196,40 +197,28 @@ def evaluate(result: AbsintResult) -> Tuple[str, str, List[Finding]]:
     return "unknown", blocker, []
 
 
-def run_absint(code: str, *, label: str = "script") -> Dict[str, Any]:
+def run_absint(
+    code: str, *, label: str = "script", scans: Optional[LayerScans] = None
+) -> Dict[str, Any]:
     """Interpret ``code`` and evaluate the proof rules.  Never raises.
 
-    Returns the ``absint`` section stored on
-    :class:`repro.jsast.report.JSStaticReport`: verdict + reason +
-    proof findings + the full fact dump.
+    ``scans`` goes to :func:`interpret_script`.  Returns the ``absint``
+    section stored on :class:`repro.jsast.report.JSStaticReport`:
+    verdict + reason + proof findings + the full fact dump.
     """
+    result: Optional[AbsintResult] = None
     try:
-        result = interpret_script(code, max_steps=_max_steps(), label=label)
-    except Exception as exc:  # noqa: BLE001 - fail open, always
-        return {
-            "version": ABSINT_VERSION,
-            "verdict": "unknown",
-            "reason": f"absint-error:{type(exc).__name__}",
-            "status": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "steps": 0,
-            "max_depth": 0,
-            "proofs": [],
-            "layers": [],
-            "channels": [],
-            "fills": [],
-            "sleds": [],
-            "exports": [],
-            "env_summary": {},
-        }
-    try:
-        verdict, reason, proofs = evaluate(result)
-    except Exception as exc:  # noqa: BLE001 - a broken proof rule
-        verdict, reason, proofs = (
-            "unknown",
-            f"absint-error:{type(exc).__name__}",
-            [],
+        result = interpret_script(
+            code, max_steps=_max_steps(), label=label, scans=scans
         )
+        verdict, reason, proofs = evaluate(result)
+    except Exception as exc:  # noqa: BLE001 - fail open, always
+        if result is None:  # the interpreter itself failed: no facts
+            result = AbsintResult(
+                status="error", error=f"{type(exc).__name__}: {exc}"
+            )
+        verdict, reason = "unknown", f"absint-error:{type(exc).__name__}"
+        proofs = []
     section = result.to_dict()
     section["version"] = ABSINT_VERSION
     section["verdict"] = verdict
