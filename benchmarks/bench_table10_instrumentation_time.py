@@ -83,8 +83,7 @@ def test_table10_per_size_timings(benchmark, emit, obs_memory, artifact):
             ],
         )
     )
-    # Phase-I (front-end) timings only; the headline Table X artifact —
-    # full scans on both JS engines — is written by bench_table10.py.
+    # Phase-I (front-end) timings only.
     artifact("BENCH_table10_phase1.json", rows)
 
     by_label = {row["size"]: row for row in rows}

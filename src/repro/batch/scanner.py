@@ -91,12 +91,8 @@ def _settings_fingerprint(settings: PipelineSettings) -> str:
     Incorporates the static-analysis rule-set version and the triage
     flag: editing a lint rule (or toggling triage) changes what the
     scanner may skip, so cached verdicts from other configurations are
-    discarded.  The *resolved* JS engine is included too — the engines
-    are proven verdict-equivalent, but keying the cache on the engine
-    keeps a differential repro honest (a cache hit must never mask an
-    engine divergence).
+    discarded.
     """
-    from repro.js import resolve_js_engine
     from repro.jsast.rules import ruleset_version
     from repro.jsast.rules_absint import ABSINT_VERSION
 
@@ -107,7 +103,6 @@ def _settings_fingerprint(settings: PipelineSettings) -> str:
         f"|absint:{ABSINT_VERSION}"
         f"|limits:{settings.limits.describe()}"
         f"|profile:{int(settings.profile)}"
-        f"|js:{resolve_js_engine(settings.js_engine)}"
     )
 
 

@@ -92,13 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'stream-bytes=8mb,deadline=5' ('off' disables a budget; "
         "see docs/HARDENING.md)",
     )
-    scan.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for the reader session (default: REPRO_JS_ENGINE "
-        "env var, then bytecode; verdicts are engine-independent)",
-    )
 
     lint = sub.add_parser("lint", help="static JS analysis only")
     lint.add_argument("file", type=Path, help="a PDF or a bare .js source file")
@@ -187,13 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile every scan: per-item phase breakdown in the "
         "report, aggregated phase totals in the summary",
     )
-    batch.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for every worker (default: REPRO_JS_ENGINE env "
-        "var, then bytecode)",
-    )
 
     serve = sub.add_parser("serve", help="long-running scan service daemon")
     serve.add_argument("--host", default="127.0.0.1")
@@ -267,13 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="slow-scan exemplars retained in the ring buffer "
         "(default 32)",
     )
-    serve.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine for every scan worker (default: REPRO_JS_ENGINE "
-        "env var, then bytecode)",
-    )
 
     report = sub.add_parser("report", help="aggregate a scan trace")
     report.add_argument("trace", type=Path)
@@ -299,13 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limits", metavar="K=V,...",
         help="resource-budget overrides (see docs/HARDENING.md)",
     )
-    profile.add_argument(
-        "--js-engine",
-        choices=("ast", "bytecode"),
-        default=None,
-        help="JS engine to profile (note: the bytecode engine falls "
-        "back to the reference walker while a profiler is attached)",
-    )
     return parser
 
 
@@ -322,12 +294,12 @@ def _build_scan_obs(args: argparse.Namespace):
 
 
 def _parse_limits_arg(args: argparse.Namespace):
-    """Resolve ``--limits`` to a ScanLimits (None = defaults)."""
-    from repro.limits import ScanLimits
+    """Resolve ``--limits`` to a ScanLimits (the defaults when absent)."""
+    from repro.limits import DEFAULT_LIMITS, ScanLimits
 
     spec = getattr(args, "limits", None)
     if spec is None:
-        return None
+        return DEFAULT_LIMITS
     return ScanLimits.parse(spec)
 
 
@@ -345,7 +317,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return 2
     pipeline = ProtectionPipeline(
         reader_version=args.reader_version, triage=args.triage,
-        limits=limits, js_engine=args.js_engine, obs=obs,
+        limits=limits, obs=obs,
     )
     report = pipeline.scan(data, args.file.name)
     verdict = report.verdict
@@ -477,7 +449,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     pipeline = ProtectionPipeline(
         reader_version=args.reader_version, limits=limits, profile=True,
-        js_engine=args.js_engine,
     )
     report = pipeline.scan(data, args.file.name)
     profile = report.profile
@@ -632,16 +603,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: bad --limits: {error}", file=sys.stderr)
         return 2
-    if limits is not None:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            limits=limits, profile=args.profile, js_engine=args.js_engine,
-        )
-    else:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            profile=args.profile, js_engine=args.js_engine,
-        )
+    settings = PipelineSettings(
+        reader_version=args.reader_version, triage=args.triage,
+        limits=limits, profile=args.profile,
+    )
     if args.no_cache:
         cache = False
     elif args.cache is not None:
@@ -706,16 +671,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: bad --limits: {error}", file=sys.stderr)
         return 2
-    if limits is not None:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            limits=limits, js_engine=args.js_engine,
-        )
-    else:
-        settings = PipelineSettings(
-            reader_version=args.reader_version, triage=args.triage,
-            js_engine=args.js_engine,
-        )
+    settings = PipelineSettings(
+        reader_version=args.reader_version, triage=args.triage, limits=limits,
+    )
     if args.no_cache:
         cache = False
     elif args.cache is not None:

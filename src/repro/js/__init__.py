@@ -7,79 +7,42 @@ loops must really allocate, and the Acrobat object model
 (``app.setTimeOut``, ``Doc.addScript``, ``Collab.*`` …) must really
 dispatch — including into the version-gated exploit registry.
 
+The reader runs one engine, the bytecode VM
+(:class:`repro.js.vm.BytecodeInterpreter`).  The tree-walking
+:class:`Interpreter` is its base class and its differential oracle.
+
 Public surface::
 
     from repro.js import Interpreter, JSRuntimeError, evaluate
     result = evaluate("var x = 2; x * 21")   # -> 42.0
 """
 
-import os
-from typing import Optional
+from typing import Any
 
 from repro.js.errors import JSRuntimeError, JSSyntaxError, ResourceLimitExceeded
-from repro.js.interpreter import Interpreter, evaluate
+from repro.js.interpreter import Interpreter
 from repro.js.values import JSArray, JSFunction, JSObject, UNDEFINED
 
-#: Engines selectable via ``PipelineSettings.js_engine`` / ``--js-engine``.
-#: "ast" is the reference tree-walker; "bytecode" is the compiled engine
-#: (repro.js.compiler + repro.js.vm), proven equivalent by the differential
-#: suite and the default since PR 7.
-JS_ENGINES = ("ast", "bytecode")
-DEFAULT_JS_ENGINE = "bytecode"
 
-_ENGINE_ENV_VAR = "REPRO_JS_ENGINE"
+def evaluate(source: str, **kwargs: Any) -> Any:
+    """One-shot convenience: run ``source`` in a fresh bytecode VM.
 
-
-def resolve_js_engine(value: Optional[str] = None) -> str:
-    """Resolve an engine selection to a concrete engine name.
-
-    Precedence: explicit ``value`` -> ``REPRO_JS_ENGINE`` env var ->
-    :data:`DEFAULT_JS_ENGINE`.  Raises ``ValueError`` on unknown names so a
-    typo in configuration fails loudly instead of silently scanning with the
-    wrong engine.
+    The VM is imported lazily so merely importing ``repro.js`` never
+    pays for (or depends on) the compiler.
     """
-    if value is None:
-        value = os.environ.get(_ENGINE_ENV_VAR) or None
-    if value is None:
-        return DEFAULT_JS_ENGINE
-    if value not in JS_ENGINES:
-        raise ValueError(
-            f"unknown JS engine {value!r} (expected one of {', '.join(JS_ENGINES)})"
-        )
-    return value
+    from repro.js.vm import BytecodeInterpreter
 
-
-def make_interpreter(
-    engine: Optional[str] = None,
-    *,
-    host: object = None,
-    max_steps: int = 2_000_000,
-) -> Interpreter:
-    """Construct the selected JS engine (see :func:`resolve_js_engine`).
-
-    The bytecode VM is imported lazily so merely importing ``repro.js``
-    never pays for (or depends on) the compiler.
-    """
-    resolved = resolve_js_engine(engine)
-    if resolved == "bytecode":
-        from repro.js.vm import BytecodeInterpreter
-
-        return BytecodeInterpreter(host=host, max_steps=max_steps)
-    return Interpreter(host=host, max_steps=max_steps)
+    return BytecodeInterpreter(**kwargs).run(source)
 
 
 __all__ = [
-    "DEFAULT_JS_ENGINE",
     "Interpreter",
     "JSArray",
     "JSFunction",
     "JSObject",
     "JSRuntimeError",
     "JSSyntaxError",
-    "JS_ENGINES",
     "ResourceLimitExceeded",
     "UNDEFINED",
     "evaluate",
-    "make_interpreter",
-    "resolve_js_engine",
 ]

@@ -1158,11 +1158,6 @@ def compile_source(source: str) -> Code:
     return code
 
 
-def compile_function_body(fn_name: str, params: List[str], body: ast.Block) -> Code:
-    """Compile a foreign :class:`JSFunction`'s body (uncached entry)."""
-    return Compiler().compile_function(fn_name or None, params, body)
-
-
 def clear_code_cache() -> None:
     with _CACHE_LOCK:
         _CODE_CACHE.clear()

@@ -840,8 +840,3 @@ class Interpreter:
                 return signal.value
             return UNDEFINED
         raise JSRuntimeError("value is not callable", "TypeError")
-
-
-def evaluate(source: str, **kwargs: Any) -> Any:
-    """One-shot convenience: run ``source`` in a fresh interpreter."""
-    return Interpreter(**kwargs).run(source)

@@ -21,14 +21,13 @@ aborted scripts.
 from __future__ import annotations
 
 from types import FunctionType
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.js.builtins import STRING_METHODS
 from repro.js.compiler import (
     Code,
     INIT_ARG,
     INIT_SELF,
-    compile_function_body,
     compile_source,
 )
 from repro.js.errors import (
@@ -40,7 +39,7 @@ from repro.js.errors import (
     ResourceLimitExceeded,
     ReturnSignal,
 )
-from repro.js.interpreter import Environment, Host, Interpreter
+from repro.js.interpreter import Environment, Interpreter
 from repro.js.values import (
     JSArray,
     JSFunction,
@@ -79,17 +78,6 @@ class CompiledFunction(JSFunction):
 class BytecodeInterpreter(Interpreter):
     """Drop-in replacement for Interpreter backed by compiled bytecode."""
 
-    def __init__(
-        self,
-        host: Optional[Host] = None,
-        max_steps: int = 20_000_000,
-        install_builtins: bool = True,
-    ) -> None:
-        super().__init__(host=host, max_steps=max_steps, install_builtins=install_builtins)
-        # id(body) -> (body, code) for foreign (walker-created)
-        # JSFunctions; the body reference keeps the id stable.
-        self._foreign_codes: Dict[int, Tuple[Any, Code]] = {}
-
     # -- public API (same shape as the walker) ---------------------------
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
@@ -120,15 +108,6 @@ class BytecodeInterpreter(Interpreter):
             return self._call_with_code(fn.code, fn, this, args)
         if isinstance(fn, NativeFunction):
             return fn.fn(self, this, args)
-        if isinstance(fn, JSFunction):
-            # A function object built outside this VM (e.g. by walker
-            # code sharing the same globals): compile its body once.
-            key = id(fn.body)
-            entry = self._foreign_codes.get(key)
-            if entry is None or entry[0] is not fn.body:
-                entry = (fn.body, compile_function_body(fn.name, fn.params, fn.body))
-                self._foreign_codes[key] = entry
-            return self._call_with_code(entry[1], fn, this, args)
         raise JSRuntimeError("value is not callable", "TypeError")
 
     def _call_with_code(self, code: Code, fn: JSFunction, this: Any, args: List[Any]) -> Any:

@@ -58,6 +58,9 @@ class ScanRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: Headers and body leave in two writes; with Nagle on, the body
+    #: waits for the client's delayed ACK on a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -14,10 +14,12 @@ Run just this lane with ``pytest -m diff``.
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 import pytest
 
+from repro.batch.scanner import _settings_fingerprint
+from repro.cli import main
 from repro.core.pipeline import PipelineSettings
 from repro.corpus import build_dataset
 from repro.corpus import test_scale as corpus_test_scale
@@ -35,15 +37,17 @@ from repro.corpus.js_snippets import (
     spray_script,
     version_gated,
 )
-from repro.js import make_interpreter
-from repro.js.interpreter import Host
+from repro.corpus.sized import table_x_documents, table_x_js_documents
+from repro.js import vm as vm_mod
+from repro.js.interpreter import Host, Interpreter
+from repro.js.vm import BytecodeInterpreter
 from repro.reader.payload import Payload
 
 pytestmark = pytest.mark.diff
 
 
 def run_engine(
-    engine: str, source: str, max_steps: int = 300_000
+    engine: type, source: str, max_steps: int = 300_000
 ) -> Tuple[Any, int, int, int]:
     """One engine run reduced to its observable footprint.
 
@@ -54,7 +58,7 @@ def run_engine(
     can produce.
     """
     host = Host()
-    interp = make_interpreter(engine, host=host, max_steps=max_steps)
+    interp = engine(host=host, max_steps=max_steps)
     try:
         status: Tuple[Any, ...] = ("ok", repr(interp.run(source)))
     except Exception as exc:  # noqa: BLE001 - errors are part of the contract
@@ -63,8 +67,8 @@ def run_engine(
 
 
 def assert_equivalent(source: str, max_steps: int = 300_000) -> None:
-    ast_run = run_engine("ast", source, max_steps)
-    bc_run = run_engine("bytecode", source, max_steps)
+    ast_run = run_engine(Interpreter, source, max_steps)
+    bc_run = run_engine(BytecodeInterpreter, source, max_steps)
     assert ast_run == bc_run, (
         f"engine divergence on:\n{source}\n  ast: {ast_run}\n  bytecode: {bc_run}"
     )
@@ -210,10 +214,10 @@ SWEEP_CASES = [
 
 @pytest.mark.parametrize("source", SWEEP_CASES, ids=lambda s: s[:40])
 def test_budget_exhaustion_sweep(source: str) -> None:
-    _, full_steps, _, _ = run_engine("ast", source, max_steps=2_000)
+    _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=2_000)
     for max_steps in range(1, min(full_steps + 2, 400)):
-        ast_run = run_engine("ast", source, max_steps)
-        bc_run = run_engine("bytecode", source, max_steps)
+        ast_run = run_engine(Interpreter, source, max_steps)
+        bc_run = run_engine(BytecodeInterpreter, source, max_steps)
         assert ast_run == bc_run, (
             f"divergence at max_steps={max_steps} on:\n{source}\n"
             f"  ast: {ast_run}\n  bytecode: {bc_run}"
@@ -221,7 +225,9 @@ def test_budget_exhaustion_sweep(source: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: scan the generated corpus end to end on both engines.
+# Full pipeline: scan the generated corpus and the Table X tiers end to
+# end on both engines.  The reader always builds a BytecodeInterpreter;
+# the walker pass swaps in the walker class under that name.
 
 
 def report_fingerprint(report) -> Tuple[Any, ...]:
@@ -240,56 +246,53 @@ def report_fingerprint(report) -> Tuple[Any, ...]:
     )
 
 
+def _scan_fingerprints(documents, engine: type) -> list:
+    pipeline = PipelineSettings().build()
+    fingerprints = []
+    for name, data in documents:
+        report = pipeline.scan(data, name)
+        interpreter = getattr(getattr(report.outcome, "handle", None), "interpreter", None)
+        assert interpreter is None or type(interpreter) is engine, (name, interpreter)
+        fingerprints.append(report_fingerprint(report))
+    return fingerprints
+
+
 @pytest.mark.slow
-def test_full_pipeline_corpus_identical() -> None:
+def test_full_pipeline_corpus_identical(monkeypatch) -> None:
     dataset = build_dataset(corpus_test_scale())
-    samples = list(dataset.all_samples())
-    assert samples, "corpus generator produced no samples"
-    mismatches = []
-    ast_pipe = PipelineSettings(js_engine="ast").build()
-    bc_pipe = PipelineSettings(js_engine="bytecode").build()
-    for sample in samples:
-        ast_fp = report_fingerprint(ast_pipe.scan(sample.data, sample.name))
-        bc_fp = report_fingerprint(bc_pipe.scan(sample.data, sample.name))
-        if ast_fp != bc_fp:
-            mismatches.append((sample.name, ast_fp, bc_fp))
+    documents = [(sample.name, sample.data) for sample in dataset.all_samples()]
+    assert documents, "corpus generator produced no samples"
+    documents += [(f"table-x-js {label}.pdf", data) for label, data in table_x_js_documents()]
+    documents += [(f"table-x {label}.pdf", data) for label, data in table_x_documents()]
+    bc_fps = _scan_fingerprints(documents, BytecodeInterpreter)
+    monkeypatch.setattr(vm_mod, "BytecodeInterpreter", Interpreter)
+    ast_fps = _scan_fingerprints(documents, Interpreter)
+    mismatches = [
+        (name, ast_fp, bc_fp)
+        for (name, _), ast_fp, bc_fp in zip(documents, ast_fps, bc_fps)
+        if ast_fp != bc_fp
+    ]
     assert not mismatches, f"verdict divergence on {len(mismatches)} documents: {mismatches}"
 
 
-def test_engine_selection_is_explicit() -> None:
-    """A pipeline records the engine it was asked for; the resolver, not
-    the pipeline, owns the env-var/default fallback."""
-    from repro.js import DEFAULT_JS_ENGINE, resolve_js_engine
-
-    assert resolve_js_engine("ast") == "ast"
-    assert resolve_js_engine("bytecode") == "bytecode"
-    assert resolve_js_engine(None) in ("ast", "bytecode")
-    assert DEFAULT_JS_ENGINE == "bytecode"
-    with pytest.raises(ValueError):
-        resolve_js_engine("jit")
+# ---------------------------------------------------------------------------
+# One production engine: nothing selects the walker any more.
 
 
-def test_env_var_fallback(monkeypatch) -> None:
-    from repro.js import resolve_js_engine
-
+def test_reader_runs_the_vm_whatever_the_environment(monkeypatch, js_doc_bytes) -> None:
     monkeypatch.setenv("REPRO_JS_ENGINE", "ast")
-    assert resolve_js_engine(None) == "ast"
-    monkeypatch.setenv("REPRO_JS_ENGINE", "bytecode")
-    assert resolve_js_engine(None) == "bytecode"
-    monkeypatch.setenv("REPRO_JS_ENGINE", "nope")
-    with pytest.raises(ValueError):
-        resolve_js_engine(None)
-    monkeypatch.delenv("REPRO_JS_ENGINE")
-    from repro.js import DEFAULT_JS_ENGINE
-
-    assert resolve_js_engine(None) == DEFAULT_JS_ENGINE
+    report = PipelineSettings().build().scan(js_doc_bytes, "env.pdf")
+    assert isinstance(report.outcome.handle.interpreter, BytecodeInterpreter)
 
 
-def test_make_interpreter_returns_requested_engine() -> None:
-    from repro.js.interpreter import Interpreter
-    from repro.js.vm import BytecodeInterpreter
+def test_js_engine_flag_is_a_usage_error(tmp_path, js_doc_bytes, capsys) -> None:
+    path = tmp_path / "doc.pdf"
+    path.write_bytes(js_doc_bytes)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--js-engine", "ast", str(path)])
+    assert exit_info.value.code == 2
+    assert "--js-engine" in capsys.readouterr().err
 
-    walker = make_interpreter("ast")
-    compiled = make_interpreter("bytecode")
-    assert type(walker) is Interpreter
-    assert isinstance(compiled, BytecodeInterpreter)
+
+def test_cache_fingerprint_has_no_engine_component() -> None:
+    assert "js:" not in _settings_fingerprint(PipelineSettings())

@@ -5,8 +5,8 @@ The charging rule (one step per walker ``exec_statement`` /
 a verdict can hinge on *where* the step budget blows, so both engines
 must count identically — these tests pin the exact totals so a charge
 regression shows up as a number, not as a distant verdict flip.  Also
-covered here: the per-process code cache, cross-engine function
-objects, the profiler fallback, and the ``arguments``-elision
+covered here: the per-process code cache, VM functions called from
+the walker, the profiler fallback, and the ``arguments``-elision
 optimisation.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.js import make_interpreter
 from repro.js.compiler import (
     INC_SLOT,
     STORE_SLOT_POP,
@@ -23,6 +22,7 @@ from repro.js.compiler import (
     compile_source,
     disassemble,
 )
+from repro.js.interpreter import Interpreter
 from repro.js.vm import BytecodeInterpreter
 
 # One step per statement/expression the walker would visit, pre-order.
@@ -48,8 +48,8 @@ PINNED_STEPS = [
 
 @pytest.mark.parametrize("source,expected", PINNED_STEPS, ids=lambda c: str(c)[:40])
 def test_pinned_step_counts(source, expected) -> None:
-    walker = make_interpreter("ast")
-    compiled = make_interpreter("bytecode")
+    walker = Interpreter()
+    compiled = BytecodeInterpreter()
     walker.run(source)
     compiled.run(source)
     assert walker.steps == expected, f"walker drifted on {source!r}"
@@ -60,8 +60,8 @@ def test_budget_blows_at_identical_tick() -> None:
     source = "var s = 0; for (var i = 0; i < 100; i++) s += i;"
     for budget in (1, 2, 3, 5, 8, 13, 21, 34):
         runs = []
-        for engine in ("ast", "bytecode"):
-            interp = make_interpreter(engine, max_steps=budget)
+        for engine in (Interpreter, BytecodeInterpreter):
+            interp = engine(max_steps=budget)
             try:
                 interp.run(source)
                 outcome = "ok"
@@ -103,24 +103,15 @@ def test_parse_errors_are_not_cached() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cross-engine function objects: a function created by one engine must be
-# callable from the other (the reader shares one global environment).
-
-
-def test_walker_function_callable_from_vm() -> None:
-    walker = make_interpreter("ast")
-    walker.run("function shared(n) { return n * 2; }")
-    fn = walker.global_env.lookup("shared")
-    compiled = BytecodeInterpreter(host=walker.host)
-    compiled.global_env = walker.global_env
-    assert compiled.call_function(fn, compiled.global_this, [21.0]) == 42.0
+# A CompiledFunction is a real JSFunction: the walker (the VM's profiling
+# fallback and differential oracle) can call it.
 
 
 def test_vm_function_callable_from_walker() -> None:
-    compiled = make_interpreter("bytecode")
+    compiled = BytecodeInterpreter()
     compiled.run("function shared(n) { return n + 1; }")
     fn = compiled.global_env.lookup("shared")
-    walker = make_interpreter("ast", host=compiled.host)
+    walker = Interpreter(host=compiled.host)
     walker.global_env = compiled.global_env
     assert walker.call_function(fn, walker.global_this, [41.0]) == 42.0
 
@@ -134,7 +125,7 @@ def test_profile_attaches_via_walker_path() -> None:
     from repro.obs.profile import ScanProfile
 
     profile = ScanProfile().start()
-    interp = make_interpreter("bytecode")
+    interp = BytecodeInterpreter()
     interp.set_profile(profile.js)
     assert interp.run("var p = 0; for (var i = 0; i < 3; i++) p += i; p") == 3.0
     profile.finish()
@@ -180,8 +171,8 @@ def test_arguments_init_elided_when_unreferenced() -> None:
 
 
 def test_arguments_still_behaves_when_used() -> None:
-    for engine in ("ast", "bytecode"):
-        interp = make_interpreter(engine)
+    for engine in (Interpreter, BytecodeInterpreter):
+        interp = engine()
         got = interp.run(
             "function probe() { return arguments.length + ':' + arguments[0]; }"
             " probe('x', 'y')"

@@ -17,8 +17,8 @@ from typing import Any, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.js import make_interpreter
-from repro.js.interpreter import Host
+from repro.js.interpreter import Host, Interpreter
+from repro.js.vm import BytecodeInterpreter
 
 pytestmark = pytest.mark.diff
 
@@ -126,9 +126,9 @@ def _js_quote(text: str) -> str:
 # -- the property ------------------------------------------------------------
 
 
-def footprint(engine: str, source: str) -> Tuple[Any, ...]:
+def footprint(engine: type, source: str) -> Tuple[Any, ...]:
     host = Host()
-    interp = make_interpreter(engine, host=host, max_steps=MAX_STEPS)
+    interp = engine(host=host, max_steps=MAX_STEPS)
     try:
         status: Tuple[Any, ...] = ("ok", repr(interp.run(source)))
     except Exception as exc:  # noqa: BLE001
@@ -137,8 +137,8 @@ def footprint(engine: str, source: str) -> Tuple[Any, ...]:
 
 
 def assert_engines_agree(source: str) -> None:
-    ast_run = footprint("ast", source)
-    bc_run = footprint("bytecode", source)
+    ast_run = footprint(Interpreter, source)
+    bc_run = footprint(BytecodeInterpreter, source)
     assert ast_run == bc_run, (
         f"engines diverged on:\n{source}\n  ast: {ast_run}\n  bytecode: {bc_run}"
     )
@@ -167,8 +167,8 @@ def test_random_programs_agree_through_eval(source):
 def test_random_budget_cutoffs_agree(source, budget):
     """The budget must blow at the same tick for any cutoff."""
     runs = []
-    for engine in ("ast", "bytecode"):
-        interp = make_interpreter(engine, max_steps=budget)
+    for engine in (Interpreter, BytecodeInterpreter):
+        interp = engine(max_steps=budget)
         try:
             interp.run(source)
             outcome: Tuple[Any, ...] = ("ok",)

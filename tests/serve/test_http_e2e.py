@@ -8,8 +8,11 @@ responding while scans are in flight.
 
 import base64
 import concurrent.futures as cf
+import http.client
 import json
+import statistics
 import time
+import urllib.parse
 
 import pytest
 
@@ -110,6 +113,34 @@ class TestHealthAndMetricsUnderLoad:
         assert "peak_queue_depth" in payload["admission"]
         assert "cache" in payload
         assert "jobs" in payload
+
+
+class TestKeepAlive:
+    def test_cached_scans_do_not_stall_on_one_connection(
+        self, http_server, corpus_docs
+    ):
+        """20 cached ``/scan`` requests over one HTTP/1.1 connection.
+
+        With Nagle's algorithm on, each response's body waited for the
+        client's delayed ACK of its headers: a median of about 40 ms."""
+        data = corpus_docs["plain.pdf"]
+        url = scan_url(http_server, "plain.pdf")
+        http_post(url, data)  # warm the cache
+        parts = urllib.parse.urlsplit(url)
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+        timings = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("POST", f"{parts.path}?{parts.query}", body=data)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                timings.append(time.perf_counter() - start)
+                assert response.status == 200
+                assert payload["cached"] is True
+        finally:
+            connection.close()
+        assert statistics.median(timings) < 0.020, timings
 
 
 class TestAsyncAndBatch:

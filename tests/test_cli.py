@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.batch.scanner import _settings_fingerprint
 from repro.cli import main
+from repro.core.pipeline import PipelineSettings
 from repro.pdf.document import PDFDocument
 
 
@@ -59,6 +61,9 @@ class TestBatch:
               "--cache", str(cache)])
         capsys.readouterr()
         assert cache.exists()
+        # Without --limits the cache is keyed exactly as default settings.
+        stored = json.loads(cache.read_text())["fingerprint"]
+        assert stored == _settings_fingerprint(PipelineSettings())
         main(["batch", str(corpus_dir), "--jobs", "1", "--backend", "thread",
               "--cache", str(cache)])
         out = capsys.readouterr().out
