@@ -29,14 +29,15 @@ reference semantics; everything here is defined in terms of it:
 
 Compiled programs are cached per process (keyed by source text), which
 is what makes the instrumentation prologue/epilogue compile once per
-process instead of being re-parsed for every chain.
+process instead of being re-parsed for every chain.  The hot-loop
+translator's Python functions share that cache's lock and lifetime.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.js import nodes as ast
 from repro.js.parser import parse
@@ -147,7 +148,7 @@ class Code:
     __slots__ = (
         "kind", "mode", "completion", "name", "params", "body",
         "ops", "args", "charges", "nlocals", "slot_names", "init_plan",
-        "hoist_actions", "regions", "consts", "instrs",
+        "hoist_actions", "regions", "consts", "instrs", "loops",
     )
 
     def __init__(
@@ -177,6 +178,11 @@ class Code:
         #: Fused ``(op, arg, charge)`` triples, built lazily by the VM —
         #: one sequence index + unpack per dispatch instead of three.
         self.instrs: Optional[Tuple[Tuple[int, Any, int], ...]] = None
+        #: Per-loop state of the hot-loop translator (slot mode only),
+        #: keyed by loop-header pc: the back-edge count so far, then the
+        #: translated ``(function, constants)`` pair, or ``None`` for a
+        #: loop that stays on the dispatch loop (``repro.js.hotloop``).
+        self.loops: Dict[int, Any] = {}
 
     def __repr__(self) -> str:
         label = self.name or ("<program>" if self.kind == "program" else "<fragment>")
@@ -1127,12 +1133,34 @@ Compiler._EXPR_TABLE = {
 }
 
 
+def signal_target(
+    regions: Tuple[Tuple[int, int, int, int, int, int], ...], ip: int, is_continue: bool
+) -> Tuple[int, int]:
+    """Where a ``BreakSignal`` (``ContinueSignal`` with ``is_continue``)
+    raised at ``ip`` lands: ``(pc, for-in depth)`` from the innermost
+    region holding ``ip`` (that has a continue label), or ``(-1, 0)``
+    when the signal unwinds out of the fragment."""
+    for start, end, break_pc, continue_pc, break_depth, continue_depth in regions:
+        if start <= ip < end:
+            if not is_continue:
+                return break_pc, break_depth
+            if continue_pc >= 0:
+                return continue_pc, continue_depth
+    return -1, 0
+
+
 # ---------------------------------------------------------------------------
 # Per-process compile cache
 
 _CACHE_CAP = 256
 _CODE_CACHE: "OrderedDict[str, Code]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
+#: Translated hot-loop functions keyed by their generated source, which
+#: depends only on a loop's shape (``repro.js.hotloop``).
+_LOOP_CACHE_CAP = 256
+_LOOP_CACHE: "OrderedDict[str, Any]" = OrderedDict()
+
+_F = TypeVar("_F")
 
 
 def compile_source(source: str) -> Code:
@@ -1158,9 +1186,31 @@ def compile_source(source: str) -> Code:
     return code
 
 
+def cached_loop_function(source: str, build: Callable[[str], _F]) -> _F:
+    """``build(source)``, memoised per process by ``source`` in an LRU.
+
+    ``build`` (Python's ``compile()``) runs outside the lock; two
+    threads missing at once both build, and the later insert wins.
+    """
+    with _CACHE_LOCK:
+        cached = _LOOP_CACHE.get(source)
+        if cached is not None:
+            _LOOP_CACHE.move_to_end(source)
+            return cached
+    function = build(source)
+    with _CACHE_LOCK:
+        _LOOP_CACHE[source] = function
+        _LOOP_CACHE.move_to_end(source)
+        while len(_LOOP_CACHE) > _LOOP_CACHE_CAP:
+            _LOOP_CACHE.popitem(last=False)
+    return function
+
+
 def clear_code_cache() -> None:
+    """Drop every compiled program and every translated loop function."""
     with _CACHE_LOCK:
         _CODE_CACHE.clear()
+        _LOOP_CACHE.clear()
 
 
 def code_cache_size() -> int:

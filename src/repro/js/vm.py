@@ -10,6 +10,11 @@ cannot express identically (a JSProfile hotspot recorder, which
 attributes time per AST node kind) transparently falls back to the
 walker, the way enabling a debugger disables a JIT.
 
+Hot loops leave the dispatch loop: once a slot-mode loop's back-edge
+has been taken often enough, :mod:`repro.js.hotloop` translates it into
+a Python function, which the VM enters at the loop header and which
+returns the pc the loop exits to.
+
 Step budgets are charged from per-instruction aggregated charges (see
 the compiler's charge-aggregation notes).  When the budget blows, the
 final ``steps`` value is clamped to ``max_steps + 1`` — exactly the
@@ -29,6 +34,7 @@ from repro.js.compiler import (
     INIT_ARG,
     INIT_SELF,
     compile_source,
+    signal_target,
 )
 from repro.js.errors import (
     BreakSignal,
@@ -39,6 +45,7 @@ from repro.js.errors import (
     ResourceLimitExceeded,
     ReturnSignal,
 )
+from repro.js.hotloop import hot_loop
 from repro.js.interpreter import Environment, Interpreter
 from repro.js.values import (
     JSArray,
@@ -77,6 +84,10 @@ class CompiledFunction(JSFunction):
 
 class BytecodeInterpreter(Interpreter):
     """Drop-in replacement for Interpreter backed by compiled bytecode."""
+
+    #: Times this interpreter ran a loop as its translated function
+    #: (``repro.js.hotloop``).
+    translated_loop_runs = 0
 
     # -- public API (same shape as the walker) ---------------------------
 
@@ -327,6 +338,20 @@ class BytecodeInterpreter(Interpreter):
                                 pc = arg
                         elif op == 8:  # JUMP
                             pc = arg
+                            if arg <= ip and frame is not None and not stack and not iters:
+                                # A slot-mode loop's back-edge: count it,
+                                # and run a hot loop as its translation.
+                                loop = hot_loop(code, arg)
+                                if loop is not None:
+                                    self.translated_loop_runs += 1
+                                    # A signal the loop re-raises found no
+                                    # region from its raising pc: none here.
+                                    ip = -1
+                                    pc, steps, value = loop[0](
+                                        self, frame, env, this, steps, loop[1]
+                                    )
+                                    if pc < 0:
+                                        return value
                         elif op == 9:  # POP
                             pop()
                         elif op == 10:  # MEMBER_GET
@@ -686,31 +711,18 @@ class BytecodeInterpreter(Interpreter):
                     if completion:
                         return compl
                     return NO_RETURN
-                except BreakSignal:
-                    target = -1
-                    depth = 0
-                    for start, end, break_pc, _continue_pc, bd, _cd in regions:
-                        if start <= ip < end:
-                            target = break_pc
-                            depth = bd
-                            break
+                except (BreakSignal, ContinueSignal) as signal:
+                    target, depth = signal_target(
+                        regions, ip, isinstance(signal, ContinueSignal)
+                    )
                     if target < 0:
                         raise
+                    # The signal unwound out of a call, which charged
+                    # self.steps past this frame's count.
+                    if self.steps > steps:
+                        steps = self.steps
                     # Statement boundaries always leave the value stack
                     # empty, so anything on it is mid-expression debris.
-                    del stack[:]
-                    del iters[depth:]
-                    pc = target
-                except ContinueSignal:
-                    target = -1
-                    depth = 0
-                    for start, end, _break_pc, continue_pc, _bd, cd in regions:
-                        if start <= ip < end and continue_pc >= 0:
-                            target = continue_pc
-                            depth = cd
-                            break
-                    if target < 0:
-                        raise
                     del stack[:]
                     del iters[depth:]
                     pc = target

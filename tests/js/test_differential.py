@@ -38,12 +38,21 @@ from repro.corpus.js_snippets import (
     version_gated,
 )
 from repro.corpus.sized import table_x_documents, table_x_js_documents
+from repro.js import hotloop
 from repro.js import vm as vm_mod
 from repro.js.interpreter import Host, Interpreter
 from repro.js.vm import BytecodeInterpreter
 from repro.reader.payload import Payload
+from tests.js.golden_disasm import GOLDEN_SCRIPTS
 
 pytestmark = pytest.mark.diff
+
+
+@pytest.fixture(autouse=True)
+def translate_every_loop(monkeypatch) -> None:
+    """Translate a slot-mode loop at its first back-edge, so the cases
+    here, short as they are, run the translated-loop path too."""
+    monkeypatch.setattr(hotloop, "HOT_LOOP_THRESHOLD", 1)
 
 
 def run_engine(
@@ -126,6 +135,24 @@ LANGUAGE_CASES = [
     "function f() { try { return 'a'; } finally { } } f()",
     "missingFunction()",
     "var o = {}; o.nope()",
+    # break/continue unwinding out of a try block, an eval or a call
+    "for (var i = 0; i < 3; i++) { try { 1; 2; break; } finally { 3; } } i",
+    "var n = 0; while (n < 3) { n++; try { 1; 2; continue; } catch (e) { 3; } } n",
+    "function h() { var i = 0; while (i < 5) { i++; eval('1; 2; continue'); } return i; } h()",
+    "function f() { var a = 1; a = 2; break; } for (var i = 0; i < 3; i++) { f(); } i",
+    # ... and out of a call inside a slot-mode (translated) loop
+    (
+        "function f() { var a = 1; break; } function g() { var n = 0;"
+        " for (var i = 0; i < 9; i++) { n++; if (i == 5) f(); } return n + ':' + i; } g()"
+    ),
+    (
+        "function f() { var a = 1; continue; } function g() { var n = 0;"
+        " while (n < 20) { n++; if (n & 1) { f(); } n += 2; } return n; } g()"
+    ),
+    (
+        "function f() { break; } function g() { var n = 0; for (var i = 0; i < 4; i++)"
+        " { switch (i) { case 1: f(); n += 5; default: n++; } } return n + ':' + i; } g()"
+    ),
     # eval (the instrumentation prologue depends on it)
     "var i = 1; eval('i = i + 41'); i",
     "eval('var hidden = 9; hidden * 2')",
@@ -202,6 +229,21 @@ def test_corpus_generators(source: str) -> None:
 # Step-budget exhaustion: the budget must blow at the same tick, leaving
 # the same partial telemetry, for every cutoff — not just the final one.
 
+#: Loops inside function bodies: slot mode, so the VM runs them as
+#: translated Python functions (repro.js.hotloop).
+SLOT_LOOP_SWEEP_CASES = [
+    GOLDEN_SCRIPTS["decoder_loop"],
+    (
+        "function f(s) { var n = 0; for (var i = 0; i < s.length && n < 3; i++)"
+        " { if (s.charAt(i) == 'a') n++; } return n + ':' + i; } f('banana')"
+    ),
+    (
+        "function boom(i) { if (i == 3) throw 'at ' + i; return i; }"
+        " function f() { var t = 0; for (var i = 0; i < 6; i++) { t += boom(i); }"
+        " return t; } var r; try { f(); } catch (e) { r = e; } r"
+    ),
+]
+
 SWEEP_CASES = [
     "var s = 0; for (var i = 0; i < 5; i++) s += i; s",
     "function f(n) { return n ? f(n - 1) + 1 : 0; } f(6)",
@@ -209,19 +251,56 @@ SWEEP_CASES = [
     "var i = 0; while (true) i++;",
     "try { for (var i = 0; i < 4; i++) { if (i == 2) throw 'x'; } } catch (e) { e + i }",
     "var i = 1; eval('i++; i++;'); i",
+    *SLOT_LOOP_SWEEP_CASES,
 ]
+
+
+def run_vm_counting(source: str, max_steps: int) -> Tuple[Tuple[Any, int, int, int], int]:
+    """``run_engine`` on the VM, plus how many loops it ran translated."""
+    runs = []
+
+    class CountingVM(BytecodeInterpreter):
+        def __init__(self, *args: Any, **kwargs: Any) -> None:
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    footprint = run_engine(CountingVM, source, max_steps)
+    return footprint, sum(vm.translated_loop_runs for vm in runs)
 
 
 @pytest.mark.parametrize("source", SWEEP_CASES, ids=lambda s: s[:40])
 def test_budget_exhaustion_sweep(source: str) -> None:
     _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=2_000)
+    translated = 0
     for max_steps in range(1, min(full_steps + 2, 400)):
         ast_run = run_engine(Interpreter, source, max_steps)
-        bc_run = run_engine(BytecodeInterpreter, source, max_steps)
+        bc_run, runs = run_vm_counting(source, max_steps)
+        translated += runs
         assert ast_run == bc_run, (
             f"divergence at max_steps={max_steps} on:\n{source}\n"
             f"  ast: {ast_run}\n  bytecode: {bc_run}"
         )
+    if source in SLOT_LOOP_SWEEP_CASES:
+        assert translated > 0, "the sweep never ran the loop translated"
+
+
+#: Two translator pitfalls, as the program fuzzer found them: the budget
+#: clamp (a blow inside the loop leaves exactly max_steps + 1 = 3001
+#: steps, not 3002), and JUMP_IF_FALSE_KEEP's stack effect (it pops on
+#: the fall-through edge only).
+TRANSLATOR_REGRESSIONS = [
+    "function gen(a, b) { for (a = 0; a < 2; a++) { a = 0; } return 0; } gen(1, 'q')",
+    "function gen(a, b) { for (a = 0; a < 2; a++) { a = (0 && 0); } return 0; } gen(1, 'q')",
+]
+
+
+@pytest.mark.parametrize("source", TRANSLATOR_REGRESSIONS, ids=lambda s: s[41:60])
+def test_translator_regressions(source: str) -> None:
+    ast_run = run_engine(Interpreter, source, max_steps=3_000)
+    bc_run, runs = run_vm_counting(source, max_steps=3_000)
+    assert ast_run == bc_run
+    assert ast_run[1] == 3_001  # the budget blows inside the loop
+    assert runs > 0
 
 
 # ---------------------------------------------------------------------------

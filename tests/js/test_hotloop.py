@@ -1,0 +1,308 @@
+"""The hot-loop translator (``repro.js.hotloop``).
+
+Equivalence with the walker is swept in the differential suites
+(``pytest -m diff``), which force translation at the first back-edge.
+This module runs with the production threshold and checks what those
+suites cannot: the bounds that keep hostile scripts from making the
+translator compile without limit, that attacker-controlled text never
+reaches generated source, literal identity in the spray pool, and
+threads sharing one translated loop.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from typing import Any, Dict, List, Tuple
+
+from hypothesis import given, settings, strategies as st
+
+from repro.js.compiler import (
+    JUMP,
+    STRING,
+    Code,
+    Compiler,
+    cached_loop_function,
+    clear_code_cache,
+    compile_source,
+)
+from repro.js.hotloop import HOT_LOOP_THRESHOLD, MAX_LOOP_INSTRS, loop_source, translate_loop
+from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Host, Interpreter
+from repro.js.parser import parse
+from repro.js.vm import BytecodeInterpreter
+
+
+def run_vm(source: str, host: Any = None) -> Tuple[Any, BytecodeInterpreter]:
+    vm = BytecodeInterpreter(host=host)
+    return vm.run(source), vm
+
+
+def function_code(source: str) -> Code:
+    """The first function declared by ``source``, compiled afresh."""
+    program = Compiler().compile_program(parse(source))
+    return program.hoist_actions[0][1]
+
+
+def loop_header(code: Code) -> int:
+    """Header pc of the fragment's first loop (target of a back-edge)."""
+    for index, (op, arg) in enumerate(zip(code.ops, code.args)):
+        if op == JUMP and arg <= index:
+            return int(arg)
+    raise AssertionError("no loop")
+
+
+# -- the tier rule -------------------------------------------------------------
+
+
+def test_hot_slot_loop_is_translated() -> None:
+    source = (
+        "function f(n) { var t = 0; for (var i = 0; i < n; i++) { t += i; } return t; }"
+        f" f({HOT_LOOP_THRESHOLD + 50})"
+    )
+    value, vm = run_vm(source)
+    walker = Interpreter()
+    assert value == walker.run(source)
+    assert vm.steps == walker.steps
+    assert vm.translated_loop_runs == 1
+
+
+def test_program_level_loop_stays_on_the_dispatch_loop() -> None:
+    value, vm = run_vm("var t = 0; for (var i = 0; i < 1000; i++) { t += i; } t")
+    assert value == 499500.0
+    assert vm.translated_loop_runs == 0
+
+
+def test_loop_with_an_untranslated_op_stays_on_the_dispatch_loop() -> None:
+    source = (
+        "function C() { this.v = 1; }"
+        " function f() { var t = 0; for (var i = 0; i < 500; i++) { t += new C().v; }"
+        " return t; } f()"
+    )
+    value, vm = run_vm(source)
+    assert value == 500.0
+    assert vm.translated_loop_runs == 0
+
+
+# -- hostile-input bounds ---------------------------------------------------------
+
+
+def test_loop_longer_than_the_cap_is_never_translated() -> None:
+    body = " ".join("x;" for _ in range(5_000))
+    source = (
+        f"function f() {{ var x = 0; for (var i = 0; i < 300; i++) {{ {body} }}"
+        " return i; } f()"
+    )
+    code = function_code(source)
+    header = loop_header(code)
+    assert len(code.ops) - header > MAX_LOOP_INSTRS
+    value, vm = run_vm(source)
+    assert value == 300.0
+    assert vm.translated_loop_runs == 0
+
+
+def test_long_loop_with_an_early_continue_runs_only_its_head_translated() -> None:
+    """Translation reads at most MAX_LOOP_INSTRS from the header: here
+    the ``continue`` back-edge is inside that window and the loop's own
+    back-edge far past it, so the head runs translated and the tail on
+    the dispatch loop, with walker-identical results and steps."""
+    body = " ".join("x;" for _ in range(200))
+    source = (
+        "function f() { var i = 0, n = 0, x = 0; while (i < 300) { i++;"
+        f" if (i % 3) continue; {body} n++; }} return n + ':' + i; }} f()"
+    )
+    walker = Interpreter()
+    expected = walker.run(source)
+    value, vm = run_vm(source)
+    assert (value, vm.steps) == (expected, walker.steps)
+    assert vm.translated_loop_runs > 0
+
+
+def _many_loops(count: int, iterations: int) -> str:
+    loops = " ".join(
+        f"for (var i{k} = 0; i{k} < {iterations}; i{k}++) {{ n++; }}" for k in range(count)
+    )
+    return f"function f() {{ var n = 0; {loops} return n; }} f()"
+
+
+def test_many_loops_below_the_threshold_translate_none() -> None:
+    value, vm = run_vm(_many_loops(200, HOT_LOOP_THRESHOLD - 1))
+    assert value == 200.0 * (HOT_LOOP_THRESHOLD - 1)
+    assert vm.translated_loop_runs == 0
+
+
+def test_loops_at_the_threshold_are_translated() -> None:
+    value, vm = run_vm(_many_loops(200, HOT_LOOP_THRESHOLD))
+    assert value == 200.0 * HOT_LOOP_THRESHOLD
+    assert vm.translated_loop_runs == 200
+
+
+# -- generated source ------------------------------------------------------------
+
+#: Placeholders: f p q a c i are locals (frame slots), g h globals,
+#: prop m property names; s0-s3 string and n0-n4 number literals.
+TEMPLATE = (
+    "function {f}({p}, {q}) {{\n"
+    "  var {a} = {s0}, {c} = {n0};\n"
+    "  for (var {i} = {n1}; {i} < {p}.{prop}; {i}++) {{\n"
+    "    {a} = {a} + {g}.{m}({s1}) + {q}[{s2}];\n"
+    "    {c} = {c} * {n2} + {p}.charCodeAt({i});\n"
+    "    if ({c} > {n3} && {a}.length < {n4}) {{ {h} = {s3}; }}\n"
+    "  }}\n"
+    "  return {a} + {c};\n"
+    "}}\n"
+)
+NAMES = ("f", "p", "q", "a", "c", "i", "g", "h", "prop", "m")
+CANONICAL: Dict[str, str] = {
+    **{name: name for name in NAMES},
+    "s0": "'ab'", "s1": "'cd'", "s2": "'ef'", "s3": "'gh'",
+    "n0": "0", "n1": "1", "n2": "2", "n3": "3", "n4": "4",
+}
+
+HOSTILE_PIECES = [
+    "'", '"', "\\", "\n", '"""', "'''", "\x00", "\U0001f600", "\U0001d518",
+    "__import__('os')", "{", "}", ")", "#", "\r", "a",
+]
+
+
+def js_string(text: str) -> str:
+    escaped = (
+        text.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n")
+        .replace("\r", "\\r").replace("\x00", "\\x00")
+    )
+    return f"'{escaped}'"
+
+
+identifier = st.text(
+    alphabet=st.sampled_from(list("abcXYZ019_$") + ["\U0001d518", "\u00e9"]), max_size=8
+).map(lambda text: "_" + text) | st.sampled_from(["__import__", "__builtins__", "_loop"])
+hostile_string = st.lists(st.sampled_from(HOSTILE_PIECES), min_size=1, max_size=6).map(
+    "".join
+).filter(lambda text: len(text) >= 2)
+number = st.integers(0, 2**53).map(str) | st.floats(
+    0, 1e300, allow_nan=False, allow_infinity=False
+).map(repr)
+
+
+def _translation(fills: Dict[str, str]) -> Tuple[List[Any], str, Tuple[Any, ...]]:
+    """The loop's string literals, generated source and constants."""
+    code = function_code(TEMPLATE.format(**fills))
+    header = loop_header(code)
+    rendered = loop_source(code, header)
+    assert rendered is not None
+    end = max(
+        index for index, (op, arg) in enumerate(zip(code.ops, code.args))
+        if op == JUMP and arg == header
+    )
+    literals = [code.args[i] for i in range(header, end + 1) if code.ops[i] == STRING]
+    return literals, rendered[0], rendered[1]
+
+
+@given(
+    st.lists(identifier, min_size=len(NAMES), max_size=len(NAMES), unique=True),
+    st.lists(hostile_string, min_size=4, max_size=4),
+    st.lists(number, min_size=5, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_generated_source_holds_no_attacker_text(names, strings, numbers) -> None:
+    fills = dict(zip(NAMES, names))
+    fills.update({f"s{k}": js_string(text) for k, text in enumerate(strings)})
+    fills.update({f"n{k}": text for k, text in enumerate(numbers)})
+    _, canonical_source, _ = _translation(CANONICAL)
+    literals, source, constants = _translation(fills)
+    assert source == canonical_source
+    # The constants tuple carries the Code's own literal objects.
+    assert len(literals) == 3
+    assert all(any(k is literal for k in constants) for literal in literals)
+
+
+def test_shape_alike_loops_share_one_compiled_function() -> None:
+    first = function_code(TEMPLATE.format(**CANONICAL))
+    other = function_code(TEMPLATE.format(**{**CANONICAL, "s1": "'zz'", "g": "G2"}))
+    one = translate_loop(first, loop_header(first))
+    two = translate_loop(other, loop_header(other))
+    assert one is not None and two is not None
+    assert one[0] is two[0]
+    assert one[1] != two[1]
+
+
+def test_loop_function_cache_is_cleared_with_the_code_cache() -> None:
+    built: List[str] = []
+
+    def build(source: str) -> str:
+        built.append(source)
+        return source.upper()
+
+    key = "# a loop-function cache probe\n"
+    assert cached_loop_function(key, build) == cached_loop_function(key, build)
+    assert built == [key]
+    clear_code_cache()
+    cached_loop_function(key, build)
+    assert built == [key, key]
+
+
+def test_equal_literals_reach_the_spray_pool_as_distinct_objects() -> None:
+    chunk = "A" * SPRAY_POOL_THRESHOLD
+    source = (
+        "function f() { var a = []; for (var i = 0; i < 300; i++)"
+        f" {{ a[a.length] = i % 2 ? '{chunk}' : '{chunk}'; }} return a.length; }} f()"
+    )
+    walker_host = Host()
+    Interpreter(host=walker_host).run(source)
+    host = Host()
+    value, vm = run_vm(source, host)
+    assert value == 300.0
+    assert vm.translated_loop_runs == 1
+    pool = host.spray_pool
+    assert len(pool) == len(walker_host.spray_pool) == 300
+    assert len({id(s) for s in pool}) == len({id(s) for s in walker_host.spray_pool}) == 2
+    # The tail ran translated: it still alternates the two literal objects.
+    assert pool[-1] is pool[-3] and pool[-1] is not pool[-2]
+
+
+# -- threads -----------------------------------------------------------------------
+
+
+def test_threads_share_one_translated_decode_loop() -> None:
+    """Serve's thread backend shares Code objects, and with them loop
+    counters and translations, across threads."""
+    source = (
+        "function decode(data, key) { var out = '';"
+        " for (var i = 0; i < data.length; i++)"
+        " { out += String.fromCharCode(data.charCodeAt(i) ^ key); } return out.length; }"
+        " var d = 'thread-shared decode loop '; while (d.length < 4200) { d += d; }"
+        " decode(d.substr(0, 4200), 42)"
+    )
+    walker_host = Host()
+    walker = Interpreter(host=walker_host)
+    expected = (walker.run(source), walker.steps, walker_host.spray_pool)
+    assert len(expected[2]) > 50  # out grows past the spray-pool threshold
+    compile_source(source)  # one shared Code, counted from zero by all threads
+    workers = 4
+    barrier = threading.Barrier(workers)
+    outcomes: List[Any] = [None] * workers
+
+    def work(slot: int) -> None:
+        try:
+            host = Host()
+            vm = BytecodeInterpreter(host=host)
+            barrier.wait(timeout=30)
+            value = vm.run(source)
+            outcomes[slot] = (value, vm.steps, host.spray_pool, vm.translated_loop_runs)
+        except BaseException as error:  # noqa: BLE001 - reported below
+            outcomes[slot] = error
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for outcome in outcomes:
+        assert isinstance(outcome, tuple), outcome
+        assert outcome[:3] == expected
+    assert sum(outcome[3] for outcome in outcomes) > 0

@@ -17,10 +17,18 @@ from typing import Any, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.js import hotloop
 from repro.js.interpreter import Host, Interpreter
 from repro.js.vm import BytecodeInterpreter
 
 pytestmark = pytest.mark.diff
+
+
+@pytest.fixture(autouse=True)
+def translate_every_loop(monkeypatch) -> None:
+    """Translate a slot-mode loop at its first back-edge, so generated
+    function bodies run the translated-loop path too."""
+    monkeypatch.setattr(hotloop, "HOT_LOOP_THRESHOLD", 1)
 
 MAX_STEPS = 3_000
 
@@ -112,6 +120,35 @@ fn_program = st.tuples(st.lists(statement, min_size=1, max_size=4), expression).
     )
 )
 
+#: Loop bodies with the control flow translated loops must map exactly:
+#: break/continue (also inside nested loops and try blocks), calls that
+#: return or throw, and method calls.
+loop_statement = st.recursive(
+    st.one_of(
+        assign, compound, update, expr_stmt,
+        st.sampled_from([
+            "break;", "continue;", "if (i > 3) break;", "if (a & 1) continue;",
+            "a = helper(a);", "s = thrower(a) + s;", "c = o.m(c);",
+        ]),
+    ),
+    _stmt_layer,
+    max_leaves=8,
+)
+
+loop_fn_program = st.tuples(
+    st.lists(loop_statement, min_size=1, max_size=4), st.integers(0, 8), expression
+).map(
+    lambda t: (
+        "function helper(x) { return x + 1; }"
+        " function thrower(x) { if (x === 3) throw 'T' + x; return 'ok'; }"
+        " var o = {m: function (v) { return v + 'm'; }};\n"
+        "function gen(a, b) { var c = 'z', s = '', i = 0, k = 0;\n"
+        f"for (k = 0; k < {t[1]}; k++) {{ " + " ".join(t[0]) + " }\n"
+        f"return {t[2]} + ':' + k; }}\n"
+        "var out; try { out = gen(1, 'q'); } catch (e) { out = 'caught ' + e; } out"
+    )
+)
+
 eval_program = statement.map(
     lambda s: "var a = 0, b = 1, c = 'z', s = '', i = 0;\n"
     + f"eval({_js_quote(s)}); a + ':' + s"
@@ -153,6 +190,12 @@ def test_random_programs_agree(source):
 @given(fn_program)
 @settings(max_examples=150, deadline=None)
 def test_random_function_bodies_agree(source):
+    assert_engines_agree(source)
+
+
+@given(loop_fn_program)
+@settings(max_examples=150, deadline=None)
+def test_random_loop_bodies_agree(source):
     assert_engines_agree(source)
 
 
