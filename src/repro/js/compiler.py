@@ -178,8 +178,8 @@ class Code:
         #: Fused ``(op, arg, charge)`` triples, built lazily by the VM —
         #: one sequence index + unpack per dispatch instead of three.
         self.instrs: Optional[Tuple[Tuple[int, Any, int], ...]] = None
-        #: Per-loop state of the hot-loop translator (slot mode only),
-        #: keyed by loop-header pc: the back-edge count so far, then the
+        #: Per-loop state of the hot-loop translator, keyed by
+        #: loop-header pc: the back-edge count so far, then the
         #: translated ``(function, constants)`` pair, or ``None`` for a
         #: loop that stays on the dispatch loop (``repro.js.hotloop``).
         self.loops: Dict[int, Any] = {}

@@ -1,14 +1,14 @@
-"""Hot-loop translator: slot-mode JS loops run as generated Python.
+"""Hot-loop translator: JS loops run as generated Python.
 
 The bytecode VM (:mod:`repro.js.vm`) counts the back-edges of every
-slot-mode loop.  Once a loop's back-edge ``JUMP`` has been taken
-:data:`HOT_LOOP_THRESHOLD` times with an empty operand stack and no
-live for-in iterator, :func:`hot_loop` translates the loop — the
-instructions from its header to its last back-edge within
-:data:`MAX_LOOP_INSTRS` of it — into one Python function.  The VM
-enters that function at the loop header and resumes its dispatch loop
-at whatever pc the loop exits to.  Code outside hot loops stays on the
-dispatch loop.
+loop, in function bodies and in program or ``eval`` code alike.  Once
+a loop's back-edge ``JUMP`` has been taken :data:`HOT_LOOP_THRESHOLD`
+times with an empty operand stack and no live for-in iterator,
+:func:`hot_loop` translates the loop — the instructions from its
+header to its last back-edge within :data:`MAX_LOOP_INSTRS` of it —
+into one Python function.  The VM enters that function at the loop
+header and resumes its dispatch loop at whatever pc the loop exits to.
+Code outside hot loops stays on the dispatch loop.
 
 A translated loop is observably identical to the dispatch loop:
 
@@ -17,6 +17,11 @@ A translated loop is observably identical to the dispatch loop:
 * ``interp.steps`` is synced around every call exactly where the
   dispatch loop syncs it, and on every way out of the function;
 * ``_record_string`` runs at the same points;
+* names are read, written and declared through the same ``env``
+  calls, at every execution: a callee can rebind a global, so no
+  binding is ever cached in a local;
+* the completion register of program and ``eval`` code comes in as an
+  argument and goes back out on every exit to the dispatch loop;
 * a ``BreakSignal``/``ContinueSignal`` unwinding out of a call maps
   through the fragment's region table from the call's own pc, and the
   dispatch loop resumes at the target.
@@ -40,8 +45,8 @@ after :data:`HOT_LOOP_THRESHOLD` back-edges, and a translation reads
 and compiles at most :data:`MAX_LOOP_INSTRS` instructions; a loop with
 no back-edge that close to its header is never translated.  Loops holding an op
 outside the translator's set (``EXEC_TRY``, ``FORIN_*``,
-``DIRECT_EVAL``, ``MAKE_FUNCTION``, ``NEW``, ...) stay on the dispatch
-loop, as does all env-mode (program or eval top-level) code.
+``DIRECT_EVAL``, ``MAKE_FUNCTION``, ``NEW``, ``RAISE_*``, ...) stay on
+the dispatch loop.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ from repro.js.compiler import (
     CALL_THIS,
     CALL_THIS_DYN,
     CONST,
+    DECLARE,
+    DECLARE_POP,
     DECLARE_SLOT_POP,
     DELETE_MEMBER,
     DELETE_MEMBER_EXPR,
@@ -83,6 +90,8 @@ from repro.js.compiler import (
     POP,
     RETURN,
     ROT3,
+    SET_COMPL,
+    SET_COMPL_UNDEF,
     STORE_NAME,
     STORE_SLOT,
     STORE_SLOT_POP,
@@ -131,9 +140,10 @@ HOT_LOOP_THRESHOLD = 128
 #: docs/HARDENING.md).
 MAX_LOOP_INSTRS = 256
 
-#: ``(interp, frame, env, this, steps, constants) -> (pc, steps, value)``.
-#: ``pc`` is where the dispatch loop resumes, or -1 when the loop
-#: executed ``RETURN`` with ``value``.
+#: ``(interp, frame, env, this, steps, compl, constants) -> (pc, steps,
+#: value)``.  ``pc`` is where the dispatch loop resumes, with ``value``
+#: the completion register; or -1 when the loop executed ``RETURN`` with
+#: ``value``.
 LoopFunction = Callable[..., Tuple[int, int, Any]]
 Translated = Tuple[LoopFunction, Tuple[Any, ...]]
 
@@ -156,7 +166,8 @@ _FIXED_EFFECT: Dict[int, Tuple[int, int]] = {
     TYPEOF: (1, 1), TYPEOF_NAME: (0, 1), DELETE_MEMBER: (1, 1),
     DELETE_MEMBER_EXPR: (2, 1), DECLARE_SLOT_POP: (1, 0), LOAD_THIS: (0, 1),
     RETURN: (1, 0), THROW: (1, 0), NOP: (0, 0), INC_SLOT: (0, 0),
-    STORE_SLOT_POP: (1, 0),
+    STORE_SLOT_POP: (1, 0), SET_COMPL: (1, 0), SET_COMPL_UNDEF: (0, 0),
+    DECLARE: (0, 0), DECLARE_POP: (1, 0),
     # The KEEP jumps pop on the fall-through edge only; the taken edge
     # keeps the tested value (see _blocks).
     JUMP_IF_FALSE_KEEP: (1, 0), JUMP_IF_TRUE_KEEP: (1, 0),
@@ -229,8 +240,6 @@ def loop_source(code: Code, header: int) -> Optional[Tuple[str, Tuple[Any, ...]]
     back-edge within :data:`MAX_LOOP_INSTRS` of its header, holds an op
     the translator does not handle, or its stack depths do not line up.
     """
-    if code.mode != "slot":
-        return None
     end = _loop_end(code, header)
     if end < 0:
         return None
@@ -426,7 +435,7 @@ class _Generator:
     def goto(self, indent: int, target: int, here: int) -> None:
         """Transfer control to ``target`` from the block with id ``here``."""
         if not self.header <= target <= self.end:
-            self.emit(indent, f"return ({target}, steps, None)")
+            self.emit(indent, f"return ({target}, steps, compl)")
             return
         block = self.block_ids[target]
         if block <= here:
@@ -443,7 +452,7 @@ class _Generator:
         body = self.lines
         handlers = self.signal_handler()
         names = [f"k{index}" for index in range(len(self.constants))]
-        head = ["def _loop(interp, frame, env, this, steps, K):"]
+        head = ["def _loop(interp, frame, env, this, steps, compl, K):"]
         if names:
             head.append(f"    {', '.join(names)}, = K")
         head += [f"    l{slot} = frame[{slot}]" for slot in sorted(self.slots)]
@@ -486,7 +495,7 @@ class _Generator:
             f"    t = signal_target({regions}, ip, isinstance(signal, ContinueSignal))[0]",
             "    if t < 0:",
             "        raise",
-            "    return (t, steps, None)",
+            "    return (t, steps, compl)",
         ]
 
     def block(self, bid: int, block: _Block) -> None:
@@ -672,6 +681,14 @@ class _Generator:
                 f"v = to_string({top})",
                 f"s{d - 2} = s{d - 2}.delete(v) if isinstance(s{d - 2}, JSObject) else True",
             )
+        elif op == SET_COMPL:
+            emit(1, f"compl = {top}")
+        elif op == SET_COMPL_UNDEF:
+            emit(1, "compl = UNDEFINED")
+        elif op == DECLARE:
+            emit(1, f"env.declare({self.const(arg)})")
+        elif op == DECLARE_POP:
+            emit(1, f"env.declare({self.const(arg)}, {top})")
         elif op == DECLARE_SLOT_POP:
             emit(1, f"if {top} is not UNDEFINED:", f"    {self.slot(arg, written=True)} = {top}")
         elif op == LOAD_THIS:

@@ -2,17 +2,35 @@
 
 Covers the ES3 subset the corpus and the instrumentation emit: numeric
 literals (decimal, hex, exponent), single/double-quoted strings with
-the full escape set (``\\xNN``, ``\\uNNNN``, octal), identifiers and
-keywords, the operator set including shifts and strict equality, and
-both comment styles.  Regular-expression literals are not supported
-(none of the workloads use them).
+the full escape set (``\\xNN``, ``\\uNNNN``, ``\\0``, line
+continuations), identifiers and keywords, the operator set including
+shifts and strict equality, and both comment styles.  Regular-expression
+literals are not supported (none of the workloads use them).
+
+The scanner is driven by regexes, not by a loop over characters:
+
+* one compiled alternation (:data:`_TOKEN`) matches each whitespace
+  run, newline, comment, number, word and operator, with the operators
+  in max-munch (longest first) order;
+* one regex finds each string literal's body, and one ``re.sub``
+  decodes its escapes.
+
+Digits are ASCII ``0-9`` (JS DecimalDigit; ``str.isdigit`` would admit
+``²`` and ``٣``), and ``\\x``/``\\u`` escapes take exactly 2/4 ASCII hex
+digits.  A word starts with a ``str.isalpha`` character, ``_`` or ``$``
+and continues with ``str.isalnum`` characters, ``_`` or ``$`` (the
+regex ``\\w`` class is exactly ``str.isalnum`` plus ``_``).
+
+Every decoded literal is a new ``str``: equal literals stay distinct
+objects, which the spray pool's identity dedupe relies on.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import List, Optional
+from typing import Dict, List
 
 from repro.js.errors import JSSyntaxError
 
@@ -54,160 +72,190 @@ class Token:
     column: int
 
     def is_op(self, *ops: str) -> bool:
-        return self.type is TokenType.OPERATOR and self.value in ops
+        return self.type is _OPERATOR and self.value in ops
 
     def is_keyword(self, *words: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value in words
+        return self.type is _KEYWORD and self.value in words
+
+
+# Looking a member up on an Enum class costs several times a global
+# lookup, and the parser calls ``is_op``/``is_keyword`` several times
+# per token.
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_IDENTIFIER = TokenType.IDENTIFIER
+_KEYWORD = TokenType.KEYWORD
+_OPERATOR = TokenType.OPERATOR
+
+
+#: One token per match, anchored where the last one ended.  A string
+#: literal matches only its opening quote here; :data:`_STRING_BODY`
+#: matches the rest.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\f\v\xa0]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>//[^\n]*|/\*(?:[\s\S]*?\*/)?)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)"
+    r"|(?P<quote>[\"'])"
+    r"|(?P<word>[\w$]+)"
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"
+    r"|(?P<other>[\s\S])"
+)
+
+#: A string literal's body, after its opening quote: anything but the
+#: quote, a backslash or a newline, or a backslash and any one
+#: character.  Every character has one way to match, so the scan is
+#: linear.  It stops at the closing quote, a newline, the end of the
+#: input, a backslash that ends the input, or after 1,024 escapes: the
+#: regex engine keeps backtracking state for every repetition of the
+#: group, about 110 bytes each, so a match must not span an unbounded
+#: run of escapes.
+_STRING_BODY = {
+    quote: re.compile(rf"[^{quote}\\\n]*(?:\\[\s\S][^{quote}\\\n]*){{0,1024}}")
+    for quote in "'\""
+}
+
+#: One escape: a run of up to 256 ``\uXXXX`` (the instrumentation
+#: wrapper's ciphertext is one long run; bounding a match bounds the
+#: list its decoding splits it into), ``\xXX``, ``\0`` not followed by a
+#: digit, or a backslash and any other character (a ``u``/``x`` here
+#: lacks its digits).
+_ESCAPE = re.compile(
+    r"\\(?:u([0-9a-fA-F]{4}(?:\\u[0-9a-fA-F]{4}){0,255})|x([0-9a-fA-F]{2})|(0(?![0-9]))|([\s\S]))"
+)
+_SINGLE_ESCAPES: Dict[str, str] = {
+    "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "v": "\v",
+    "\n": "",  # line continuation
+}
+
+
+class _BadEscape(Exception):
+    """A ``\\u``/``\\x`` escape without its hex digits, ``offset``
+    characters into the literal's body."""
+
+    def __init__(self, offset: int, letter: str) -> None:
+        super().__init__(offset, letter)
+        self.offset = offset
+        self.letter = letter
+
+
+def _unescape(match: re.Match[str]) -> str:
+    run = match[1]
+    if run is not None:
+        return "".join([chr(int(digits, 16)) for digits in run.split("\\u")])
+    group = match.lastindex
+    if group == 2:
+        return chr(int(match[2], 16))
+    if group == 3:
+        return "\0"
+    char: str = match[4]
+    if char == "u" or char == "x":
+        raise _BadEscape(match.start(), char)
+    return _SINGLE_ESCAPES.get(char, char)
+
+
+def _decode(body: str, source: str, offset: int) -> str:
+    """``body`` (at ``offset`` in ``source``) with its escapes decoded."""
+    try:
+        return _ESCAPE.sub(_unescape, body)
+    except _BadEscape as bad:
+        # Reported just past the escape's letter, where its digits start.
+        position = offset + bad.offset + 2
+        raise _error(source, position, f"bad \\{bad.letter} escape") from None
+
+
+def _error(source: str, position: int, message: str) -> JSSyntaxError:
+    """``message`` at ``position``, with its 1-based line and column.
+    Every ``\\n`` before a reached position is a line break: raw ones,
+    ones in block comments and escaped ones (line continuations)."""
+    line_start = source.rfind("\n", 0, position) + 1
+    return JSSyntaxError(message, source.count("\n", 0, position) + 1, position - line_start + 1)
+
+
+def _unclosed_string(source: str, end: int) -> JSSyntaxError:
+    """The error for a string literal whose body stops at ``end``
+    without its closing quote."""
+    if end == len(source):
+        return _error(source, end, "unterminated string literal")
+    if source[end] == "\n":
+        return _error(source, end, "newline in string literal")
+    # A backslash the body could not pair: the input's last character.
+    return _error(source, len(source), "bad escape at end of input")
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` fully (the parser wants random access)."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(source)
-
-    def column() -> int:
-        return pos - line_start + 1
-
-    def error(message: str) -> JSSyntaxError:
-        return JSSyntaxError(message, line, column())
-
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
+    scan = _TOKEN.match
+    pos = 0
+    while True:
+        match = scan(source, pos)
+        if match is None:  # end of input
+            break
+        start = pos
+        pos = match.end()
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        if kind == "op":
+            append(Token(_OPERATOR, match.group(), line, start - line_start + 1))
+        elif kind == "word":
+            word = match.group()
+            first = word[0]
+            if not first.isalpha() and first != "_" and first != "$":
+                raise _error(source, start, f"unexpected character {first!r}")
+            token_type = _KEYWORD if word in KEYWORDS else _IDENTIFIER
+            append(Token(token_type, word, line, start - line_start + 1))
+        elif kind == "newline":
             line += 1
-            pos += 1
             line_start = pos
-            continue
-        if ch in " \t\r\f\v ":
-            pos += 1
-            continue
-        if source.startswith("//", pos):
-            while pos < n and source[pos] != "\n":
-                pos += 1
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            for i in range(pos, end):
-                if source[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-            pos = end + 2
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and source[pos + 1].isdigit()):
-            start = pos
-            start_col = column()
-            if source.startswith(("0x", "0X"), pos):
-                pos += 2
-                while pos < n and source[pos] in "0123456789abcdefABCDEF":
-                    pos += 1
-                text = source[start:pos]
-                if len(text) == 2:
-                    raise error("bad hex literal")
-                tokens.append(Token(TokenType.NUMBER, float(int(text, 16)), line, start_col))
-                continue
-            while pos < n and source[pos].isdigit():
-                pos += 1
-            if pos < n and source[pos] == ".":
-                pos += 1
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-            if pos < n and source[pos] in "eE":
-                pos += 1
-                if pos < n and source[pos] in "+-":
-                    pos += 1
-                if pos >= n or not source[pos].isdigit():
-                    raise error("bad exponent")
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-            tokens.append(
-                Token(TokenType.NUMBER, float(source[start:pos]), line, start_col)
-            )
-            continue
-        if ch in "'\"":
-            start_col = column()
-            quote = ch
-            pos += 1
-            out: List[str] = []
+        elif kind == "quote":
+            quote = match.group()
+            match_body = _STRING_BODY[quote].match
+            end = pos
             while True:
-                if pos >= n:
-                    raise error("unterminated string literal")
-                current = source[pos]
-                if current == quote:
-                    pos += 1
+                part = match_body(source, end)
+                assert part is not None  # a body may be empty, so it always matches
+                end = part.end()
+                if source[end : end + 1] != "\\" or end + 1 == len(source):
                     break
-                if current == "\n":
-                    raise error("newline in string literal")
-                if current == "\\":
-                    pos += 1
-                    if pos >= n:
-                        raise error("bad escape at end of input")
-                    esc = source[pos]
-                    pos += 1
-                    if esc == "n":
-                        out.append("\n")
-                    elif esc == "t":
-                        out.append("\t")
-                    elif esc == "r":
-                        out.append("\r")
-                    elif esc == "b":
-                        out.append("\b")
-                    elif esc == "f":
-                        out.append("\f")
-                    elif esc == "v":
-                        out.append("\v")
-                    elif esc == "0" and (pos >= n or not source[pos].isdigit()):
-                        out.append("\0")
-                    elif esc == "x":
-                        digits = source[pos : pos + 2]
-                        if len(digits) != 2:
-                            raise error("bad \\x escape")
-                        try:
-                            out.append(chr(int(digits, 16)))
-                        except ValueError:
-                            raise error("bad \\x escape") from None
-                        pos += 2
-                    elif esc == "u":
-                        digits = source[pos : pos + 4]
-                        if len(digits) != 4:
-                            raise error("bad \\u escape")
-                        try:
-                            out.append(chr(int(digits, 16)))
-                        except ValueError:
-                            raise error("bad \\u escape") from None
-                        pos += 4
-                    elif esc == "\n":
-                        line += 1
-                        line_start = pos
-                    else:
-                        out.append(esc)
-                    continue
-                out.append(current)
-                pos += 1
-            tokens.append(Token(TokenType.STRING, "".join(out), line, start_col))
-            continue
-        if ch.isalpha() or ch in "_$":
-            start = pos
-            start_col = column()
-            while pos < n and (source[pos].isalnum() or source[pos] in "_$"):
-                pos += 1
-            word = source[start:pos]
-            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENTIFIER
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        matched: Optional[str] = None
-        for op in OPERATORS:
-            if source.startswith(op, pos):
-                matched = op
-                break
-        if matched is None:
-            raise error(f"unexpected character {ch!r}")
-        tokens.append(Token(TokenType.OPERATOR, matched, line, column()))
-        pos += len(matched)
-
-    tokens.append(Token(TokenType.EOF, None, line, column()))
+                # An escape follows: the match stopped at its 1,024th.
+            value = source[pos:end]
+            column = start - line_start + 1
+            if "\\" in value:
+                value = _decode(value, source, pos)
+                # Line continuations: the token's line is where it ends.
+                continued = source.count("\n", pos, end)
+                if continued:
+                    line += continued
+                    line_start = source.rindex("\n", pos, end) + 1
+            if source[end : end + 1] != quote:
+                raise _unclosed_string(source, end)
+            pos = end + 1
+            append(Token(_STRING, value, line, column))
+        elif kind == "number":
+            text = match.group()
+            if text[-1] in "eE+-":  # an exponent marker with no digits
+                raise _error(source, pos, "bad exponent")
+            append(Token(_NUMBER, float(text), line, start - line_start + 1))
+        elif kind == "hex":
+            text = match.group()
+            if len(text) == 2:
+                raise _error(source, pos, "bad hex literal")
+            append(Token(_NUMBER, float(int(text, 16)), line, start - line_start + 1))
+        elif kind == "comment":
+            text = match.group()
+            if text == "/*":
+                raise _error(source, start, "unterminated block comment")
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        else:  # other
+            raise _error(source, start, f"unexpected character {match.group()!r}")
+    append(Token(TokenType.EOF, None, line, len(source) - line_start + 1))
     return tokens

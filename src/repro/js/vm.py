@@ -10,10 +10,10 @@ cannot express identically (a JSProfile hotspot recorder, which
 attributes time per AST node kind) transparently falls back to the
 walker, the way enabling a debugger disables a JIT.
 
-Hot loops leave the dispatch loop: once a slot-mode loop's back-edge
-has been taken often enough, :mod:`repro.js.hotloop` translates it into
-a Python function, which the VM enters at the loop header and which
-returns the pc the loop exits to.
+Hot loops leave the dispatch loop: once a loop's back-edge has been
+taken often enough, :mod:`repro.js.hotloop` translates it into a
+Python function, which the VM enters at the loop header and which
+returns the pc the loop exits to and the completion register.
 
 Step budgets are charged from per-instruction aggregated charges (see
 the compiler's charge-aggregation notes).  When the budget blows, the
@@ -338,9 +338,9 @@ class BytecodeInterpreter(Interpreter):
                                 pc = arg
                         elif op == 8:  # JUMP
                             pc = arg
-                            if arg <= ip and frame is not None and not stack and not iters:
-                                # A slot-mode loop's back-edge: count it,
-                                # and run a hot loop as its translation.
+                            if arg <= ip and not stack and not iters:
+                                # A loop's back-edge: count it, and run a
+                                # hot loop as its translation.
                                 loop = hot_loop(code, arg)
                                 if loop is not None:
                                     self.translated_loop_runs += 1
@@ -348,10 +348,11 @@ class BytecodeInterpreter(Interpreter):
                                     # region from its raising pc: none here.
                                     ip = -1
                                     pc, steps, value = loop[0](
-                                        self, frame, env, this, steps, loop[1]
+                                        self, frame, env, this, steps, compl, loop[1]
                                     )
                                     if pc < 0:
                                         return value
+                                    compl = value
                         elif op == 9:  # POP
                             pop()
                         elif op == 10:  # MEMBER_GET

@@ -9,8 +9,9 @@ import json
 
 import pytest
 
-from repro.core.pipeline import OpenReport, ProtectionPipeline
+from repro.core.pipeline import OpenReport, PipelineSettings, ProtectionPipeline
 from repro.obs import MemorySink, Observability
+from repro.pdf.builder import DocumentBuilder
 
 
 @pytest.fixture()
@@ -70,3 +71,25 @@ class TestErroredScan:
         pipeline.scan(b"garbage", "junk.pdf")
         (span,) = obs.sink.spans_named("pipeline.scan")
         assert span["tags"].get("errored") is True
+
+
+def _js_document(script: str) -> bytes:
+    builder = DocumentBuilder()
+    builder.add_page("JS")
+    builder.add_javascript(script)
+    return builder.to_bytes()
+
+
+@pytest.mark.parametrize("triage", [False, True], ids=["full", "triage"])
+def test_non_ascii_digit_scans_like_any_syntax_error(triage):
+    """``²`` is no JS digit: the lexer rejects it as it does ``(;``,
+    on both scan paths, where ``float('²')`` used to raise out of scan."""
+    pipeline = PipelineSettings(triage=triage).build()
+    digit, syntax = (
+        pipeline.scan(_js_document(script), "doc.pdf")
+        for script in ("var a = ²;", "var a = (;")
+    )
+    for report in (digit, syntax):
+        assert isinstance(report, OpenReport)
+    assert (digit.verdict.malicious, digit.errored) == (syntax.verdict.malicious, syntax.errored)
+    assert digit.verdict.malscore == syntax.verdict.malscore

@@ -50,8 +50,8 @@ pytestmark = pytest.mark.diff
 
 @pytest.fixture(autouse=True)
 def translate_every_loop(monkeypatch) -> None:
-    """Translate a slot-mode loop at its first back-edge, so the cases
-    here, short as they are, run the translated-loop path too."""
+    """Translate a loop at its first back-edge, so the cases here,
+    short as they are, run the translated-loop path too."""
     monkeypatch.setattr(hotloop, "HOT_LOOP_THRESHOLD", 1)
 
 
@@ -244,6 +244,36 @@ SLOT_LOOP_SWEEP_CASES = [
     ),
 ]
 
+#: Loops in program, ``eval`` and non-slot function code: env mode,
+#: where names go through ``env`` and program code keeps a completion
+#: register, which the translated loop takes in and hands back.
+ENV_LOOP_SWEEP_CASES = [
+    # A top-level heap spray: a doubling loop, then an array fill.
+    (
+        "var s = unescape('%u9090%u9090'); while (s.length < 64) s += s;"
+        " var a = []; for (var i = 0; i < 6; i++) { a[a.length] = s + i; } a.length"
+    ),
+    # The last statement is an `if` without `else`: the completion value
+    # is undefined on every other iteration.
+    (
+        "var r = eval('var n = 0; for (var i = 0; i < 6; i++) { n += i; if (i % 2) n; }');"
+        " n + ':' + r"
+    ),
+    "var t = ''; for (var i = 0; i < 5; i++) { var c = String.fromCharCode(65 + i); t += c; } t + c",
+    # An implicit global, and a global the callee rebinds every iteration.
+    (
+        "var k = 1; function twice() { k = k * 2; }"
+        " for (var i = 0; i < 6; i++) { total = (i ? total : 0) + k; twice(); } total"
+    ),
+    # A nested function keeps `find` out of slot mode: `return` from
+    # inside its loop.
+    (
+        "function find(s) { function at(i) { return s.charAt(i); }"
+        " for (var i = 0; i < s.length; i++) { if (at(i) == 'n') return i; } return -1; }"
+        " find('banana')"
+    ),
+]
+
 SWEEP_CASES = [
     "var s = 0; for (var i = 0; i < 5; i++) s += i; s",
     "function f(n) { return n ? f(n - 1) + 1 : 0; } f(6)",
@@ -252,6 +282,7 @@ SWEEP_CASES = [
     "try { for (var i = 0; i < 4; i++) { if (i == 2) throw 'x'; } } catch (e) { e + i }",
     "var i = 1; eval('i++; i++;'); i",
     *SLOT_LOOP_SWEEP_CASES,
+    *ENV_LOOP_SWEEP_CASES,
 ]
 
 
@@ -280,7 +311,7 @@ def test_budget_exhaustion_sweep(source: str) -> None:
             f"divergence at max_steps={max_steps} on:\n{source}\n"
             f"  ast: {ast_run}\n  bytecode: {bc_run}"
         )
-    if source in SLOT_LOOP_SWEEP_CASES:
+    if source in SLOT_LOOP_SWEEP_CASES or source in ENV_LOOP_SWEEP_CASES:
         assert translated > 0, "the sweep never ran the loop translated"
 
 

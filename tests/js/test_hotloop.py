@@ -37,10 +37,14 @@ def run_vm(source: str, host: Any = None) -> Tuple[Any, BytecodeInterpreter]:
     return vm.run(source), vm
 
 
+def program_code(source: str) -> Code:
+    """``source``'s top-level code, compiled afresh."""
+    return Compiler().compile_program(parse(source))
+
+
 def function_code(source: str) -> Code:
     """The first function declared by ``source``, compiled afresh."""
-    program = Compiler().compile_program(parse(source))
-    return program.hoist_actions[0][1]
+    return program_code(source).hoist_actions[0][1]
 
 
 def loop_header(code: Code) -> int:
@@ -66,10 +70,29 @@ def test_hot_slot_loop_is_translated() -> None:
     assert vm.translated_loop_runs == 1
 
 
-def test_program_level_loop_stays_on_the_dispatch_loop() -> None:
-    value, vm = run_vm("var t = 0; for (var i = 0; i < 1000; i++) { t += i; } t")
-    assert value == 499500.0
-    assert vm.translated_loop_runs == 0
+def test_program_level_loop_is_translated() -> None:
+    source = "var t = 0; for (var i = 0; i < 1000; i++) { t += i; } t"
+    value, vm = run_vm(source)
+    walker = Interpreter()
+    assert value == walker.run(source) == 499500.0
+    assert vm.steps == walker.steps
+    assert vm.translated_loop_runs == 1
+
+
+def test_translated_loop_hands_back_the_completion_register() -> None:
+    """Program code's completion register goes into the loop function
+    and comes back as the third value on every exit to the dispatch
+    loop: the body's last value, or what came in when no iteration ran."""
+    for bound, expected in ((3, "last"), (0, "before")):
+        code = program_code(f"var n = 0; while (n < {bound}) {{ n++; 'last'; }}")
+        translated = translate_loop(code, loop_header(code))
+        assert translated is not None
+        function, constants = translated
+        vm = BytecodeInterpreter()
+        vm.run("var n = 0;")
+        pc, _, value = function(vm, None, vm.global_env, vm.global_this, 0, "before", constants)
+        assert pc > loop_header(code)
+        assert value == expected
 
 
 def test_loop_with_an_untranslated_op_stays_on_the_dispatch_loop() -> None:
@@ -86,15 +109,26 @@ def test_loop_with_an_untranslated_op_stays_on_the_dispatch_loop() -> None:
 # -- hostile-input bounds ---------------------------------------------------------
 
 
+LONG_BODY = " ".join("x;" for _ in range(5_000))
+
+
 def test_loop_longer_than_the_cap_is_never_translated() -> None:
-    body = " ".join("x;" for _ in range(5_000))
     source = (
-        f"function f() {{ var x = 0; for (var i = 0; i < 300; i++) {{ {body} }}"
+        f"function f() {{ var x = 0; for (var i = 0; i < 300; i++) {{ {LONG_BODY} }}"
         " return i; } f()"
     )
     code = function_code(source)
     header = loop_header(code)
     assert len(code.ops) - header > MAX_LOOP_INSTRS
+    value, vm = run_vm(source)
+    assert value == 300.0
+    assert vm.translated_loop_runs == 0
+
+
+def test_top_level_loop_longer_than_the_cap_is_never_translated() -> None:
+    source = f"var x = 0; for (var i = 0; i < 300; i++) {{ {LONG_BODY} }} i"
+    code = program_code(source)
+    assert len(code.ops) - loop_header(code) > MAX_LOOP_INSTRS
     value, vm = run_vm(source)
     assert value == 300.0
     assert vm.translated_loop_runs == 0
@@ -117,11 +151,18 @@ def test_long_loop_with_an_early_continue_runs_only_its_head_translated() -> Non
     assert vm.translated_loop_runs > 0
 
 
-def _many_loops(count: int, iterations: int) -> str:
-    loops = " ".join(
+def _loops(count: int, iterations: int) -> str:
+    return " ".join(
         f"for (var i{k} = 0; i{k} < {iterations}; i{k}++) {{ n++; }}" for k in range(count)
     )
-    return f"function f() {{ var n = 0; {loops} return n; }} f()"
+
+
+def _many_loops(count: int, iterations: int) -> str:
+    return f"function f() {{ var n = 0; {_loops(count, iterations)} return n; }} f()"
+
+
+def _many_top_level_loops(count: int, iterations: int) -> str:
+    return f"var n = 0; {_loops(count, iterations)} n"
 
 
 def test_many_loops_below_the_threshold_translate_none() -> None:
@@ -132,6 +173,18 @@ def test_many_loops_below_the_threshold_translate_none() -> None:
 
 def test_loops_at_the_threshold_are_translated() -> None:
     value, vm = run_vm(_many_loops(200, HOT_LOOP_THRESHOLD))
+    assert value == 200.0 * HOT_LOOP_THRESHOLD
+    assert vm.translated_loop_runs == 200
+
+
+def test_many_top_level_loops_below_the_threshold_translate_none() -> None:
+    value, vm = run_vm(_many_top_level_loops(200, HOT_LOOP_THRESHOLD - 1))
+    assert value == 200.0 * (HOT_LOOP_THRESHOLD - 1)
+    assert vm.translated_loop_runs == 0
+
+
+def test_top_level_loops_at_the_threshold_are_translated() -> None:
+    value, vm = run_vm(_many_top_level_loops(200, HOT_LOOP_THRESHOLD))
     assert value == 200.0 * HOT_LOOP_THRESHOLD
     assert vm.translated_loop_runs == 200
 
@@ -151,6 +204,8 @@ TEMPLATE = (
     "  return {a} + {c};\n"
     "}}\n"
 )
+#: The same loop at the top level, where every variable is a name.
+TOP_LEVEL_TEMPLATE = TEMPLATE[TEMPLATE.index("  var"):TEMPLATE.index("  return")]
 NAMES = ("f", "p", "q", "a", "c", "i", "g", "h", "prop", "m")
 CANONICAL: Dict[str, str] = {
     **{name: name for name in NAMES},
@@ -183,9 +238,14 @@ number = st.integers(0, 2**53).map(str) | st.floats(
 ).map(repr)
 
 
-def _translation(fills: Dict[str, str]) -> Tuple[List[Any], str, Tuple[Any, ...]]:
+def _translation(
+    fills: Dict[str, str], top_level: bool = False
+) -> Tuple[List[Any], str, Tuple[Any, ...]]:
     """The loop's string literals, generated source and constants."""
-    code = function_code(TEMPLATE.format(**fills))
+    if top_level:
+        code = program_code(TOP_LEVEL_TEMPLATE.format(**fills))
+    else:
+        code = function_code(TEMPLATE.format(**fills))
     header = loop_header(code)
     rendered = loop_source(code, header)
     assert rendered is not None
@@ -197,22 +257,40 @@ def _translation(fills: Dict[str, str]) -> Tuple[List[Any], str, Tuple[Any, ...]
     return literals, rendered[0], rendered[1]
 
 
-@given(
+fills_strategy = st.tuples(
     st.lists(identifier, min_size=len(NAMES), max_size=len(NAMES), unique=True),
     st.lists(hostile_string, min_size=4, max_size=4),
     st.lists(number, min_size=5, max_size=5),
+).map(
+    lambda parts: {
+        **dict(zip(NAMES, parts[0])),
+        **{f"s{k}": js_string(text) for k, text in enumerate(parts[1])},
+        **{f"n{k}": text for k, text in enumerate(parts[2])},
+    }
 )
-@settings(max_examples=150, deadline=None)
-def test_generated_source_holds_no_attacker_text(names, strings, numbers) -> None:
-    fills = dict(zip(NAMES, names))
-    fills.update({f"s{k}": js_string(text) for k, text in enumerate(strings)})
-    fills.update({f"n{k}": text for k, text in enumerate(numbers)})
-    _, canonical_source, _ = _translation(CANONICAL)
-    literals, source, constants = _translation(fills)
+
+
+def _assert_no_attacker_text(fills: Dict[str, str], top_level: bool) -> None:
+    _, canonical_source, _ = _translation(CANONICAL, top_level)
+    literals, source, constants = _translation(fills, top_level)
     assert source == canonical_source
     # The constants tuple carries the Code's own literal objects.
     assert len(literals) == 3
     assert all(any(k is literal for k in constants) for literal in literals)
+
+
+@given(fills_strategy)
+@settings(max_examples=150, deadline=None)
+def test_generated_source_holds_no_attacker_text(fills: Dict[str, str]) -> None:
+    _assert_no_attacker_text(fills, top_level=False)
+
+
+@given(fills_strategy)
+@settings(max_examples=100, deadline=None)
+def test_generated_top_level_source_holds_no_attacker_text(fills: Dict[str, str]) -> None:
+    """At the top level every variable is a name, read and written
+    through ``env``: names still reach the function only as constants."""
+    _assert_no_attacker_text(fills, top_level=True)
 
 
 def test_shape_alike_loops_share_one_compiled_function() -> None:
@@ -264,19 +342,21 @@ def test_equal_literals_reach_the_spray_pool_as_distinct_objects() -> None:
 
 def test_threads_share_one_translated_decode_loop() -> None:
     """Serve's thread backend shares Code objects, and with them loop
-    counters and translations, across threads."""
+    counters and translations, across threads: here a function's decode
+    loop and a top-level checksum loop of one cached program."""
     source = (
         "function decode(data, key) { var out = '';"
         " for (var i = 0; i < data.length; i++)"
         " { out += String.fromCharCode(data.charCodeAt(i) ^ key); } return out.length; }"
         " var d = 'thread-shared decode loop '; while (d.length < 4200) { d += d; }"
-        " decode(d.substr(0, 4200), 42)"
+        " var sum = 0; for (var j = 0; j < 600; j++) { sum = (sum * 31 + d.charCodeAt(j)) % 65521; }"
+        " decode(d.substr(0, 4200), 42) + ':' + sum"
     )
     walker_host = Host()
     walker = Interpreter(host=walker_host)
     expected = (walker.run(source), walker.steps, walker_host.spray_pool)
     assert len(expected[2]) > 50  # out grows past the spray-pool threshold
-    compile_source(source)  # one shared Code, counted from zero by all threads
+    program = compile_source(source)  # one shared Code, counted from zero by all threads
     workers = 4
     barrier = threading.Barrier(workers)
     outcomes: List[Any] = [None] * workers
@@ -306,3 +386,6 @@ def test_threads_share_one_translated_decode_loop() -> None:
         assert isinstance(outcome, tuple), outcome
         assert outcome[:3] == expected
     assert sum(outcome[3] for outcome in outcomes) > 0
+    assert compile_source(source) is program
+    # The top-level checksum loop ran translated from the shared program.
+    assert any(type(state) is tuple for state in program.loops.values())
