@@ -4,8 +4,9 @@ The headline artifact for the front-end rework: tokenizer throughput
 (fast lexer vs the frozen pre-optimisation reference), filter-cascade
 decode throughput (bytearray chaining vs per-layer ``bytes``
 materialisation), and full-parse wall clock on the padding-dominated
-Table X tiers against a parser subclass running the old front end
-(reference lexer + whole-buffer recovery scan).
+Table X tiers against the old front end: the frozen token-at-a-time
+parser (``tests/pdf/parser_reference.py``) running the reference lexer
+and a whole-buffer recovery scan.
 
 Equivalence is part of the contract, not a separate test: every parse
 pair is required to re-serialise to byte-identical documents, on the
@@ -24,13 +25,14 @@ from repro.analysis import format_table
 from repro.corpus import build_dataset, dataset_items
 from repro.corpus.sized import table_x_documents
 from repro.pdf import filters
-from repro.pdf._lexer_reference import ReferenceLexer
 from repro.pdf.lexer import Lexer, TokenType
 from repro.pdf.objects import PDFDict, PDFName, PDFStream
 from repro.pdf.parser import PDFParser
 from repro.pdf.writer import write_pdf
 
 from tests.batch.golden import GOLDEN_CONFIG
+from tests.pdf import parser_reference
+from tests.pdf.lexer_reference import ReferenceLexer
 
 #: Repeats per measurement; medians damp scheduler noise.
 ROUNDS = 3
@@ -46,8 +48,9 @@ SPEEDUP_FLOOR = 1.5
 PADDED_TIERS = ("325 KB", "7.0 MB", "19.7 MB")
 
 
-class OldFrontEndParser(PDFParser):
-    """The pre-rework front end: reference lexer, whole-buffer recovery."""
+class OldFrontEndParser(parser_reference.PDFParser):
+    """The pre-rework front end: the frozen token-at-a-time parser with
+    the reference lexer and a whole-buffer recovery scan."""
 
     lexer_cls = ReferenceLexer
     recovery_skips_covered = False

@@ -18,8 +18,11 @@ from repro.js.values import (
     JSObject,
     NativeFunction,
     UNDEFINED,
+    array_index,
     format_number,
+    int_to_number,
     is_callable,
+    to_int32,
     to_number,
     to_string,
     truthy,
@@ -88,9 +91,10 @@ def _is_hex(text: str) -> bool:
 
 
 def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
+    """ES5 §15.1.2.2: the radix is ``ToInt32(radix)``; 0 means 10, or
+    16 after a ``0x`` prefix; any other radix outside 2-36 gives NaN."""
     text = to_string(_arg(args, 0, "")).strip()
-    radix_value = _arg(args, 1, UNDEFINED)
-    radix = int(to_number(radix_value)) if radix_value is not UNDEFINED else 0
+    radix = to_int32(_arg(args, 1, UNDEFINED))
     sign = 1
     if text.startswith(("-", "+")):
         sign = -1 if text[0] == "-" else 1
@@ -100,13 +104,20 @@ def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
         radix = 16
     if radix == 0:
         radix = 10
+    elif not 2 <= radix <= 36:
+        return math.nan
     digits = "0123456789abcdefghijklmnopqrstuvwxyz"[:radix]
     end = 0
-    while end < len(text) and text[end].lower() in digits:
+    while end < len(text) and text[end].isascii() and text[end].lower() in digits:
         end += 1
     if end == 0:
         return math.nan
-    return float(sign * int(text[:end], radix))
+    significant = text[:end].lstrip("0")
+    if len(significant) > 1024:
+        # At least radix**1024 >= 2**1024; int() would also refuse a
+        # decimal string this long.
+        return sign * math.inf
+    return int_to_number(sign * int(significant or "0", radix))
 
 
 def _parse_float(interp: Any, this: Any, args: List[Any]) -> float:
@@ -115,7 +126,7 @@ def _parse_float(interp: Any, this: Any, args: List[Any]) -> float:
     seen_dot = seen_e = False
     while end < len(text):
         ch = text[end]
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             end += 1
         elif ch == "." and not seen_dot and not seen_e:
             seen_dot = True
@@ -367,9 +378,9 @@ STRING_METHODS = {
 def _string_property(interp: Any, value: str, name: str) -> Any:
     if name == "length":
         return float(len(value))
-    if name.isdigit():
-        index = int(name)
-        return value[index] if 0 <= index < len(value) else UNDEFINED
+    index = array_index(name)
+    if index is not None:
+        return value[index] if index < len(value) else UNDEFINED
     fn = STRING_METHODS.get(name)
     if fn is None:
         return UNDEFINED

@@ -38,6 +38,7 @@ from repro.js.values import (
     JSObject,
     NativeFunction,
     UNDEFINED,
+    array_index,
     is_callable,
     loose_equals,
     strict_equals,
@@ -728,7 +729,9 @@ class Interpreter:
         from repro.js.builtins import array_method, primitive_property
 
         if isinstance(obj, JSObject):
-            if obj.has(name) or (isinstance(obj, JSArray) and (name == "length" or name.isdigit())):
+            if obj.has(name) or (
+                isinstance(obj, JSArray) and (name == "length" or array_index(name) is not None)
+            ):
                 return obj.get(name)
             if isinstance(obj, JSArray):
                 method = array_method(self, obj, name)

@@ -33,6 +33,7 @@ from enum import Enum, auto
 from typing import Dict, List
 
 from repro.js.errors import JSSyntaxError
+from repro.js.values import int_to_number
 
 KEYWORDS = frozenset(
     """
@@ -246,7 +247,7 @@ def tokenize(source: str) -> List[Token]:
             text = match.group()
             if len(text) == 2:
                 raise _error(source, pos, "bad hex literal")
-            append(Token(_NUMBER, float(int(text, 16)), line, start - line_start + 1))
+            append(Token(_NUMBER, int_to_number(int(text, 16)), line, start - line_start + 1))
         elif kind == "comment":
             text = match.group()
             if text == "/*":

@@ -94,7 +94,7 @@ class JSArray(JSObject):
     def get(self, name: str) -> Any:
         if name == "length":
             return float(len(self.elements))
-        index = _array_index(name)
+        index = array_index(name)
         if index is not None:
             if 0 <= index < len(self.elements):
                 return self.elements[index]
@@ -110,7 +110,7 @@ class JSArray(JSObject):
             else:
                 self.elements.extend([UNDEFINED] * (new_len - current))
             return
-        index = _array_index(name)
+        index = array_index(name)
         if index is not None:
             if index >= len(self.elements):
                 self.elements.extend([UNDEFINED] * (index + 1 - len(self.elements)))
@@ -121,7 +121,7 @@ class JSArray(JSObject):
     def has(self, name: str) -> bool:
         if name == "length":
             return True
-        index = _array_index(name)
+        index = array_index(name)
         if index is not None:
             return 0 <= index < len(self.elements)
         return super().has(name)
@@ -133,9 +133,26 @@ class JSArray(JSObject):
         return f"JSArray({self.elements!r})"
 
 
-def _array_index(name: str) -> Optional[int]:
-    if name.isdigit() or (name.startswith("-") and name[1:].isdigit()):
-        return int(name)
+#: Array indices run below 2**32 - 1 (ES5 §15.4).
+_MAX_ARRAY_INDEX = 0xFFFFFFFE
+
+
+def array_index(name: str) -> Optional[int]:
+    """The array index a property name denotes, or None.
+
+    An array index is ``"0"`` or ASCII ``[1-9][0-9]*`` below 2**32 - 1:
+    the canonical spelling of an index.  ``"-1"``, ``"01"`` and ``"²"``
+    are plain property names.
+    """
+    if (
+        len(name) <= 10
+        and name.isdigit()
+        and name.isascii()
+        and (name[0] != "0" or len(name) == 1)
+    ):
+        index = int(name)
+        if index <= _MAX_ARRAY_INDEX:
+            return index
     return None
 
 
@@ -211,7 +228,7 @@ def to_number(value: Any) -> float:
             return 0.0
         try:
             if text.startswith(("0x", "0X")):
-                return float(int(text, 16))
+                return int_to_number(int(text, 16))
             return float(text)
         except ValueError:
             return math.nan
@@ -222,6 +239,15 @@ def to_number(value: Any) -> float:
             return to_number(value.elements[0])
         return math.nan
     return math.nan
+
+
+def int_to_number(value: int) -> float:
+    """The Number nearest an integer: ±Infinity from 2**1024 on, where
+    ``float()`` raises OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def to_int32(value: Any) -> int:

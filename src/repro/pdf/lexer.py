@@ -30,8 +30,13 @@ by silently dropping whole objects during recovery parsing:
 Both paths record a human-readable note in :attr:`Lexer.warnings` so
 the tolerance becomes *parse evidence* — the parser threads its
 result's warning list into every lexer it creates.  The frozen
-pre-optimisation implementation lives in
-:mod:`repro.pdf._lexer_reference` for differential testing.
+pre-optimisation implementation lives in ``tests/pdf/lexer_reference.py``
+for differential testing.
+
+The parser reads regular tokens (names, short integers, ``<<``, ``>>``,
+``[``, ``]``, keywords) through its own token regex and calls
+:meth:`Lexer.next_token` for everything else, so every tolerance
+warning and every :class:`LexerError` is produced here.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Union
 
 
@@ -238,6 +239,9 @@ class IndirectObject:
         return PDFRef(self.num, self.gen)
 
 
+_NUM_GEN = attrgetter("num", "gen")
+
+
 @dataclass
 class ObjectStore:
     """All indirect objects of a document, addressable by reference."""
@@ -245,8 +249,9 @@ class ObjectStore:
     objects: Dict[PDFRef, IndirectObject] = field(default_factory=dict)
 
     def add(self, obj: IndirectObject) -> PDFRef:
-        self.objects[obj.ref] = obj
-        return obj.ref
+        ref = obj.ref
+        self.objects[ref] = obj
+        return ref
 
     def resolve(self, value: PDFObject) -> PDFObject:
         """Follow a reference one hop (missing targets become null)."""
@@ -294,7 +299,7 @@ class ObjectStore:
         return max(ref.num for ref in self.objects) + 1
 
     def __iter__(self) -> Iterator[IndirectObject]:
-        return iter(sorted(self.objects.values(), key=lambda o: (o.num, o.gen)))
+        return iter(sorted(self.objects.values(), key=_NUM_GEN))
 
     def __len__(self) -> int:
         return len(self.objects)

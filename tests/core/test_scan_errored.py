@@ -93,3 +93,40 @@ def test_non_ascii_digit_scans_like_any_syntax_error(triage):
         assert isinstance(report, OpenReport)
     assert (digit.verdict.malicious, digit.errored) == (syntax.verdict.malicious, syntax.errored)
     assert digit.verdict.malscore == syntax.verdict.malscore
+
+
+@pytest.mark.parametrize("triage", [False, True], ids=["full", "triage"])
+@pytest.mark.parametrize(
+    "script",
+    ["var a = []; a[-1] = 5;", "var a = [1, 2]; var b = a['²'];"],
+    ids=["negative-index-store", "superscript-index-read"],
+)
+def test_array_keys_that_are_not_indices_scan(triage, script):
+    """``-1`` and ``²`` name plain properties, not elements: storing
+    ``a[-1]`` on an empty array raised IndexError and reading ``a['²']``
+    raised ValueError out of the full path's scan."""
+    report = PipelineSettings(triage=triage).build().scan(_js_document(script), "doc.pdf")
+    assert isinstance(report, OpenReport)
+    assert not report.errored
+    assert not report.verdict.malicious
+
+
+@pytest.mark.parametrize("triage", [False, True], ids=["full", "triage"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "var n = 0x" + "f" * 300 + ";",
+        "var n = +('0x' + new Array(300).join('f'));",
+        "var n = parseInt('0x' + new Array(300).join('f'));",
+        "var n = parseInt('12', 37) + parseInt('12', NaN) + parseInt('12', Infinity);",
+    ],
+    ids=["hex-literal", "to-number", "parse-int-overflow", "parse-int-radix"],
+)
+def test_number_conversions_scan(triage, script):
+    """Numbers of 2**1024 and up are Infinity and a bad radix is NaN.
+    Each of these raised OverflowError or ValueError out of the full
+    path's scan, and the hex literal out of the triage path's too."""
+    report = PipelineSettings(triage=triage).build().scan(_js_document(script), "doc.pdf")
+    assert isinstance(report, OpenReport)
+    assert not report.errored
+    assert not report.verdict.malicious

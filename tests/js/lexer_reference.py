@@ -21,6 +21,7 @@ Never use this from ``src/``: it is the slow path the rewrite removed.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.js.errors import JSSyntaxError
@@ -78,7 +79,11 @@ def tokenize(source: str) -> List[Token]:
                 text = source[start:pos]
                 if len(text) == 2:
                     raise error("bad hex literal")
-                tokens.append(Token(TokenType.NUMBER, float(int(text, 16)), line, start_col))
+                try:
+                    value = float(int(text, 16))
+                except OverflowError:  # 2**1024 and up read as Infinity
+                    value = math.inf
+                tokens.append(Token(TokenType.NUMBER, value, line, start_col))
                 continue
             while pos < n and source[pos] in DIGITS:
                 pos += 1

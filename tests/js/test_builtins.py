@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 
 from repro.js import evaluate
 
@@ -194,3 +195,52 @@ class TestMathExtras:
 class TestStringTrim:
     def test_trim(self):
         assert evaluate("'  padded  '.trim()") == "padded"
+
+
+NAN = math.nan
+INF = math.inf
+
+
+class TestNumberConversions:
+    """ES5 §15.1.2.2-3: ``ToInt32(radix)``, radix 0 meaning 10 (16 after
+    ``0x``), NaN outside 2-36; values of 2**1024 and up are Infinity;
+    digits are ASCII.  Each row raised a bare Python exception, or
+    read a non-ASCII digit, before."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("parseInt('12', NaN)", 12.0),
+            ("parseInt('12', Infinity)", 12.0),
+            ("parseInt('12', -Infinity)", 12.0),
+            ("parseInt('12', undefined)", 12.0),
+            ("parseInt('0x1f', 0)", 31.0),
+            ("parseInt('0x1f', 16)", 31.0),
+            ("parseInt('0x1f', 10)", 0.0),
+            ("parseInt('12', 1)", NAN),
+            ("parseInt('12', 37)", NAN),
+            ("parseInt('12', -5)", NAN),
+            ("parseInt('ff', 4294967312)", 255.0),
+            ("parseInt('12', 2.9)", 1.0),
+            ("parseInt('z', 36)", 35.0),
+            ("parseInt('\\u212a', 36)", NAN),
+            ("parseInt('٣')", NAN),
+            ("parseInt(new Array(400).join('9'))", INF),
+            ("parseInt('-' + new Array(400).join('9'))", -INF),
+            ("parseInt(new Array(5000).join('1'))", INF),
+            ("parseInt(new Array(5000).join('0') + '7')", 7.0),
+            ("parseInt('0x' + new Array(300).join('f'))", INF),
+            ("parseInt(new Array(1100).join('1'), 2)", INF),
+            ("+('0x' + new Array(300).join('f'))", INF),
+            ("0x" + "f" * 300, INF),
+            ("parseFloat('٣')", NAN),
+            ("parseFloat('1²')", 1.0),
+            ("parseFloat('2.5٣')", 2.5),
+        ],
+    )
+    def test_conversion(self, source, expected):
+        value = evaluate(source)
+        if math.isnan(expected):
+            assert math.isnan(value)
+        else:
+            assert value == expected

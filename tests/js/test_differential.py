@@ -123,6 +123,14 @@ LANGUAGE_CASES = [
     "var o = {a: 1, b: {c: 2}}; o.a + o['b'].c + (o.missing === undefined)",
     "var a = [3, 1, 2]; a.push(0); a.sort(); a.join('')",
     "var a = []; a[5] = 'x'; a.length + ':' + a[2]",
+    # keys that are not canonical array indices are plain properties
+    (
+        "var a = [1, 2, 3]; a[-1] = 9; a['01'] = 7; a['²'] = 5; var e = [];"
+        " e[-1] = 4; [a[2], a[-1], a['01'], a[1], a['²'], a.length, e[-1], e.length,"
+        " 'abc'['²'], 'abc'['01'], 'abc'['1']].join(',')"
+    ),
+    "[parseInt('12', 37), parseInt('12', NaN), parseInt('0x' + new Array(300).join('f')),"
+    " parseFloat('1\u00b2'), 0x" + "f" * 300 + "].join(',')",
     "var o = {n: 1}; o.n++; ++o.n; o.n",
     "var o = {}; o.x = 1; delete o.x; o.x === undefined",
     "for (var k in {a: 1, b: 2}) { var last = k; } last",

