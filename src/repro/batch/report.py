@@ -47,19 +47,11 @@ class VerdictSummary:
     #: Which resource budget aborted the scan (None unless the scan was
     #: budget-errored, e.g. ``"stream-bytes"`` for a decompression bomb).
     limit_kind: Optional[str] = None
-    #: Phase attribution from a profiled scan as sorted ``(phase,
-    #: seconds)`` pairs (a tuple keeps the summary hashable/picklable);
-    #: None when the pipeline ran without ``profile=True``.
-    phases: Optional[Tuple[Tuple[str, float], ...]] = None
 
     @classmethod
     def from_report(cls, report: Any) -> "VerdictSummary":
         """Summarise any OpenReport-shaped object (stubs included)."""
         verdict = report.verdict
-        profile = getattr(report, "profile", None)
-        phases: Optional[Tuple[Tuple[str, float], ...]] = None
-        if profile is not None:
-            phases = tuple(sorted(profile.phase_seconds().items()))
         return cls(
             malicious=bool(verdict.malicious),
             malscore=float(verdict.malscore),
@@ -70,12 +62,7 @@ class VerdictSummary:
             error=getattr(report, "error", None),
             triaged=bool(getattr(report, "triaged", False)),
             limit_kind=getattr(report, "limit_kind", None),
-            phases=phases,
         )
-
-    def phase_seconds(self) -> Optional[Dict[str, float]]:
-        """Phase attribution as a dict, or None when not profiled."""
-        return dict(self.phases) if self.phases is not None else None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -88,12 +75,10 @@ class VerdictSummary:
             "error": self.error,
             "triaged": self.triaged,
             "limit_kind": self.limit_kind,
-            "phases": self.phase_seconds(),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "VerdictSummary":
-        raw_phases = payload.get("phases")
         return cls(
             malicious=bool(payload["malicious"]),
             malscore=float(payload["malscore"]),
@@ -104,11 +89,6 @@ class VerdictSummary:
             error=payload.get("error"),
             triaged=bool(payload.get("triaged", False)),
             limit_kind=payload.get("limit_kind"),
-            phases=(
-                tuple(sorted((k, float(v)) for k, v in raw_phases.items()))
-                if raw_phases
-                else None
-            ),
         )
 
 
@@ -267,20 +247,6 @@ class BatchReport:
         histogram = self._latency_histogram()
         return histogram.quantile(0.95) if histogram is not None else 0.0
 
-    def phase_totals(self) -> Dict[str, float]:
-        """Summed per-phase seconds across every profiled item.
-
-        Empty when no item carried a profile (pipelines run with
-        ``profile=False`` by default).
-        """
-        totals: Dict[str, float] = {}
-        for item in self.items:
-            if item.verdict is None or item.verdict.phases is None:
-                continue
-            for phase, seconds in item.verdict.phases:
-                totals[phase] = totals.get(phase, 0.0) + seconds
-        return totals
-
     def verdict_multiset(self) -> List[Tuple[str, bool, float]]:
         """Sorted ``(name, malicious, malscore)`` triples — the
         order-independent equivalence the property tests assert against
@@ -314,7 +280,6 @@ class BatchReport:
             },
             "timeouts": self.timeouts,
             "retries_used": self.retries_used,
-            "phase_totals": self.phase_totals(),
             "triaged": self.triaged_count,
             "limit_hits": self.limit_hits,
             "errors": self.errors,
@@ -341,13 +306,6 @@ class BatchReport:
             lines.insert(
                 5, f"  triaged   : {self.triaged_count} (emulation skipped)"
             )
-        phase_totals = self.phase_totals()
-        if phase_totals:
-            busiest = sorted(phase_totals.items(), key=lambda kv: -kv[1])[:4]
-            detail = ", ".join(
-                f"{phase} {seconds * 1000:.1f}ms" for phase, seconds in busiest
-            )
-            lines.append(f"  phases    : {detail}")
         limit_hits = self.limit_hits
         if limit_hits:
             detail = ", ".join(

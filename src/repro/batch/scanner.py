@@ -102,7 +102,6 @@ def _settings_fingerprint(settings: PipelineSettings) -> str:
         f"|jsast:{ruleset_version()}|triage:{int(settings.triage)}"
         f"|absint:{ABSINT_VERSION}"
         f"|limits:{settings.limits.describe()}"
-        f"|profile:{int(settings.profile)}"
     )
 
 

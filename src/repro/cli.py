@@ -28,13 +28,12 @@ Commands
     ``GET /jobs/<id>``; bounded-queue admission control with 429/503
     shedding, graceful drain on SIGTERM.  See ``docs/SERVICE.md``.
 ``report TRACE.jsonl``
-    Aggregate a trace produced by ``scan --trace`` into per-phase
-    latency and event-count tables.
-``profile FILE [--top N] [--json OUT] [--collapsed OUT]``
-    Scan FILE with the deterministic phase profiler enabled and print
-    the phase breakdown plus the JS-interpreter hotspot and call-site
-    tables.  ``--collapsed`` writes flamegraph-ready collapsed-stack
-    lines (feed into flamegraph.pl or speedscope).
+    Aggregate a trace produced by ``scan --trace`` into per-span
+    (count, total, self time) and event-count tables.
+``profile FILE [--json OUT]``
+    Scan FILE once and print where its time went: the verdict line and
+    the per-span table of its ``pipeline.scan`` tree, self times
+    summing to the scan's duration.
 
 ``scan`` also takes ``--trace FILE.jsonl`` (write a span/event/metric
 trace of both phases) and ``--metrics`` (print a metrics summary to
@@ -174,12 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-document resource-budget overrides, e.g. "
         "'stream-bytes=8mb,deadline=5' (see docs/HARDENING.md)",
     )
-    batch.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile every scan: per-item phase breakdown in the "
-        "report, aggregated phase totals in the summary",
-    )
 
     serve = sub.add_parser("serve", help="long-running scan service daemon")
     serve.add_argument("--host", default="127.0.0.1")
@@ -258,21 +251,13 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("trace", type=Path)
 
     profile = sub.add_parser(
-        "profile", help="scan with the phase/hotspot profiler enabled"
+        "profile", help="scan once and show where the time went, per span"
     )
     profile.add_argument("file", type=Path)
     profile.add_argument("--reader-version", default="9.0", choices=("8.0", "9.0"))
     profile.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="rows in the hotspot / call-site tables (default 10)",
-    )
-    profile.add_argument(
         "--json", type=Path, metavar="OUT",
-        help="write the full profile as JSON to OUT ('-' for stdout)",
-    )
-    profile.add_argument(
-        "--collapsed", type=Path, metavar="OUT",
-        help="write flamegraph-ready collapsed-stack lines to OUT",
+        help="write the per-span rows as JSON to OUT ('-' for stdout)",
     )
     profile.add_argument(
         "--limits", metavar="K=V,...",
@@ -436,7 +421,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profiled scan: phase breakdown + JS hotspot attribution."""
+    """One production scan, explained from its span tree."""
+    from repro.obs.report import span_self_times, span_table
+
     try:
         data = args.file.read_bytes()
     except OSError as error:
@@ -447,66 +434,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: bad --limits: {error}", file=sys.stderr)
         return 2
-    pipeline = ProtectionPipeline(
-        reader_version=args.reader_version, limits=limits, profile=True,
-    )
-    report = pipeline.scan(data, args.file.name)
-    profile = report.profile
-    if profile is None:  # pragma: no cover - profile=True guarantees it
-        print("error: scan produced no profile", file=sys.stderr)
-        return 2
+    pipeline = ProtectionPipeline(reader_version=args.reader_version, limits=limits)
+    with pipeline.obs.tracer.collect() as spans:
+        report = pipeline.scan(data, args.file.name)
 
-    payload = profile.to_dict(top=args.top)
     if args.json is not None:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(span_self_times(spans), indent=2)
         if str(args.json) == "-":
             print(text)
         else:
             args.json.write_text(text + "\n")
             print(f"profile written to {args.json}", file=sys.stderr)
     else:
-        verdict = report.verdict
-        total = profile.total_seconds
-        print(verdict.summary())
-        print(f"total {total * 1000:.2f}ms across phases:")
-        for phase, seconds in sorted(
-            profile.phase_seconds().items(), key=lambda kv: -kv[1]
-        ):
-            if seconds <= 0.0:
-                continue
-            share = (seconds / total * 100.0) if total else 0.0
-            print(f"  {phase:<12} {seconds * 1000:9.2f}ms  {share:5.1f}%")
-        if profile.counters:
-            counts = ", ".join(
-                f"{name}={value:g}"
-                for name, value in sorted(profile.counters.items())
-            )
-            print(f"counters: {counts}")
-        hotspots = profile.js.hotspots(args.top)
-        if hotspots:
-            print(f"top {len(hotspots)} AST node hotspots (self time):")
-            for row in hotspots:
-                print(
-                    f"  {row['node']:<24} {row['self_seconds'] * 1000:9.3f}ms"
-                    f"  x{row['hits']}"
-                )
-        call_sites = profile.js.call_sites(args.top)
-        if call_sites:
-            print(f"top {len(call_sites)} call-sites (inclusive time):")
-            for row in call_sites:
-                print(
-                    f"  {row['function']:<24} {row['seconds'] * 1000:9.3f}ms"
-                    f"  (self {row['self_seconds'] * 1000:.3f}ms,"
-                    f" x{row['calls']})"
-                )
-
-    if args.collapsed is not None:
-        lines = profile.js.collapsed_lines()
-        args.collapsed.write_text("\n".join(lines) + ("\n" if lines else ""))
-        print(
-            f"{len(lines)} collapsed stack(s) written to {args.collapsed}",
-            file=sys.stderr,
-        )
+        print(report.verdict.summary())
+        print(span_table(spans))
     return 1 if report.verdict.malicious else 0
 
 
@@ -605,7 +546,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 2
     settings = PipelineSettings(
         reader_version=args.reader_version, triage=args.triage,
-        limits=limits, profile=args.profile,
+        limits=limits,
     )
     if args.no_cache:
         cache = False

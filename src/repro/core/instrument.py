@@ -35,7 +35,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import obs as obs_mod
 from repro.limits import ResourceLimitExceeded
-from repro.obs import profile as profile_mod
 
 from repro.core import monitor_code as mc
 from repro.core.chains import ChainAnalysis, analyze_chains
@@ -260,8 +259,7 @@ class Instrumenter:
             # Static JS analysis runs over the *original* scripts,
             # before monitor-wrapping obscures them.
             with tracer.span("instrument.jsast", document=name):
-                with profile_mod.phase("jsast"):
-                    js_analysis = analyze_document(document, obs=self.obs)
+                js_analysis = analyze_document(document, obs=self.obs)
         return DocumentAnalysis(
             data=data,
             name=name,
@@ -280,8 +278,7 @@ class Instrumenter:
         """Issue the key, wrap the scripts, instrument embedded PDFs and
         serialise."""
         data, name, document = analysis.data, analysis.name, analysis.document
-        with self.obs.tracer.span("instrument.rewrite") as rewrite_span, \
-                profile_mod.phase("instrument"):
+        with self.obs.tracer.span("instrument.rewrite") as rewrite_span:
             key = self.key_store.issue(name, fingerprint(data))
             spec = DeinstrumentationSpec(key_text=key.render(), document_name=name)
             instrumented = 0

@@ -16,13 +16,11 @@ them:
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import limits as limits_mod
 from repro import obs as obs_mod
-from repro.obs import profile as profile_mod
 from repro.core.confine import build_hook_rules
 from repro.core.deinstrument import (
     DeinstrumentationPolicy,
@@ -123,9 +121,6 @@ class OpenReport:
     #: Which resource budget aborted the scan (``"stream-bytes"``,
     #: ``"deadline"``, ...) — set only for budget-errored reports.
     limit_kind: Optional[str] = None
-    #: Phase/hotspot attribution when the pipeline ran with
-    #: ``profile=True`` (see :mod:`repro.obs.profile`); else None.
-    profile: Optional[profile_mod.ScanProfile] = None
 
     @classmethod
     def errored_report(cls, name: str, error: str) -> "OpenReport":
@@ -207,7 +202,6 @@ class OpenReport:
             "inert": self.did_nothing,
             "triaged": self.triaged,
             "static_js": self.js_analysis.to_dict() if self.js_analysis else None,
-            "profile": self.profile.to_dict() if self.profile else None,
             "fake_messages": self.fake_messages,
             "quarantined": list(self.quarantined_files),
             "alerts": [
@@ -289,8 +283,7 @@ class MonitoredSession:
             if fire_close and not outcome.crashed and outcome.handle.open:
                 self.reader.close(outcome.handle)
             with self.obs.tracer.span("session.verdict", document=protected.name):
-                with profile_mod.phase("verdict"):
-                    verdict = self.monitor.verdict_for(protected.key_text)
+                verdict = self.monitor.verdict_for(protected.key_text)
             sp.set_tag("virtual_s", self.system.clock.now() - virtual_start)
             sp.set_tag("malicious", verdict.malicious)
             sp.set_tag("crashed", outcome.crashed or outcome.handle.crashed)
@@ -345,9 +338,6 @@ class PipelineSettings:
     triage: bool = False
     #: Resource budgets enforced over every scan (hostile-input armour).
     limits: ScanLimits = DEFAULT_LIMITS
-    #: Attach a :class:`~repro.obs.profile.ScanProfile` (phase timings +
-    #: JS hotspots) to every ``OpenReport`` this pipeline produces.
-    profile: bool = False
 
     def build(self, obs: Optional[obs_mod.Observability] = None) -> "ProtectionPipeline":
         """A fresh, fully independent pipeline with these settings."""
@@ -358,7 +348,6 @@ class PipelineSettings:
             hook_mode=self.hook_mode,
             triage=self.triage,
             limits=self.limits,
-            profile=self.profile,
             obs=obs,
         )
 
@@ -375,14 +364,12 @@ class ProtectionPipeline:
         hook_mode: HookMode = HookMode.IAT,
         triage: bool = False,
         limits: Optional[ScanLimits] = None,
-        profile: bool = False,
         obs: Optional[obs_mod.Observability] = None,
     ) -> None:
         self.config = config if config is not None else DetectorConfig()
         self.reader_version = reader_version
         self.hook_mode = hook_mode
         self.triage = triage
-        self.profile = profile
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self.settings = PipelineSettings(
             reader_version=reader_version,
@@ -391,7 +378,6 @@ class ProtectionPipeline:
             config=config,
             triage=triage,
             limits=self.limits,
-            profile=profile,
         )
         self.obs = obs if obs is not None else obs_mod.get_default()
         self.key_store = KeyStore.create(seed)
@@ -521,37 +507,27 @@ class ProtectionPipeline:
         as the front end rewrote it, so it is parsed once per scan.
         """
         with self.obs.tracer.span("pipeline.scan", document=name) as span:
-            scan_profile: Optional[profile_mod.ScanProfile] = None
-            if self.profile:
-                scan_profile = profile_mod.ScanProfile().start()
-            with (
-                profile_mod.activate(scan_profile)
-                if scan_profile is not None
-                else contextlib.nullcontext()
-            ):
-                try:
-                    with limits_mod.activate(self.limits):
-                        protected, document = self._protect(data, name, self.triage)
-                        if document is not None:
-                            report = self.open_protected(protected, document=document)
-                        elif protected.triage_proven_malicious:
-                            report = self._triage_malicious_report(protected)
-                            span.set_tag("triaged", True)
-                            span.set_tag("proven", "malicious")
-                        else:
-                            report = self._triage_report(protected)
-                            span.set_tag("triaged", True)
-                except ResourceLimitExceeded as error:
-                    report = OpenReport.limit_report(name, error)
-                    span.set_tag("errored", True)
-                    span.set_tag("limit_kind", error.kind)
-                except PARSE_ERRORS as error:
-                    report = OpenReport.errored_report(
-                        name, f"{type(error).__name__}: {error}"
-                    )
-                    span.set_tag("errored", True)
-            if scan_profile is not None:
-                report.profile = scan_profile.finish()
+            try:
+                with limits_mod.activate(self.limits):
+                    protected, document = self._protect(data, name, self.triage)
+                    if document is not None:
+                        report = self.open_protected(protected, document=document)
+                    elif protected.triage_proven_malicious:
+                        report = self._triage_malicious_report(protected)
+                        span.set_tag("triaged", True)
+                        span.set_tag("proven", "malicious")
+                    else:
+                        report = self._triage_report(protected)
+                        span.set_tag("triaged", True)
+            except ResourceLimitExceeded as error:
+                report = OpenReport.limit_report(name, error)
+                span.set_tag("errored", True)
+                span.set_tag("limit_kind", error.kind)
+            except PARSE_ERRORS as error:
+                report = OpenReport.errored_report(
+                    name, f"{type(error).__name__}: {error}"
+                )
+                span.set_tag("errored", True)
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.inc("docs_scanned")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs as obs_mod
-from repro.obs import profile as profile_mod
 from repro.core.detector import (
     DetectorConfig,
     DocumentScoreState,
@@ -122,8 +121,7 @@ class RuntimeMonitor:
     def handle_syscall_channel(self, message: object) -> None:
         """Subscriber callback for the hook-DLL event channel."""
         if isinstance(message, SyscallEvent):
-            with profile_mod.phase("monitor"):
-                self.handle_syscall(message)
+            self.handle_syscall(message)
 
     # -- telemetry-aware recording wrappers --------------------------------
 

@@ -10,7 +10,7 @@ interpreter (seeded LCG) so every experiment is reproducible.
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.js.errors import JSRuntimeError
 from repro.js.values import (
@@ -19,12 +19,15 @@ from repro.js.values import (
     NativeFunction,
     UNDEFINED,
     array_index,
+    array_length,
     format_number,
     int_to_number,
     is_callable,
     to_int32,
+    to_integer,
     to_number,
     to_string,
+    to_uint32,
     truthy,
 )
 
@@ -33,12 +36,27 @@ def _arg(args: List[Any], index: int, default: Any = UNDEFINED) -> Any:
     return args[index] if index < len(args) else default
 
 
+def _relative_index(value: Any, length: int, default: int) -> int:
+    """ES5's start/end of ``slice``, ``splice`` and ``substr``:
+    ToInteger, negative counts from the end, clamped to [0, length]."""
+    if value is UNDEFINED:
+        return default
+    index = to_integer(value)
+    if index < 0:
+        index += length
+        return int(index) if index > 0 else 0
+    return int(index) if index < length else length
+
+
 def _string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
-    # Single float argument is the shellcode-builder hot path.
-    if len(args) == 1 and type(args[0]) is float:
-        return chr(int(args[0]) & 0xFFFF)
+    # Single in-range float argument is the shellcode-builder hot path;
+    # everything else takes ToUint16.
+    if len(args) == 1:
+        code = args[0]
+        if type(code) is float and 0.0 <= code < 65536.0:
+            return chr(int(code))
     return interp._record_string(
-        "".join(chr(int(to_number(x)) & 0xFFFF) for x in args)
+        "".join(chr(to_uint32(x) & 0xFFFF) for x in args)
     )
 
 
@@ -200,7 +218,7 @@ def install_globals(interp: Any) -> None:
 
     def _array_ctor(i: Any, t: Any, a: List[Any]) -> JSArray:
         if len(a) == 1 and isinstance(a[0], float):
-            return JSArray([UNDEFINED] * int(a[0]))
+            return JSArray([UNDEFINED] * array_length(a[0]))
         return JSArray(list(a))
 
     env.declare("Array", NativeFunction("Array", _array_ctor))
@@ -213,21 +231,21 @@ def install_globals(interp: Any) -> None:
     math_obj.set("PI", math.pi)
     math_obj.set("E", math.e)
     for name, fn in {
-        "floor": lambda i, t, a: float(math.floor(to_number(_arg(a, 0)))),
-        "ceil": lambda i, t, a: float(math.ceil(to_number(_arg(a, 0)))),
-        "round": lambda i, t, a: float(math.floor(to_number(_arg(a, 0)) + 0.5)),
+        "floor": lambda i, t, a: _finite_only(math.floor, to_number(_arg(a, 0))),
+        "ceil": lambda i, t, a: _finite_only(math.ceil, to_number(_arg(a, 0))),
+        "round": lambda i, t, a: _finite_only(math.floor, to_number(_arg(a, 0)) + 0.5),
         "abs": lambda i, t, a: abs(to_number(_arg(a, 0))),
         "sqrt": lambda i, t, a: math.sqrt(to_number(_arg(a, 0))) if to_number(_arg(a, 0)) >= 0 else math.nan,
-        "pow": lambda i, t, a: float(to_number(_arg(a, 0)) ** to_number(_arg(a, 1))),
-        "max": lambda i, t, a: max((to_number(x) for x in a), default=-math.inf),
-        "min": lambda i, t, a: min((to_number(x) for x in a), default=math.inf),
+        "pow": lambda i, t, a: _math_pow(to_number(_arg(a, 0)), to_number(_arg(a, 1))),
+        "max": lambda i, t, a: _math_extreme(max, a, -math.inf),
+        "min": lambda i, t, a: _math_extreme(min, a, math.inf),
         "log": lambda i, t, a: (
             math.log(to_number(_arg(a, 0))) if to_number(_arg(a, 0)) > 0 else -math.inf
             if to_number(_arg(a, 0)) == 0 else math.nan
         ),
-        "exp": lambda i, t, a: math.exp(to_number(_arg(a, 0))),
-        "sin": lambda i, t, a: math.sin(to_number(_arg(a, 0))),
-        "cos": lambda i, t, a: math.cos(to_number(_arg(a, 0))),
+        "exp": lambda i, t, a: _math_exp(to_number(_arg(a, 0))),
+        "sin": lambda i, t, a: _finite_only(math.sin, to_number(_arg(a, 0)), math.nan),
+        "cos": lambda i, t, a: _finite_only(math.cos, to_number(_arg(a, 0)), math.nan),
         "atan": lambda i, t, a: math.atan(to_number(_arg(a, 0))),
     }.items():
         math_obj.set(name, NativeFunction(name, fn))
@@ -247,6 +265,50 @@ def install_globals(interp: Any) -> None:
 #: Epoch base for the virtual Date: 2013-06-01T00:00:00Z — inside the
 #: paper's data-collection window, so date-gated samples behave.
 _VIRTUAL_EPOCH_MS = 1370044800000.0
+
+
+def _finite_only(
+    fn: Callable[[float], float], x: float, otherwise: Optional[float] = None
+) -> float:
+    """``fn(x)`` for a finite ``x``; NaN stays NaN and ±Infinity maps to
+    ``otherwise`` (itself when None), as ES5's Math functions do."""
+    if math.isfinite(x):
+        return float(fn(x))
+    return x if otherwise is None or x != x else otherwise
+
+
+def _math_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _math_extreme(pick: Callable[..., float], args: List[Any], empty: float) -> float:
+    """``Math.max``/``Math.min``: NaN when any argument is NaN."""
+    numbers = [to_number(x) for x in args]
+    if any(x != x for x in numbers):
+        return math.nan
+    return pick(numbers, default=empty)
+
+
+def _math_pow(x: float, y: float) -> float:
+    """ES5 §15.8.2.13: NaN or ±Infinity where Python would raise."""
+    if y != y:
+        return math.nan
+    if y == 0.0:
+        return 1.0
+    if x != x or (abs(x) == 1.0 and math.isinf(y)):
+        return math.nan
+    try:
+        return math.pow(x, y)
+    except (OverflowError, ValueError) as error:
+        if isinstance(error, ValueError) and x != 0.0:
+            return math.nan  # negative base, non-integer exponent
+        # Too large, or ±0 to a negative power: the sign survives only
+        # for a negative base and an odd integer exponent.
+        odd = y.is_integer() and abs(y) < 2.0**53 and int(y) % 2 == 1
+        return -math.inf if odd and math.copysign(1.0, x) < 0 else math.inf
 
 
 def _make_date_constructor(interp: Any) -> NativeFunction:
@@ -308,32 +370,25 @@ def primitive_property(interp: Any, obj: Any, name: str) -> Any:
     raise JSRuntimeError(f"cannot read property {name!r}", "TypeError")
 
 
-def _clamp_index(x: Any, default: float) -> int:
-    number = to_number(x) if x is not UNDEFINED else default
-    if math.isnan(number):
-        number = 0.0
-    return int(number)
-
-
 def _str_char_at(interp: Any, value: str, args: List[Any]) -> str:
-    index = _clamp_index(_arg(args, 0, 0.0), 0.0)
-    return value[index] if 0 <= index < len(value) else ""
+    index = to_integer(_arg(args, 0, 0.0))
+    return value[int(index)] if 0 <= index < len(value) else ""
 
 
 def _str_char_code_at(interp: Any, value: str, args: List[Any]) -> float:
-    # Float index is the deobfuscation-loop hot path (int(nan) would
-    # raise, so NaN still detours through _clamp_index).
+    # An in-range float index is the deobfuscation-loop hot path; NaN,
+    # ±Infinity and everything out of range take ToInteger below.
     if args:
-        index_value = args[0]
-        if type(index_value) is float and index_value == index_value:
-            index = int(index_value)
-            return float(ord(value[index])) if 0 <= index < len(value) else math.nan
-    index = _clamp_index(_arg(args, 0, 0.0), 0.0)
-    return float(ord(value[index])) if 0 <= index < len(value) else math.nan
+        index = args[0]
+        if type(index) is float and 0.0 <= index < len(value):
+            return float(ord(value[int(index)]))
+    position = to_integer(_arg(args, 0, 0.0))
+    return float(ord(value[int(position)])) if 0 <= position < len(value) else math.nan
 
 
 def _str_index_of(interp: Any, value: str, args: List[Any]) -> float:
-    return float(value.find(to_string(_arg(args, 0, "")), _clamp_index(_arg(args, 1, 0.0), 0.0)))
+    start = min(max(to_integer(_arg(args, 1, 0.0)), 0.0), len(value))
+    return float(value.find(to_string(_arg(args, 0, "")), int(start)))
 
 
 def _str_last_index_of(interp: Any, value: str, args: List[Any]) -> float:
@@ -388,29 +443,28 @@ def _string_property(interp: Any, value: str, name: str) -> Any:
 
 
 def _substring(value: str, args: List[Any]) -> str:
-    start = int(max(0, min(len(value), to_number(_arg(args, 0, 0.0)) if _arg(args, 0, UNDEFINED) is not UNDEFINED else 0)))
+    length = len(value)
+    start = int(min(max(to_integer(_arg(args, 0, 0.0)), 0.0), length))
     end_arg = _arg(args, 1, UNDEFINED)
-    end = int(max(0, min(len(value), to_number(end_arg)))) if end_arg is not UNDEFINED else len(value)
+    end = length if end_arg is UNDEFINED else int(min(max(to_integer(end_arg), 0.0), length))
     if start > end:
         start, end = end, start
     return value[start:end]
 
 
 def _substr(value: str, args: List[Any]) -> str:
-    start = int(to_number(_arg(args, 0, 0.0)))
-    if start < 0:
-        start = max(0, len(value) + start)
-    length_arg = _arg(args, 1, UNDEFINED)
-    length = int(to_number(length_arg)) if length_arg is not UNDEFINED else len(value)
-    return value[start : start + max(0, length)]
+    start = _relative_index(_arg(args, 0, 0.0), len(value), 0)
+    count_arg = _arg(args, 1, UNDEFINED)
+    if count_arg is UNDEFINED:
+        return value[start:]
+    count = to_integer(count_arg)
+    return value[start : start + int(min(count, len(value) - start))] if count > 0 else ""
 
 
 def _slice_str(value: str, args: List[Any]) -> str:
-    start_arg = _arg(args, 0, UNDEFINED)
-    end_arg = _arg(args, 1, UNDEFINED)
-    start = int(to_number(start_arg)) if start_arg is not UNDEFINED else 0
-    end: Optional[int] = int(to_number(end_arg)) if end_arg is not UNDEFINED else None
-    return value[start:end]
+    length = len(value)
+    start = _relative_index(_arg(args, 0), length, 0)
+    return value[start : _relative_index(_arg(args, 1), length, length)]
 
 
 def _split(value: str, args: List[Any]) -> JSArray:
@@ -427,7 +481,7 @@ def _number_property(interp: Any, value: float, name: str) -> Any:
     methods = {
         "toString": lambda i, t, a: _number_to_string(value, a),
         "valueOf": lambda i, t, a: value,
-        "toFixed": lambda i, t, a: f"{value:.{int(to_number(_arg(a, 0, 0.0)))}f}",
+        "toFixed": lambda i, t, a: _number_to_fixed(value, a),
     }
     fn = methods.get(name)
     if fn is None:
@@ -435,15 +489,25 @@ def _number_property(interp: Any, value: float, name: str) -> Any:
     return NativeFunction(name, fn)
 
 
+def _number_to_fixed(value: float, args: List[Any]) -> str:
+    digits = to_integer(_arg(args, 0, 0.0))
+    if not 0 <= digits <= 20:
+        raise JSRuntimeError("toFixed() digits must be between 0 and 20", "RangeError")
+    if not math.isfinite(value) or abs(value) >= 1e21:
+        return format_number(value)
+    return f"{value:.{int(digits)}f}"
+
+
 def _number_to_string(value: float, args: List[Any]) -> str:
     radix_arg = _arg(args, 0, UNDEFINED)
     if radix_arg is UNDEFINED:
         return format_number(value)
-    radix = int(to_number(radix_arg))
-    if radix == 10:
+    radix = to_integer(radix_arg)
+    if not 2 <= radix <= 36:
+        raise JSRuntimeError("toString() radix must be between 2 and 36", "RangeError")
+    if radix == 10 or math.isnan(value) or math.isinf(value):
         return format_number(value)
-    if not 2 <= radix <= 36 or math.isnan(value) or math.isinf(value):
-        return format_number(value)
+    radix = int(radix)
     integer = int(abs(value))
     digits = "0123456789abcdefghijklmnopqrstuvwxyz"
     out = []
@@ -502,11 +566,9 @@ def _array_concat(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
 
 
 def _array_slice(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
-    start_arg = _arg(args, 0, UNDEFINED)
-    end_arg = _arg(args, 1, UNDEFINED)
-    start = int(to_number(start_arg)) if start_arg is not UNDEFINED else 0
-    end: Optional[int] = int(to_number(end_arg)) if end_arg is not UNDEFINED else None
-    return JSArray(this.elements[start:end])
+    length = len(this.elements)
+    start = _relative_index(_arg(args, 0), length, 0)
+    return JSArray(this.elements[start : _relative_index(_arg(args, 1), length, length)])
 
 
 def _array_reverse(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
@@ -526,15 +588,11 @@ def _array_index_of(interp: Any, this: JSArray, args: List[Any]) -> float:
 
 def _array_splice(interp: Any, this: JSArray, args: List[Any]) -> JSArray:
     length = len(this.elements)
-    start = int(to_number(_arg(args, 0, 0.0)))
-    if start < 0:
-        start = max(0, length + start)
-    start = min(start, length)
+    start = _relative_index(_arg(args, 0, 0.0), length, 0)
     delete_arg = _arg(args, 1, UNDEFINED)
-    delete_count = (
-        int(to_number(delete_arg)) if delete_arg is not UNDEFINED else length - start
-    )
-    delete_count = max(0, min(delete_count, length - start))
+    delete_count = length - start
+    if delete_arg is not UNDEFINED:
+        delete_count = int(min(max(to_integer(delete_arg), 0.0), delete_count))
     removed = this.elements[start : start + delete_count]
     this.elements[start : start + delete_count] = list(args[2:])
     return JSArray(removed)

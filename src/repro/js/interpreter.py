@@ -139,20 +139,12 @@ class Interpreter:
         self.steps = 0
         self.global_env = Environment()
         self.global_this = JSObject(class_name="global")
-        #: Optional :class:`repro.obs.profile.JSProfile` hotspot hook.
-        #: The eval loop checks this one attribute per dispatch — the
-        #: disabled (None) path performs no extra allocation or call.
-        self._profile: Any = None
         if install_builtins:
             from repro.js.builtins import install_globals
 
             install_globals(self)
 
     # -- public API ------------------------------------------------------
-
-    def set_profile(self, profile: Any) -> None:
-        """Attach (or with None, detach) a JSProfile hotspot recorder."""
-        self._profile = profile
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
         """Parse and execute ``source``; returns the last statement value."""
@@ -238,28 +230,7 @@ class Interpreter:
         method = getattr(self, f"_exec_{kind}", None)
         if method is None:
             raise JSRuntimeError(f"cannot execute {kind}")
-        profile = self._profile
-        if profile is None:
-            return method(node, env, this)
-        # Inlined JSProfile.dispatch — the eval loop is hot enough that
-        # the extra call frame alone is measurable overhead.
-        frames = profile.node_frames
-        frames.append(0.0)
-        clock = profile.clock
-        start = clock()
-        try:
-            return method(node, env, this)
-        finally:
-            elapsed = clock() - start
-            child = frames.pop()
-            frames[-1] += elapsed
-            self_time = elapsed - child
-            stat = profile.node_stats.get(kind)
-            if stat is None:
-                stat = profile.node_stats[kind] = [0.0, 0]
-            if self_time > 0.0:
-                stat[0] += self_time
-            stat[1] += 1
+        return method(node, env, this)
 
     def _exec_Program(self, node: ast.Program, env: Environment, this: Any) -> Any:
         result: Any = UNDEFINED
@@ -460,27 +431,7 @@ class Interpreter:
         method = getattr(self, f"_eval_{kind}", None)
         if method is None:
             raise JSRuntimeError(f"cannot evaluate {kind}")
-        profile = self._profile
-        if profile is None:
-            return method(node, env, this)
-        # Inlined JSProfile.dispatch (see exec_statement).
-        frames = profile.node_frames
-        frames.append(0.0)
-        clock = profile.clock
-        start = clock()
-        try:
-            return method(node, env, this)
-        finally:
-            elapsed = clock() - start
-            child = frames.pop()
-            frames[-1] += elapsed
-            self_time = elapsed - child
-            stat = profile.node_stats.get(kind)
-            if stat is None:
-                stat = profile.node_stats[kind] = [0.0, 0]
-            if self_time > 0.0:
-                stat[0] += self_time
-            stat[1] += 1
+        return method(node, env, this)
 
     def _eval_NumberLiteral(self, node: ast.NumberLiteral, env: Environment, this: Any) -> Any:
         return node.value
@@ -815,14 +766,6 @@ class Interpreter:
         env: Optional[Environment] = None,
     ) -> Any:
         del env  # call-site scope is irrelevant to both call kinds
-        profile = self._profile
-        if profile is not None:
-            name = getattr(fn, "name", None) or "(anonymous)"
-            start = profile.enter_call(name)
-            try:
-                return self._call_inner(fn, this, args)
-            finally:
-                profile.exit_call(name, start)
         return self._call_inner(fn, this, args)
 
     def _call_inner(self, fn: Any, this: Any, args: List[Any]) -> Any:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
+from repro.js.errors import JSRuntimeError
+
 if TYPE_CHECKING:
     from repro.js import nodes as ast
     from repro.js.interpreter import Environment, Interpreter
@@ -103,7 +105,7 @@ class JSArray(JSObject):
 
     def set(self, name: str, value: Any) -> None:
         if name == "length":
-            new_len = int(value)
+            new_len = array_length(value)
             current = len(self.elements)
             if new_len < current:
                 del self.elements[new_len:]
@@ -265,6 +267,30 @@ def to_uint32(value: Any) -> int:
     if math.isnan(number) or math.isinf(number):
         return 0
     return int(number) & 0xFFFFFFFF
+
+
+def to_integer(value: Any) -> float:
+    """ES5 ToInteger (§9.4): NaN becomes 0, ±0 and ±Infinity stay as
+    they are, anything else truncates toward zero.
+
+    A float, so callers clamp ±Infinity to their range before ``int()``.
+    """
+    number = value if type(value) is float else to_number(value)
+    if number.is_integer():  # every finite whole number: the common case
+        return number
+    if math.isfinite(number):
+        return float(math.trunc(number))
+    return 0.0 if number != number else number
+
+
+def array_length(value: Any) -> int:
+    """An array length (ES5 §15.4.5.1): RangeError unless
+    ``ToUint32(n) == ToNumber(n)``."""
+    number = to_number(value)
+    length = to_uint32(number)
+    if length != number:
+        raise JSRuntimeError("Invalid array length", "RangeError")
+    return length
 
 
 def format_number(value: float) -> str:

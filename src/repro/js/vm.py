@@ -5,10 +5,7 @@
 model, builtins, host wiring, ``_binary_op``, ``get_property`` and
 construction/assignment kernels — only the evaluation loop is replaced.
 The two engines are required to agree bit-for-bit on observed API
-channels, monitor events, step counts and verdicts; anything the VM
-cannot express identically (a JSProfile hotspot recorder, which
-attributes time per AST node kind) transparently falls back to the
-walker, the way enabling a debugger disables a JIT.
+channels, monitor events, step counts and verdicts.
 
 Hot loops leave the dispatch loop: once a loop's back-edge has been
 taken often enough, :mod:`repro.js.hotloop` translates it into a
@@ -72,8 +69,8 @@ class CompiledFunction(JSFunction):
     """A JSFunction that also carries its compiled Code.
 
     It *is* a JSFunction (real body AST + closure), so the walker can
-    execute it, ``typeof``/``instanceof``/``prototype`` behave
-    identically, and profiled runs can fall back to AST execution.
+    execute it and ``typeof``/``instanceof``/``prototype`` behave
+    identically.
     """
 
     def __init__(self, code: Code, closure: Environment) -> None:
@@ -92,9 +89,6 @@ class BytecodeInterpreter(Interpreter):
     # -- public API (same shape as the walker) ---------------------------
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
-        if self._profile is not None:
-            # JSProfile needs per-AST-node attribution: use the walker.
-            return super().run(source, this, env)
         code = compile_source(source)
         scope = env if env is not None else self.global_env
         this_value = this if this is not None else self.global_this
@@ -102,8 +96,6 @@ class BytecodeInterpreter(Interpreter):
         return self._run_code(code, scope, this_value, None)
 
     def eval_in_scope(self, code: Any, env: Environment, this: Any) -> Any:
-        if self._profile is not None:
-            return super().eval_in_scope(code, env, this)
         if not isinstance(code, str):
             return code
         compiled = compile_source(code)
@@ -113,8 +105,6 @@ class BytecodeInterpreter(Interpreter):
     # -- calls -----------------------------------------------------------
 
     def _call_inner(self, fn: Any, this: Any, args: List[Any]) -> Any:
-        if self._profile is not None:
-            return super()._call_inner(fn, this, args)
         if isinstance(fn, CompiledFunction):
             return self._call_with_code(fn.code, fn, this, args)
         if isinstance(fn, NativeFunction):

@@ -36,7 +36,6 @@ from repro.jsast.rules import (
     ruleset_version,
     side_effect_apis,
 )
-from repro.obs import profile as profile_mod
 
 #: How many layers of constant ``eval`` arguments to follow.
 MAX_NESTED_DEPTH = 2
@@ -189,8 +188,7 @@ def _run_absint(
     from repro.jsast.rules_absint import proof_findings, run_absint
 
     with obs.tracer.span("jsast.absint", script=report.script) as span:
-        with profile_mod.phase("absint"):
-            section = run_absint(code, label=report.script, scans=scans)
+        section = run_absint(code, label=report.script, scans=scans)
         report.absint = section
         report.findings.extend(proof_findings(section))
         span.set_tag("verdict", section.get("verdict", "unknown"))

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import limits as limits_mod
+from repro.js.values import format_number
 from repro.jsast.absint import (
     CHANNEL_EXPLOIT,
     DEFAULT_MAX_STEPS,
@@ -136,7 +137,7 @@ def _export_proofs(result: AbsintResult) -> List[Finding]:
     for export in result.exports:
         if not export.must:
             continue
-        if export.launch is None or export.launch < 1:
+        if export.launch is None or not export.launch >= 1:
             continue
         name = export.name or "?"
         proofs.append(
@@ -145,7 +146,7 @@ def _export_proofs(result: AbsintResult) -> List[Finding]:
                 severity=Severity.PROVEN,
                 message=(
                     f"proven drop-and-launch: exportDataObject("
-                    f"cName={name!r}, nLaunch={int(export.launch)}) "
+                    f"cName={name!r}, nLaunch={format_number(export.launch)}) "
                     "must execute"
                 ),
                 evidence=f"path={export.path} layer={export.layer}",

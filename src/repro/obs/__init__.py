@@ -12,11 +12,10 @@ The subsystem has three pieces (see ``docs/OBSERVABILITY.md``):
   :class:`MemorySink` (tests/benchmarks), :class:`JSONLSink`
   (``repro scan --trace t.jsonl`` / ``repro report t.jsonl``) and
   :class:`StderrSink`.
-* :mod:`repro.obs.profile` — per-scan phase attribution
-  (:class:`ScanProfile`), JS-interpreter hotspot accounting
-  (:class:`JSProfile`) and slow-scan exemplar capture
-  (:class:`SlowScanBuffer`); see ``repro profile`` and
-  ``GET /debug/slow``.
+* :class:`SlowScanBuffer` — slow-scan exemplar capture for
+  ``GET /debug/slow``.  A scan explains its own time through its span
+  tree: :func:`repro.obs.report.span_self_times` rolls spans up into
+  per-name self time (``repro profile``, ``repro report``).
 
 :class:`Observability` bundles one tracer + one metrics registry over a
 shared sink; every phase-I/phase-II component accepts an ``obs``
@@ -29,7 +28,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, Metrics
-from repro.obs.profile import JSProfile, ScanProfile, SlowScanBuffer
+from repro.obs.profile import SlowScanBuffer
 from repro.obs.sinks import (
     JSONLSink,
     MemorySink,
@@ -45,13 +44,11 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Histogram",
     "JSONLSink",
-    "JSProfile",
     "MemorySink",
     "Metrics",
     "NULL_SINK",
     "NullSink",
     "Observability",
-    "ScanProfile",
     "Sink",
     "SlowScanBuffer",
     "Span",

@@ -1,366 +1,15 @@
-"""Scan-phase profiling and JS-interpreter hotspot attribution.
+"""Slow-scan exemplar capture for the scan service.
 
-Three pieces, all deterministic and dependency-free:
-
-* :class:`ScanProfile` — per-scan phase attribution.  A scan holds a
-  *phase stack*; every transition accrues the elapsed wall time to the
-  phase on top, so the per-phase durations **sum exactly to the scan's
-  total** by construction (time not claimed by any instrumented site
-  lands in the ``"other"`` bucket).  Phases are the paper's Table X/XI
-  cost centres: ``parse``, ``decompress``, ``xref-resolve``, ``jsast``,
-  ``instrument``, ``js-exec``, ``monitor``, ``verdict``.
-* :class:`JSProfile` — low-overhead hotspot accounting inside the
-  ``repro.js`` eval loop: self-time and hit counts per AST node type,
-  calls/self-time per function call-site, and flamegraph-ready
-  collapsed-stack lines (``repro profile FILE --collapsed out.txt``).
-  The interpreter checks one attribute per dispatch when profiling is
-  off — the disabled path allocates nothing.
-* :class:`SlowScanBuffer` — a ring buffer retaining full detail (span
-  trees, phase breakdowns) only for scans slower than a fixed threshold
-  or the rolling p99 (``GET /debug/slow`` on the service).
-
-The active :class:`ScanProfile` travels via a :mod:`contextvars` scope
-(mirroring :mod:`repro.limits`) so deep components — the PDF parser,
-the stream decoder, the runtime monitor — can mark phases without
-threading a ``profile`` parameter through every signature:
-
-    with profile_mod.activate(ScanProfile().start()) as prof:
-        ...  # instrumented call sites use profile_mod.phase("parse")
-    prof.finish()
+:class:`SlowScanBuffer` is a ring buffer that retains full detail (the
+scan's span tree) only for scans slower than a fixed threshold or the
+rolling p99 (``GET /debug/slow`` on the service).  Where a scan's time
+went is read from those spans; see :func:`repro.obs.report.span_self_times`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import time
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-#: Canonical phase names, in pipeline order.  ``other`` absorbs
-#: everything outside an instrumented site (orchestration, span
-#: bookkeeping, report assembly) so the breakdown always adds up.
-PHASES: Tuple[str, ...] = (
-    "parse",
-    "decompress",
-    "xref-resolve",
-    "recovery-scan",
-    "jsast",
-    "absint",
-    "instrument",
-    "js-exec",
-    "monitor",
-    "verdict",
-    "other",
-)
-
-
-class JSProfile:
-    """Hotspot accounting for the tree-walking JS interpreter.
-
-    Self-time bookkeeping uses a child-time accumulator stack: each
-    dispatch pushes ``0.0``, children add their *inclusive* time to the
-    top, and on exit ``self = inclusive - children``.  Call-sites get
-    the same treatment on a separate stack keyed by callee name, which
-    doubles as the collapsed-stack (flamegraph) source.
-    """
-
-    __slots__ = (
-        "clock",
-        "call_seconds",
-        "call_self_seconds",
-        "call_counts",
-        "stack_self_seconds",
-        "node_stats",
-        "node_frames",
-        "_call_frames",
-        "_call_stack",
-    )
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
-        #: kind -> [self_seconds, hits].  One mutable record per node
-        #: type keeps the hot dispatch path to a single dict lookup.
-        self.node_stats: Dict[str, List[Any]] = {}
-        #: Inclusive seconds per callee name (recursion double-counts).
-        self.call_seconds: Dict[str, float] = {}
-        self.call_self_seconds: Dict[str, float] = {}
-        self.call_counts: Dict[str, int] = {}
-        #: Self seconds per call stack (``("(root)", "a", "b")``).
-        self.stack_self_seconds: Dict[Tuple[str, ...], float] = {}
-        self.node_frames: List[float] = [0.0]
-        self._call_frames: List[float] = [0.0]
-        self._call_stack: List[str] = ["(root)"]
-
-    # -- node dispatch (the eval-loop hot path when enabled) -------------
-
-    def dispatch(
-        self,
-        kind: str,
-        method: Callable[..., Any],
-        node: Any,
-        env: Any,
-        this: Any,
-    ) -> Any:
-        """Run one ``_exec_*``/``_eval_*`` method under the profiler."""
-        frames = self.node_frames
-        frames.append(0.0)
-        clock = self.clock
-        start = clock()
-        try:
-            return method(node, env, this)
-        finally:
-            elapsed = clock() - start
-            child = frames.pop()
-            frames[-1] += elapsed
-            self_time = elapsed - child
-            stat = self.node_stats.get(kind)
-            if stat is None:
-                stat = self.node_stats[kind] = [0.0, 0]
-            if self_time > 0.0:
-                stat[0] += self_time
-            stat[1] += 1
-
-    # -- call-sites -------------------------------------------------------
-
-    def enter_call(self, name: str) -> float:
-        self._call_stack.append(name)
-        self._call_frames.append(0.0)
-        return self.clock()
-
-    def exit_call(self, name: str, start: float) -> None:
-        elapsed = self.clock() - start
-        child = self._call_frames.pop()
-        self._call_frames[-1] += elapsed
-        self_time = elapsed - child
-        if self_time < 0.0:
-            self_time = 0.0
-        stack = tuple(self._call_stack)
-        self._call_stack.pop()
-        self.call_counts[name] = self.call_counts.get(name, 0) + 1
-        self.call_seconds[name] = self.call_seconds.get(name, 0.0) + elapsed
-        self.call_self_seconds[name] = (
-            self.call_self_seconds.get(name, 0.0) + self_time
-        )
-        self.stack_self_seconds[stack] = (
-            self.stack_self_seconds.get(stack, 0.0) + self_time
-        )
-
-    # -- reading ----------------------------------------------------------
-
-    @property
-    def node_self_seconds(self) -> Dict[str, float]:
-        """Accumulated self seconds per AST node type."""
-        return {kind: stat[0] for kind, stat in self.node_stats.items()}
-
-    @property
-    def node_hits(self) -> Dict[str, int]:
-        """Dispatch counts per AST node type."""
-        return {kind: stat[1] for kind, stat in self.node_stats.items()}
-
-    @property
-    def total_self_seconds(self) -> float:
-        return sum(stat[0] for stat in self.node_stats.values())
-
-    def hotspots(self, top: int = 10) -> List[Dict[str, Any]]:
-        """Node types ranked by accumulated self-time."""
-        ranked = sorted(
-            self.node_stats.items(), key=lambda kv: -kv[1][0]
-        )[: max(0, top)]
-        return [
-            {
-                "node": kind,
-                "self_seconds": stat[0],
-                "hits": stat[1],
-            }
-            for kind, stat in ranked
-        ]
-
-    def call_sites(self, top: int = 10) -> List[Dict[str, Any]]:
-        """Function call-sites ranked by inclusive time."""
-        ranked = sorted(self.call_seconds.items(), key=lambda kv: -kv[1])
-        return [
-            {
-                "function": name,
-                "seconds": seconds,
-                "self_seconds": self.call_self_seconds.get(name, 0.0),
-                "calls": self.call_counts.get(name, 0),
-            }
-            for name, seconds in ranked[: max(0, top)]
-        ]
-
-    def collapsed_lines(self) -> List[str]:
-        """Flamegraph-folded lines: ``(root);a;b <microseconds>``.
-
-        Feed straight into ``flamegraph.pl`` / speedscope ("collapsed
-        stacks" import).  Values are integer microseconds of self-time.
-        """
-        lines = []
-        for stack, seconds in sorted(self.stack_self_seconds.items()):
-            micros = int(round(seconds * 1e6))
-            lines.append(";".join(stack) + f" {micros}")
-        return lines
-
-    def merge(self, other: "JSProfile") -> None:
-        """Fold another profile's aggregates into this one."""
-        for key, stat in other.node_stats.items():
-            mine = self.node_stats.get(key)
-            if mine is None:
-                self.node_stats[key] = [stat[0], stat[1]]
-            else:
-                mine[0] += stat[0]
-                mine[1] += stat[1]
-        for key, value in other.call_seconds.items():
-            self.call_seconds[key] = self.call_seconds.get(key, 0.0) + value
-        for key, value in other.call_self_seconds.items():
-            self.call_self_seconds[key] = (
-                self.call_self_seconds.get(key, 0.0) + value
-            )
-        for key, count in other.call_counts.items():
-            self.call_counts[key] = self.call_counts.get(key, 0) + count
-        for stack, value in other.stack_self_seconds.items():
-            self.stack_self_seconds[stack] = (
-                self.stack_self_seconds.get(stack, 0.0) + value
-            )
-
-    def to_dict(self, top: int = 10) -> Dict[str, Any]:
-        return {
-            "total_self_seconds": self.total_self_seconds,
-            "hotspots": self.hotspots(top),
-            "call_sites": self.call_sites(top),
-        }
-
-
-class ScanProfile:
-    """Deterministic per-scan phase attribution + counters.
-
-    Not thread-safe — one scan runs on one thread (the contextvar scope
-    keeps concurrent scans from seeing each other's profile).
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
-        self.phase_self_seconds: Dict[str, float] = {}
-        self.counters: Dict[str, float] = {}
-        self.js = JSProfile(clock)
-        self.total_seconds = 0.0
-        self.finished = False
-        self._stack: List[str] = ["other"]
-        self._last: Optional[float] = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ScanProfile":
-        self._last = self.clock()
-        return self
-
-    def finish(self) -> "ScanProfile":
-        """Close the clock; afterwards phase sums equal the total."""
-        if self._last is not None:
-            self._accrue(self.clock())
-        self.total_seconds = sum(self.phase_self_seconds.values())
-        self.finished = True
-        return self
-
-    # -- phase stack -------------------------------------------------------
-
-    def _accrue(self, now: float) -> None:
-        top = self._stack[-1]
-        assert self._last is not None
-        self.phase_self_seconds[top] = (
-            self.phase_self_seconds.get(top, 0.0) + (now - self._last)
-        )
-        self._last = now
-
-    def push(self, name: str) -> None:
-        if self._last is not None:
-            self._accrue(self.clock())
-        self._stack.append(name)
-
-    def pop(self) -> None:
-        if self._last is not None:
-            self._accrue(self.clock())
-        if len(self._stack) > 1:
-            self._stack.pop()
-
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator["ScanProfile"]:
-        self.push(name)
-        try:
-            yield self
-        finally:
-            self.pop()
-
-    # -- counters ----------------------------------------------------------
-
-    def count(self, name: str, amount: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    # -- reading -----------------------------------------------------------
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """All canonical phases (zero-filled) plus anything extra."""
-        out = {name: 0.0 for name in PHASES}
-        out.update(self.phase_self_seconds)
-        return out
-
-    def to_dict(self, top: int = 10) -> Dict[str, Any]:
-        return {
-            "total_seconds": self.total_seconds,
-            "phases": self.phase_seconds(),
-            "counters": dict(self.counters),
-            "js": self.js.to_dict(top),
-        }
-
-
-# -- ambient scope (mirrors repro.limits) -----------------------------------
-
-_active: contextvars.ContextVar[Optional[ScanProfile]] = contextvars.ContextVar(
-    "repro_scan_profile", default=None
-)
-
-
-def current() -> Optional[ScanProfile]:
-    """The :class:`ScanProfile` active for this scan, or None."""
-    return _active.get()
-
-
-@contextlib.contextmanager
-def activate(profile: ScanProfile) -> Iterator[ScanProfile]:
-    """Make ``profile`` the ambient profile for the calling context."""
-    token = _active.set(profile)
-    try:
-        yield profile
-    finally:
-        _active.reset(token)
-
-
-@contextlib.contextmanager
-def phase(name: str) -> Iterator[Optional[ScanProfile]]:
-    """Attribute the enclosed block to ``name`` (no-op when inactive).
-
-    This is the mark the instrumented call sites use — a contextvar
-    lookup plus an is-None check when profiling is off.
-    """
-    profile = _active.get()
-    if profile is None:
-        yield None
-        return
-    profile.push(name)
-    try:
-        yield profile
-    finally:
-        profile.pop()
-
-
-def count(name: str, amount: float = 1) -> None:
-    """Bump a counter on the active profile (no-op when inactive)."""
-    profile = _active.get()
-    if profile is not None:
-        profile.count(name, amount)
-
-
-# -- slow-scan exemplars ------------------------------------------------------
+from typing import Any, Dict, Optional
 
 
 class SlowScanBuffer:

@@ -1,8 +1,8 @@
 """Trace aggregation: turn a JSONL trace into summary tables.
 
-Backs the ``repro report FILE.jsonl`` command and the benchmark
-helpers that read span data out of a :class:`~repro.obs.sinks.MemorySink`
-instead of re-timing by hand.
+Backs the ``repro report FILE.jsonl`` and ``repro profile FILE``
+commands and the benchmark helpers that read span data out of a
+:class:`~repro.obs.sinks.MemorySink` instead of re-timing by hand.
 """
 
 from __future__ import annotations
@@ -53,27 +53,63 @@ def child_durations(spans: Iterable[SpanRecord], root: SpanRecord) -> Dict[str, 
     return dict(durations)
 
 
+def span_self_times(spans: Iterable[SpanRecord]) -> List[Dict[str, Any]]:
+    """Per span name: ``count``, ``total_seconds``, ``self_seconds`` and
+    ``max_seconds``, busiest self time first.
+
+    A span's self time is its duration minus the durations of its
+    direct children, floored at 0 for a parent whose children ran
+    concurrently (``batch.run``).  One scan runs on one thread, so the
+    self times of a ``pipeline.scan`` tree sum to that span's duration.
+    """
+    spans = list(spans)
+    child_seconds: Dict[Any, float] = defaultdict(float)
+    for span in spans:
+        if span.get("parent_id") is not None:
+            child_seconds[span["parent_id"]] += span["duration"]
+    rows: Dict[str, Dict[str, Any]] = {}
+    for span in spans:
+        row = rows.get(span["name"])
+        if row is None:
+            row = rows[span["name"]] = {
+                "span": span["name"],
+                "count": 0,
+                "total_seconds": 0.0,
+                "self_seconds": 0.0,
+                "max_seconds": 0.0,
+            }
+        duration = span["duration"]
+        row["count"] += 1
+        row["total_seconds"] += duration
+        row["self_seconds"] += max(
+            0.0, duration - child_seconds.get(span["span_id"], 0.0)
+        )
+        row["max_seconds"] = max(row["max_seconds"], duration)
+    return sorted(rows.values(), key=lambda row: -row["self_seconds"])
+
+
 # -- aggregation -----------------------------------------------------------
 
 
-def aggregate_spans(spans: Iterable[SpanRecord]) -> List[List[str]]:
-    """Per-span-name latency rows: name, count, total/mean/max seconds."""
-    totals: Dict[str, List[float]] = defaultdict(list)
-    for span in spans:
-        totals[span["name"]].append(span["duration"])
-    rows = []
-    for name in sorted(totals, key=lambda n: -sum(totals[n])):
-        values = totals[name]
-        rows.append(
-            [
-                name,
-                str(len(values)),
-                f"{sum(values):.4f}",
-                f"{sum(values) / len(values):.4f}",
-                f"{max(values):.4f}",
-            ]
-        )
-    return rows
+def span_table(spans: Iterable[SpanRecord]) -> str:
+    """The per-span-name table: count, total, self, mean and max seconds,
+    busiest self time first (``repro report`` and ``repro profile``)."""
+    from repro.analysis import format_table
+
+    rows = [
+        [
+            row["span"],
+            str(row["count"]),
+            f"{row['total_seconds']:.4f}",
+            f"{row['self_seconds']:.4f}",
+            f"{row['total_seconds'] / row['count']:.4f}",
+            f"{row['max_seconds']:.4f}",
+        ]
+        for row in span_self_times(spans)
+    ]
+    return format_table(
+        ["span", "count", "total (s)", "self (s)", "mean (s)", "max (s)"], rows
+    )
 
 
 def aggregate_events(events: Iterable[Dict[str, Any]]) -> List[List[str]]:
@@ -319,13 +355,10 @@ def render_report(path: Union[str, Path]) -> str:
                 ["span", "document", "seconds", "breakdown"], slow_rows
             )
         )
-    span_rows = aggregate_spans(trace["spans"])
-    if span_rows:
+    if trace["spans"]:
         sections.append(
-            "Per-phase latency (spans)\n"
-            + format_table(
-                ["span", "count", "total (s)", "mean (s)", "max (s)"], span_rows
-            )
+            "Per-span time (self = minus direct children)\n"
+            + span_table(trace["spans"])
         )
     triage_rows = aggregate_triage(trace["metrics"])
     if triage_rows:

@@ -191,13 +191,9 @@ class PDFStream:
         return len(self.filters)
 
     def decoded_data(self) -> bytes:
-        from repro.obs import profile as profile_mod
         from repro.pdf import filters as _filters
 
-        with profile_mod.phase("decompress"):
-            data = _filters.decode_stream(self)
-        profile_mod.count("decompressed_bytes", len(data))
-        return data
+        return _filters.decode_stream(self)
 
     def set_decoded_data(self, data: bytes, filters: Optional[List[str]] = None) -> None:
         """Replace the payload, re-encoding through ``filters`` (if any)."""

@@ -31,7 +31,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import limits as limits_mod
 from repro.limits import ResourceLimitExceeded, ScanBudget, ScanLimits
-from repro.obs import profile as profile_mod
 from repro.pdf.lexer import Lexer, LexerError, TokenType
 from repro.pdf.objects import (
     IndirectObject,
@@ -234,16 +233,10 @@ class PDFParser:
     # -- public entry --------------------------------------------------
 
     def parse(self) -> ParsedPDF:
-        with profile_mod.phase("parse"):
-            return self._parse_profiled()
-
-    def _parse_profiled(self) -> ParsedPDF:
         if not self.data:
             raise PDFParseError("empty document")
         self._parse_header()
-        with profile_mod.phase("xref-resolve"):
-            offsets = self._collect_xref_offsets()
-        for offset in offsets:
+        for offset in self._collect_xref_offsets():
             self.budget.check_deadline()
             self._parse_object_at(offset)
         # Recovery scan: pick up objects the xref missed (or everything,
@@ -253,9 +246,7 @@ class PDFParser:
         # hides payloads from xref-faithful readers, so the flag is set
         # whenever recovery added something, not only when the xref was
         # completely dead.
-        with profile_mod.phase("recovery-scan"):
-            found = self._recovery_scan()
-        if found:
+        if self._recovery_scan():
             self.result.used_recovery_scan = True
         if not self.result.store.objects:
             raise PDFParseError("no indirect objects found")

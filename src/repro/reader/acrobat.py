@@ -23,11 +23,22 @@ and delayed-execution countermeasures depend on exactly that.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Protocol
 
 from repro.js.errors import JSThrow
 from repro.js.interpreter import Interpreter
-from repro.js.values import JSArray, JSObject, NativeFunction, UNDEFINED, to_number, to_string
+from repro.js.values import (
+    JSArray,
+    JSObject,
+    NativeFunction,
+    UNDEFINED,
+    format_number,
+    to_integer,
+    to_number,
+    to_string,
+    to_uint32,
+)
 
 
 class DocBinding(Protocol):
@@ -45,7 +56,7 @@ class DocBinding(Protocol):
 
     def set_timeout(self, code: str, milliseconds: float, interval: bool) -> int: ...
 
-    def clear_timeout(self, timer_id: int) -> None: ...
+    def clear_timeout(self, timer_id: float) -> None: ...
 
     def add_runtime_script(self, kind: str, name: str, code: str) -> None: ...
 
@@ -121,14 +132,14 @@ def _build_app_object(interp: Interpreter, binding: DocBinding) -> JSObject:
         "clearTimeOut",
         NativeFunction(
             "clearTimeOut",
-            lambda i, t, a: binding.clear_timeout(int(to_number(_arg(a, 0, 0.0)))),
+            lambda i, t, a: binding.clear_timeout(to_integer(_arg(a, 0, 0.0))),
         ),
     )
     app.set(
         "clearInterval",
         NativeFunction(
             "clearInterval",
-            lambda i, t, a: binding.clear_timeout(int(to_number(_arg(a, 0, 0.0)))),
+            lambda i, t, a: binding.clear_timeout(to_integer(_arg(a, 0, 0.0))),
         ),
     )
     # launchURL / mailMsg go through third-party applications (browser,
@@ -172,12 +183,14 @@ def _printf_format(fmt: str, args: List[Any]) -> str:
             conv = fmt[j]
             value = args[arg_index] if arg_index < len(args) else UNDEFINED
             arg_index += 1
-            if conv == "d":
-                out.append(str(int(to_number(value)) if to_number(value) == to_number(value) else 0))
+            if conv in "dx":
+                number = to_integer(value)
+                if math.isfinite(number):
+                    out.append(format(int(number), conv))
+                else:
+                    out.append(format_number(number))
             elif conv in "fe":
                 out.append(str(to_number(value)))
-            elif conv == "x":
-                out.append(format(int(to_number(value)), "x"))
             else:
                 out.append(to_string(value))
             i = j + 1
@@ -203,7 +216,7 @@ def _build_util_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     util.set(
         "byteToChar",
         NativeFunction(
-            "byteToChar", lambda i, t, a: chr(int(to_number(_arg(a, 0, 0.0))) & 0xFF)
+            "byteToChar", lambda i, t, a: chr(to_uint32(_arg(a, 0, 0.0)) & 0xFF)
         ),
     )
     return util
@@ -285,7 +298,7 @@ def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
         return UNDEFINED
 
     def _set_page_action(i: Interpreter, t: Any, a: List[Any]) -> Any:
-        page = int(to_number(_arg(a, 0, 0.0)))
+        page = format_number(to_integer(_arg(a, 0, 0.0)))
         trigger = to_string(_arg(a, 1, "Open"))
         code = to_string(_arg(a, 2, ""))
         binding.add_runtime_script(f"setPageAction:{page}:{trigger}", trigger, code)
@@ -320,8 +333,10 @@ def _build_doc_object(interp: Interpreter, binding: DocBinding) -> JSObject:
     def _export_data_object(i: Interpreter, t: Any, a: List[Any]) -> Any:
         params = _arg(a, 0)
         name = to_string(_option(params, "cName", _arg(a, 0, "attachment")))
-        launch = int(to_number(_option(params, "nLaunch", 0.0)))
-        binding.export_data_object(name, launch)
+        # ToInteger clamped to Acrobat's 0..2: NaN does not launch,
+        # +Infinity launches like any value >= 1.
+        launch = to_integer(_option(params, "nLaunch", 0.0))
+        binding.export_data_object(name, int(min(max(launch, 0.0), 2.0)))
         return UNDEFINED
 
     doc.set("exportDataObject", NativeFunction("exportDataObject", _export_data_object))

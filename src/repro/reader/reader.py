@@ -19,7 +19,6 @@ from repro import obs as obs_mod
 from repro.js.errors import JSError, ReaderCrash, ResourceLimitExceeded
 from repro.js.interpreter import Host, Interpreter
 from repro.js.values import JSArray, JSObject, UNDEFINED
-from repro.obs import profile as profile_mod
 from repro.pdf.document import PDFDocument
 from repro.pdf.objects import PDFStream, PDFString
 from repro.pdf.parser import PDFParseError
@@ -150,7 +149,7 @@ class DocumentHandle:
     def set_timeout(self, code: str, milliseconds: float, interval: bool) -> int:
         return self.reader.register_timer(self, code, milliseconds, interval)
 
-    def clear_timeout(self, timer_id: int) -> None:
+    def clear_timeout(self, timer_id: float) -> None:
         self.reader.cancel_timer(timer_id)
 
     def add_runtime_script(self, kind: str, name: str, code: str) -> None:
@@ -319,9 +318,6 @@ class Reader:
         from repro.js.vm import BytecodeInterpreter
 
         interpreter = BytecodeInterpreter(host=host, max_steps=self.max_js_steps)
-        active_profile = profile_mod.current()
-        if active_profile is not None:
-            interpreter.set_profile(active_profile.js)
         handle.interpreter = interpreter
         handle.doc_object = build_acrobat_environment(interpreter, handle)
 
@@ -357,20 +353,20 @@ class Reader:
         assert interpreter is not None
         start_steps = interpreter.steps
         handle.executed_scripts += 1
-        try:
-            with profile_mod.phase("js-exec"):
+        # One span per script: the paper's per-script runtime cost.
+        with self.obs.tracer.span("reader.script", label=label) as sp:
+            try:
                 interpreter.run(code, this=handle.doc_object)
-        except ReaderCrash:
-            raise
-        except ResourceLimitExceeded as exc:
-            handle.script_errors.append(f"{label}: {exc}")
-        except JSError as exc:
-            handle.script_errors.append(f"{label}: {exc}")
-        finally:
-            executed = interpreter.steps - start_steps
-            profile_mod.count("js_steps", executed)
-            profile_mod.count("scripts_executed")
-            self.clock.advance(JS_BASE_COST_S + JS_STEP_COST_S * executed)
+            except ReaderCrash:
+                raise
+            except ResourceLimitExceeded as exc:
+                handle.script_errors.append(f"{label}: {exc}")
+            except JSError as exc:
+                handle.script_errors.append(f"{label}: {exc}")
+            finally:
+                executed = interpreter.steps - start_steps
+                sp.set_tag("steps", executed)
+                self.clock.advance(JS_BASE_COST_S + JS_STEP_COST_S * executed)
 
     def _maybe_memory_optimize(self, new_handle: DocumentHandle) -> None:
         """Fig. 8's anomaly: one document triggered an internal memory
@@ -604,7 +600,7 @@ class Reader:
         )
         return timer_id
 
-    def cancel_timer(self, timer_id: int) -> None:
+    def cancel_timer(self, timer_id: float) -> None:
         for timer in self.timers:
             if timer.timer_id == timer_id:
                 timer.cancelled = True

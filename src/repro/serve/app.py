@@ -120,7 +120,7 @@ class ScanService:
             )
         self.max_pending_async = max_pending_async
         self.hang_grace = hang_grace
-        #: Slow-scan exemplars (full span trees + phase profiles) for
+        #: Slow-scan exemplars (full span trees) for
         #: ``GET /debug/slow``: fixed ``slow_threshold`` seconds, or the
         #: rolling p99 of recent scans when None.
         self.slow_scans = SlowScanBuffer(
@@ -293,8 +293,6 @@ class ScanService:
             }
             if outcome.spans:
                 detail["spans"] = outcome.spans
-            if outcome.report and outcome.report.get("profile"):
-                detail["profile"] = outcome.report["profile"]
             retained = self.slow_scans.observe(
                 name, outcome.seconds, digest=handle.digest, detail=detail
             )

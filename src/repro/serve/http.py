@@ -27,8 +27,7 @@ Endpoints
     instead (scrape-ready ``_bucket``/``_sum``/``_count`` histograms).
 ``GET /debug/slow``
     Slow-scan exemplars retained by the service's ring buffer (full
-    span trees + phase profiles for scans over the latency threshold
-    or rolling p99).
+    span trees for scans over the latency threshold or rolling p99).
 ``GET /jobs/<id>``
     Async job state / result.
 

@@ -1,11 +1,6 @@
-"""Batch-layer profiling: phase aggregation + worker trace parentage."""
-
-import json
-
-import pytest
+"""Batch-layer tracing: worker spans parent to the submitting batch.run."""
 
 from repro.batch import BatchScanner
-from repro.batch.report import VerdictSummary
 from repro.core.pipeline import PipelineSettings
 from repro.obs import MemorySink, Observability
 from repro.pdf.builder import DocumentBuilder
@@ -21,54 +16,6 @@ def _docs(count=3):
         builder.add_javascript(f"var v{index} = {index} + 1; v{index} * 3;")
         items.append((f"doc{index}.pdf", builder.to_bytes()))
     return items
-
-
-class TestBatchPhaseAggregation:
-    def test_profiled_batch_carries_phases(self):
-        scanner = BatchScanner(
-            jobs=2,
-            backend="thread",
-            settings=PipelineSettings(seed=SEED, profile=True),
-            cache=False,
-        )
-        report = scanner.scan_items(_docs())
-
-        for item in report.items:
-            assert item.status == "ok"
-            assert item.verdict.phases is not None
-            phases = item.verdict.phase_seconds()
-            assert phases["js-exec"] > 0.0
-        totals = report.phase_totals()
-        assert totals
-        assert totals["js-exec"] == pytest.approx(
-            sum(item.verdict.phase_seconds()["js-exec"] for item in report.items)
-        )
-        assert "phases" in report.summary()
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["phase_totals"]["js-exec"] > 0.0
-        assert payload["items"][0]["verdict"]["phases"]["parse"] >= 0.0
-
-    def test_unprofiled_batch_has_no_phases(self):
-        scanner = BatchScanner(
-            jobs=2,
-            backend="thread",
-            settings=PipelineSettings(seed=SEED),
-            cache=False,
-        )
-        report = scanner.scan_items(_docs())
-        assert all(item.verdict.phases is None for item in report.items)
-        assert report.phase_totals() == {}
-        assert "phases" not in report.summary()
-
-    def test_summary_with_phases_stays_hashable_and_round_trips(self):
-        summary = VerdictSummary(
-            malicious=False,
-            malscore=0.0,
-            phases=(("js-exec", 0.25), ("parse", 0.5)),
-        )
-        hash(summary)  # frozen dataclass must stay usable as a dict key
-        restored = VerdictSummary.from_dict(summary.to_dict())
-        assert restored.phase_seconds() == {"js-exec": 0.25, "parse": 0.5}
 
 
 class TestWorkerTraceParentage:

@@ -130,3 +130,52 @@ def test_number_conversions_scan(triage, script):
     assert isinstance(report, OpenReport)
     assert not report.errored
     assert not report.verdict.malicious
+
+
+@pytest.mark.parametrize("triage", [False, True], ids=["full", "triage"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "var x = Math.floor(1/0);",
+        "try { var x = Math.round(NaN); } catch (e) {}",
+        "var x = 'abc'.substr(NaN);",
+        "var x = String.fromCharCode(NaN);",
+        "var x = new Array(NaN);",
+        "var x = [1, 2, 3].slice(Infinity);",
+        "var x = (255).toString(Infinity);",
+        "var x = (1).toFixed(-1);",
+        "var x = Math.pow(10, 400);",
+        "var x = Math.pow(-8, 1/3);",
+        "var a = [1, 2]; a.length = NaN;",
+        "var a = [1, 2]; a.length = Infinity;",
+        "var a = [1, 2]; a.length = 'x';",
+        "app.clearTimeOut(NaN);",
+        "util.printf('%d', Infinity);",
+        "var x = util.byteToChar(NaN);",
+    ],
+)
+def test_nan_and_infinity_integer_arguments_scan(triage, script):
+    """NaN and ±Infinity where a builtin takes an integer give ES5's
+    value or a catchable RangeError.  Each of these raised OverflowError,
+    ValueError or TypeError out of the full path's scan."""
+    report = PipelineSettings(triage=triage).build().scan(_js_document(script), "doc.pdf")
+    assert isinstance(report, OpenReport)
+    assert not report.errored
+    assert not report.verdict.malicious
+
+
+@pytest.mark.parametrize("triage", [False, True], ids=["full", "triage"])
+@pytest.mark.parametrize("launch, launches", [("1e400", True), ("2", True), ("0/0", False)])
+def test_export_launch_takes_to_integer(triage, launch, launches):
+    """``nLaunch`` is ToInteger clamped to 0..2: +Infinity launches like
+    2, NaN never does (the drop alone is malicious).  ``1e400`` raised
+    OverflowError on both paths, and the proof tier lost its proof to
+    ``absint-error``."""
+    script = f"this.exportDataObject({{cName: 'a.exe', nLaunch: {launch}}});"
+    report = PipelineSettings(triage=triage).build().scan(_js_document(script), "doc.pdf")
+    assert not report.errored
+    assert report.verdict.malicious
+    assert ("process creation (in-JS)" in report.verdict.reasons) is launches
+    proofs = [finding.rule for finding in report.js_analysis.proof_findings()]
+    assert proofs == (["absint-export-launch"] if launches else [])
+    assert report.triaged is (triage and launches)

@@ -244,3 +244,112 @@ class TestNumberConversions:
             assert math.isnan(value)
         else:
             assert value == expected
+
+
+RANGE_ERROR = "RangeError"
+
+
+def _run_both(source):
+    """``source`` on the walker and on the VM: a value, or the kind of
+    the JS error it raised."""
+    from repro.js.errors import JSRuntimeError
+    from repro.js.interpreter import Interpreter
+    from repro.js.values import JSArray
+    from repro.js.vm import BytecodeInterpreter
+
+    outcomes = []
+    for engine in (Interpreter, BytecodeInterpreter):
+        try:
+            value = engine().run(source)
+        except JSRuntimeError as error:
+            outcomes.append(error.kind)
+            continue
+        outcomes.append(value.elements if isinstance(value, JSArray) else value)
+    return outcomes
+
+
+class TestIntegerArguments:
+    """ES5 ToInteger (§9.4) and its clamping in every builtin that takes
+    an integer: NaN and ±Infinity give ES5's value or a RangeError on
+    both engines.  Each row raised a bare Python exception, or gave a
+    non-ES5 result, before."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("Math.floor(1/0)", INF),
+            ("Math.ceil(-1/0)", -INF),
+            ("Math.floor(NaN)", NAN),
+            ("Math.round(NaN)", NAN),
+            ("Math.round(-Infinity)", -INF),
+            ("Math.round(2.5)", 3.0),
+            ("Math.pow(10, 400)", INF),
+            ("Math.pow(-10, 401)", -INF),
+            ("Math.pow(-8, 1/3)", NAN),
+            ("Math.pow(0, -1)", INF),
+            ("Math.pow(-0, -3)", -INF),
+            ("Math.pow(1, Infinity)", NAN),
+            ("Math.pow(NaN, 0)", 1.0),
+            ("Math.pow(2, 10)", 1024.0),
+            ("Math.exp(1000)", INF),
+            ("Math.sin(Infinity)", NAN),
+            ("Math.cos(-Infinity)", NAN),
+            ("Math.max(1, NaN)", NAN),
+            ("Math.min(NaN, 1)", NAN),
+            ("Math.max()", -INF),
+            ("Math.min(3, 1, 2)", 1.0),
+            ("'abc'.substr(NaN)", "abc"),
+            ("'abc'.substr(1, Infinity)", "bc"),
+            ("'abcdef'.substr(-3, 2)", "de"),
+            ("'abc'.substring(NaN, Infinity)", "abc"),
+            ("'abc'.substring(1, NaN)", "a"),
+            ("'abc'.slice(-Infinity, Infinity)", "abc"),
+            ("'abc'.charAt(Infinity)", ""),
+            ("'abc'.charAt(NaN)", "a"),
+            ("'abc'.charCodeAt(Infinity)", NAN),
+            ("'abc'.charCodeAt(NaN)", 97.0),
+            ("'abc'.charCodeAt(-0.5)", 97.0),
+            ("'abc'.charCodeAt(2.5)", 99.0),
+            ("'abc'.indexOf('c', -Infinity)", 2.0),
+            ("'abc'.indexOf('a', Infinity)", -1.0),
+            ("'abc'.indexOf('', Infinity)", 3.0),
+            ("String.fromCharCode(NaN)", "\x00"),
+            ("String.fromCharCode(65601)", "A"),
+            ("String.fromCharCode(-65471.5)", "A"),
+            ("String.fromCharCode(Infinity, 66)", "\x00B"),
+            ("[1, 2, 3].slice(Infinity)", []),
+            ("[1, 2, 3].slice(NaN, -1)", [1.0, 2.0]),
+            ("[1, 2, 3].splice(NaN, Infinity)", [1.0, 2.0, 3.0]),
+            ("[1, 2, 3].splice(-Infinity, NaN)", []),
+            ("[1, 2, 3].splice(1)", [2.0, 3.0]),
+            ("(255).toString(16)", "ff"),
+            ("(255).toString(16.9)", "ff"),
+            ("(255).toString(Infinity)", RANGE_ERROR),
+            ("(255).toString(NaN)", RANGE_ERROR),
+            ("(255).toString(37)", RANGE_ERROR),
+            ("(1).toFixed(-1)", RANGE_ERROR),
+            ("(1).toFixed(21)", RANGE_ERROR),
+            ("(1).toFixed(Infinity)", RANGE_ERROR),
+            ("(1.005).toFixed(NaN)", "1"),
+            ("(NaN).toFixed(2)", "NaN"),
+            ("new Array(NaN)", RANGE_ERROR),
+            ("new Array(Infinity)", RANGE_ERROR),
+            ("new Array(-1)", RANGE_ERROR),
+            ("new Array(2.5)", RANGE_ERROR),
+            ("new Array(2).length", 2.0),
+            ("var a = [1, 2]; a.length = NaN", RANGE_ERROR),
+            ("var a = [1, 2]; a.length = Infinity", RANGE_ERROR),
+            ("var a = [1, 2]; a.length = 'x'", RANGE_ERROR),
+            ("var a = [1, 2]; a.length = -1", RANGE_ERROR),
+            ("var a = [1, 2]; a.length = 1.5", RANGE_ERROR),
+            ("var a = [1, 2]; a.length = '1'; a", [1.0]),
+            ("try { new Array(-1); 1 } catch (e) { e.name }", RANGE_ERROR),
+            ("try { Math.round(NaN); 1 } catch (e) { 2 }", 1.0),
+        ],
+    )
+    def test_both_engines_give_the_es5_result(self, source, expected):
+        walker, vm = _run_both(source)
+        if isinstance(expected, float) and math.isnan(expected):
+            assert math.isnan(walker) and math.isnan(vm)
+        else:
+            assert walker == vm == expected

@@ -131,6 +131,15 @@ LANGUAGE_CASES = [
     ),
     "[parseInt('12', 37), parseInt('12', NaN), parseInt('0x' + new Array(300).join('f')),"
     " parseFloat('1\u00b2'), 0x" + "f" * 300 + "].join(',')",
+    # ES5 ToInteger: NaN and Infinity in integer arguments
+    (
+        "[Math.floor(1/0), Math.round(NaN), Math.pow(10, 400), Math.max(1, NaN),"
+        " 'abc'.substr(NaN), 'abc'.substring(1, NaN), 'abc'.charCodeAt(Infinity),"
+        " [1, 2, 3].slice(Infinity).length, String.fromCharCode(NaN).length].join(',')"
+    ),
+    "var r = []; var a = [1, 2]; for (var i = 0; i < 3; i++) { try { a.length = [NaN, -1, 1][i]; r.push(a.length); } catch (e) { r.push(e.name); } } r.join(',')",
+    "try { new Array(2.5); } catch (e) { 'caught:' + e.name }",
+    "try { (1).toFixed(-1); } catch (e) { 'caught:' + e.name }",
     "var o = {n: 1}; o.n++; ++o.n; o.n",
     "var o = {}; o.x = 1; delete o.x; o.x === undefined",
     "for (var k in {a: 1, b: 2}) { var last = k; } last",

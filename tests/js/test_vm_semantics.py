@@ -103,8 +103,8 @@ def test_parse_errors_are_not_cached() -> None:
 
 
 # ---------------------------------------------------------------------------
-# A CompiledFunction is a real JSFunction: the walker (the VM's profiling
-# fallback and differential oracle) can call it.
+# A CompiledFunction is a real JSFunction: the walker (the differential
+# oracle) can call it.
 
 
 def test_vm_function_callable_from_walker() -> None:
@@ -114,23 +114,6 @@ def test_vm_function_callable_from_walker() -> None:
     walker = Interpreter(host=compiled.host)
     walker.global_env = compiled.global_env
     assert walker.call_function(fn, walker.global_this, [41.0]) == 42.0
-
-
-# ---------------------------------------------------------------------------
-# Profiler fallback: JSProfile needs per-AST-node attribution, so an
-# attached profile routes execution through the inherited walker.
-
-
-def test_profile_attaches_via_walker_path() -> None:
-    from repro.obs.profile import ScanProfile
-
-    profile = ScanProfile().start()
-    interp = BytecodeInterpreter()
-    interp.set_profile(profile.js)
-    assert interp.run("var p = 0; for (var i = 0; i < 3; i++) p += i; p") == 3.0
-    profile.finish()
-    # The walker path must have attributed at least one node kind.
-    assert profile.js.node_stats
 
 
 # ---------------------------------------------------------------------------

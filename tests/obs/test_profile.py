@@ -1,191 +1,221 @@
-"""Scan-phase profiler + JS hotspot attribution (repro.obs.profile)."""
+"""Where a scan's time went: the span self-time roll-up
+(:func:`repro.obs.report.span_self_times`), ``repro profile`` and the
+slow-scan exemplar buffer (:class:`repro.obs.profile.SlowScanBuffer`)."""
 
 import json
+import threading
 
 import pytest
 
+from repro.cli import main
 from repro.core.pipeline import ProtectionPipeline
-from repro.obs import profile as profile_mod
-from repro.obs.profile import PHASES, JSProfile, ScanProfile, SlowScanBuffer
+from repro.js.interpreter import Interpreter
+from repro.js.vm import BytecodeInterpreter
+from repro.obs import Observability, get_default
+from repro.obs.profile import SlowScanBuffer
+from repro.obs.report import span_self_times
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-# -- ScanProfile -----------------------------------------------------------
+def _span(span_id, name, start, end, parent_id=None):
+    return {
+        "name": name,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "start": start,
+        "end": end,
+        "duration": end - start,
+        "tags": {},
+    }
 
 
-class TestScanProfile:
-    def test_phase_stack_attribution(self):
-        clock = FakeClock()
-        profile = ScanProfile(clock=clock).start()
-        clock.advance(1.0)  # "other" before any phase
-        profile.push("parse")
-        clock.advance(2.0)
-        profile.pop()
-        clock.advance(0.5)  # back to "other"
-        profile.finish()
-        assert profile.phase_self_seconds["parse"] == pytest.approx(2.0)
-        assert profile.phase_self_seconds["other"] == pytest.approx(1.5)
-        assert profile.total_seconds == pytest.approx(3.5)
+def _rows(spans):
+    return {row["span"]: row for row in span_self_times(spans)}
 
-    def test_nested_phases_accrue_self_time(self):
-        clock = FakeClock()
-        profile = ScanProfile(clock=clock).start()
-        with profile.phase("parse"):
-            clock.advance(1.0)
-            with profile.phase("decompress"):
-                clock.advance(3.0)
-            clock.advance(1.0)
-        profile.finish()
-        # Each phase keeps its *self* time, not inclusive time.
-        assert profile.phase_self_seconds["parse"] == pytest.approx(2.0)
-        assert profile.phase_self_seconds["decompress"] == pytest.approx(3.0)
 
-    def test_phases_sum_exactly_to_total(self):
-        clock = FakeClock()
-        profile = ScanProfile(clock=clock).start()
-        for name in ("parse", "jsast", "js-exec"):
-            with profile.phase(name):
-                clock.advance(0.7)
-            clock.advance(0.1)
-        profile.finish()
-        assert sum(profile.phase_self_seconds.values()) == pytest.approx(
-            profile.total_seconds
+# -- the self-time roll-up ---------------------------------------------------
+
+
+class TestSpanSelfTimes:
+    def test_self_time_excludes_direct_children_only(self):
+        spans = [
+            _span(2, "parse", 1.0, 3.0, parent_id=1),
+            _span(4, "decode", 4.0, 4.5, parent_id=3),
+            _span(3, "script", 3.5, 6.5, parent_id=1),
+            _span(1, "scan", 0.0, 10.0),
+        ]
+        rows = _rows(spans)
+        assert rows["scan"]["self_seconds"] == pytest.approx(5.0)
+        assert rows["script"]["self_seconds"] == pytest.approx(2.5)
+        assert rows["decode"]["self_seconds"] == pytest.approx(0.5)
+        assert rows["scan"]["total_seconds"] == pytest.approx(10.0)
+        # One thread: the self times of the tree add up to its root.
+        total_self = sum(row["self_seconds"] for row in rows.values())
+        assert total_self == pytest.approx(10.0)
+        # Busiest self time first.
+        assert [row["span"] for row in span_self_times(spans)] == [
+            "scan", "script", "parse", "decode",
+        ]
+
+    def test_rows_aggregate_spans_of_one_name(self):
+        spans = [
+            _span(1, "scan", 0.0, 1.0),
+            _span(2, "script", 0.0, 0.25, parent_id=1),
+            _span(3, "script", 0.5, 1.0, parent_id=1),
+        ]
+        script = _rows(spans)["script"]
+        assert script["count"] == 2
+        assert script["total_seconds"] == pytest.approx(0.75)
+        assert script["max_seconds"] == pytest.approx(0.5)
+
+    def test_concurrent_children_floor_self_time_at_zero(self):
+        spans = [
+            _span(1, "batch.run", 0.0, 1.0),
+            _span(2, "batch.document", 0.0, 0.9, parent_id=1),
+            _span(3, "batch.document", 0.1, 1.0, parent_id=1),
+        ]
+        assert _rows(spans)["batch.run"]["self_seconds"] == 0.0
+
+
+# -- production scans ----------------------------------------------------------
+
+
+def test_concurrent_scans_collect_only_their_own_tree(js_doc_bytes):
+    """Two threads share one tracer; each collects its own scan tree."""
+    obs = Observability()
+    barrier = threading.Barrier(2)
+    collected = {}
+
+    def scan(name):
+        pipeline = ProtectionPipeline(seed=7, obs=obs)
+        barrier.wait()
+        with obs.tracer.collect() as spans:
+            pipeline.scan(js_doc_bytes, name)
+        collected[name] = spans
+
+    threads = [
+        threading.Thread(target=scan, args=(f"doc{index}.pdf",))
+        for index in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+    for name, spans in collected.items():
+        (root,) = [span for span in spans if span["name"] == "pipeline.scan"]
+        assert root["tags"]["document"] == name
+        ids = {span["span_id"] for span in spans}
+        for span in spans:
+            assert span is root or span["parent_id"] in ids, span["name"]
+        rows = span_self_times(spans)
+        assert sum(row["self_seconds"] for row in rows) == pytest.approx(
+            root["duration"], abs=1e-9
         )
-
-    def test_phase_seconds_zero_fills_canonical_phases(self):
-        profile = ScanProfile(clock=FakeClock()).start()
-        profile.finish()
-        phases = profile.phase_seconds()
-        assert set(PHASES) <= set(phases)
-        assert all(value >= 0.0 for value in phases.values())
-
-    def test_counters(self):
-        profile = ScanProfile(clock=FakeClock())
-        profile.count("js_steps", 10)
-        profile.count("js_steps", 5)
-        profile.count("scripts_executed")
-        assert profile.counters == {"js_steps": 15, "scripts_executed": 1}
-
-    def test_to_dict_is_json_serialisable(self):
-        clock = FakeClock()
-        profile = ScanProfile(clock=clock).start()
-        with profile.phase("parse"):
-            clock.advance(1.0)
-        profile.count("decompressed_bytes", 42)
-        profile.finish()
-        payload = json.loads(json.dumps(profile.to_dict()))
-        assert payload["total_seconds"] == pytest.approx(1.0)
-        assert payload["phases"]["parse"] == pytest.approx(1.0)
-        assert payload["counters"] == {"decompressed_bytes": 42}
-        assert "hotspots" in payload["js"]
+        assert any(row["span"] == "reader.script" for row in rows)
 
 
-class TestAmbientScope:
-    def test_inactive_by_default(self):
-        assert profile_mod.current() is None
-        with profile_mod.phase("parse") as active:
-            assert active is None  # no-op, no crash
-        profile_mod.count("x")  # no-op
+@pytest.fixture()
+def interpreters(monkeypatch):
+    """Every BytecodeInterpreter built while the test runs."""
+    built = []
+    init = BytecodeInterpreter.__init__
 
-    def test_activate_scopes_the_profile(self):
-        profile = ScanProfile(clock=FakeClock()).start()
-        with profile_mod.activate(profile):
-            assert profile_mod.current() is profile
-            profile_mod.count("hits")
-        assert profile_mod.current() is None
-        assert profile.counters == {"hits": 1}
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    def test_module_phase_marks_active_profile(self):
-        clock = FakeClock()
-        profile = ScanProfile(clock=clock).start()
-        with profile_mod.activate(profile):
-            with profile_mod.phase("monitor"):
-                clock.advance(2.0)
-        profile.finish()
-        assert profile.phase_self_seconds["monitor"] == pytest.approx(2.0)
+    monkeypatch.setattr(BytecodeInterpreter, "__init__", recording_init)
+    return built
 
 
-# -- JSProfile -------------------------------------------------------------
+def test_profile_rows_sum_to_the_scan_on_the_golden_corpus(
+    tmp_path, interpreters, capsys
+):
+    from repro.corpus import build_dataset, dataset_items
+    from tests.batch.golden import GOLDEN_CONFIG
+
+    out = tmp_path / "rows.json"
+    scripts = 0
+    for name, data in dataset_items(build_dataset(GOLDEN_CONFIG)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        interpreters.clear()
+        with get_default().tracer.collect() as spans:
+            main(["profile", str(path), "--json", str(out)])
+        rows = {row["span"]: row for row in json.loads(out.read_text())}
+        total_self = sum(row["self_seconds"] for row in rows.values())
+        assert rows["pipeline.scan"]["count"] == 1, name
+        assert total_self == pytest.approx(
+            rows["pipeline.scan"]["total_seconds"], abs=1e-9
+        ), name
+        steps = [
+            span["tags"]["steps"]
+            for span in spans
+            if span["name"] == "reader.script"
+        ]
+        assert sum(steps) == sum(i.steps for i in interpreters), name
+        assert len(steps) == rows.get("reader.script", {}).get("count", 0)
+        scripts += len(steps)
+    capsys.readouterr()
+    assert scripts, "no golden document ran a script"
 
 
-class TestJSProfile:
-    def test_dispatch_self_time_excludes_children(self):
-        clock = FakeClock()
-        profile = JSProfile(clock=clock)
+# -- no production scan runs the tree-walker -------------------------------------
 
-        def leaf(node, env, this):
-            clock.advance(1.0)
 
-        def parent(node, env, this):
-            clock.advance(0.5)
-            profile.dispatch("Leaf", leaf, None, None, None)
-            clock.advance(0.5)
+@pytest.fixture()
+def walker_calls(monkeypatch):
+    """Make the walker's dispatch raise, and record every attempt."""
+    calls = []
 
-        profile.dispatch("Parent", parent, None, None, None)
-        assert profile.node_self_seconds["Parent"] == pytest.approx(1.0)
-        assert profile.node_self_seconds["Leaf"] == pytest.approx(1.0)
-        assert profile.node_hits == {"Parent": 1, "Leaf": 1}
+    def refuse(kind):
+        def dispatch(self, node, env, this):
+            calls.append((kind, type(node).__name__))
+            raise AssertionError(f"walker {kind} dispatched {type(node).__name__}")
 
-    def test_hotspots_ranked_by_self_time(self):
-        clock = FakeClock()
-        profile = JSProfile(clock=clock)
+        return dispatch
 
-        def make(seconds):
-            def method(node, env, this):
-                clock.advance(seconds)
+    monkeypatch.setattr(Interpreter, "exec_statement", refuse("exec_statement"))
+    monkeypatch.setattr(Interpreter, "eval_expression", refuse("eval_expression"))
+    return calls
 
-            return method
 
-        profile.dispatch("Cheap", make(0.1), None, None, None)
-        profile.dispatch("Costly", make(5.0), None, None, None)
-        profile.dispatch("Middling", make(1.0), None, None, None)
-        ranked = [row["node"] for row in profile.hotspots(2)]
-        assert ranked == ["Costly", "Middling"]
+def _golden():
+    from repro.corpus import build_dataset, dataset_items
+    from tests.batch.golden import GOLDEN_CONFIG
 
-    def test_call_sites_and_collapsed_lines(self):
-        clock = FakeClock()
-        profile = JSProfile(clock=clock)
-        start = profile.enter_call("outer")
-        clock.advance(1.0)
-        inner = profile.enter_call("inner")
-        clock.advance(2.0)
-        profile.exit_call("inner", inner)
-        profile.exit_call("outer", start)
+    return list(dataset_items(build_dataset(GOLDEN_CONFIG)))
 
-        sites = {row["function"]: row for row in profile.call_sites()}
-        assert sites["outer"]["seconds"] == pytest.approx(3.0)
-        assert sites["outer"]["self_seconds"] == pytest.approx(1.0)
-        assert sites["inner"]["self_seconds"] == pytest.approx(2.0)
 
-        lines = profile.collapsed_lines()
-        assert "(root);outer 1000000" in lines
-        assert "(root);outer;inner 2000000" in lines
+def _obfuscated():
+    from repro.corpus.obfuscated import obfuscated_corpus
 
-    def test_merge_accumulates(self):
-        clock = FakeClock()
-        a, b = JSProfile(clock=clock), JSProfile(clock=clock)
+    return list(obfuscated_corpus(6, 6))
 
-        def method(node, env, this):
-            clock.advance(1.0)
 
-        a.dispatch("Node", method, None, None, None)
-        b.dispatch("Node", method, None, None, None)
-        b.dispatch("Other", method, None, None, None)
-        a.merge(b)
-        assert a.node_hits == {"Node": 2, "Other": 1}
-        assert a.node_self_seconds["Node"] == pytest.approx(2.0)
-        # b is untouched.
-        assert b.node_hits == {"Node": 1, "Other": 1}
+def _table_x_js():
+    from repro.corpus.sized import table_x_js_documents
+
+    return table_x_js_documents()
+
+
+@pytest.mark.parametrize(
+    "corpus", [_golden, _obfuscated, _table_x_js], ids=lambda fn: fn.__name__[1:]
+)
+def test_scans_never_dispatch_through_the_walker(corpus, walker_calls):
+    for name, data in corpus():
+        ProtectionPipeline().scan(data, name)
+    assert walker_calls == []
+
+
+def test_repro_profile_never_dispatches_through_the_walker(
+    tmp_path, malicious_doc_bytes, walker_calls, capsys
+):
+    path = tmp_path / "mal.pdf"
+    path.write_bytes(malicious_doc_bytes)
+    assert main(["profile", str(path)]) == 1
+    assert "reader.script" in capsys.readouterr().out
+    assert walker_calls == []
 
 
 # -- SlowScanBuffer --------------------------------------------------------
@@ -233,63 +263,3 @@ class TestSlowScanBuffer:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             SlowScanBuffer(capacity=0)
-
-
-# -- pipeline integration --------------------------------------------------
-
-
-class TestPipelineProfiling:
-    def test_profiled_scan_attaches_profile(self, js_doc_bytes):
-        pipeline = ProtectionPipeline(seed=7, profile=True)
-        report = pipeline.scan(js_doc_bytes, "with-js.pdf")
-        profile = report.profile
-        assert profile is not None and profile.finished
-        phases = profile.phase_seconds()
-        # Acceptance bound: phase durations sum to within 5% of the
-        # total (the stack construction makes them equal exactly).
-        assert sum(phases.values()) == pytest.approx(
-            profile.total_seconds, rel=0.05
-        )
-        # The phases a JS-bearing scan must traverse all saw time.
-        for name in ("parse", "jsast", "instrument", "js-exec"):
-            assert phases[name] > 0.0, name
-        assert profile.counters.get("scripts_executed", 0) >= 1
-        assert profile.counters.get("js_steps", 0) > 0
-        assert profile.js.hotspots(5)  # eval loop attributed node time
-
-    def test_profile_is_in_report_dict(self, js_doc_bytes):
-        pipeline = ProtectionPipeline(seed=7, profile=True)
-        report = pipeline.scan(js_doc_bytes, "with-js.pdf")
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["profile"]["total_seconds"] > 0.0
-        assert "js-exec" in payload["profile"]["phases"]
-
-    def test_unprofiled_scan_has_no_profile(self, js_doc_bytes):
-        pipeline = ProtectionPipeline(seed=7)
-        report = pipeline.scan(js_doc_bytes, "with-js.pdf")
-        assert report.profile is None
-        assert report.to_dict()["profile"] is None
-
-    def test_concurrent_scans_do_not_share_profiles(self, js_doc_bytes):
-        import threading
-
-        pipeline = ProtectionPipeline(seed=7, profile=True)
-        reports = [None] * 4
-
-        def scan(index):
-            reports[index] = pipeline.scan(js_doc_bytes, f"doc{index}.pdf")
-
-        threads = [
-            threading.Thread(target=scan, args=(i,)) for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        profiles = [report.profile for report in reports]
-        assert all(profile is not None for profile in profiles)
-        assert len({id(profile) for profile in profiles}) == 4
-        for profile in profiles:
-            assert sum(profile.phase_seconds().values()) == pytest.approx(
-                profile.total_seconds, rel=0.05
-            )

@@ -5,9 +5,10 @@ before the front-end rework: a ``@dataclass`` token carrying a ``raw``
 byte slice, per-byte ``in bytes`` membership tests and ``chr()`` calls.
 It exists so the fast lexer in :mod:`repro.pdf.lexer` can be proven
 equivalent — the hypothesis property in
-``tests/property/test_pdf_properties.py`` and the tokenizer benchmark
-in ``benchmarks/bench_pdf_frontend.py`` compare the two token streams
-token for token on valid corpora.
+``tests/property/test_pdf_properties.py`` compares the two token
+streams token for token on valid corpora, and
+``tests/pdf/test_parser_oracle.py`` parses with it as the old front
+end.
 
 Do not use this from production code paths; it is intentionally slow.
 The only divergences from the fast lexer are the documented tolerance

@@ -5,10 +5,9 @@ were read through one token regex: every token, regular or not, is a
 :class:`~repro.pdf.lexer.Token` pulled from :meth:`Lexer.next_token`.
 It exists only as an oracle.  ``tests/pdf/test_parser_oracle.py``
 compares the production parser with it on stores, trailer, header,
-recovery flag, warnings and errors, and
-``benchmarks/bench_pdf_frontend.py`` subclasses it (with the frozen
+recovery flag, warnings and errors, and subclasses it (with the frozen
 reference lexer and a whole-buffer recovery scan) to build the old
-front end it measures against.
+front end whose re-serialised stores it compares.
 
 Do not use this from production code paths, and do not edit it to
 follow a change in the production parser: a deliberate behaviour
@@ -23,7 +22,6 @@ from typing import List, Optional, Tuple
 
 from repro import limits as limits_mod
 from repro.limits import ResourceLimitExceeded, ScanBudget, ScanLimits
-from repro.obs import profile as profile_mod
 from repro.pdf.lexer import Lexer, LexerError, Token, TokenType
 from repro.pdf.objects import (
     IndirectObject,
@@ -148,15 +146,13 @@ class PDFParser:
     # -- public entry --------------------------------------------------
 
     def parse(self) -> ParsedPDF:
-        with profile_mod.phase("parse"):
-            return self._parse_profiled()
+        return self._parse_profiled()
 
     def _parse_profiled(self) -> ParsedPDF:
         if not self.data:
             raise PDFParseError("empty document")
         self._parse_header()
-        with profile_mod.phase("xref-resolve"):
-            offsets = self._collect_xref_offsets()
+        offsets = self._collect_xref_offsets()
         for offset in offsets:
             self.budget.check_deadline()
             self._parse_object_at(offset)
@@ -167,8 +163,7 @@ class PDFParser:
         # hides payloads from xref-faithful readers, so the flag is set
         # whenever recovery added something, not only when the xref was
         # completely dead.
-        with profile_mod.phase("recovery-scan"):
-            found = self._recovery_scan()
+        found = self._recovery_scan()
         if found:
             self.result.used_recovery_scan = True
         if not self.result.store.objects:

@@ -157,6 +157,23 @@ class TestCascadeMaterialisation:
             out = filters.decode(name, out)
         assert out == data
 
+    @pytest.mark.diff
+    def test_large_cascade_chained_equals_per_layer(self):
+        """A 360 KB payload through Flate -> ASCIIHex -> RunLength: the
+        chained bytearray decode, one ``bytes`` per layer and the
+        payload itself all agree."""
+        from repro.pdf.objects import PDFArray, PDFDict, PDFName, PDFStream
+
+        names = ["FlateDecode", "ASCIIHexDecode", "RunLengthDecode"]
+        payload = b"the quick brown fox jumps over the lazy dog " * 512 * 16
+        dictionary = PDFDict()
+        dictionary[PDFName("Filter")] = PDFArray([PDFName(n) for n in names])
+        stream = PDFStream(dictionary, filters.encode_cascade(payload, names))
+        per_layer = stream.raw_data
+        for name in names:
+            per_layer = filters.decode(name, per_layer)
+        assert filters.decode_stream(stream) == per_layer == payload
+
     def test_raw_decoders_accept_bytearray(self):
         # Cascades hand bytearrays between layers; every decoder must
         # accept them.

@@ -5,7 +5,10 @@ before values were read through one token regex.  Every test here
 parses the same bytes with both and requires the same outcome: the
 store (value types, raw name spellings, string ``hex_form``, stream
 bytes, insertion order), the trailer, the header, the recovery flag,
-every warning in order, or the same exception type and message.
+every warning in order, or the same exception type and message.  The
+old front end (the oracle with the reference lexer and a whole-buffer
+recovery scan) must re-serialise the golden corpus and the Table X
+tiers to the same bytes.
 
 Run with ``pytest -m diff``.
 """
@@ -30,8 +33,10 @@ from repro.pdf.objects import (
     PDFString,
 )
 from repro.pdf.parser import PDFParser
+from repro.pdf.writer import write_pdf
 from tests.data import malformed
 from tests.pdf import parser_reference
+from tests.pdf.lexer_reference import ReferenceLexer
 
 pytestmark = pytest.mark.diff
 
@@ -244,6 +249,28 @@ def test_corpus_parses_identically(corpus):
         name for name, data in documents
         if outcome(PDFParser, data) != outcome(parser_reference.PDFParser, data)
     ]
+    assert not mismatched
+
+
+class OldFrontEndParser(parser_reference.PDFParser):
+    """The front end before its rework: the frozen token-at-a-time
+    parser with the reference lexer and a whole-buffer recovery scan."""
+
+    lexer_cls = ReferenceLexer
+    recovery_skips_covered = False
+
+
+@pytest.mark.parametrize("corpus", ["golden", "table_x"])
+def test_old_front_end_stores_reserialise_identically(corpus):
+    """Each document re-serialises to the same bytes through both front
+    ends (the Table X tiers are padding-dominated)."""
+    documents = CORPORA[corpus]()
+    assert documents
+    mismatched = []
+    for name, data in documents:
+        new, old = PDFParser(data).parse(), OldFrontEndParser(data).parse()
+        if write_pdf(new.store, new.trailer) != write_pdf(old.store, old.trailer):
+            mismatched.append(name)
     assert not mismatched
 
 

@@ -64,6 +64,9 @@ class TestBatch:
         # Without --limits the cache is keyed exactly as default settings.
         stored = json.loads(cache.read_text())["fingerprint"]
         assert stored == _settings_fingerprint(PipelineSettings())
+        assert [part.split(":")[0] for part in stored.split("|")[4:]] == [
+            "jsast", "triage", "absint", "limits",
+        ]
         main(["batch", str(corpus_dir), "--jobs", "1", "--backend", "thread",
               "--cache", str(cache)])
         out = capsys.readouterr().out
@@ -116,6 +119,24 @@ def test_bad_pool_option_is_a_usage_error(argv, benign_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "{pdf}", "--profile"],
+        ["profile", "{pdf}", "--top", "3"],
+        ["profile", "{pdf}", "--collapsed", "out.txt"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("{pdf} ", ""),
+)
+def test_removed_profiler_flag_is_a_usage_error(argv, benign_file, capsys):
+    """The phase profiler's flags are gone: argparse exits 2."""
+    argv = [str(benign_file) if arg == "{pdf}" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestScan:
@@ -292,49 +313,53 @@ class TestScanTriage:
 
 
 class TestProfile:
-    def test_profile_prints_phase_and_hotspot_tables(self, benign_file, capsys):
+    def test_profile_prints_verdict_and_span_table(self, benign_file, capsys):
         code = main(["profile", str(benign_file)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "total" in out and "across phases" in out
-        assert "js-exec" in out
-        assert "AST node hotspots" in out
-        assert "call-sites" in out
-
-    def test_profile_collapsed_output(self, benign_file, tmp_path, capsys):
-        collapsed = tmp_path / "collapsed.txt"
-        main(["profile", str(benign_file), "--collapsed", str(collapsed)])
-        capsys.readouterr()
-        lines = collapsed.read_text().splitlines()
-        assert lines, "no collapsed stacks written"
-        for line in lines:
-            stack, _, micros = line.rpartition(" ")
-            assert stack.startswith("(root)")
-            assert int(micros) >= 0
+        verdict, header = out.splitlines()[:2]
+        assert verdict.startswith("benign.pdf: benign")
+        assert header.split() == [
+            "span", "count", "total", "(s)", "self", "(s)", "mean", "(s)",
+            "max", "(s)",
+        ]
+        spans = {line.split()[0] for line in out.splitlines()[3:]}
+        assert {"pipeline.scan", "reader.open", "reader.script"} <= spans
 
     def test_profile_json_output(self, benign_file, capsys):
-        code = main(["profile", str(benign_file), "--json", "-", "--top", "3"])
-        payload = json.loads(capsys.readouterr().out)
+        code = main(["profile", str(benign_file), "--json", "-"])
+        rows = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["total_seconds"] > 0.0
-        assert abs(
-            sum(payload["phases"].values()) - payload["total_seconds"]
-        ) <= 0.05 * payload["total_seconds"]
-        assert len(payload["js"]["hotspots"]) <= 3
+        by_name = {row["span"]: row for row in rows}
+        scan = by_name["pipeline.scan"]
+        assert scan["count"] == 1 and scan["total_seconds"] > 0.0
+        assert sum(row["self_seconds"] for row in rows) == pytest.approx(
+            scan["total_seconds"], abs=1e-9
+        )
+        assert by_name["reader.script"]["count"] == 1
+        selfs = [row["self_seconds"] for row in rows]
+        assert selfs == sorted(selfs, reverse=True)
 
     def test_profile_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "absent.pdf")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     @pytest.mark.batch
-    def test_batch_profile_flag(self, tmp_path, js_doc_bytes, capsys):
+    def test_batch_trace_report_has_self_time(self, tmp_path, js_doc_bytes, capsys):
         root = tmp_path / "corpus"
         root.mkdir()
         (root / "a.pdf").write_bytes(js_doc_bytes)
+        trace = tmp_path / "t.jsonl"
         code = main(["batch", str(root), "--jobs", "1", "--backend", "thread",
-                     "--profile", "--json", "-"])
-        out = capsys.readouterr().out
+                     "--trace", str(trace)])
         assert code == 0
-        assert "phases    :" in out
-        payload = json.loads(out[out.index("{"):])
-        assert payload["phase_totals"]["js-exec"] > 0.0
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "self (s)" in out
+        (script,) = [
+            line.split() for line in out.splitlines()
+            if line.startswith("reader.script ")
+        ]
+        assert script[1] == "1"  # count
+        assert float(script[3]) > 0.0  # self (s)
