@@ -233,7 +233,7 @@ def install_globals(interp: Any) -> None:
     for name, fn in {
         "floor": lambda i, t, a: _finite_only(math.floor, to_number(_arg(a, 0))),
         "ceil": lambda i, t, a: _finite_only(math.ceil, to_number(_arg(a, 0))),
-        "round": lambda i, t, a: _finite_only(math.floor, to_number(_arg(a, 0)) + 0.5),
+        "round": lambda i, t, a: _math_round(to_number(_arg(a, 0))),
         "abs": lambda i, t, a: abs(to_number(_arg(a, 0))),
         "sqrt": lambda i, t, a: math.sqrt(to_number(_arg(a, 0))) if to_number(_arg(a, 0)) >= 0 else math.nan,
         "pow": lambda i, t, a: _math_pow(to_number(_arg(a, 0)), to_number(_arg(a, 1))),
@@ -254,7 +254,7 @@ def install_globals(interp: Any) -> None:
 
     error_ctor = NativeFunction(
         "Error",
-        lambda i, t, a: _init_error(t, a),
+        lambda i, t, a: _init_error(error_ctor, t, a),
     )
     error_ctor.set("prototype", JSObject({"name": "Error"}))
     env.declare("Error", error_ctor)
@@ -275,6 +275,18 @@ def _finite_only(
     if math.isfinite(x):
         return float(fn(x))
     return x if otherwise is None or x != x else otherwise
+
+
+def _math_round(x: float) -> float:
+    """ES5 §15.8.2.15: the nearest integer, ties toward +Infinity; -0
+    for -0.5 <= x < 0.  ``floor(x + 0.5)`` would round
+    0.49999999999999994 up, since the sum rounds to 1.0."""
+    if not math.isfinite(x) or x == 0.0:
+        return x  # NaN, ±Infinity, ±0
+    if -0.5 <= x < 0.0:
+        return -0.0
+    whole = math.floor(x)
+    return float(whole + 1 if x - whole >= 0.5 else whole)
 
 
 def _math_exp(x: float) -> float:
@@ -349,9 +361,17 @@ def _make_date_constructor(interp: Any) -> NativeFunction:
     return ctor
 
 
-def _init_error(this: Any, args: List[Any]) -> Any:
-    target = this if isinstance(this, JSObject) else JSObject()
-    target.set("message", to_string(_arg(args, 0, "")))
+def _init_error(ctor: JSObject, this: Any, args: List[Any]) -> JSObject:
+    """``new Error(message)`` initialises its instance; ``Error(message)``
+    called as a function makes a new Error object (ES5 §15.11.1)."""
+    prototype = ctor.get("prototype")
+    if isinstance(this, JSObject) and this.prototype is prototype:
+        target = this
+    else:
+        target = JSObject(prototype=prototype if isinstance(prototype, JSObject) else None)
+    target.class_name = "Error"
+    message = _arg(args, 0)
+    target.set("message", "" if message is UNDEFINED else to_string(message))
     target.set("name", "Error")
     return target
 
@@ -392,7 +412,14 @@ def _str_index_of(interp: Any, value: str, args: List[Any]) -> float:
 
 
 def _str_last_index_of(interp: Any, value: str, args: List[Any]) -> float:
-    return float(value.rfind(to_string(_arg(args, 0, ""))))
+    """ES5 §15.5.4.8: the last match starting at or before the position,
+    which is +Infinity when NaN, else ToInteger clamped to [0, length]."""
+    search = to_string(_arg(args, 0, ""))
+    position = to_number(_arg(args, 1))
+    start = len(value)
+    if position == position:  # not NaN
+        start = int(min(max(to_integer(position), 0.0), start))
+    return float(value.rfind(search, 0, start + len(search)))
 
 
 def _str_replace(interp: Any, value: str, args: List[Any]) -> str:
@@ -453,6 +480,21 @@ def _substring(value: str, args: List[Any]) -> str:
 
 
 def _substr(value: str, args: List[Any]) -> str:
+    if len(args) == 2:
+        # Two whole, non-negative floats with the start in range (the
+        # substr-copy spray idiom): ToInteger and the clamps are no-ops,
+        # and the slice clamps the count.
+        start_arg, count_arg = args
+        if (
+            type(start_arg) is float
+            and type(count_arg) is float
+            and 0.0 <= start_arg <= len(value)
+            and count_arg >= 0.0
+            and start_arg.is_integer()
+            and count_arg.is_integer()
+        ):
+            first = int(start_arg)
+            return value[first : first + int(count_arg)]
     start = _relative_index(_arg(args, 0, 0.0), len(value), 0)
     count_arg = _arg(args, 1, UNDEFINED)
     if count_arg is UNDEFINED:
@@ -468,13 +510,18 @@ def _slice_str(value: str, args: List[Any]) -> str:
 
 
 def _split(value: str, args: List[Any]) -> JSArray:
+    """ES5 §15.5.4.14 for string separators: at most ``ToUint32(limit)``
+    parts (2**32 - 1 when the limit is undefined)."""
     separator = _arg(args, 0, UNDEFINED)
+    limit_arg = _arg(args, 1, UNDEFINED)
+    limit = 0xFFFFFFFF if limit_arg is UNDEFINED else to_uint32(limit_arg)
+    if limit == 0:
+        return JSArray()
     if separator is UNDEFINED:
         return JSArray([value])
     sep = to_string(separator)
-    if sep == "":
-        return JSArray(list(value))
-    return JSArray(value.split(sep))
+    parts = list(value) if sep == "" else value.split(sep)
+    return JSArray(parts if len(parts) <= limit else parts[:limit])
 
 
 def _number_property(interp: Any, value: float, name: str) -> Any:

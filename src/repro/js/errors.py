@@ -21,11 +21,16 @@ class JSSyntaxError(JSError):
 
 
 class JSRuntimeError(JSError):
-    """Raised when evaluation fails (TypeError, ReferenceError, ...)."""
+    """Raised when evaluation fails (TypeError, ReferenceError, ...).
+
+    ``str()`` is ``"Kind: message"`` for reports and logs; a script that
+    catches the error sees ``name`` (the kind) and ``message`` apart.
+    """
 
     def __init__(self, message: str, kind: str = "Error") -> None:
         super().__init__(f"{kind}: {message}")
         self.kind = kind
+        self.message = message
 
 
 class JSThrow(JSError):

@@ -34,8 +34,9 @@ way out), and the loop's basic blocks an ``if b == k`` chain.
 property names and literals reach the function only through its
 constants tuple, which holds the ``Code``'s own literal objects (the
 spray pool dedupes by identity).  Operators map through fixed tables.
-The only values formatted into the source are compiler-produced ints:
-slot indices, pcs and charges.  The source therefore depends only on
+The only values formatted into the source are compiler-produced ints
+(slot indices, pcs and charges); the rest is fixed text, such as the
+element fast path's index bound.  The source therefore depends only on
 the loop's shape, and compiled functions are memoised by source text
 (:func:`repro.js.compiler.cached_loop_function`).
 
@@ -201,6 +202,13 @@ _UNARY_OPS: Dict[str, str] = {
 }
 #: INC_SLOT / INCDEC deltas.
 _DELTAS: Dict[float, str] = {1.0: "1.0", -1.0: "-1.0"}
+#: The element fast path's test: a whole float in 0..2**32-2 (exactly
+#: what ``to_string`` -> ``array_index`` accepts) keying a ``JSArray``.
+#: The bound is fixed text, never a value from the ``Code``.
+_ARRAY_INDEX = (
+    "type({key}) is float and type({obj}) is JSArray"
+    " and 0.0 <= {key} <= 4294967294.0 and {key}.is_integer()"
+)
 
 
 def hot_loop(code: Code, header: int) -> Optional[Translated]:
@@ -579,6 +587,8 @@ class _Generator:
                 f"t = type({top})",
                 "if t is str:",
                 f"    {top} = float(len({top})) if {is_length} else get_property({top}, {name})",
+                f"elif t is JSArray and {is_length}:",
+                f"    {top} = float(len({top}.elements))",
                 f"elif t in PLAIN and {name} in {top}.properties:",
                 f"    {top} = {top}.properties[{name}]",
                 "else:",
@@ -627,15 +637,34 @@ class _Generator:
         elif op == ROT3:
             emit(1, f"s{d - 3}, s{d - 2}, {top} = s{d - 2}, {top}, s{d - 3}")
         elif op == MEMBER_GET_EXPR:
-            emit(1, f"s{d - 2} = get_property(s{d - 2}, to_string({top}))")
+            obj = f"s{d - 2}"
+            emit(
+                1,
+                f"if {_ARRAY_INDEX.format(key=top, obj=obj)}:",
+                f"    v = {obj}.elements",
+                f"    t = int({top})",
+                f"    {obj} = v[t] if t < len(v) else UNDEFINED",
+                "else:",
+                f"    {obj} = get_property({obj}, to_string({top}))",
+            )
         elif op == MEMBER_SET:
             emit(1, f"set_member(s{d - 2}, {self.const(arg)}, {top})", f"s{d - 2} = {top}")
         elif op == MEMBER_SET_EXPR:
+            key, obj = f"s{d - 2}", f"s{d - 3}"
             emit(
                 1,
-                f"v = to_string(s{d - 2})",
-                f"set_member(s{d - 3}, v, {top})",
-                f"s{d - 3} = {top}",
+                f"if {_ARRAY_INDEX.format(key=key, obj=obj)}:",
+                f"    v = {obj}.elements",
+                f"    t = int({key})",
+                "    if t < len(v):",
+                f"        v[t] = {top}",
+                "    elif t == len(v):",
+                f"        v.append({top})",
+                "    else:",
+                f"        {obj}.set(str(t), {top})",
+                "else:",
+                f"    set_member({obj}, to_string({key}), {top})",
+                f"{obj} = {top}",
             )
         elif op == METHOD_LOOKUP_EXPR:
             emit(

@@ -39,6 +39,7 @@ from repro.js.values import (
     NativeFunction,
     UNDEFINED,
     array_index,
+    error_object,
     is_callable,
     loose_equals,
     strict_equals,
@@ -177,10 +178,12 @@ class Interpreter:
             )
 
     def _record_string(self, value: str) -> str:
-        if len(value) >= 2:
-            self.host.on_string_alloc(len(value))
-        if len(value) >= SPRAY_POOL_THRESHOLD:
-            self.host.on_large_string(value)
+        length = len(value)
+        if length >= 2:
+            host = self.host
+            host.on_string_alloc(length)
+            if length >= SPRAY_POOL_THRESHOLD:
+                host.on_large_string(value)
         return value
 
     # -- hoisting -----------------------------------------------------------
@@ -390,8 +393,7 @@ class Interpreter:
             if node.catch_block is None:
                 raise
             catch_env = Environment(env)
-            error_obj = JSObject({"message": str(error), "name": error.kind})
-            catch_env.declare(node.catch_param or "e", error_obj)
+            catch_env.declare(node.catch_param or "e", error_object(error))
             result = self._exec_Block(node.catch_block, catch_env, this)
         finally:
             if node.finally_block is not None and not fatal:

@@ -323,13 +323,29 @@ def to_string(value: Any) -> str:
         name = getattr(value, "name", "")
         return f"function {name}() {{ [code] }}"
     if isinstance(value, JSObject):
-        custom = value.get("toString")
-        if is_callable(custom):
-            # The interpreter handles calling custom toString; from raw
-            # coercion context we fall back to the generic tag.
-            pass
+        if value.class_name == "Error":
+            return _error_to_string(value)
         return f"[object {value.class_name}]"
     return str(value)
+
+
+def _error_to_string(error: JSObject) -> str:
+    """``Error.prototype.toString`` (ES5 §15.11.4.4): ``name: message``,
+    or whichever of the two is non-empty."""
+    name = error.get("name")
+    name = "Error" if name is UNDEFINED else to_string(name)
+    message = error.get("message")
+    message = "" if message is UNDEFINED else to_string(message)
+    if not name:
+        return message
+    if not message:
+        return name
+    return f"{name}: {message}"
+
+
+def error_object(error: JSRuntimeError) -> JSObject:
+    """The value a script's ``catch`` binds for an engine error."""
+    return JSObject({"message": error.message, "name": error.kind}, class_name="Error")
 
 
 def type_of(value: Any) -> str:

@@ -50,6 +50,7 @@ from repro.js.values import (
     JSObject,
     NativeFunction,
     UNDEFINED,
+    error_object,
     is_callable,
     strict_equals,
     to_int32,
@@ -181,8 +182,7 @@ class BytecodeInterpreter(Interpreter):
             if catch_code is None:
                 raise
             catch_env = Environment(env)
-            error_obj = JSObject({"message": str(error), "name": error.kind})
-            catch_env.declare(catch_param or "e", error_obj)
+            catch_env.declare(catch_param or "e", error_object(error))
             result = self._run_code(catch_code, catch_env, this, None)
         finally:
             if finally_code is not None and not fatal:
@@ -353,6 +353,8 @@ class BytecodeInterpreter(Interpreter):
                                     stack[-1] = float(len(obj))
                                 else:
                                     stack[-1] = get_property(obj, arg)
+                            elif tobj is JSArray and arg == "length":
+                                stack[-1] = float(len(obj.elements))
                             elif (
                                 (
                                     tobj is JSObject
@@ -496,8 +498,23 @@ class BytecodeInterpreter(Interpreter):
                             stack[-2] = stack[-1]
                             stack[-1] = third
                         elif op == 25:  # MEMBER_GET_EXPR
-                            name = to_string(pop())
-                            stack[-1] = self.get_property(stack[-1], name)
+                            key = pop()
+                            obj = stack[-1]
+                            if (
+                                type(key) is float
+                                and type(obj) is JSArray
+                                and 0.0 <= key <= 4294967294.0
+                                and key.is_integer()
+                            ):
+                                # An array index as a number: the element
+                                # to_string -> array_index would reach.
+                                elements = obj.elements
+                                index = int(key)
+                                stack[-1] = (
+                                    elements[index] if index < len(elements) else UNDEFINED
+                                )
+                            else:
+                                stack[-1] = get_property(obj, to_string(key))
                         elif op == 26:  # MEMBER_SET
                             value = pop()
                             obj = pop()
@@ -505,9 +522,25 @@ class BytecodeInterpreter(Interpreter):
                             push(value)
                         elif op == 27:  # MEMBER_SET_EXPR
                             value = pop()
-                            name = to_string(pop())
+                            key = pop()
                             obj = pop()
-                            self._set_member_value(obj, name, value)
+                            if (
+                                type(key) is float
+                                and type(obj) is JSArray
+                                and 0.0 <= key <= 4294967294.0
+                                and key.is_integer()
+                            ):
+                                elements = obj.elements
+                                index = int(key)
+                                if index < len(elements):
+                                    elements[index] = value
+                                elif index == len(elements):
+                                    elements.append(value)
+                                else:
+                                    # Past the end: JSArray.set fills the gap.
+                                    obj.set(str(index), value)
+                            else:
+                                self._set_member_value(obj, to_string(key), value)
                             push(value)
                         elif op == 28:  # METHOD_LOOKUP_EXPR
                             name = to_string(pop())

@@ -59,6 +59,7 @@ class _ReaderJSHost(Host):
         super().__init__()
         self.reader = reader
         self.handle = handle
+        self._js_tag = handle.memory_tag("js")
         self._seen_large: set = set()
 
     def now_seconds(self) -> float:
@@ -67,11 +68,10 @@ class _ReaderJSHost(Host):
     def on_string_alloc(self, length: int) -> None:
         nbytes = length * 2
         self.allocated_bytes += nbytes
-        handle = self.handle
-        handle.js_heap_bytes += nbytes
+        self.handle.js_heap_bytes += nbytes
         process = self.reader.current_process
         if process is not None and process.alive:
-            process.alloc(handle.memory_tag("js"), nbytes)
+            process.alloc(self._js_tag, nbytes)
 
     def on_large_string(self, value: str) -> None:
         handle = self.handle

@@ -64,6 +64,9 @@ class Process:
         self.modules: List[str] = [name, "ntdll.dll", "kernel32.dll"]
         self.command_line: str = name
         self._allocations: Dict[str, int] = {}
+        #: Sum of ``_allocations``, kept by every method that changes a
+        #: bucket, so a JS string's charge does not re-sum the buckets.
+        self._allocated = 0
         self._peak = base_memory
 
     # -- memory -----------------------------------------------------------
@@ -72,20 +75,28 @@ class Process:
         """Charge ``nbytes`` to allocation bucket ``tag``."""
         if nbytes < 0:
             raise ValueError("allocation size must be non-negative")
-        self._allocations[tag] = self._allocations.get(tag, 0) + nbytes
-        self._peak = max(self._peak, self.private_bytes)
+        allocations = self._allocations
+        allocations[tag] = allocations.get(tag, 0) + nbytes
+        self._allocated += nbytes
+        private = self.base_memory + self._allocated
+        if private > self._peak:
+            self._peak = private
 
     def free(self, tag: str) -> int:
         """Release a whole bucket (e.g. a closed document's heap)."""
-        return self._allocations.pop(tag, 0)
+        nbytes = self._allocations.pop(tag, 0)
+        self._allocated -= nbytes
+        return nbytes
 
     def set_bucket(self, tag: str, nbytes: int) -> None:
-        self._allocations[tag] = max(0, nbytes)
+        nbytes = max(0, nbytes)
+        self._allocated += nbytes - self._allocations.get(tag, 0)
+        self._allocations[tag] = nbytes
         self._peak = max(self._peak, self.private_bytes)
 
     @property
     def private_bytes(self) -> int:
-        return self.base_memory + sum(self._allocations.values())
+        return self.base_memory + self._allocated
 
     def memory_counters(self) -> MemoryCounters:
         private = self.private_bytes

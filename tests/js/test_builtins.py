@@ -345,6 +345,28 @@ class TestIntegerArguments:
             ("var a = [1, 2]; a.length = '1'; a", [1.0]),
             ("try { new Array(-1); 1 } catch (e) { e.name }", RANGE_ERROR),
             ("try { Math.round(NaN); 1 } catch (e) { 2 }", 1.0),
+            # substr's fast path (two whole, non-negative floats, start <=
+            # length) at its bounds, and just outside them
+            ("'abc'.substr(0, 3)", "abc"),
+            ("'abc'.substr(0, 0)", ""),
+            ("'abc'.substr(3, 1)", ""),
+            ("'abc'.substr(4, 1)", ""),
+            ("''.substr(0, 1)", ""),
+            ("'abc'.substr(-0, 2)", "ab"),
+            ("'abc'.substr(1, -0)", ""),
+            ("'abc'.substr(1, 1e21)", "bc"),
+            ("'abc'.substr(1, 4294967296)", "bc"),
+            ("'abc'.substr(2, Infinity)", "c"),
+            ("'abc'.substr(0.5, 2)", "ab"),
+            ("'abc'.substr(1, 1.5)", "b"),
+            ("'abc'.substr(-1, 1)", "c"),
+            ("'abc'.substr(1, -1)", ""),
+            ("'abc'.substr(NaN, 2)", "ab"),
+            ("'abc'.substr(1, NaN)", ""),
+            ("'abc'.substr('1', 1)", "b"),
+            ("'abc'.substr(1, '1')", "b"),
+            ("'abc'.substr(1, 1, 9)", "b"),
+            ("var c = 'xyz'; c.substr(0, c.length)", "xyz"),
         ],
     )
     def test_both_engines_give_the_es5_result(self, source, expected):
@@ -353,3 +375,109 @@ class TestIntegerArguments:
             assert math.isnan(walker) and math.isnan(vm)
         else:
             assert walker == vm == expected
+
+
+class TestES5StringAndMath:
+    """``split``'s limit (ES5 §15.5.4.14), ``lastIndexOf``'s position
+    (§15.5.4.8) and ``Math.round`` (§15.8.2.15) on both engines.  Each
+    row whose result is not the plain no-argument one gave another
+    result before."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("'a,b,c'.split(',', 1)", ["a"]),
+            ("'a,b,c'.split(',', 2)", ["a", "b"]),
+            ("'a,b,c'.split(',', 5)", ["a", "b", "c"]),
+            ("'a,b,c'.split(',', 0)", []),
+            ("'a,b,c'.split(',', -1)", ["a", "b", "c"]),
+            ("'a,b,c'.split(',', NaN)", []),
+            ("'a,b,c'.split(',', 2.7)", ["a", "b"]),
+            ("'a,b,c'.split(',', '1')", ["a"]),
+            ("'a,b,c'.split(',', 4294967297)", ["a"]),
+            ("'a,b,c'.split(',', undefined)", ["a", "b", "c"]),
+            ("'abc'.split('', 2)", ["a", "b"]),
+            ("'abc'.split(undefined, 0)", []),
+            ("'abc'.split(undefined, 1)", ["abc"]),
+            ("'abcabc'.lastIndexOf('a', 2)", 0.0),
+            ("'abcabc'.lastIndexOf('c', 0)", -1.0),
+            ("'abcabc'.lastIndexOf('a', 3)", 3.0),
+            ("'abcabc'.lastIndexOf('a', 3.9)", 3.0),
+            ("'abcabc'.lastIndexOf('a', NaN)", 3.0),
+            ("'abcabc'.lastIndexOf('a', 'x')", 3.0),
+            ("'abcabc'.lastIndexOf('a', undefined)", 3.0),
+            ("'abcabc'.lastIndexOf('a', -5)", 0.0),
+            ("'abcabc'.lastIndexOf('b', -Infinity)", -1.0),
+            ("'abcabc'.lastIndexOf('b', Infinity)", 4.0),
+            ("'abcabc'.lastIndexOf('bc', 1)", 1.0),
+            ("'abcabc'.lastIndexOf('', 2)", 2.0),
+            ("'abcabc'.lastIndexOf('', 99)", 6.0),
+            ("'abcabc'.lastIndexOf('z')", -1.0),
+            ("Math.round(0.49999999999999994)", 0.0),
+            ("1/Math.round(0.2)", INF),
+            ("1/Math.round(-0.5)", -INF),
+            ("1/Math.round(-0.2)", -INF),
+            ("1/Math.round(-0)", -INF),
+            ("Math.round(-0.51)", -1.0),
+            ("Math.round(-2.5)", -2.0),
+            ("Math.round(-1.5)", -1.0),
+            ("Math.round(1.5)", 2.0),
+            ("Math.round(2.5)", 3.0),
+            ("Math.round(2.4999999999999996)", 2.0),
+            ("Math.round(4503599627370497)", 4503599627370497.0),
+            ("Math.round(-4503599627370497)", -4503599627370497.0),
+            ("Math.round(1e300)", 1e300),
+            ("Math.round('2.5')", 3.0),
+        ],
+    )
+    def test_both_engines_give_the_es5_result(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm == expected
+
+
+class TestErrorObjects:
+    """A caught engine error and ``new Error(...)`` are Error objects:
+    ``name`` is the kind, ``message`` the text alone, and ToString gives
+    ``name: message`` (ES5 §15.11.4.4).  The caught rows gave
+    ``[object Object]`` and a message that repeated the kind before."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                "try { null.x } catch (e) { e.name + '|' + e.message + '|' + e }",
+                "TypeError|cannot read property 'x' of null"
+                "|TypeError: cannot read property 'x' of null",
+            ),
+            (
+                "try { new Array(-1) } catch (e) { e.message + '|' + e }",
+                "Invalid array length|RangeError: Invalid array length",
+            ),
+            ("try { missing } catch (e) { String(e) }", "ReferenceError: missing is not defined"),
+            ("try { missing } catch (e) { [e].join() }", "ReferenceError: missing is not defined"),
+            ("try { missing } catch (e) { typeof e }", "object"),
+            ("'' + new Error('boom')", "Error: boom"),
+            ("'' + new Error()", "Error"),
+            ("new Error(undefined).message", ""),
+            ("'' + Error('called')", "Error: called"),
+            ("Error('stray'); '' + this", "[object global]"),
+            ("new Error('x') instanceof Error", True),
+            ("var e = new Error('m'); e.name = ''; '' + e", "m"),
+            ("var e = new Error('m'); e.name = undefined; '' + e", "Error: m"),
+            ("var e = new Error('m'); e.message = 7; '' + e", "Error: 7"),
+            ("try { throw new Error('t') } catch (e) { e.message + '|' + e }", "t|Error: t"),
+            ("try { throw 'raw' } catch (e) { e }", "raw"),
+            ("'' + {}", "[object Object]"),
+        ],
+    )
+    def test_both_engines(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm == expected
+
+    def test_python_str_keeps_the_kind(self):
+        from repro.js.errors import JSRuntimeError
+
+        error = JSRuntimeError("cannot read property 'x' of null", "TypeError")
+        assert str(error) == "TypeError: cannot read property 'x' of null"
+        assert error.message == "cannot read property 'x' of null"
+        assert error.kind == "TypeError"

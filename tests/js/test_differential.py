@@ -140,6 +140,56 @@ LANGUAGE_CASES = [
     "var r = []; var a = [1, 2]; for (var i = 0; i < 3; i++) { try { a.length = [NaN, -1, 1][i]; r.push(a.length); } catch (e) { r.push(e.name); } } r.join(',')",
     "try { new Array(2.5); } catch (e) { 'caught:' + e.name }",
     "try { (1).toFixed(-1); } catch (e) { 'caught:' + e.name }",
+    # Number keys: the VM reads and writes array elements keyed by a
+    # whole float in 0..2**32-2 directly; every other key takes ToString.
+    (
+        "var a = [10, 20, 30]; [a[1.0], a[-0], a[1.5], a[NaN], a[-1], a['01'],"
+        " a[4294967294], a[4294967295], a[1e21], a[3], a[true], a[null], a.length].join(',')"
+    ),
+    (
+        "var a = [1, 2]; a[1.0] = 'x'; a[-0] = 'z'; a[1.5] = 'f'; a[NaN] = 'n'; a[-1] = 'm';"
+        " a['01'] = 'o'; a[4294967295] = 'b'; a[1e21] = 'e'; a[true] = 't';"
+        " [a.join(','), a.length, a[1.5], a['NaN'], a['-1'], a['01'], a['4294967295'],"
+        " a['1e+21'], a['true'], a[4294967295], a[1e21]].join('|')"
+    ),
+    # a gap store fills with undefined; length follows every store
+    (
+        "var a = []; a[0] = 'a'; a[a.length] = 'b'; a[5] = 'c'; var n = a.length;"
+        " a[a.length] = 'd'; a['length'] = 8; [n, a.length, a[3] === undefined, a[5], a[6],"
+        " a.join('-')].join('|')"
+    ),
+    (
+        "var o = {}; o[1] = 'one'; o[1.0] = 'uno'; o[-0] = 'zero'; o[1.5] = 'x'; o[4294967295] = 'm';"
+        " var f = function () {}; f[0] = 'f0'; var args = (function () { return arguments; })(7, 8);"
+        " args[1.0] = 9; [o['1'], o[0], o['1.5'], o[1], o['4294967295'], f[0], f[0.0], args[1],"
+        " args.length].join(',')"
+    ),
+    "var s = 'abc'; [s[0], s[1.0], s[-0], s[2], s[3], s[1.5], s[NaN], s[-1], s.length].join(',')",
+    "var s = 'abc'; s[0] = 'z'; s[1.0] = 'y'; s",
+    "var u; try { u[0] = 1; } catch (e) { e.name + ':' + e.message }",
+    "try { null[1.0]; } catch (e) { e.name + ':' + e.message }",
+    # a caught engine error is an Error object (ES5 §15.11.4.4)
+    "try { null.x } catch (e) { e.name + '|' + e.message + '|' + e }",
+    "try { missing; } catch (e) { [e, e.name, e.message, typeof e].join('|') }",
+    "'' + new Error('boom') + '|' + Error('x') + '|' + new Error() + '|' + new Error(undefined).message",
+    "var e = new Error('m'); e.name = ''; var f = new Error(); f.name = 'N'; [e, f].join('|')",
+    "Error('stray'); this + '|' + (new Error('q') instanceof Error)",
+    "try { throw new Error('thrown') } catch (e) { e.message + '|' + e }",
+    # ES5 split limit, lastIndexOf position and Math.round
+    (
+        "['a,b,c'.split(',', 1).length, 'a,b,c'.split(',', 0).length, 'a,b,c'.split(',', -1).length,"
+        " 'abc'.split('', 2).join(''), 'abc'.split(undefined, 0).length,"
+        " 'a,b,c'.split(',', 4294967297).join('')].join(',')"
+    ),
+    (
+        "['abcabc'.lastIndexOf('a', 2), 'abcabc'.lastIndexOf('c', 0), 'abcabc'.lastIndexOf('a', NaN),"
+        " 'abcabc'.lastIndexOf('b', -3), 'abcabc'.lastIndexOf('', 2), 'abcabc'.lastIndexOf('bc', 1),"
+        " 'abcabc'.lastIndexOf('a')].join(',')"
+    ),
+    (
+        "[Math.round(0.49999999999999994), 1/Math.round(-0.5), 1/Math.round(-0), Math.round(-2.5),"
+        " Math.round(2.5), Math.round(-0.51), Math.round(4503599627370497)].join(',')"
+    ),
     "var o = {n: 1}; o.n++; ++o.n; o.n",
     "var o = {}; o.x = 1; delete o.x; o.x === undefined",
     "for (var k in {a: 1, b: 2}) { var last = k; } last",
@@ -259,6 +309,13 @@ SLOT_LOOP_SWEEP_CASES = [
         " function f() { var t = 0; for (var i = 0; i < 6; i++) { t += boom(i); }"
         " return t; } var r; try { f(); } catch (e) { r = e; } r"
     ),
+    # Array fills through the number-keyed element paths: appends at
+    # a.length, overwrites and reads at a[i], a gap store at a[2 * i].
+    (
+        "function fill(n) { var a = []; var g = []; for (var i = 0; i < n; i++)"
+        " { a[a.length] = i; a[i] = a[i] + 1; g[2 * i] = a[i]; }"
+        " return a.length + ':' + a[n - 1] + ':' + a[n] + ':' + g.length + ':' + g[1]; } fill(6)"
+    ),
 ]
 
 #: Loops in program, ``eval`` and non-slot function code: env mode,
@@ -281,6 +338,13 @@ ENV_LOOP_SWEEP_CASES = [
     (
         "var k = 1; function twice() { k = k * 2; }"
         " for (var i = 0; i < 6; i++) { total = (i ? total : 0) + k; twice(); } total"
+    ),
+    # The wrapper decryptor's a[a.length] append and the spray's a[i]
+    # copy, at the top level.
+    (
+        "var c = 'ABCD'; var a = []; var m = [];"
+        " for (var i = 0; i < 6; i++) { a[a.length] = String.fromCharCode(65 + i);"
+        " m[i] = c.substr(0, c.length) + a[i]; } m[5] + ':' + a.length + ':' + m.length"
     ),
     # A nested function keeps `find` out of slot mode: `return` from
     # inside its loop.

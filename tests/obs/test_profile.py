@@ -153,7 +153,11 @@ def test_profile_rows_sum_to_the_scan_on_the_golden_corpus(
             for span in spans
             if span["name"] == "reader.script"
         ]
-        assert sum(steps) == sum(i.steps for i in interpreters), name
+        # `repro profile` first warms up on a document of its own, which
+        # builds one interpreter that is not the profiled scan's.
+        scanned = [i for i in interpreters if i.host.handle.name == name]
+        assert len(interpreters) - len(scanned) == 1, name
+        assert sum(steps) == sum(i.steps for i in scanned), name
         assert len(steps) == rows.get("reader.script", {}).get("count", 0)
         scripts += len(steps)
     capsys.readouterr()

@@ -1,9 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.batch.scanner import _settings_fingerprint
 from repro.cli import main
 from repro.core.pipeline import PipelineSettings
@@ -339,6 +345,42 @@ class TestProfile:
         assert by_name["reader.script"]["count"] == 1
         selfs = [row["self_seconds"] for row in rows]
         assert selfs == sorted(selfs, reverse=True)
+
+    def test_profile_collects_a_warm_process(self, malicious_file, tmp_path):
+        """In a fresh process, the JS engine is already imported when
+        collection starts, and the rows hold the one profiled scan."""
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from repro.obs.trace import Tracer
+
+            warm = []
+            collect = Tracer.collect
+
+            def recording_collect(self):
+                warm.append("repro.js.vm" in sys.modules)
+                return collect(self)
+
+            Tracer.collect = recording_collect
+            from repro.cli import main
+
+            code = main(["profile", sys.argv[1], "--json", sys.argv[2]])
+            print(json.dumps({"code": code, "warm": warm}))
+            """
+        )
+        rows_path = tmp_path / "rows.json"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(malicious_file), str(rows_path)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        outcome = json.loads(done.stdout.strip().splitlines()[-1])
+        assert outcome == {"code": 1, "warm": [True]}
+        rows = json.loads(rows_path.read_text())
+        (scan,) = [row for row in rows if row["span"] == "pipeline.scan"]
+        assert scan["count"] == 1
 
     def test_profile_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "absent.pdf")]) == 2

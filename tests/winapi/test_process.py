@@ -1,6 +1,7 @@
 """Unit tests for the simulated process/system substrate."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.winapi.clock import VirtualClock
 from repro.winapi.process import ProcessState, System, READER_BASE_MEMORY
@@ -59,6 +60,43 @@ class TestProcessMemory:
         proc = system.spawn("x.exe")
         with pytest.raises(ValueError):
             proc.alloc("a", -1)
+        assert proc.private_bytes == proc.base_memory
+
+
+_TAGS = st.sampled_from(["doc1:js", "doc1:render", "doc2:js"])
+_MEMORY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), _TAGS, st.integers(0, 1 << 40)),
+        st.tuples(st.just("free"), _TAGS, st.just(0)),
+        st.tuples(st.just("set_bucket"), _TAGS, st.integers(-(1 << 20), 1 << 40)),
+    ),
+    max_size=40,
+)
+
+
+@given(base=st.integers(0, 1 << 30), ops=_MEMORY_OPS)
+def test_private_bytes_and_peak_follow_the_buckets(base, ops):
+    """The running total behind ``private_bytes`` equals the base plus
+    the sum of the buckets after every operation, and the peak is the
+    running maximum of that sum."""
+    proc = System().spawn("x.exe", base_memory=base)
+    buckets = {}
+    peak = base
+    for op, tag, nbytes in ops:
+        if op == "alloc":
+            proc.alloc(tag, nbytes)
+            buckets[tag] = buckets.get(tag, 0) + nbytes
+        elif op == "free":
+            assert proc.free(tag) == buckets.pop(tag, 0)
+        else:
+            proc.set_bucket(tag, nbytes)
+            buckets[tag] = max(0, nbytes)
+        private = base + sum(buckets.values())
+        peak = max(peak, private)
+        assert proc.private_bytes == private
+        counters = proc.memory_counters()
+        assert counters.private_usage == counters.working_set_size == private
+        assert counters.peak_working_set_size == peak
 
 
 class TestLifecycle:
