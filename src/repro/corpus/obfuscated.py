@@ -9,8 +9,8 @@ benign (an innocuous form script under the same wrappers) — to
 exercise the abstract-interpretation proof tier, which peels constant
 staging layers and must reach the same verdict the runtime does.
 
-Used by ``benchmarks/bench_triage.py`` (the ``obfuscated`` tier) and
-the absint test-suite.
+Used by the absint test-suite, among it the ``obfuscated`` tier of
+``tests/jsast/test_triage_tiers.py``.
 """
 
 from __future__ import annotations

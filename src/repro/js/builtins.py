@@ -10,10 +10,13 @@ interpreter (seeded LCG) so every experiment is reproducible.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional
+import re
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.js.errors import JSRuntimeError
 from repro.js.values import (
+    DECIMAL_LITERAL,
+    STR_WHITE_SPACE,
     JSArray,
     JSObject,
     NativeFunction,
@@ -23,6 +26,7 @@ from repro.js.values import (
     format_number,
     int_to_number,
     is_callable,
+    join_array,
     to_int32,
     to_integer,
     to_number,
@@ -48,7 +52,7 @@ def _relative_index(value: Any, length: int, default: int) -> int:
     return int(index) if index < length else length
 
 
-def _string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
+def string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
     # Single in-range float argument is the shellcode-builder hot path;
     # everything else takes ToUint16.
     if len(args) == 1:
@@ -64,28 +68,21 @@ def _string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
 # Global functions
 
 
+#: ES5 B.2.1: ``%uXXXX`` (a lowercase ``u`` only) and ``%XX``.  A run
+#: of up to 256 ``%u`` escapes (a spray's shellcode is one long run) is
+#: one match, so it costs one callback.
+_UNESCAPE_RE = re.compile(r"%u([0-9a-fA-F]{4}(?:%u[0-9a-fA-F]{4}){0,255})|%([0-9a-fA-F]{2})")
+
+
+def _decode_escapes(match: "re.Match[str]") -> str:
+    run = match[1]
+    if run is not None:
+        return "".join([chr(int(digits, 16)) for digits in run.split("%u")])
+    return chr(int(match[2], 16))
+
+
 def _unescape(interp: Any, this: Any, args: List[Any]) -> str:
-    text = to_string(_arg(args, 0, ""))
-    out: List[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "%" and i + 5 < n + 1 and i + 1 < n and text[i + 1] in "uU":
-            digits = text[i + 2 : i + 6]
-            if len(digits) == 4 and _is_hex(digits):
-                out.append(chr(int(digits, 16)))
-                i += 6
-                continue
-        if ch == "%" and i + 2 < n + 1:
-            digits = text[i + 1 : i + 3]
-            if len(digits) == 2 and _is_hex(digits):
-                out.append(chr(int(digits, 16)))
-                i += 3
-                continue
-        out.append(ch)
-        i += 1
-    result = "".join(out)
+    result = _UNESCAPE_RE.sub(_decode_escapes, to_string(_arg(args, 0, "")))
     interp._record_string(result)
     return result
 
@@ -104,14 +101,10 @@ def _escape(interp: Any, this: Any, args: List[Any]) -> str:
     return interp._record_string("".join(out))
 
 
-def _is_hex(text: str) -> bool:
-    return all(c in "0123456789abcdefABCDEF" for c in text)
-
-
 def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
     """ES5 §15.1.2.2: the radix is ``ToInt32(radix)``; 0 means 10, or
     16 after a ``0x`` prefix; any other radix outside 2-36 gives NaN."""
-    text = to_string(_arg(args, 0, "")).strip()
+    text = to_string(_arg(args, 0, "")).strip(STR_WHITE_SPACE)
     radix = to_int32(_arg(args, 1, UNDEFINED))
     sign = 1
     if text.startswith(("-", "+")):
@@ -135,33 +128,43 @@ def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
         # At least radix**1024 >= 2**1024; int() would also refuse a
         # decimal string this long.
         return sign * math.inf
-    return int_to_number(sign * int(significant or "0", radix))
+    return sign * int_to_number(int(significant or "0", radix))
 
 
 def _parse_float(interp: Any, this: Any, args: List[Any]) -> float:
-    text = to_string(_arg(args, 0, "")).strip()
-    end = 0
-    seen_dot = seen_e = False
-    while end < len(text):
-        ch = text[end]
-        if "0" <= ch <= "9":
-            end += 1
-        elif ch == "." and not seen_dot and not seen_e:
-            seen_dot = True
-            end += 1
-        elif ch in "eE" and not seen_e and end > 0:
-            seen_e = True
-            end += 1
-            if end < len(text) and text[end] in "+-":
-                end += 1
-        elif ch in "+-" and end == 0:
-            end += 1
-        else:
-            break
-    try:
-        return float(text[:end])
-    except ValueError:
-        return math.nan
+    """ES5 §15.1.2.3: the longest prefix after leading white space that
+    is a StrDecimalLiteral, so ``'9e'`` is 9 and ``'Infinityx'`` is
+    Infinity."""
+    text = to_string(_arg(args, 0, "")).lstrip(STR_WHITE_SPACE)
+    match = DECIMAL_LITERAL.match(text)
+    return float(match.group()) if match else math.nan
+
+
+#: The global functions, keyed by name, signature ``(interp, this,
+#: args)``.  ``install_globals`` declares each; the static passes call
+#: the pure ones directly (``repro.jsast.consts``).
+GLOBAL_FUNCTIONS: Dict[str, Callable[[Any, Any, List[Any]], Any]] = {
+    "unescape": _unescape,
+    "escape": _escape,
+    "parseInt": _parse_int,
+    "parseFloat": _parse_float,
+    "isNaN": lambda i, t, a: math.isnan(to_number(_arg(a, 0))),
+    "isFinite": lambda i, t, a: math.isfinite(to_number(_arg(a, 0))),
+    "String": lambda i, t, a: to_string(_arg(a, 0, "")),
+    "Number": lambda i, t, a: to_number(_arg(a, 0, 0.0)),
+    "Boolean": lambda i, t, a: truthy(_arg(a, 0)),
+}
+
+#: ES5's native error types (§15.11.6), after ``Error`` itself.
+ERROR_TYPES = (
+    "Error",
+    "EvalError",
+    "RangeError",
+    "ReferenceError",
+    "SyntaxError",
+    "TypeError",
+    "URIError",
+)
 
 
 class _SeededRandom:
@@ -188,33 +191,17 @@ def install_globals(interp: Any) -> None:
     env.declare("Infinity", math.inf)
     env.declare("undefined", UNDEFINED)
 
-    env.declare("unescape", NativeFunction("unescape", _unescape))
-    env.declare("escape", NativeFunction("escape", _escape))
-    env.declare("parseInt", NativeFunction("parseInt", _parse_int))
-    env.declare("parseFloat", NativeFunction("parseFloat", _parse_float))
-    env.declare(
-        "isNaN",
-        NativeFunction("isNaN", lambda i, t, a: math.isnan(to_number(_arg(a, 0)))),
-    )
-    env.declare(
-        "isFinite",
-        NativeFunction("isFinite", lambda i, t, a: math.isfinite(to_number(_arg(a, 0)))),
-    )
+    for name, fn in GLOBAL_FUNCTIONS.items():
+        env.declare(name, NativeFunction(name, fn))
     env.declare(
         "eval",
         NativeFunction(
             "eval", lambda i, t, a: i.eval_in_scope(_arg(a, 0), i.global_env, i.global_this)
         ),
     )
-
-    string_ctor = NativeFunction("String", lambda i, t, a: to_string(_arg(a, 0, "")))
-    string_ctor.set(
-        "fromCharCode", NativeFunction("fromCharCode", _string_from_char_code)
+    env.lookup("String").set(
+        "fromCharCode", NativeFunction("fromCharCode", string_from_char_code)
     )
-    env.declare("String", string_ctor)
-
-    env.declare("Number", NativeFunction("Number", lambda i, t, a: to_number(_arg(a, 0, 0.0))))
-    env.declare("Boolean", NativeFunction("Boolean", lambda i, t, a: truthy(_arg(a, 0))))
 
     def _array_ctor(i: Any, t: Any, a: List[Any]) -> JSArray:
         if len(a) == 1 and isinstance(a[0], float):
@@ -252,12 +239,18 @@ def install_globals(interp: Any) -> None:
     math_obj.set("random", NativeFunction("random", lambda i, t, a: rng.next()))
     env.declare("Math", math_obj)
 
-    error_ctor = NativeFunction(
-        "Error",
-        lambda i, t, a: _init_error(error_ctor, t, a),
-    )
-    error_ctor.set("prototype", JSObject({"name": "Error"}))
-    env.declare("Error", error_ctor)
+    # Each error type's prototype inherits from Error.prototype, and
+    # every prototype is an Error whose ToString is its name.
+    prototypes: Dict[str, JSObject] = {}
+    for name in ERROR_TYPES:
+        prototype = JSObject(
+            {"name": name, "message": ""},
+            class_name="Error",
+            prototype=prototypes.get("Error"),
+        )
+        prototypes[name] = prototype
+        env.declare(name, _error_constructor(name, prototype))
+    interp.error_prototypes = prototypes
 
     env.declare("Date", _make_date_constructor(interp))
 
@@ -361,19 +354,26 @@ def _make_date_constructor(interp: Any) -> NativeFunction:
     return ctor
 
 
-def _init_error(ctor: JSObject, this: Any, args: List[Any]) -> JSObject:
-    """``new Error(message)`` initialises its instance; ``Error(message)``
-    called as a function makes a new Error object (ES5 §15.11.1)."""
-    prototype = ctor.get("prototype")
-    if isinstance(this, JSObject) and this.prototype is prototype:
-        target = this
-    else:
-        target = JSObject(prototype=prototype if isinstance(prototype, JSObject) else None)
-    target.class_name = "Error"
-    message = _arg(args, 0)
-    target.set("message", "" if message is UNDEFINED else to_string(message))
-    target.set("name", "Error")
-    return target
+def _error_constructor(name: str, prototype: JSObject) -> NativeFunction:
+    """``Error`` or one of its native subtypes: ``new E(message)``
+    initialises its instance, and ``E(message)`` called as a function
+    makes a new one (ES5 §15.11.1)."""
+
+    def construct(interp: Any, this: Any, args: List[Any]) -> JSObject:
+        current = ctor.get("prototype")
+        if isinstance(this, JSObject) and this.prototype is current:
+            target = this
+        else:
+            target = JSObject(prototype=current if isinstance(current, JSObject) else None)
+        target.class_name = "Error"
+        message = _arg(args, 0)
+        target.set("message", "" if message is UNDEFINED else to_string(message))
+        target.set("name", name)
+        return target
+
+    ctor = NativeFunction(name, construct)
+    ctor.set("prototype", prototype)
+    return ctor
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +451,7 @@ STRING_METHODS = {
     "split": lambda i, v, a: _split(v, a),
     "replace": _str_replace,
     "concat": _str_concat,
-    "trim": lambda i, v, a: i._record_string(v.strip()),
+    "trim": lambda i, v, a: i._record_string(v.strip(STR_WHITE_SPACE)),
     "toString": lambda i, v, a: v,
     "valueOf": lambda i, v, a: v,
 }
@@ -596,10 +596,7 @@ def _array_unshift(interp: Any, this: JSArray, args: List[Any]) -> float:
 
 def _array_join(interp: Any, this: JSArray, args: List[Any]) -> str:
     separator = to_string(_arg(args, 0, ",")) if args else ","
-    result = separator.join(
-        "" if (el is UNDEFINED or el is None) else to_string(el) for el in this.elements
-    )
-    return interp._record_string(result)
+    return interp._record_string(join_array(this, separator))
 
 
 def _array_concat(interp: Any, this: JSArray, args: List[Any]) -> JSArray:

@@ -33,6 +33,14 @@ class JSRuntimeError(JSError):
         self.message = message
 
 
+def stack_overflow() -> JSRuntimeError:
+    """A script's stack overflow: the engines turn Python's
+    ``RecursionError`` into this catchable RangeError, at a ``try`` that
+    catches it or where ``run`` returns, so a script that recurses
+    without end dies like any script that throws."""
+    return JSRuntimeError("Maximum call stack size exceeded", "RangeError")
+
+
 class JSThrow(JSError):
     """A ``throw`` statement in flight; carries the thrown JS value."""
 

@@ -30,6 +30,7 @@ from repro.js.errors import (
     JSThrow,
     ResourceLimitExceeded,
     ReturnSignal,
+    stack_overflow,
 )
 from repro.js.parser import parse
 from repro.js.values import (
@@ -140,6 +141,9 @@ class Interpreter:
         self.steps = 0
         self.global_env = Environment()
         self.global_this = JSObject(class_name="global")
+        #: The prototype of each error type, by name, for the errors the
+        #: engine raises (``install_globals`` fills it in).
+        self.error_prototypes: Dict[str, JSObject] = {}
         if install_builtins:
             from repro.js.builtins import install_globals
 
@@ -149,14 +153,17 @@ class Interpreter:
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
         """Parse and execute ``source``; returns the last statement value."""
-        program = parse(source)
-        scope = env if env is not None else self.global_env
-        this_value = this if this is not None else self.global_this
-        self._hoist(program.body, scope)
-        result: Any = UNDEFINED
-        for statement in program.body:
-            result = self.exec_statement(statement, scope, this_value)
-        return result
+        try:
+            program = parse(source)
+            scope = env if env is not None else self.global_env
+            this_value = this if this is not None else self.global_this
+            self._hoist(program.body, scope)
+            result: Any = UNDEFINED
+            for statement in program.body:
+                result = self.exec_statement(statement, scope, this_value)
+            return result
+        except RecursionError:
+            raise stack_overflow() from None
 
     def call_function(self, fn: Any, this: Any, args: List[Any]) -> Any:
         """Invoke a JS or native function from host code."""
@@ -389,11 +396,13 @@ class Interpreter:
             catch_env = Environment(env)
             catch_env.declare(node.catch_param or "e", thrown.value)
             result = self._exec_Block(node.catch_block, catch_env, this)
-        except JSRuntimeError as error:
+        except (JSRuntimeError, RecursionError) as error:
             if node.catch_block is None:
                 raise
             catch_env = Environment(env)
-            catch_env.declare(node.catch_param or "e", error_object(error))
+            catch_env.declare(
+                node.catch_param or "e", error_object(error, self.error_prototypes)
+            )
             result = self._exec_Block(node.catch_block, catch_env, this)
         finally:
             if node.finally_block is not None and not fatal:

@@ -41,6 +41,7 @@ from repro.js.errors import (
     ReaderCrash,
     ResourceLimitExceeded,
     ReturnSignal,
+    stack_overflow,
 )
 from repro.js.hotloop import hot_loop
 from repro.js.interpreter import Environment, Interpreter
@@ -90,11 +91,14 @@ class BytecodeInterpreter(Interpreter):
     # -- public API (same shape as the walker) ---------------------------
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
-        code = compile_source(source)
-        scope = env if env is not None else self.global_env
-        this_value = this if this is not None else self.global_this
-        self._exec_hoist(code, scope)
-        return self._run_code(code, scope, this_value, None)
+        try:
+            code = compile_source(source)
+            scope = env if env is not None else self.global_env
+            this_value = this if this is not None else self.global_this
+            self._exec_hoist(code, scope)
+            return self._run_code(code, scope, this_value, None)
+        except RecursionError:
+            raise stack_overflow() from None
 
     def eval_in_scope(self, code: Any, env: Environment, this: Any) -> Any:
         if not isinstance(code, str):
@@ -178,11 +182,11 @@ class BytecodeInterpreter(Interpreter):
             catch_env = Environment(env)
             catch_env.declare(catch_param or "e", thrown.value)
             result = self._run_code(catch_code, catch_env, this, None)
-        except JSRuntimeError as error:
+        except (JSRuntimeError, RecursionError) as error:
             if catch_code is None:
                 raise
             catch_env = Environment(env)
-            catch_env.declare(catch_param or "e", error_object(error))
+            catch_env.declare(catch_param or "e", error_object(error, self.error_prototypes))
             result = self._run_code(catch_code, catch_env, this, None)
         finally:
             if finally_code is not None and not fatal:

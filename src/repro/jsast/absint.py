@@ -22,8 +22,10 @@ The collected facts (:class:`AbsintResult`) are deliberately dumb data;
 the proof rules that turn them into verdicts live in
 :mod:`repro.jsast.rules_absint`.
 
-Soundness is with respect to the runtime model of :mod:`repro.js`
-(host API calls do not throw and do not rebind script variables) and
+Every constant it computes comes from the runtime's own code, through
+:mod:`repro.jsast.consts`.  Soundness is with respect to the runtime
+model of :mod:`repro.js` (host API calls do not throw and do not rebind
+script variables) and
 the scored-API surface of :mod:`repro.jsast.rules`; see
 ``docs/STATIC_ANALYSIS.md`` for the argument and its boundaries.
 """
@@ -35,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.js import nodes as ast
+from repro.jsast import consts
 from repro.jsast import lattice as lat
 from repro.jsast.analyzer import LayerScans, scan_layer
-from repro.jsast.fold import js_unescape
 from repro.jsast.rules import (
     EXPLOIT_CALL_SUFFIXES,
     SIDE_EFFECT_COMPONENTS,
@@ -55,10 +57,6 @@ MAX_EVAL_DEPTH = 12
 
 #: Join iterations before widening kicks in.
 _MAX_JOIN_ITERS = 3
-
-#: Longest exact string the interpreter materialises (mirrors
-#: ``fold.MAX_FOLD_CHARS``); beyond it values generalise to shapes.
-MAX_EXACT_CHARS = 1 << 20
 
 #: Callees that are pure value constructors/converters — calling them
 #: reaches no scored host API and rebinds nothing.
@@ -400,12 +398,7 @@ def _function_effects(program: ast.Program) -> Tuple[Set[str], bool, bool]:
 def _truthiness(value: lat.AbsValue) -> Optional[bool]:
     """JS truthiness when abstractly decidable, else ``None``."""
     if isinstance(value, lat.AbsConst):
-        v = value.value
-        if isinstance(v, float) and v != v:  # NaN
-            return False
-        if isinstance(v, str):
-            return bool(v)
-        return bool(v)
+        return consts.truthy(value.value)
     rng = lat.number_range(value)
     if rng is not None:
         if rng.lo is not None and rng.lo > 0:
@@ -641,7 +634,7 @@ class _Interp:
                 value = (
                     self.eval_expr(init)
                     if init is not None
-                    else lat.AbsConst(None)
+                    else lat.AbsConst(consts.UNDEFINED)
                 )
                 self.assign(name, value)
                 self._note_sled_assign(name, value)
@@ -1002,8 +995,10 @@ class _Interp:
             return lat.AbsConst(node.value)
         if isinstance(node, ast.BooleanLiteral):
             return lat.AbsConst(node.value)
-        if isinstance(node, (ast.NullLiteral, ast.UndefinedLiteral)):
+        if isinstance(node, ast.NullLiteral):
             return lat.AbsConst(None)
+        if isinstance(node, ast.UndefinedLiteral):
+            return lat.AbsConst(consts.UNDEFINED)
         if isinstance(node, ast.ThisExpression):
             return lat.TOP
         if isinstance(node, ast.Identifier):
@@ -1031,7 +1026,7 @@ class _Interp:
         if isinstance(node, ast.AssignmentExpression):
             return self._eval_assignment(node)
         if isinstance(node, ast.SequenceExpression):
-            value: lat.AbsValue = lat.AbsConst(None)
+            value: lat.AbsValue = lat.AbsConst(consts.UNDEFINED)
             for expression in node.expressions:
                 value = self.eval_expr(expression)
             return value
@@ -1043,6 +1038,10 @@ class _Interp:
 
     def _eval_unary(self, node: ast.UnaryExpression) -> lat.AbsValue:
         operand = self.eval_expr(node.operand)
+        if isinstance(operand, lat.AbsConst):
+            value = consts.unary(node.op, operand.value)
+            if value is not consts.OPAQUE:
+                return lat.AbsConst(value)
         if node.op in ("-", "+"):
             rng = lat.number_range(operand)
             if rng is None:
@@ -1056,7 +1055,7 @@ class _Interp:
             taken = _truthiness(operand)
             return lat.AbsConst(not taken) if taken is not None else lat.TOP
         if node.op == "void":
-            return lat.AbsConst(None)
+            return lat.AbsConst(consts.UNDEFINED)
         if node.op == "typeof":
             return lat.AbsStr(lat.SHAPE_TEXT, lat.Interval(0.0, 16.0))
         return lat.TOP
@@ -1084,32 +1083,22 @@ class _Interp:
     def _binary_value(
         self, op: str, left: lat.AbsValue, right: lat.AbsValue
     ) -> lat.AbsValue:
+        if isinstance(left, lat.AbsConst) and isinstance(right, lat.AbsConst):
+            value = consts.binary(op, left.value, right.value)
+            if value is not consts.OPAQUE:
+                return lat.AbsConst(value)
+            if op != "+":
+                return lat.TOP
+            # A concatenation past the cap generalises to a shape.
+            return lat.concat(
+                lat.classify_string(consts.to_string(left.value)),
+                lat.classify_string(consts.to_string(right.value)),
+            )
         if op == "+":
             return self._abstract_add(left, right)
         lrng = lat.number_range(left)
         rrng = lat.number_range(right)
         if op in ("-", "*", "/", "%"):
-            if (
-                isinstance(left, lat.AbsConst)
-                and isinstance(right, lat.AbsConst)
-                and lrng is not None
-                and rrng is not None
-                and lrng.exact_value is not None
-                and rrng.exact_value is not None
-            ):
-                a, b = lrng.exact_value, rrng.exact_value
-                try:
-                    if op == "-":
-                        return lat.AbsConst(a - b)
-                    if op == "*":
-                        return lat.AbsConst(a * b)
-                    if op == "/" and b != 0:
-                        return lat.AbsConst(a / b)
-                    if op == "%" and b != 0:
-                        return lat.AbsConst(math.fmod(a, b))
-                except (OverflowError, ValueError):
-                    return lat.TOP
-                return lat.TOP
             if lrng is not None and rrng is not None:
                 if op == "-":
                     neg = lat.Interval(
@@ -1132,39 +1121,12 @@ class _Interp:
                 if a.lo is not None and b.hi is not None:
                     if a.lo > b.hi or (strict and a.lo >= b.hi):
                         return lat.AbsConst(False)
-            return lat.TOP
-        if op in ("==", "===", "!=", "!=="):
-            if isinstance(left, lat.AbsConst) and isinstance(
-                right, lat.AbsConst
-            ):
-                equal = left.value == right.value and type(left.value) is type(
-                    right.value
-                )
-                return lat.AbsConst(
-                    equal if op in ("==", "===") else not equal
-                )
-            return lat.TOP
         return lat.TOP
 
     def _abstract_add(
         self, left: lat.AbsValue, right: lat.AbsValue
     ) -> lat.AbsValue:
-        if isinstance(left, lat.AbsConst) and isinstance(right, lat.AbsConst):
-            lv, rv = left.value, right.value
-            if isinstance(lv, str) or isinstance(rv, str):
-                a, b = _js_text(lv), _js_text(rv)
-                if len(a) + len(b) <= MAX_EXACT_CHARS:
-                    return lat.AbsConst(a + b)
-                sa, sb = lat.classify_string(a), lat.classify_string(b)
-                return lat.concat(sa, sb)
-            lrng, rrng = lat.number_range(left), lat.number_range(right)
-            if lrng is not None and rrng is not None:
-                if (
-                    lrng.exact_value is not None
-                    and rrng.exact_value is not None
-                ):
-                    return lat.AbsConst(lrng.exact_value + rrng.exact_value)
-            return lat.TOP
+        """``left + right`` where at least one side is not a constant."""
         # Numeric addition when both sides are numeric.
         lrng, rrng = lat.number_range(left), lat.number_range(right)
         if lrng is not None and rrng is not None:
@@ -1290,12 +1252,9 @@ class _Interp:
                 and isinstance(obj.value, str)
                 and isinstance(index, lat.AbsConst)
             ):
-                rng = lat.number_range(index)
-                if rng is not None and rng.exact_value is not None:
-                    i = int(rng.exact_value)
-                    if 0 <= i < len(obj.value):
-                        return lat.AbsConst(obj.value[i])
-                    return lat.AbsConst(None)
+                value = consts.string_property(obj.value, index.value)
+                if value is not consts.OPAQUE:
+                    return lat.AbsConst(value)
         return lat.TOP
 
     # -- calls -----------------------------------------------------------
@@ -1327,7 +1286,7 @@ class _Interp:
             if name == "eval":
                 args = [self.eval_expr(a) for a in arguments]
                 if not args:
-                    return lat.AbsConst(None)
+                    return lat.AbsConst(consts.UNDEFINED)
                 return self._eval_site(node, args[-1], "eval")
             if name == "Function":
                 args = [self.eval_expr(a) for a in arguments]
@@ -1362,27 +1321,17 @@ class _Interp:
         self, name: str, arguments: List[ast.Node]
     ) -> lat.AbsValue:
         args = [self.eval_expr(a) for a in arguments]
-        first = args[0] if args else lat.AbsConst(None)
-        if name == "unescape":
-            if isinstance(first, lat.AbsConst) and isinstance(
-                first.value, str
-            ):
-                try:
-                    return lat.AbsConst(js_unescape(first.value))
-                except Exception:  # noqa: BLE001 - hostile escape data
-                    return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
-            return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
-        if name == "escape":
+        values = _const_values(args)
+        if values is not None:
+            value = consts.call_global(name, values)
+            if value is not consts.OPAQUE:
+                return lat.AbsConst(value)
+        if name in ("unescape", "escape"):
             return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
         if name in ("parseInt", "parseFloat", "Number"):
-            if isinstance(first, lat.AbsConst):
-                parsed = _parse_number(name, first.value, args)
-                if parsed is not None:
-                    return lat.AbsConst(parsed)
             return lat.AbsNum(lat.Interval.top())
+        first = args[0] if args else lat.AbsConst(consts.UNDEFINED)
         if name == "String":
-            if isinstance(first, lat.AbsConst):
-                return lat.AbsConst(_js_text(first.value))
             shape = lat.as_str_shape(first)
             return shape if shape is not None else lat.AbsStr(
                 lat.SHAPE_TEXT, lat.NONNEG
@@ -1392,8 +1341,6 @@ class _Interp:
             return lat.AbsConst(taken) if taken is not None else lat.TOP
         if name in ("Array", "Object"):
             return lat.LOCAL_OBJ
-        if name in ("isNaN", "isFinite"):
-            return lat.TOP
         return lat.TOP
 
     def _call_member(
@@ -1445,7 +1392,7 @@ class _Interp:
             ):
                 if args:
                     return self._eval_site(node, args[-1], path)
-                return lat.AbsConst(None)
+                return lat.AbsConst(consts.UNDEFINED)
             if last == "exportDataObject":
                 self._record_export(node, path, arguments)
             # Resolved host API call: returns an unknown value, rebinds
@@ -1462,23 +1409,15 @@ class _Interp:
         method: str,
         args: List[lat.AbsValue],
     ) -> lat.AbsValue:
-        exact = (
-            receiver.value
-            if isinstance(receiver, lat.AbsConst)
+        values = _const_values(args)
+        if (
+            values is not None
+            and isinstance(receiver, lat.AbsConst)
             and isinstance(receiver.value, str)
-            else None
-        )
-        const_args: Optional[List[lat.Const]] = []
-        for arg in args:
-            if isinstance(arg, lat.AbsConst):
-                const_args.append(arg.value)
-            else:
-                const_args = None
-                break
-        if exact is not None and const_args is not None:
-            folded = _fold_string_method(exact, method, const_args)
-            if folded is not None:
-                return folded
+        ):
+            value = consts.string_method(receiver.value, method, values)
+            if value is not consts.OPAQUE:
+                return lat.AbsConst(value)
         # Abstract prefix slicing: substring/substr/slice from 0.
         if method in ("substring", "substr", "slice"):
             start = lat.number_range(args[0]) if args else lat.ZERO
@@ -1499,10 +1438,10 @@ class _Interp:
         if method in ("charAt", "charCodeAt"):
             return lat.TOP
         if method == "concat":
-            value: lat.AbsValue = receiver
+            joined: lat.AbsValue = receiver
             for arg in args:
-                value = self._abstract_add(value, arg)
-            return value
+                joined = self._binary_value("+", joined, arg)
+            return joined
         if method in ("toLowerCase", "toUpperCase", "replace", "split"):
             return lat.AbsStr(lat.SHAPE_TEXT, lat.NONNEG)
         if method in ("indexOf", "lastIndexOf", "search"):
@@ -1611,129 +1550,34 @@ class _Interp:
         return lat.TOP
 
 
-def _js_text(value: lat.Const) -> str:
-    """JS ToString for constants (inf/NaN-safe)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        if value == int(value) and abs(value) < 1e21:
-            return str(int(value))
-        return repr(value)
-    return str(value)
-
-
-def _parse_number(
-    name: str, value: lat.Const, args: List[lat.AbsValue]
-) -> Optional[float]:
-    if not isinstance(value, str):
-        if name == "Number" and isinstance(value, (bool, float)):
-            return float(value)
-        return None
-    text = value.strip()
-    try:
-        if name == "parseInt":
-            base = 10
-            if len(args) > 1 and isinstance(args[1], lat.AbsConst):
-                rng = lat.number_range(args[1])
-                if rng is not None and rng.exact_value is not None:
-                    candidate = rng.exact_value
-                    if math.isfinite(candidate):
-                        base = int(candidate) or 10
-            if not (2 <= base <= 36):
-                return None
-            return float(int(text, base))
-        return float(text)
-    except (ValueError, TypeError, OverflowError):
-        return None
+def _const_values(args: List[lat.AbsValue]) -> Optional[List[consts.Const]]:
+    """The constants ``args`` hold, or ``None`` unless all are constant."""
+    values: List[consts.Const] = []
+    for arg in args:
+        if not isinstance(arg, lat.AbsConst):
+            return None
+        values.append(arg.value)
+    return values
 
 
 def _from_char_code(args: List[lat.AbsValue]) -> lat.AbsValue:
-    chars: List[str] = []
+    """``String.fromCharCode``: a constant when every code is exact (a
+    constant, or a number interval of one value)."""
+    codes: List[consts.Const] = []
     for arg in args:
+        if isinstance(arg, lat.AbsConst):
+            codes.append(arg.value)
+            continue
         rng = lat.number_range(arg)
         if rng is None or rng.exact_value is None:
             return lat.AbsStr(
                 lat.SHAPE_TEXT, lat.Interval.exact(float(len(args)))
             )
-        code = rng.exact_value
-        if not math.isfinite(code):
-            return lat.AbsStr(
-                lat.SHAPE_TEXT, lat.Interval.exact(float(len(args)))
-            )
-        chars.append(chr(int(code) & 0xFFFF))
-    return lat.AbsConst("".join(chars))
-
-
-def _fold_string_method(
-    text: str, method: str, args: List[lat.Const]
-) -> Optional[lat.AbsValue]:
-    """Exact string-method folding on a constant receiver (never
-    raises; hostile arguments yield ``None`` → abstract fallback)."""
-    try:
-        if method in ("substr", "substring", "slice"):
-            start = int(_num_or(args[0], 0.0)) if args else 0
-            if method == "substr":
-                length = (
-                    int(_num_or(args[1], float(len(text))))
-                    if len(args) > 1
-                    else len(text)
-                )
-                start = max(0, start if start >= 0 else len(text) + start)
-                return lat.AbsConst(text[start : start + max(0, length)])
-            end = (
-                int(_num_or(args[1], float(len(text))))
-                if len(args) > 1
-                else len(text)
-            )
-            if method == "slice":
-                if start < 0:
-                    start = max(0, len(text) + start)
-                if end < 0:
-                    end = max(0, len(text) + end)
-                return lat.AbsConst(text[start:end])
-            return lat.AbsConst(text[max(0, start) : max(0, end)])
-        if method == "charAt":
-            i = int(_num_or(args[0], 0.0)) if args else 0
-            return lat.AbsConst(text[i] if 0 <= i < len(text) else "")
-        if method == "charCodeAt":
-            i = int(_num_or(args[0], 0.0)) if args else 0
-            if 0 <= i < len(text):
-                return lat.AbsConst(float(ord(text[i])))
-            return lat.AbsConst(float("nan"))
-        if method == "concat":
-            joined = text + "".join(_js_text(a) for a in args)
-            if len(joined) <= MAX_EXACT_CHARS:
-                return lat.AbsConst(joined)
-            return None
-        if method == "toLowerCase" and not args:
-            return lat.AbsConst(text.lower())
-        if method == "toUpperCase" and not args:
-            return lat.AbsConst(text.upper())
-        if method == "replace" and len(args) == 2:
-            if isinstance(args[0], str) and isinstance(args[1], str):
-                return lat.AbsConst(text.replace(args[0], args[1], 1))
-    except (IndexError, ValueError, TypeError, OverflowError):
-        return None
-    return None
-
-
-def _num_or(value: lat.Const, default: float) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float) and math.isfinite(value):
-        return value
-    if isinstance(value, str):
-        try:
-            return float(value.strip() or "0")
-        except ValueError:
-            return default
-    return default
+        codes.append(rng.exact_value)
+    value = consts.from_char_code(codes)
+    if value is consts.OPAQUE:
+        return lat.AbsStr(lat.SHAPE_TEXT, lat.Interval.exact(float(len(args))))
+    return lat.AbsConst(value)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ fromCharCode`` runs and single-assignment temporaries.  This pass
 evaluates the *provably constant* part of a script so the lint rules
 see through exactly that one layer:
 
-* literals, ``+`` concatenation/addition, numeric arithmetic, unary
-  ops and constant conditionals fold bottom-up;
-* ``String.fromCharCode``, ``unescape``, ``parseInt`` and the common
-  ``substr``/``substring``/``charAt``/``charCodeAt``/``concat``/
-  ``toLowerCase``/``toUpperCase``/``join`` methods fold when every
-  argument (and the receiver) is constant;
+* literals, binary operators, ``-``/``+``/``!`` and constant
+  conditionals fold bottom-up, as do the length and the characters of a
+  constant string;
+* ``String.fromCharCode``, the pure globals (``unescape``,
+  ``parseInt``, ...), the string methods and ``join`` on an array
+  literal fold when every argument (and the receiver) is constant;
 * identifiers substitute their initialiser value when the variable is
   assigned exactly once, by a top-level ``var`` declaration — anything
   reassigned, updated, or declared inside a loop/branch/function stays
@@ -20,74 +20,23 @@ see through exactly that one layer:
   interpreter up).
 
 The pass is *sound for rules, not for execution*: a node either folds
-to the exact runtime constant or is left untouched.  Folded results
-are capped at :data:`MAX_FOLD_CHARS` to bound memory.
+to the exact runtime constant or is left untouched.  Every value is
+computed by the runtime's own code through :mod:`repro.jsast.consts`,
+which also caps folded strings at :data:`repro.jsast.consts.MAX_CHARS`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.js import nodes as ast
+from repro.jsast import consts
+from repro.jsast.consts import Const
 from repro.jsast.walk import walk
-
-#: Longest string a fold may produce; larger results stay unfolded.
-MAX_FOLD_CHARS = 1 << 20
 
 #: Fixpoint passes: enough for var-to-var constant chains of depth 3.
 _MAX_PASSES = 3
-
-Const = Union[str, float, bool, None]
-
-_UNESCAPE_RE = re.compile(r"%u([0-9a-fA-F]{4})|%([0-9a-fA-F]{2})")
-
-
-def js_unescape(text: str) -> str:
-    """The classic ``unescape``: ``%uXXXX`` and ``%XX`` decoding."""
-
-    def replace(match: "re.Match[str]") -> str:
-        if match.group(1) is not None:
-            return chr(int(match.group(1), 16))
-        return chr(int(match.group(2), 16))
-
-    return _UNESCAPE_RE.sub(replace, text)
-
-
-def _to_js_string(value: Const) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        if value == int(value) and abs(value) < 1e21:
-            return str(int(value))
-        return repr(value)
-    return str(value)
-
-
-def _to_number(value: Const) -> Optional[float]:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if not text:
-            return 0.0
-        try:
-            return float(int(text, 0)) if text.lower().startswith("0x") else float(text)
-        except ValueError:
-            return None
-    return None
-
 
 class _Wrapped:
     """Box distinguishing "folded to None/null" from "did not fold"."""
@@ -96,6 +45,10 @@ class _Wrapped:
 
     def __init__(self, value: Const) -> None:
         self.value = value
+
+
+def _wrap(value: consts.Folded) -> Optional[_Wrapped]:
+    return None if value is consts.OPAQUE else _Wrapped(value)
 
 
 def _collect_stable_names(program: ast.Program) -> Set[str]:
@@ -155,15 +108,6 @@ class ConstantFolder:
         self.program = program
         self.stable = _collect_stable_names(program)
         self.env: Dict[str, _Wrapped] = {}
-        #: Constant calls whose fold was abandoned because the (hostile)
-        #: arguments fall outside the builtin's total domain — e.g.
-        #: ``String.fromCharCode(Infinity)``.  Surfaced by the
-        #: ``unfoldable`` lint rule; the expression stays opaque.
-        self.unfoldable: List[str] = []
-
-    def _give_up(self, what: str) -> None:
-        if what not in self.unfoldable:
-            self.unfoldable.append(what)
 
     # -- environment -----------------------------------------------------
 
@@ -191,18 +135,29 @@ class ConstantFolder:
             return _Wrapped(node.value)
         if isinstance(node, ast.NullLiteral):
             return _Wrapped(None)
+        if isinstance(node, ast.UndefinedLiteral):
+            return _Wrapped(consts.UNDEFINED)
         if isinstance(node, ast.Identifier):
             return self.env.get(node.name)
         if isinstance(node, ast.BinaryExpression):
-            return self._fold_binary(node)
+            left = self.fold_expr(node.left)
+            if left is None:
+                return None
+            right = self.fold_expr(node.right)
+            if right is None:
+                return None
+            return _wrap(consts.binary(node.op, left.value, right.value))
         if isinstance(node, ast.UnaryExpression):
-            return self._fold_unary(node)
+            operand = self.fold_expr(node.operand)
+            if operand is None:
+                return None
+            return _wrap(consts.unary(node.op, operand.value))
         if isinstance(node, ast.ConditionalExpression):
             test = self.fold_expr(node.test)
             if test is None:
                 return None
-            branch = node.consequent if test.value else node.alternate
-            return self.fold_expr(branch)
+            taken = consts.truthy(test.value)
+            return self.fold_expr(node.consequent if taken else node.alternate)
         if isinstance(node, ast.SequenceExpression):
             if not node.expressions:
                 return None
@@ -213,182 +168,61 @@ class ConstantFolder:
             return self._fold_member(node)
         return None
 
-    def _fold_binary(self, node: ast.BinaryExpression) -> Optional[_Wrapped]:
-        left = self.fold_expr(node.left)
-        if left is None:
-            return None
-        right = self.fold_expr(node.right)
-        if right is None:
-            return None
-        lv, rv = left.value, right.value
-        if node.op == "+":
-            if isinstance(lv, str) or isinstance(rv, str):
-                text = _to_js_string(lv) + _to_js_string(rv)
-                if len(text) > MAX_FOLD_CHARS:
-                    return None
-                return _Wrapped(text)
-            ln, rn = _to_number(lv), _to_number(rv)
-            if ln is None or rn is None:
-                return None
-            return _Wrapped(ln + rn)
-        ln, rn = _to_number(lv), _to_number(rv)
-        if ln is None or rn is None:
-            return None
-        try:
-            if node.op == "-":
-                return _Wrapped(ln - rn)
-            if node.op == "*":
-                return _Wrapped(ln * rn)
-            if node.op == "/":
-                return _Wrapped(ln / rn) if rn != 0 else None
-            if node.op == "%":
-                return _Wrapped(ln % rn) if rn != 0 else None
-        except (OverflowError, ValueError):
-            return None
-        return None
-
-    def _fold_unary(self, node: ast.UnaryExpression) -> Optional[_Wrapped]:
-        operand = self.fold_expr(node.operand)
-        if operand is None:
-            return None
-        if node.op == "-":
-            number = _to_number(operand.value)
-            return _Wrapped(-number) if number is not None else None
-        if node.op == "+":
-            number = _to_number(operand.value)
-            return _Wrapped(number) if number is not None else None
-        if node.op == "!":
-            return _Wrapped(not operand.value)
-        return None
-
     def _fold_member(self, node: ast.MemberExpression) -> Optional[_Wrapped]:
         obj = self.fold_expr(node.obj)
         if obj is None or not isinstance(obj.value, str):
             return None
-        if not node.computed and isinstance(node.prop, ast.Identifier):
-            if node.prop.name == "length":
-                return _Wrapped(float(len(obj.value)))
+        if not node.computed:
+            if not isinstance(node.prop, ast.Identifier):
+                return None
+            return _wrap(consts.string_property(obj.value, node.prop.name))
+        key = self.fold_expr(node.prop)
+        if key is None:
             return None
-        if node.computed:
-            index = self.fold_expr(node.prop)
-            if index is None:
+        return _wrap(consts.string_property(obj.value, key.value))
+
+    def _fold_all(self, nodes: List[ast.Node]) -> Optional[List[Const]]:
+        values: List[Const] = []
+        for node in nodes:
+            folded = self.fold_expr(node)
+            if folded is None:
                 return None
-            number = _to_number(index.value)
-            if number is None:
-                return None
-            i = int(number)
-            if 0 <= i < len(obj.value):
-                return _Wrapped(obj.value[i])
-        return None
+            values.append(folded.value)
+        return values
 
     def _fold_call(self, node: ast.CallExpression) -> Optional[_Wrapped]:
         callee = node.callee
-        args: List[Const] = []
-        for argument in node.arguments:
-            folded = self.fold_expr(argument)
-            if folded is None:
-                return None
-            args.append(folded.value)
-
-        # Free functions: unescape / parseInt.
-        if isinstance(callee, ast.Identifier):
-            if callee.name == "unescape" and len(args) == 1 and isinstance(args[0], str):
-                try:
-                    text = js_unescape(args[0])
-                except Exception:  # noqa: BLE001 - hostile escape soup
-                    self._give_up("unescape")
-                    return None
-                return _Wrapped(text) if len(text) <= MAX_FOLD_CHARS else None
-            if callee.name == "parseInt" and args and isinstance(args[0], str):
-                try:
-                    base = (
-                        int(_to_number(args[1]) or 10) if len(args) > 1 else 10
-                    )
-                    return _Wrapped(float(int(args[0].strip(), base)))
-                except (ValueError, TypeError, OverflowError):
-                    # Covers both genuine NaN results ("zz") and hostile
-                    # bases (Infinity, 1e308): parseInt never raises in
-                    # JS, so neither may its fold.
-                    return None
+        args = self._fold_all(node.arguments)
+        if args is None:
             return None
-
+        if isinstance(callee, ast.Identifier):
+            return _wrap(consts.call_global(callee.name, args))
         if not isinstance(callee, ast.MemberExpression) or callee.computed:
             return None
         if not isinstance(callee.prop, ast.Identifier):
             return None
         method = callee.prop.name
-
-        # String.fromCharCode(...)
         if (
             method == "fromCharCode"
             and isinstance(callee.obj, ast.Identifier)
             and callee.obj.name == "String"
         ):
-            chars: List[str] = []
-            for value in args:
-                number = _to_number(value)
-                if number is None:
-                    return None
-                try:
-                    chars.append(chr(int(number) & 0xFFFF))
-                except (ValueError, OverflowError):
-                    # NaN/Infinity code points: runtime maps them to
-                    # "\x00"; keeping the call opaque is the sound fold.
-                    self._give_up("String.fromCharCode")
-                    return None
-            return _Wrapped("".join(chars))
-
-        # [ ... ].join(sep)
+            return _wrap(consts.from_char_code(args))
         if method == "join" and isinstance(callee.obj, ast.ArrayLiteral):
-            separator = _to_js_string(args[0]) if args else ","
-            parts: List[str] = []
-            for element in callee.obj.elements:
-                folded = self.fold_expr(element)
-                if folded is None:
-                    return None
-                parts.append(_to_js_string(folded.value))
-            text = separator.join(parts)
-            return _Wrapped(text) if len(text) <= MAX_FOLD_CHARS else None
-
-        # Constant-receiver string methods.
+            elements = self._fold_all(callee.obj.elements)
+            if elements is None:
+                return None
+            return _wrap(consts.join(elements, args))
         receiver = self.fold_expr(callee.obj)
         if receiver is None or not isinstance(receiver.value, str):
             return None
-        text = receiver.value
-        try:
-            if method in ("substr", "substring", "slice"):
-                start = int(_to_number(args[0]) or 0) if args else 0
-                if method == "substr":
-                    length = int(_to_number(args[1]) or 0) if len(args) > 1 else len(text)
-                    start = max(0, start if start >= 0 else len(text) + start)
-                    return _Wrapped(text[start : start + max(0, length)])
-                end = int(_to_number(args[1]) or 0) if len(args) > 1 else len(text)
-                return _Wrapped(text[max(0, start) : max(0, end)])
-            if method == "charAt":
-                i = int(_to_number(args[0]) or 0) if args else 0
-                return _Wrapped(text[i] if 0 <= i < len(text) else "")
-            if method == "charCodeAt":
-                i = int(_to_number(args[0]) or 0) if args else 0
-                return _Wrapped(float(ord(text[i]))) if 0 <= i < len(text) else None
-            if method == "concat":
-                joined = text + "".join(_to_js_string(a) for a in args)
-                return _Wrapped(joined) if len(joined) <= MAX_FOLD_CHARS else None
-            if method == "toLowerCase" and not args:
-                return _Wrapped(text.lower())
-            if method == "toUpperCase" and not args:
-                return _Wrapped(text.upper())
-            if method == "replace" and len(args) == 2:
-                if isinstance(args[0], str) and isinstance(args[1], str):
-                    return _Wrapped(text.replace(args[0], args[1], 1))
-        except (IndexError, ValueError, TypeError):
-            return None
-        return None
+        return _wrap(consts.string_method(receiver.value, method, args))
 
     # -- tree rewriting ----------------------------------------------------
 
     def _rewrite(self, node: ast.Node) -> ast.Node:
         """Return ``node`` with every foldable subtree replaced by a
-        literal.  Statements and unfoldable expressions are rebuilt with
+        literal.  Statements and opaque expressions are rebuilt with
         rewritten children (the original tree is never mutated)."""
         if isinstance(
             node,
@@ -424,7 +258,9 @@ def _constant_to_literal(value: Const) -> ast.Node:
         return ast.NumberLiteral(value)
     if value is None:
         return ast.NullLiteral()
-    return ast.StringLiteral(value)
+    if isinstance(value, str):
+        return ast.StringLiteral(value)
+    return ast.UndefinedLiteral()
 
 
 def _rebuild(node: ast.Node, transform) -> ast.Node:
@@ -461,7 +297,7 @@ def _rebuild(node: ast.Node, transform) -> ast.Node:
 def fold_program(program: ast.Program) -> ast.Program:
     """Public entry point: a folded copy of ``program``.
 
-    The input tree is left untouched; sharing of unfoldable subtrees
+    The input tree is left untouched; sharing of opaque subtrees
     with the output is allowed (rules only read).
     """
     return ConstantFolder(program).run()

@@ -15,7 +15,9 @@ Elements (partial order ``BOTTOM ⊑ AbsConst ⊑ shape ⊑ TOP``):
 ``BOTTOM``
     unreachable / no value yet.
 ``AbsConst``
-    one exact JS value (string, number, boolean or null).
+    one exact JS primitive, as the runtime represents it
+    (:data:`repro.jsast.consts.Const`: ``undefined`` apart from
+    ``null``).
 ``AbsNum``
     a number within a (possibly unbounded) :class:`Interval`.
 ``AbsStr``
@@ -40,9 +42,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
-Const = Union[str, float, bool, None]
+from repro.jsast.consts import Const, same_value
 
 #: Shape kinds carried by :class:`AbsStr`.
 SHAPE_REPEATED = "repeated-unit"
@@ -319,8 +321,22 @@ def as_str_shape(value: AbsValue) -> Optional[AbsStr]:
     return None
 
 
+def _number_interval(value: AbsValue) -> Optional[Interval]:
+    """:func:`number_range` of a number: a boolean joins with no number,
+    since ``'' + true`` is not ``'1'``."""
+    if isinstance(value, AbsConst) and isinstance(value.value, bool):
+        return None
+    return number_range(value)
+
+
 def join_value(a: AbsValue, b: AbsValue) -> AbsValue:
-    if a == b:
+    if isinstance(a, AbsConst) and isinstance(b, AbsConst):
+        # Python's ``==`` would merge 1 with true and 0 with -0.
+        if same_value(a.value, b.value):
+            return a
+        if isinstance(a.value, str) and isinstance(b.value, str):
+            return _join_const_strings(a.value, b.value)
+    elif a == b:
         return a
     if isinstance(a, _Bottom):
         return b
@@ -328,17 +344,10 @@ def join_value(a: AbsValue, b: AbsValue) -> AbsValue:
         return a
     if isinstance(a, _Top) or isinstance(b, _Top):
         return TOP
-    if isinstance(a, AbsConst) and isinstance(b, AbsConst):
-        if isinstance(a.value, str) and isinstance(b.value, str):
-            return _join_const_strings(a.value, b.value)
-        ra, rb = number_range(a), number_range(b)
-        if ra is not None and rb is not None:
-            return AbsNum(ra.join(rb))
-        return TOP
     sa, sb = as_str_shape(a), as_str_shape(b)
     if sa is not None and sb is not None:
         return _join_str_shapes(sa, sb)
-    ra, rb = number_range(a), number_range(b)
+    ra, rb = _number_interval(a), _number_interval(b)
     if ra is not None and rb is not None:
         return AbsNum(ra.join(rb))
     if isinstance(a, _LocalObj) and isinstance(b, _LocalObj):

@@ -134,7 +134,8 @@ class RuleContext:
     # -- helpers ---------------------------------------------------------
 
     def const_of(self, node: ast.Node):
-        """Fold a raw-AST node; returns the constant or ``None``."""
+        """Fold a raw-AST node; returns the constant (``UNDEFINED`` for
+        ``undefined``) or ``None``."""
         wrapped = self.folder.fold_expr(node)
         return wrapped.value if wrapped is not None else None
 
@@ -567,24 +568,6 @@ def _api_probe(ctx: RuleContext) -> Iterable[Finding]:
                     evidence=path,
                     score=1.0,
                 )
-
-
-@rule("unfoldable")
-def _unfoldable(ctx: RuleContext) -> Iterable[Finding]:
-    """Constant builtin calls whose arguments fall outside the
-    builtin's total domain (``String.fromCharCode(Infinity)``, ...).
-
-    Advisory only: the folder leaves such expressions opaque instead of
-    crashing, and an INFO finding never blocks triage — but the note
-    matters for debugging why a seemingly-constant string stayed
-    unfolded."""
-    for what in ctx.folder.unfoldable:
-        yield Finding(
-            rule="unfoldable",
-            severity=Severity.INFO,
-            message=f"constant {what} call left unfolded (hostile arguments)",
-            score=0.0,
-        )
 
 
 def side_effect_apis(ctx: RuleContext) -> List[str]:

@@ -53,7 +53,7 @@ from repro.jsast.rules import SPRAY_LENGTH_THRESHOLD
 
 #: Version stamp embedded in cache fingerprints: bump on any change to
 #: the interpreter's precision or the proof rules below.
-ABSINT_VERSION = "2"
+ABSINT_VERSION = "3"
 
 #: F8's threshold (Table VII ``memory_threshold_bytes``); duplicated as
 #: a literal to keep :mod:`repro.jsast` import-independent from

@@ -6,12 +6,16 @@ come back as a structured ``errored`` report, never escape ``scan``
 """
 
 import json
+import random
 
 import pytest
 
 from repro.core.pipeline import OpenReport, PipelineSettings, ProtectionPipeline
+from repro.corpus import js_snippets as js
 from repro.obs import MemorySink, Observability
 from repro.pdf.builder import DocumentBuilder
+from repro.reader.exploits import CVE
+from repro.reader.payload import Payload
 
 
 @pytest.fixture()
@@ -179,3 +183,36 @@ def test_export_launch_takes_to_integer(triage, launch, launches):
     proofs = [finding.rule for finding in report.js_analysis.proof_findings()]
     assert proofs == (["absint-export-launch"] if launches else [])
     assert report.triaged is (triage and launches)
+
+
+def _heap_spray_dropper() -> str:
+    rng = random.Random(5)
+    return js.spray_script(
+        150,
+        Payload.dropper(),
+        rng=rng,
+        exploit_call=js.exploit_call_for(CVE.COLLAB_GET_ICON, rng),
+    )
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["var a = []; a[0] = a; a.join();", "function f(n) { return f(n + 1); } f(0);"],
+    ids=["cyclic-join", "unbounded-recursion"],
+)
+def test_stack_overflow_keeps_the_sessions_verdict(tail):
+    """A cyclic array joins to ``''`` and unbounded recursion ends in a
+    RangeError, so the script dies like any script that throws and the
+    scan keeps what the session observed.  Both tails raised Python's
+    RecursionError out of the engine, and scan reported the detected
+    dropper errored and benign (malscore 0)."""
+    pipeline = ProtectionPipeline()
+    dropper = _heap_spray_dropper()
+    plain = pipeline.scan(_js_document(dropper), "doc.pdf")
+    tailed = pipeline.scan(_js_document(dropper + "\n" + tail), "doc.pdf")
+    assert plain.verdict.malicious
+    assert not tailed.errored
+    assert (tailed.verdict.malicious, tailed.verdict.malscore) == (
+        plain.verdict.malicious,
+        plain.verdict.malscore,
+    )

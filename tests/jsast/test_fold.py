@@ -1,13 +1,14 @@
 """Constant folding / string-concat propagation."""
 
+import math
+
+import pytest
+
+from repro.js import evaluate
 from repro.js import nodes as ast
 from repro.js.parser import parse
-from repro.jsast.fold import (
-    MAX_FOLD_CHARS,
-    ConstantFolder,
-    fold_program,
-    js_unescape,
-)
+from repro.jsast.consts import MAX_CHARS
+from repro.jsast.fold import ConstantFolder, fold_program
 from repro.jsast.walk import walk
 
 
@@ -20,17 +21,24 @@ def fold_source(source):
 
 
 class TestJsUnescape:
+    """The folder decodes with the runtime's ``unescape``."""
+
     def test_unicode_units(self):
-        assert js_unescape("%u0041%u0042") == "AB"
+        assert evaluate("unescape('%u0041%u0042')") == "AB"
 
     def test_byte_units(self):
-        assert js_unescape("%41%42") == "AB"
+        assert evaluate("unescape('%41%42')") == "AB"
 
     def test_mixed_and_literal(self):
-        assert js_unescape("a%u0062c%64") == "abcd"
+        assert evaluate("unescape('a%u0062c%64')") == "abcd"
 
     def test_untouched_text(self):
-        assert js_unescape("hello %zz") == "hello %zz"
+        assert evaluate("unescape('hello %zz')") == "hello %zz"
+
+    def test_uppercase_u_is_not_an_escape(self):
+        # ES5 B.2.1 decodes ``%u`` only; ``%U0041`` stays as it is.
+        assert evaluate("unescape('%U0041')") == "%U0041"
+        assert "%U0041" in const_strings(fold_source("var x = unescape('%U0041');"))
 
 
 class TestExpressionFolding:
@@ -113,7 +121,7 @@ class TestStability:
         folder = ConstantFolder(parse('var x = "a" + "b";'))
         big = ast.BinaryExpression(
             "+",
-            ast.StringLiteral("x" * MAX_FOLD_CHARS),
+            ast.StringLiteral("x" * MAX_CHARS),
             ast.StringLiteral("y"),
         )
         assert folder.fold_expr(big) is None
@@ -144,9 +152,9 @@ class TestObfuscatedIdioms:
 
 
 class TestHostileArguments:
-    """Builtin folds must be total: hostile constant arguments leave
-    the expression opaque (with an ``unfoldable`` note) — they never
-    raise out of the folder (ISSUE 8 satellite)."""
+    """Builtin folds are the runtime's: a hostile constant argument folds
+    to the value the emulator computes, and never raises out of the
+    folder."""
 
     def _fold(self, source):
         program = parse(source)
@@ -154,13 +162,30 @@ class TestHostileArguments:
         folder.run()
         return folder
 
-    def test_fromcharcode_infinity_stays_opaque(self):
-        folder = self._fold("var c = String.fromCharCode(1e308 * 10);")
-        assert "String.fromCharCode" in folder.unfoldable
-
-    def test_parseint_infinite_radix_stays_opaque(self):
-        folder = self._fold('var n = parseInt("ff", 1e308 * 10);')
-        assert folder.env.get("n") is None  # did not fold, did not raise
+    @pytest.mark.parametrize(
+        "expression, expected",
+        [
+            ("String.fromCharCode(1e308 * 10)", "\0"),
+            ("parseInt('ff', 1e308 * 10)", math.nan),
+            ("'abc'.charCodeAt(9)", math.nan),
+            ("parseInt('12abc')", 12.0),
+            ("Number('0x10')", 16.0),
+        ],
+        ids=[
+            "fromcharcode-infinity",
+            "parseint-infinite-radix",
+            "charcodeat-past-the-end",
+            "parseint-trailing-text",
+            "number-hex",
+        ],
+    )
+    def test_folds_take_the_runtime_value(self, expression, expected):
+        folded = self._fold(f"var v = {expression};").env["v"].value
+        runtime = evaluate(expression)
+        if isinstance(expected, float) and math.isnan(expected):
+            assert math.isnan(folded) and math.isnan(runtime)
+        else:
+            assert folded == runtime == expected
 
     def test_infinity_stringifies(self):
         folded = fold_source('var s = "" + (1e308 * 10);')
@@ -169,14 +194,5 @@ class TestHostileArguments:
         assert "-Infinity" in const_strings(folded)
 
     def test_malformed_percent_sequences_pass_through(self):
-        assert js_unescape("%u12%zz%") == "%u12%zz%"
-
-    def test_unfoldable_rule_fires_at_info_only(self):
-        from repro.jsast.analyzer import analyze_script
-
-        report = analyze_script("var c = String.fromCharCode(1e308 * 10);")
-        assert report.parse_error is None
-        unfoldable = [f for f in report.findings if f.rule == "unfoldable"]
-        assert unfoldable
-        assert all(f.score == 0.0 for f in unfoldable)
-        assert report.triage_eligible  # INFO advisory: not blocking
+        assert evaluate("unescape('%u12%zz%')") == "%u12%zz%"
+        assert "%u12%zz%" in const_strings(fold_source("var x = unescape('%u12%zz%');"))

@@ -7,6 +7,7 @@ concat/slice transfer functions the heap-spray proof depends on.
 
 import pytest
 
+from repro.js.values import UNDEFINED
 from repro.jsast import lattice as lat
 
 pytestmark = pytest.mark.absint
@@ -82,6 +83,29 @@ class TestJoinValue:
 
     def test_join_with_top_is_top(self):
         assert lat.join_value(lat.TOP, lat.AbsConst(1.0)) is lat.TOP
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.0, True), (0.0, -0.0), (0.0, False), (None, UNDEFINED), ("1", 1.0)],
+    )
+    def test_distinct_constants_stay_apart(self, a, b):
+        """Constants merge only when SameValue: Python's ``==`` merged
+        ``1`` with ``true`` and ``0`` with ``-0``, and a loop that
+        switched between them kept one constant that the runtime
+        does not compute."""
+        joined = lat.join_value(lat.AbsConst(a), lat.AbsConst(b))
+        assert not isinstance(joined, lat.AbsConst)
+
+    def test_booleans_join_with_no_number(self):
+        assert lat.join_value(lat.AbsConst(True), lat.AbsConst(False)) is lat.TOP
+        assert lat.join_value(lat.AbsConst(True), lat.AbsNum(lat.Interval(0.0, 1.0))) is lat.TOP
+        assert lat.join_value(lat.AbsConst(1.0), lat.AbsConst(2.0)) == lat.AbsNum(
+            lat.Interval(1.0, 2.0)
+        )
+
+    def test_nan_joins_with_itself(self):
+        nan = lat.AbsConst(float("nan"))
+        assert lat.join_value(nan, lat.AbsConst(float("nan"))) is nan
 
     def test_join_with_bottom_is_identity(self):
         c = lat.AbsConst(1.0)
