@@ -7,6 +7,7 @@ from typing import List, Optional, Tuple
 from repro.js import nodes as ast
 from repro.js.errors import JSSyntaxError
 from repro.js.lexer import Token, TokenType, tokenize
+from repro.js.values import format_number
 
 #: Binary operator precedence (higher binds tighter).
 _BINARY_PRECEDENCE = {
@@ -477,7 +478,7 @@ class Parser:
                     ):
                         key = str(key_token.value)
                     elif key_token.type is TokenType.NUMBER:
-                        key = _number_to_key(float(key_token.value))
+                        key = format_number(float(key_token.value))
                     else:
                         raise self.error("bad object literal key")
                     self.expect_op(":")
@@ -487,12 +488,6 @@ class Parser:
             self.expect_op("}")
             return ast.ObjectLiteral(entries)
         raise self.error("unexpected token")
-
-
-def _number_to_key(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
 
 
 def parse(source: str) -> ast.Program:
