@@ -68,37 +68,41 @@ def string_from_char_code(interp: Any, this: Any, args: List[Any]) -> str:
 # Global functions
 
 
-#: ES5 B.2.1: ``%uXXXX`` (a lowercase ``u`` only) and ``%XX``.  A run
-#: of up to 256 ``%u`` escapes (a spray's shellcode is one long run) is
-#: one match, so it costs one callback.
-_UNESCAPE_RE = re.compile(r"%u([0-9a-fA-F]{4}(?:%u[0-9a-fA-F]{4}){0,255})|%([0-9a-fA-F]{2})")
+#: ES5 B.2.2: ``%uXXXX`` (a lowercase ``u`` only) and ``%XX``.  A run
+#: of up to 256 escapes of one kind (a spray's shellcode is one long
+#: ``%u`` run, a percent-encoded script one long ``%XX`` run) is one
+#: match, so it costs one callback.
+_UNESCAPE_RE = re.compile(
+    r"%u([0-9a-fA-F]{4}(?:%u[0-9a-fA-F]{4}){0,255})"
+    r"|%([0-9a-fA-F]{2}(?:%[0-9a-fA-F]{2}){0,255})"
+)
 
 
 def _decode_escapes(match: "re.Match[str]") -> str:
     run = match[1]
     if run is not None:
         return "".join([chr(int(digits, 16)) for digits in run.split("%u")])
-    return chr(int(match[2], 16))
+    return bytes.fromhex(match[2].replace("%", "")).decode("latin-1")
 
 
 def _unescape(interp: Any, this: Any, args: List[Any]) -> str:
-    result = _UNESCAPE_RE.sub(_decode_escapes, to_string(_arg(args, 0, "")))
+    result = _UNESCAPE_RE.sub(_decode_escapes, to_string(_arg(args, 0)))
     interp._record_string(result)
     return result
 
 
+#: ES5 B.2.1: every character but the ASCII letters and digits and
+#: ``@*_+-./``.
+_ESCAPE_RE = re.compile(r"[^A-Za-z0-9@*_+\-./]")
+
+
+def _escape_char(match: "re.Match[str]") -> str:
+    code = ord(match[0])
+    return "%%%02X" % code if code < 256 else "%%u%04X" % code
+
+
 def _escape(interp: Any, this: Any, args: List[Any]) -> str:
-    text = to_string(_arg(args, 0, ""))
-    out: List[str] = []
-    for ch in text:
-        code = ord(ch)
-        if ch.isalnum() or ch in "@*_+-./":
-            out.append(ch)
-        elif code < 256:
-            out.append("%%%02X" % code)
-        else:
-            out.append("%%u%04X" % code)
-    return interp._record_string("".join(out))
+    return interp._record_string(_ESCAPE_RE.sub(_escape_char, to_string(_arg(args, 0))))
 
 
 def _parse_int(interp: Any, this: Any, args: List[Any]) -> float:
@@ -408,13 +412,13 @@ def _str_char_code_at(interp: Any, value: str, args: List[Any]) -> float:
 
 def _str_index_of(interp: Any, value: str, args: List[Any]) -> float:
     start = min(max(to_integer(_arg(args, 1, 0.0)), 0.0), len(value))
-    return float(value.find(to_string(_arg(args, 0, "")), int(start)))
+    return float(value.find(to_string(_arg(args, 0)), int(start)))
 
 
 def _str_last_index_of(interp: Any, value: str, args: List[Any]) -> float:
     """ES5 §15.5.4.8: the last match starting at or before the position,
     which is +Infinity when NaN, else ToInteger clamped to [0, length]."""
-    search = to_string(_arg(args, 0, ""))
+    search = to_string(_arg(args, 0))
     position = to_number(_arg(args, 1))
     start = len(value)
     if position == position:  # not NaN
@@ -595,7 +599,9 @@ def _array_unshift(interp: Any, this: JSArray, args: List[Any]) -> float:
 
 
 def _array_join(interp: Any, this: JSArray, args: List[Any]) -> str:
-    separator = to_string(_arg(args, 0, ",")) if args else ","
+    """ES5 §15.4.4.5: an absent or ``undefined`` separator is ``','``."""
+    separator = _arg(args, 0)
+    separator = "," if separator is UNDEFINED else to_string(separator)
     return interp._record_string(join_array(this, separator))
 
 

@@ -27,10 +27,13 @@ reference semantics; everything here is defined in terms of it:
   host's spray pool dedupes by identity, so equal literals must stay
   distinct objects, exactly as in the walker).
 
-Compiled programs are cached per process (keyed by source text), which
-is what makes the instrumentation prologue/epilogue compile once per
-process instead of being re-parsed for every chain.  The hot-loop
-translator's Python functions share that cache's lock and lifetime.
+Compiled programs are cached per process, keyed by source text, so a
+source that runs again (a layer several documents ``eval``, a document
+scanned twice) compiles once.  The instrumentation wrapper does not
+hit it: each wrapper embeds its document's key and its script's
+ciphertext, so every instrumented script's wrapper is new text and
+compiles in full.  The hot-loop translator's Python functions share
+that cache's lock and lifetime.
 """
 
 from __future__ import annotations
@@ -223,24 +226,6 @@ class _Frag:
         self.regions: List[Tuple[int, int, int, int, int, int]] = []
 
 
-def _children(node: ast.Node) -> List[ast.Node]:
-    """All direct child nodes, walking dataclass fields generically."""
-    out: List[ast.Node] = []
-    for name in getattr(node, "__dataclass_fields__", ()):
-        value = getattr(node, name)
-        if isinstance(value, ast.Node):
-            out.append(value)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.Node):
-                    out.append(item)
-                elif isinstance(item, tuple):
-                    for part in item:
-                        if isinstance(part, ast.Node):
-                            out.append(part)
-    return out
-
-
 def _slot_eligible(body: ast.Block) -> bool:
     """True when a function body can use frame slots.
 
@@ -262,7 +247,7 @@ def _slot_eligible(body: ast.Block) -> bool:
             return False
         if isinstance(node, ast.TryStatement) and node.catch_block is not None:
             return False
-        stack.extend(_children(node))
+        stack.extend(ast.child_nodes(node))
     return True
 
 
@@ -278,7 +263,7 @@ def _references_arguments(body: ast.Block) -> bool:
         node = stack.pop()
         if isinstance(node, ast.Identifier) and node.name == "arguments":
             return True
-        stack.extend(_children(node))
+        stack.extend(ast.child_nodes(node))
     return False
 
 
@@ -1164,12 +1149,12 @@ _F = TypeVar("_F")
 
 
 def compile_source(source: str) -> Code:
-    """Parse + compile ``source``, memoised per process.
+    """Parse + compile ``source``, memoised per process by source text.
 
-    This cache is what makes the instrumentation prologue/epilogue —
-    identical source text on every chain — compile once per process.
-    Parse failures are never cached (they must re-raise each time, as
-    the walker would re-parse).
+    Only the same text again hits the cache.  An instrumentation
+    wrapper never does: it embeds its document's key and its script's
+    ciphertext, so each one compiles.  Parse failures are never cached
+    (they must re-raise each time, as the walker would re-parse).
     """
     with _CACHE_LOCK:
         cached = _CODE_CACHE.get(source)

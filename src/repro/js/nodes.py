@@ -1,12 +1,15 @@
 """AST node definitions for the JavaScript engine.
 
 Plain dataclasses; the interpreter dispatches on the concrete type.
+:func:`child_nodes` is the one way every analysis finds a node's
+children.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Node:
@@ -244,3 +247,35 @@ class EmptyStatement(Node):
 @dataclass
 class Program(Node):
     body: List[Node] = field(default_factory=list)
+
+
+#: Per node class, its field names in declaration order, read once from
+#: ``dataclasses.fields``.  Child discovery reads this table instead of
+#: introspecting the class on every node.
+FIELD_NAMES: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in Node.__subclasses__()
+}
+
+
+def child_nodes(node: Node) -> List[Node]:
+    """The direct child nodes of ``node``, in field order.
+
+    A field contributes its value when that is a node, and the nodes of
+    a list: its node items, and the node parts of its tuple items
+    (``ObjectLiteral.entries``, ``VarDeclaration.declarations``).
+    """
+    children: List[Node] = []
+    for name in FIELD_NAMES[type(node)]:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            children.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, Node):
+                    children.append(item)
+                elif isinstance(item, tuple):
+                    for part in item:
+                        if isinstance(part, Node):
+                            children.append(part)
+    return children

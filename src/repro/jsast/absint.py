@@ -46,8 +46,10 @@ from repro.jsast.rules import (
     SIDE_EFFECT_PREFIXES,
     SPRAY_LENGTH_THRESHOLD,
     RuleContext,
+    _self_appends,
     member_path,
 )
+from repro.jsast.walk import walk
 
 #: Default per-script step budget (see ``repro.limits.max_absint_steps``).
 DEFAULT_MAX_STEPS = 200_000
@@ -277,9 +279,7 @@ def _walk_no_functions(node: ast.Node):
         yield current
         if _is_function(current):
             continue
-        from repro.jsast.walk import iter_child_nodes
-
-        stack.extend(reversed(list(iter_child_nodes(current))))
+        stack.extend(reversed(ast.child_nodes(current)))
 
 
 def _written_names(node: Optional[ast.Node]) -> Set[str]:
@@ -364,8 +364,6 @@ def _function_effects(program: ast.Program) -> Tuple[Set[str], bool, bool]:
     written: Set[str] = set()
     has_eval = False
     has_throw = False
-    from repro.jsast.walk import walk
-
     for node in walk(program):
         if not _is_function(node):
             continue
@@ -939,8 +937,6 @@ class _Interp:
             return False
         if _contains_abrupt(node.body) or _written_names(node.body) != {grown}:
             return False
-        from repro.jsast.rules import _self_appends
-
         if not _self_appends(node.body, grown):
             return False
         entry_len = lat.length_of(entry_env.get(grown, lat.TOP))
@@ -1628,9 +1624,7 @@ class _ChannelWalker:
             return
         if isinstance(node, (ast.CallExpression, ast.NewExpression)):
             self._classify_call(node, mask, local_funcs)
-        from repro.jsast.walk import iter_child_nodes
-
-        for child in iter_child_nodes(node):
+        for child in ast.child_nodes(node):
             self._visit(child, mask, local_funcs)
 
     # -- classification --------------------------------------------------

@@ -27,8 +27,8 @@ which also caps folded strings at :data:`repro.jsast.consts.MAX_CHARS`.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Set
+import copy
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.js import nodes as ast
 from repro.jsast import consts
@@ -222,8 +222,9 @@ class ConstantFolder:
 
     def _rewrite(self, node: ast.Node) -> ast.Node:
         """Return ``node`` with every foldable subtree replaced by a
-        literal.  Statements and opaque expressions are rebuilt with
-        rewritten children (the original tree is never mutated)."""
+        literal.  Statements and opaque expressions are copied only
+        where a descendant folded (the original tree is never
+        mutated)."""
         if isinstance(
             node,
             (
@@ -263,35 +264,42 @@ def _constant_to_literal(value: Const) -> ast.Node:
     return ast.UndefinedLiteral()
 
 
-def _rebuild(node: ast.Node, transform) -> ast.Node:
-    """Shallow-copy ``node`` with ``transform`` applied to node fields."""
-    if not dataclasses.is_dataclass(node):
-        return node
-    changes = {}
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
+def _rebuild(node: ast.Node, transform: Callable[[ast.Node], ast.Node]) -> ast.Node:
+    """``node`` with ``transform`` applied to its children: ``node``
+    itself when every child comes back unchanged, else a shallow copy
+    sharing every field that did not change.  Only the paths above a
+    folded node are copied."""
+    changes: Dict[str, Any] = {}
+    for name in ast.FIELD_NAMES[type(node)]:
+        value = getattr(node, name)
         if isinstance(value, ast.Node):
-            changes[field.name] = transform(value)
+            new = transform(value)
+            if new is not value:
+                changes[name] = new
         elif isinstance(value, list):
-            items = []
-            for item in value:
-                if isinstance(item, ast.Node):
-                    items.append(transform(item))
-                elif isinstance(item, tuple):
-                    items.append(
-                        tuple(
-                            transform(element)
-                            if isinstance(element, ast.Node)
-                            else element
-                            for element in item
-                        )
-                    )
-                else:
-                    items.append(item)
-            changes[field.name] = items
+            items = [_rebuild_item(item, transform) for item in value]
+            if any(new is not old for new, old in zip(items, value)):
+                changes[name] = items
     if not changes:
         return node
-    return dataclasses.replace(node, **changes)
+    rebuilt = copy.copy(node)
+    for name, value in changes.items():
+        setattr(rebuilt, name, value)
+    return rebuilt
+
+
+def _rebuild_item(item: Any, transform: Callable[[ast.Node], ast.Node]) -> Any:
+    """One list item of a node field: a node, a tuple holding nodes, or
+    a plain value, rebuilt like :func:`_rebuild` rebuilds a node."""
+    if isinstance(item, ast.Node):
+        return transform(item)
+    if isinstance(item, tuple):
+        parts = tuple(
+            transform(part) if isinstance(part, ast.Node) else part for part in item
+        )
+        if any(new is not old for new, old in zip(parts, item)):
+            return parts
+    return item
 
 
 def fold_program(program: ast.Program) -> ast.Program:

@@ -1,36 +1,19 @@
 """Generic visitor/walker over the :mod:`repro.js.nodes` AST.
 
-The JS engine's nodes are plain dataclasses, so child discovery is
-field introspection: any field value that is a :class:`Node`, a list of
-nodes, or a list of tuples containing nodes (``ObjectLiteral.entries``,
-``VarDeclaration.declarations``) contributes children.  The walker is
-the substrate every lint rule and the constant folder are built on.
+Children are found by :func:`repro.js.nodes.child_nodes`.  The walker
+is the substrate every lint rule and the constant folder are built on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable, Dict, Iterator, Type
 
-from repro.js.nodes import Node
+from repro.js.nodes import Node, child_nodes
 
 
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield the direct child nodes of ``node`` in field order."""
-    if not dataclasses.is_dataclass(node):
-        return
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
-                elif isinstance(item, tuple):
-                    for element in item:
-                        if isinstance(element, Node):
-                            yield element
+    return iter(child_nodes(node))
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -40,7 +23,7 @@ def walk(node: Node) -> Iterator[Node]:
         current = stack.pop()
         yield current
         # Reverse so iteration order matches source order.
-        stack.extend(reversed(list(iter_child_nodes(current))))
+        stack.extend(reversed(child_nodes(current)))
 
 
 class NodeVisitor:
@@ -65,6 +48,6 @@ class NodeVisitor:
         return method(node)
 
     def generic_visit(self, node: Node) -> Any:
-        for child in iter_child_nodes(node):
+        for child in child_nodes(node):
             self.visit(child)
         return None

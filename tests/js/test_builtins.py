@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.js import evaluate
+from tests.js import unescape_reference
 
 
 class TestGlobals:
@@ -572,3 +574,106 @@ class TestErrorObjects:
         assert str(error) == "TypeError: cannot read property 'x' of null"
         assert error.message == "cannot read property 'x' of null"
         assert error.kind == "TypeError"
+
+
+class TestUndefinedArguments:
+    """A missing or ``undefined`` argument converts as ES5 converts
+    ``undefined``: ToString gives ``'undefined'`` (§9.8), and ``join``
+    takes ``','`` for an undefined separator (§15.4.4.5).  The rows
+    with a missing argument, and ``join``'s with an ``undefined`` one,
+    gave ``''``'s result before."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("unescape()", "undefined"),
+            ("unescape(undefined)", "undefined"),
+            ("escape()", "undefined"),
+            ("escape(undefined)", "undefined"),
+            ("'xundefined'.indexOf()", 1.0),
+            ("'xundefined'.indexOf(undefined)", 1.0),
+            ("'abc'.indexOf()", -1.0),
+            ("'abc'.lastIndexOf()", -1.0),
+            ("'undefinedundefined'.lastIndexOf()", 9.0),
+            ("'undefinedundefined'.lastIndexOf(undefined, 8)", 0.0),
+            ("[1, 2].join(undefined)", "1,2"),
+            ("[1, 2].join()", "1,2"),
+            ("[1, 2].join(null)", "1null2"),
+            ("[1, 2].join('')", "12"),
+            ("var u; [1, 2].join(u)", "1,2"),
+        ],
+    )
+    def test_both_engines_give_the_es5_result(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm == expected
+
+
+class TestEscape:
+    """ES5 B.2.1: ``escape`` leaves only the ASCII letters and digits
+    and ``@*_+-./`` as they are.  ``é``, ``²`` and ``中`` came back
+    unchanged before, because ``str.isalnum`` admits non-ASCII letters
+    and digits."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("escape('é')", "%E9"),
+            ("escape('²')", "%B2"),
+            ("escape('中')", "%u4E2D"),
+            ("escape('٣')", "%u0663"),
+            ("escape('azAZ09@*_+-./')", "azAZ09@*_+-./"),
+            ("escape(' ~%')", "%20%7E%25"),
+            ("escape('\\x00\\x7f\\xff\\u0100\\uffff')", "%00%7F%FF%u0100%uFFFF"),
+            ("escape(12.5)", "12.5"),
+            ("unescape(escape('é²中 x'))", "é²中 x"),
+        ],
+    )
+    def test_both_engines_give_the_es5_result(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm == expected
+
+
+# -- the unescape oracle -----------------------------------------------------------
+
+
+def _unescape(text: str) -> str:
+    from repro.js.builtins import GLOBAL_FUNCTIONS
+    from repro.js.interpreter import Interpreter
+    from repro.js.values import UNDEFINED
+
+    return GLOBAL_FUNCTIONS["unescape"](Interpreter(install_builtins=False), UNDEFINED, [text])
+
+
+#: Pieces of ``%XX`` and ``%u`` escapes, near misses and plain text.
+_UNESCAPE_PIECES = st.one_of(
+    st.text(st.sampled_from(list("%uU0123456789aAfFgGzZ é中")), max_size=12),
+    st.sampled_from(["%", "%u", "%U", "%4", "%u004", "%%41", "%u%41", "%41%u0042"]),
+    st.tuples(
+        st.sampled_from(["%{:02X}", "%{:02x}", "%u{:04X}", "%u{:04x}", "%U{:04X}"]),
+        st.integers(0, 0xFFFF),
+    ).map(lambda t: t[0].format(t[1] & (0xFF if len(t[0]) == 6 else 0xFFFF))),
+)
+
+#: Runs of one escape kind, some longer than the 256 one match may span.
+_UNESCAPE_RUNS = st.tuples(
+    st.sampled_from(["%{:02X}", "%u{:04X}"]),
+    st.lists(st.integers(0, 0xFF), min_size=1, max_size=4),
+    st.integers(1, 600),
+).map(lambda t: "".join(t[0].format(code) for code in t[1]) * t[2])
+
+
+@pytest.mark.diff
+@given(st.lists(_UNESCAPE_PIECES | _UNESCAPE_RUNS, max_size=8).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_unescape_matches_the_reference(text):
+    assert _unescape(text) == unescape_reference.unescape(text), text
+
+
+@pytest.mark.diff
+@pytest.mark.parametrize("count", [255, 256, 257, 512, 513, 1000])
+@pytest.mark.parametrize("escape", ["%41", "%e9", "%u4E2D", "%ud83d"])
+def test_unescape_runs_past_one_match(count, escape):
+    """A run longer than one match spans decodes as the per-escape
+    decoder decodes it, with a broken escape and text at each end."""
+    text = "x%4" + escape * count + "%zz" + escape + "%"
+    assert _unescape(text) == unescape_reference.unescape(text)

@@ -103,6 +103,7 @@ LANGUAGE_CASES = [
     "String.fromCharCode(72, 105) + String.fromCharCode(33)",
     "'a,b,c'.split(',').join('-')",
     "unescape('%u9090%u9090').length",
+    "escape('\u00e9\u00b2\u4e2d aZ9@*_+-./~') + unescape('%41%42' + escape('\u00e9'))",
     "var t = ''; t += 'xy'; t += t; t += t; t.length",
     # control flow
     "var x = 0; if (x) { x = 1; } else if (x === 0) { x = 2; } x",

@@ -19,12 +19,14 @@ it together with the change that moved the reports.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from repro.corpus import build_dataset, dataset_items
 from repro.corpus.obfuscated import obfuscated_corpus
+from repro.jsast.absint import interpret_script
 from repro.jsast.analyzer import analyze_document
 from repro.pdf import encryption
 from repro.pdf.document import PDFDocument
@@ -40,6 +42,23 @@ REGEN_COMMAND = "PYTHONPATH=src python -m tests.jsast.static_golden"
 def static_golden_items() -> List[Tuple[str, bytes]]:
     """The golden corpus plus the 3-layer obfuscated tier."""
     return dataset_items(build_dataset(GOLDEN_CONFIG)) + obfuscated_corpus(6, 6)
+
+
+@functools.lru_cache(maxsize=None)
+def static_golden_layers() -> Tuple[str, ...]:
+    """Every JS layer the static analysis parses on the snapshot corpus:
+    each document's scripts and the layers absint peels from them, each
+    once, in first-seen order."""
+    layers: Dict[str, None] = {}
+    for _name, data in static_golden_items():
+        document = PDFDocument.from_bytes(data)
+        if "Encrypt" in document.trailer:
+            encryption.remove_owner_password(document)
+        for action in document.iter_javascript_actions():
+            scans: Dict[str, Any] = {}
+            interpret_script(document.get_javascript_code(action), scans=scans)
+            layers.update(dict.fromkeys(scans))
+    return tuple(layers)
 
 
 def _project_script(report: Dict[str, Any]) -> Dict[str, Any]:

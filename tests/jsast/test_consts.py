@@ -22,6 +22,7 @@ from repro.js import evaluate, nodes as ast
 from repro.js.builtins import STRING_METHODS
 from repro.js.errors import JSRuntimeError
 from repro.js.parser import parse
+from repro.js.values import to_string
 from repro.jsast.absint import interpret_script
 from repro.jsast.fold import ConstantFolder
 from repro.pdf.builder import DocumentBuilder
@@ -94,6 +95,37 @@ def test_long_digit_run_folds_to_nan_in_linear_time():
     interpret_script(script, scans=scans)
     assert [code for code in scans if code != script] == ["NaN"]
     assert time.perf_counter() - start < 5.0
+
+
+#: Calls with a missing or ``undefined`` argument, which ES5 converts
+#: as ``undefined`` (``join``: as ``','``), and their results as text.
+#: The runtime took ``''`` for a missing argument, and ``join`` for an
+#: ``undefined`` one, before, and both passes folded that with it.
+UNDEFINED_ARGUMENTS = [
+    ("unescape()", "undefined"),
+    ("unescape(undefined)", "undefined"),
+    ("'xundefined'.indexOf()", "1"),
+    ("'abc'.lastIndexOf()", "-1"),
+    ("'undefinedundefined'.lastIndexOf(undefined, 8)", "0"),
+    ("[1, 2].join(undefined)", "1,2"),
+    ("[1, 2].join()", "1,2"),
+]
+
+
+@pytest.mark.parametrize("expression, text", UNDEFINED_ARGUMENTS)
+def test_both_passes_fold_an_undefined_argument_as_es5(expression, text):
+    assert evaluate(f"String({expression})") == text
+
+    program = parse(f"{expression};")
+    statement = program.body[0]
+    assert isinstance(statement, ast.ExpressionStatement)
+    folded = ConstantFolder(program).fold_expr(statement.expression)
+    assert folded is not None and to_string(folded.value) == text
+
+    script = f"eval(String({expression}));"
+    scans: dict = {}
+    interpret_script(script, scans=scans)
+    assert [code for code in scans if code != script] == [text]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
-"""Constant folding / string-concat propagation."""
+"""Constant folding / string-concat propagation.
 
+The ``diff``-marked test at the end holds copy-on-change folding to the
+full-copy rebuild it replaced, on every corpus script.
+"""
+
+import copy
+import dataclasses
 import math
 
 import pytest
@@ -7,9 +13,11 @@ import pytest
 from repro.js import evaluate
 from repro.js import nodes as ast
 from repro.js.parser import parse
+from repro.jsast import fold
 from repro.jsast.consts import MAX_CHARS
 from repro.jsast.fold import ConstantFolder, fold_program
 from repro.jsast.walk import walk
+from tests.jsast.test_walk import corpus_programs
 
 
 def const_strings(program):
@@ -196,3 +204,89 @@ class TestHostileArguments:
     def test_malformed_percent_sequences_pass_through(self):
         assert evaluate("unescape('%u12%zz%')") == "%u12%zz%"
         assert "%u12%zz%" in const_strings(fold_source("var x = unescape('%u12%zz%');"))
+
+
+class TestCopyOnChange:
+    """The folded tree copies only the paths above a folded node and
+    shares everything else with its input."""
+
+    def test_an_unfoldable_program_comes_back_as_itself(self):
+        program = parse("f(x); while (y) { g(y, [1, z]); } var o = {a: q};")
+        assert fold_program(program) is program
+
+    def test_only_the_path_to_a_folded_node_is_copied(self):
+        program = parse("f(x); g(y, 'a' + 'b', {k: h});")
+        folded = fold_program(program)
+        assert folded is not program
+        assert folded.body[0] is program.body[0]
+        before, after = program.body[1].expression, folded.body[1].expression
+        assert after is not before
+        assert after.callee is before.callee
+        assert after.arguments[0] is before.arguments[0]
+        assert after.arguments[1] == ast.StringLiteral("ab")
+        assert after.arguments[2] is before.arguments[2]
+        assert before.arguments[1] == ast.BinaryExpression(
+            "+", ast.StringLiteral("a"), ast.StringLiteral("b")
+        )
+
+    def test_a_folded_declaration_copies_its_tuple(self):
+        program = parse("var a = x, b = '1' + '2';")
+        folded = fold_program(program)
+        declarations = folded.body[0].declarations
+        assert declarations[0] is program.body[0].declarations[0]
+        assert declarations[1] == ("b", ast.StringLiteral("12"))
+
+
+# -- the full-copy oracle ---------------------------------------------------------
+
+
+def _full_copy_rebuild(node, transform):
+    """The folder's rebuild before copy-on-change: every node with a
+    node or list field copied, with fresh lists and tuples, whether or
+    not a child folded."""
+    if not dataclasses.is_dataclass(node):
+        return node
+    changes = {}
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, ast.Node):
+            changes[field.name] = transform(value)
+        elif isinstance(value, list):
+            items = []
+            for item in value:
+                if isinstance(item, ast.Node):
+                    items.append(transform(item))
+                elif isinstance(item, tuple):
+                    items.append(
+                        tuple(
+                            transform(element) if isinstance(element, ast.Node) else element
+                            for element in item
+                        )
+                    )
+                else:
+                    items.append(item)
+            changes[field.name] = items
+    if not changes:
+        return node
+    return dataclasses.replace(node, **changes)
+
+
+@pytest.mark.diff
+def test_folding_matches_the_full_copy_rebuild_on_every_corpus_script(monkeypatch):
+    """On every corpus program ``fold_program`` leaves its input as it
+    was and returns a tree equal to the one a full copy builds."""
+    programs = corpus_programs()
+    assert len(programs) > 50
+    copied = 0
+    for program in programs:
+        pristine = copy.deepcopy(program)
+        folded = fold_program(program)
+        assert program == pristine
+        with monkeypatch.context() as patch:
+            patch.setattr(fold, "_rebuild", _full_copy_rebuild)
+            reference = fold_program(program)
+        assert program == pristine
+        assert folded == reference
+        copied += folded is not program
+    # Folding copies some programs, and shares the others whole.
+    assert 0 < copied < len(programs)

@@ -1,4 +1,9 @@
-"""Walker/visitor framework over the repro.js AST."""
+"""Walker/visitor framework over the repro.js AST.
+
+The ``diff``-marked tests at the end hold the field table behind
+:func:`repro.js.nodes.child_nodes` to the ``dataclasses.fields`` walk it
+replaced, on every node class and on every node of every corpus script.
+"""
 
 import dataclasses
 import inspect
@@ -6,8 +11,11 @@ import inspect
 import pytest
 
 from repro.js import nodes as ast
+from repro.js.errors import JSSyntaxError
 from repro.js.parser import parse
 from repro.jsast.walk import NodeVisitor, iter_child_nodes, walk
+from tests.js.test_differential import corpus_scripts
+from tests.jsast.static_golden import static_golden_layers
 
 
 def _all_node_kinds():
@@ -197,3 +205,69 @@ class TestNodeVisitor:
 
         V().visit(parse("f(g(h()));"))
         assert len(calls) == 3
+
+
+# -- the child-table oracle -------------------------------------------------------
+
+
+def reference_children(node):
+    """Child discovery as it was before the field table: introspect
+    ``dataclasses.fields`` on every call."""
+    children = []
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, ast.Node):
+            children.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                if isinstance(item, ast.Node):
+                    children.append(item)
+                elif isinstance(item, tuple):
+                    for element in item:
+                        if isinstance(element, ast.Node):
+                            children.append(element)
+    return children
+
+
+def corpus_programs():
+    """Every corpus script and every layer the static analysis parses on
+    the snapshot corpus, parsed; layers that do not parse are left out."""
+    programs = []
+    for source in corpus_scripts() + list(static_golden_layers()):
+        try:
+            programs.append(parse(source))
+        except JSSyntaxError:
+            continue
+    return programs
+
+
+def _same_objects(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+@pytest.mark.diff
+def test_the_field_table_covers_every_node_class():
+    assert set(ast.FIELD_NAMES) == set(_all_node_kinds())
+
+
+@pytest.mark.diff
+@pytest.mark.parametrize("cls", _all_node_kinds(), ids=lambda cls: cls.__name__)
+def test_child_nodes_match_the_fields_walk_on_every_node_class(cls):
+    node = _make_node(cls)
+    assert _same_objects(ast.child_nodes(node), reference_children(node))
+
+
+@pytest.mark.diff
+def test_child_nodes_match_the_fields_walk_on_every_corpus_node():
+    programs = corpus_programs()
+    assert len(programs) > 50
+    nodes = 0
+    for program in programs:
+        stack = [program]
+        while stack:
+            node = stack.pop()
+            nodes += 1
+            expected = reference_children(node)
+            assert _same_objects(ast.child_nodes(node), expected), node
+            stack.extend(expected)
+    assert nodes > 1000
