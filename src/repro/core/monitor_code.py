@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.js.lexer import code_units
+
 #: Loopback endpoint of the detector's tiny SOAP server.
 SOAP_HOST = "127.0.0.1"
 SOAP_PORT = 48621
@@ -37,32 +39,34 @@ SOAP_URL = f"http://{SOAP_HOST}:{SOAP_PORT}/ctxmon"
 ENCRYPTION_SCHEMES = ("shift", "xor", "reverse-shift")
 
 
+#: The escape ``js_string_literal`` writes for each character that is
+#: not printable ASCII, and for ``"`` and ``\\``.
+_LITERAL_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _literal_escape(ch: str) -> str:
+    escape = _LITERAL_ESCAPES.get(ch)
+    if escape is not None:
+        return escape
+    # A character above U+FFFF is written as its UTF-16 surrogate pair.
+    return "".join(["\\u%04x" % ord(unit) for unit in code_units(ch)])
+
+
 def js_string_literal(text: str) -> str:
     """Encode ``text`` as a double-quoted JS string literal.
 
     This is the paper's "scan the code and add '\\'" escaping step,
     done properly: quotes, backslashes and non-printable characters are
-    escaped so arbitrary script bodies round-trip through eval().
+    escaped so arbitrary script bodies round-trip through eval().  One
+    ``str.translate`` does it, over a table of the text's distinct
+    characters that need an escape.
     """
-    out: List[str] = ['"']
-    for ch in text:
-        code = ord(ch)
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif 0x20 <= code <= 0x7E:
-            out.append(ch)
-        else:
-            out.append("\\u%04x" % code)
-    out.append('"')
-    return "".join(out)
+    table = {
+        ord(ch): _literal_escape(ch)
+        for ch in set(text)
+        if not " " <= ch <= "~" or ch == '"' or ch == "\\"
+    }
+    return '"' + text.translate(table) + '"'
 
 
 @dataclass
@@ -72,29 +76,31 @@ class EncryptedScript:
     ciphertext: str
 
 
-def encrypt_script(code: str, scheme: str, key: int) -> EncryptedScript:
-    """Encrypt a script body for the chosen scheme."""
-    if scheme == "shift":
-        ciphertext = "".join(chr((ord(c) + key) % 65536) for c in code)
-    elif scheme == "xor":
-        ciphertext = "".join(chr(ord(c) ^ key) for c in code)
-    elif scheme == "reverse-shift":
-        ciphertext = "".join(chr((ord(c) + key) % 65536) for c in reversed(code))
+def _cipher(text: str, scheme: str, key: int, sign: int) -> str:
+    """``text`` run through ``scheme`` with ``key``, forwards
+    (``sign`` 1) or backwards (-1): one ``str.translate`` over a table
+    of the text's distinct characters.  Shift and xor act on each
+    character's number; a text of UTF-16 code units stays one."""
+    if scheme == "xor":
+        table = {code: code ^ key for code in map(ord, set(text))}
+    elif scheme == "shift" or scheme == "reverse-shift":
+        delta = sign * key
+        table = {code: (code + delta) % 65536 for code in map(ord, set(text))}
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return EncryptedScript(scheme=scheme, key=key, ciphertext=ciphertext)
+    if scheme == "reverse-shift":
+        text = text[::-1]
+    return text.translate(table)
+
+
+def encrypt_script(code: str, scheme: str, key: int) -> EncryptedScript:
+    """Encrypt a script body for the chosen scheme."""
+    return EncryptedScript(scheme=scheme, key=key, ciphertext=_cipher(code, scheme, key, 1))
 
 
 def decrypt_script(encrypted: EncryptedScript) -> str:
     """Python-side inverse (used by tests and de-instrumentation checks)."""
-    scheme, key, data = encrypted.scheme, encrypted.key, encrypted.ciphertext
-    if scheme == "shift":
-        return "".join(chr((ord(c) - key) % 65536) for c in data)
-    if scheme == "xor":
-        return "".join(chr(ord(c) ^ key) for c in data)
-    if scheme == "reverse-shift":
-        return "".join(chr((ord(c) - key) % 65536) for c in reversed(data))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _cipher(encrypted.ciphertext, encrypted.scheme, encrypted.key, -1)
 
 
 def _decryptor_js(prefix: str, scheme: str, key: int) -> str:
@@ -176,7 +182,9 @@ class MonitorCodeGenerator:
         prefix = self._prefix()
         scheme = self.rng.choice(ENCRYPTION_SCHEMES)
         cipher_key = self.rng.randint(3, 4000)
-        encrypted = encrypt_script(original, scheme, cipher_key)
+        # The in-JS decryptor works on UTF-16 code units (charCodeAt,
+        # fromCharCode), so it is the code units that are encrypted.
+        encrypted = encrypt_script(code_units(original), scheme, cipher_key)
 
         key_var = f"{prefix}k"
         url_var = f"{prefix}u"

@@ -21,6 +21,10 @@ digits.  A word starts with a ``str.isalpha`` character, ``_`` or ``$``
 and continues with ``str.isalnum`` characters, ``_`` or ``$`` (the
 regex ``\\w`` class is exactly ``str.isalnum`` plus ``_``).
 
+A run of ``\\uXXXX`` escapes decodes with one ``unicode_escape`` codec
+call, each escape its own code point.  Source text is read as UTF-16
+code units (:func:`code_units`).
+
 Every decoded literal is a new ``str``: equal literals stay distinct
 objects, which the spray pool's identity dedupe relies on.
 """
@@ -72,16 +76,9 @@ class Token:
     line: int
     column: int
 
-    def is_op(self, *ops: str) -> bool:
-        return self.type is _OPERATOR and self.value in ops
-
-    def is_keyword(self, *words: str) -> bool:
-        return self.type is _KEYWORD and self.value in words
-
 
 # Looking a member up on an Enum class costs several times a global
-# lookup, and the parser calls ``is_op``/``is_keyword`` several times
-# per token.
+# lookup, and the scanner names a token type for every token.
 _NUMBER = TokenType.NUMBER
 _STRING = TokenType.STRING
 _IDENTIFIER = TokenType.IDENTIFIER
@@ -142,9 +139,11 @@ class _BadEscape(Exception):
 
 
 def _unescape(match: re.Match[str]) -> str:
-    run = match[1]
-    if run is not None:
-        return "".join([chr(int(digits, 16)) for digits in run.split("\\u")])
+    if match[1] is not None:
+        # One codec call for the run; ``unicode_escape`` leaves each
+        # ``\\uXXXX`` its own code point, a surrogate included.
+        run: str = match[0]
+        return run.encode("ascii").decode("unicode_escape")
     group = match.lastindex
     if group == 2:
         return chr(int(match[2], 16))
@@ -185,8 +184,31 @@ def _unclosed_string(source: str, end: int) -> JSSyntaxError:
     return _error(source, len(source), "bad escape at end of input")
 
 
+#: A character above U+FFFF, which UTF-16 spells as two code units.
+_ABOVE_BMP = re.compile("[\U00010000-\U0010ffff]")
+
+
+def _surrogate_pair(match: re.Match[str]) -> str:
+    offset = ord(match.group()) - 0x10000
+    return chr(0xD800 + (offset >> 10)) + chr(0xDC00 + (offset & 0x3FF))
+
+
+def code_units(text: str) -> str:
+    """``text`` as UTF-16 code units (ES5 §6, §8.4): each character
+    above U+FFFF becomes its surrogate pair.  ASCII text, which every
+    instrumentation wrapper is, comes back as itself."""
+    if text.isascii():
+        return text
+    return _ABOVE_BMP.sub(_surrogate_pair, text)
+
+
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` fully (the parser wants random access)."""
+    """Tokenize ``source`` fully (the parser wants random access).
+
+    The source is read as UTF-16 code units, as ES5 reads it: a
+    character above U+FFFF is two characters of a string literal, and
+    an error in an identifier.  Columns count code units."""
+    source = code_units(source)
     tokens: List[Token] = []
     append = tokens.append
     line = 1

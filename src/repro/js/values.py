@@ -388,6 +388,14 @@ def join_array(array: JSArray, separator: str) -> str:
     does, instead of recursing without end."""
     if array.joining:
         return ""
+    elements = array.elements
+    if not elements or type(elements[0]) is str:
+        # All strings, as a decryptor's or shellcode builder's array is:
+        # one str.join (its TypeError at a non-string falls through).
+        try:
+            return separator.join(elements)
+        except TypeError:
+            pass
     array.joining = True
     try:
         return separator.join(

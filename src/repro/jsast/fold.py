@@ -108,11 +108,18 @@ class ConstantFolder:
         self.program = program
         self.stable = _collect_stable_names(program)
         self.env: Dict[str, _Wrapped] = {}
+        #: Nodes (by ``id``; the program keeps every node alive) that
+        #: did not fold in the pass under way.  ``_rewrite`` asks again
+        #: for every subtree of an opaque expression, which would fold
+        #: an n-term opaque chain O(n²) times over without it.  Folded
+        #: values are not kept: a chain's prefixes may each be long.
+        self.opaque: Set[int] = set()
 
     # -- environment -----------------------------------------------------
 
     def _seed_environment(self) -> None:
         """Bind stable names whose initialisers fold to constants."""
+        self.opaque = set()
         for statement in self.program.body:
             if not isinstance(statement, ast.VarDeclaration):
                 continue
@@ -126,47 +133,49 @@ class ConstantFolder:
     # -- expression folding ----------------------------------------------
 
     def fold_expr(self, node: ast.Node) -> Optional[_Wrapped]:
-        """Fold ``node`` to a constant, or ``None`` when it may vary."""
+        """Fold ``node`` to a constant, or ``None`` when it may vary.
+        A node that did not fold is not tried again in the same pass.
+        (One frame per tree level: the recursion limit bounds how deep
+        a chain folds.)"""
+        if id(node) in self.opaque:
+            return None
+        value: Optional[_Wrapped] = None
         if isinstance(node, ast.StringLiteral):
-            return _Wrapped(node.value)
-        if isinstance(node, ast.NumberLiteral):
-            return _Wrapped(float(node.value))
-        if isinstance(node, ast.BooleanLiteral):
-            return _Wrapped(node.value)
-        if isinstance(node, ast.NullLiteral):
-            return _Wrapped(None)
-        if isinstance(node, ast.UndefinedLiteral):
-            return _Wrapped(consts.UNDEFINED)
-        if isinstance(node, ast.Identifier):
-            return self.env.get(node.name)
-        if isinstance(node, ast.BinaryExpression):
+            value = _Wrapped(node.value)
+        elif isinstance(node, ast.NumberLiteral):
+            value = _Wrapped(float(node.value))
+        elif isinstance(node, ast.BooleanLiteral):
+            value = _Wrapped(node.value)
+        elif isinstance(node, ast.NullLiteral):
+            value = _Wrapped(None)
+        elif isinstance(node, ast.UndefinedLiteral):
+            value = _Wrapped(consts.UNDEFINED)
+        elif isinstance(node, ast.Identifier):
+            value = self.env.get(node.name)
+        elif isinstance(node, ast.BinaryExpression):
             left = self.fold_expr(node.left)
-            if left is None:
-                return None
-            right = self.fold_expr(node.right)
-            if right is None:
-                return None
-            return _wrap(consts.binary(node.op, left.value, right.value))
-        if isinstance(node, ast.UnaryExpression):
+            right = None if left is None else self.fold_expr(node.right)
+            if left is not None and right is not None:
+                value = _wrap(consts.binary(node.op, left.value, right.value))
+        elif isinstance(node, ast.UnaryExpression):
             operand = self.fold_expr(node.operand)
-            if operand is None:
-                return None
-            return _wrap(consts.unary(node.op, operand.value))
-        if isinstance(node, ast.ConditionalExpression):
+            if operand is not None:
+                value = _wrap(consts.unary(node.op, operand.value))
+        elif isinstance(node, ast.ConditionalExpression):
             test = self.fold_expr(node.test)
-            if test is None:
-                return None
-            taken = consts.truthy(test.value)
-            return self.fold_expr(node.consequent if taken else node.alternate)
-        if isinstance(node, ast.SequenceExpression):
-            if not node.expressions:
-                return None
-            return self.fold_expr(node.expressions[-1])
-        if isinstance(node, ast.CallExpression):
-            return self._fold_call(node)
-        if isinstance(node, ast.MemberExpression):
-            return self._fold_member(node)
-        return None
+            if test is not None:
+                taken = consts.truthy(test.value)
+                value = self.fold_expr(node.consequent if taken else node.alternate)
+        elif isinstance(node, ast.SequenceExpression):
+            if node.expressions:
+                value = self.fold_expr(node.expressions[-1])
+        elif isinstance(node, ast.CallExpression):
+            value = self._fold_call(node)
+        elif isinstance(node, ast.MemberExpression):
+            value = self._fold_member(node)
+        if value is None:
+            self.opaque.add(id(node))
+        return value
 
     def _fold_member(self, node: ast.MemberExpression) -> Optional[_Wrapped]:
         obj = self.fold_expr(node.obj)
@@ -247,6 +256,7 @@ class ConstantFolder:
             self._seed_environment()
             if len(self.env) == before:
                 break
+        self.opaque = set()
         rewritten = self._rewrite(self.program)
         assert isinstance(rewritten, ast.Program)
         return rewritten

@@ -10,6 +10,7 @@ detect.
 from __future__ import annotations
 
 import io
+import re
 from typing import Iterable, Optional, Tuple
 
 from repro.pdf.objects import (
@@ -53,24 +54,34 @@ def serialize_value(value: object) -> bytes:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+#: The escape a literal string writes for each control or non-ASCII
+#: byte other than ``\\n`` and ``\\r``: three octal digits.
+_OCTAL_ESCAPES = [b"\\%03o" % byte for byte in range(256)]
+#: A run of bytes a literal string writes as octal escapes.
+_UNPRINTABLE_RUN = re.compile(rb"[\x00-\x1f\x7f-\xff]+")
+_PRINTABLE = bytes(range(0x20, 0x7F))
+
+
+def _escape_run(match: "re.Match[bytes]") -> bytes:
+    return b"".join([_OCTAL_ESCAPES[byte] for byte in match[0]])
+
+
 def _serialize_string(value: PDFString) -> bytes:
     if value.hex_form:
         return b"<" + bytes(value).hex().upper().encode("ascii") + b">"
-    out = bytearray(b"(")
-    for byte in bytes(value):
-        if byte in b"()\\":
-            out.append(ord("\\"))
-            out.append(byte)
-        elif byte == 0x0A:
-            out.extend(b"\\n")
-        elif byte == 0x0D:
-            out.extend(b"\\r")
-        elif byte < 0x20 or byte > 0x7E:
-            out.extend(b"\\%03o" % byte)
-        else:
-            out.append(byte)
-    out.append(ord(")"))
-    return bytes(out)
+    # Backslash first, so the escapes added after it stay single.
+    data = (
+        value.replace(b"\\", b"\\\\")
+        .replace(b"(", b"\\(")
+        .replace(b")", b"\\)")
+        .replace(b"\n", b"\\n")
+        .replace(b"\r", b"\\r")
+    )
+    # One C-level pass finds whether any other byte needs an escape;
+    # the regex scan, several times slower, runs only then.
+    if data.translate(None, _PRINTABLE):
+        data = _UNPRINTABLE_RUN.sub(_escape_run, data)
+    return b"(" + data + b")"
 
 
 def _serialize_dict(value: PDFDict) -> bytes:

@@ -1,19 +1,28 @@
 """Unit tests for key management and monitoring-code generation."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.keys import InstrumentationKey, KeyStore, fingerprint
 from repro.core.monitor_code import (
     ENCRYPTION_SCHEMES,
     GeneratedMonitorCode,
     MonitorCodeGenerator,
+    _decryptor_js,
     decrypt_script,
     encrypt_script,
     js_string_literal,
 )
-from repro.js import evaluate
+from repro.core.pipeline import ProtectionPipeline
+from repro.js import evaluate, hotloop
+from repro.js.lexer import code_units
 from repro.js.values import JSObject, NativeFunction, UNDEFINED
 from repro.js.vm import BytecodeInterpreter
+from repro.pdf.builder import DocumentBuilder
+from repro.pdf.objects import PDFName, PDFString
+from tests.conftest import spray_js
 
 
 class TestKeyStore:
@@ -218,3 +227,48 @@ class TestMonitorCodeGeneration:
         assert generated.scheme == scheme
         interp, _log = run_wrapped(generated)
         assert interp.global_env.lookup("out") == 42.0
+
+
+class TestUtf16SourceRoundTrip:
+    """The wrapper encrypts the script's UTF-16 code units, which its
+    in-JS decryptor gives back under every scheme.  Shift and
+    reverse-shift dropped a character above U+FFFF to its low 16 bits,
+    and xor's five-hex-digit escape read back as a different string, so
+    the verdict depended on the scheme the wrapper drew."""
+
+    @given(
+        st.text(st.characters(exclude_categories=()), max_size=160),
+        st.sampled_from(ENCRYPTION_SCHEMES),
+        st.integers(3, 4000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_decryptor_in_the_vm_returns_the_code_units(self, text, scheme, key):
+        units = code_units(text)
+        ciphertext = encrypt_script(units, scheme, key).ciphertext
+        source = f"{_decryptor_js('__t', scheme, key)} __tdec({js_string_literal(ciphertext)})"
+        for threshold in (1, hotloop.HOT_LOOP_THRESHOLD):
+            with mock.patch.object(hotloop, "HOT_LOOP_THRESHOLD", threshold):
+                assert BytecodeInterpreter().run(source) == units
+
+    @staticmethod
+    def _gated_dropper() -> bytes:
+        """A heap-spray dropper that runs only where a JS string is
+        UTF-16, stored as a UTF-16BE ``/JS`` text string."""
+        script = "if ('\U0001f600'.length == 2) {\n" + spray_js() + "\n}"
+        builder = DocumentBuilder()
+        builder.add_page("")
+        action = builder.document.resolve(builder.add_javascript("x"))
+        action[PDFName("JS")] = PDFString(b"\xfe\xff" + script.encode("utf-16-be"))
+        return builder.to_bytes()
+
+    def test_the_gated_dropper_is_malicious_under_every_scheme(self):
+        seeds = {}
+        for seed in range(16):
+            scheme = MonitorCodeGenerator("k", seed=seed).wrap_script("x").scheme
+            seeds.setdefault(scheme, seed)
+        assert set(seeds) == set(ENCRYPTION_SCHEMES)
+        data = self._gated_dropper()
+        for scheme, seed in seeds.items():
+            for triage in (False, True):
+                report = ProtectionPipeline(seed=seed, triage=triage).scan(data, "gated.pdf")
+                assert report.verdict.malicious, (scheme, triage)

@@ -633,6 +633,98 @@ class TestEscape:
         assert walker == vm == expected
 
 
+class TestUtf16Strings:
+    """A JS string is UTF-16 code units (ES5 §8.4): a character above
+    U+FFFF in the source is two of them.  ``'\U0001f600'.length`` was 1
+    before, where ES5 and a reader give 2."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("'\U0001f600'.length", 2.0),
+            ("'\U0001f600'.charCodeAt(0)", 55357.0),
+            ("'\U0001f600'.charCodeAt(1)", 56832.0),
+            ("'\U0001f600' === '\\uD83D\\uDE00'", True),
+            ("escape('\U0001f600')", "%uD83D%uDE00"),
+            ("unescape('%uD83D%uDE00') === '\U0001f600'", True),
+            ("String.fromCharCode(0xD83D, 0xDE00) === '\U0001f600'", True),
+            ("'a\U0001f600b'.indexOf('b')", 3.0),
+            ("'\U0001f600'.substr(1) === '\\uDE00'", True),
+        ],
+    )
+    def test_both_engines_give_the_es5_result(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm == expected
+
+    def test_a_letter_above_the_bmp_is_a_syntax_error_on_both_engines(self):
+        from repro.js.errors import JSSyntaxError
+        from repro.js.interpreter import Interpreter
+        from repro.js.vm import BytecodeInterpreter
+
+        for engine in (Interpreter, BytecodeInterpreter):
+            with pytest.raises(JSSyntaxError):
+                engine().run("var \U0001d518 = 1;")
+
+
+# -- the join oracle ----------------------------------------------------------------
+
+
+def _reference_join(array, separator):
+    """``join_array`` before all-string arrays took one ``str.join``."""
+    from repro.js.values import UNDEFINED, to_string
+
+    if array.joining:
+        return ""
+    array.joining = True
+    try:
+        return separator.join(
+            "" if (item is UNDEFINED or item is None) else to_string(item)
+            for item in array.elements
+        )
+    finally:
+        array.joining = False
+
+
+def _join_elements():
+    from repro.js.values import UNDEFINED, JSArray, JSObject
+
+    scalar = st.one_of(
+        st.text(max_size=4),
+        st.floats(allow_nan=True),
+        st.sampled_from([None, UNDEFINED, True, False, -0.0]),
+    )
+    return st.recursive(
+        scalar,
+        lambda inner: st.lists(inner, max_size=4).map(JSArray)
+        | st.just(JSObject()),
+        max_leaves=12,
+    )
+
+
+@pytest.mark.diff
+@given(
+    st.lists(_join_elements(), max_size=8) | st.lists(st.text(max_size=3), max_size=8),
+    st.sampled_from([",", "", "-", "\U0001f600"]),
+)
+@settings(max_examples=800, deadline=None)
+def test_join_matches_the_reference(elements, separator):
+    from repro.js.values import JSArray, join_array
+
+    assert join_array(JSArray(list(elements)), separator) == _reference_join(
+        JSArray(list(elements)), separator
+    )
+
+
+@pytest.mark.diff
+def test_join_of_an_array_holding_itself_matches_the_reference():
+    from repro.js.values import JSArray, join_array
+
+    for head, expected in (("a", "a-b-"), (1.0, "1-b-")):
+        array = JSArray([head, "b"])
+        array.elements.append(array)
+        assert join_array(array, "-") == _reference_join(array, "-") == expected
+
+
 # -- the unescape oracle -----------------------------------------------------------
 
 

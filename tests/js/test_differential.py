@@ -13,10 +13,12 @@ Run just this lane with ``pytest -m diff``.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.batch.scanner import _settings_fingerprint
 from repro.cli import main
@@ -523,3 +525,42 @@ def test_js_engine_flag_is_a_usage_error(tmp_path, js_doc_bytes, capsys) -> None
 
 def test_cache_fingerprint_has_no_engine_component() -> None:
     assert "js:" not in _settings_fingerprint(PipelineSettings())
+
+
+# ---------------------------------------------------------------------------
+# `%` on two floats: inline in the dispatch loop and in translated loops,
+# against `_binary_op`, the generic path both took before.
+
+#: Operands of every `%` case: NaN, ±Infinity, ±0, subnormals and the
+#: decryptor's `(c - k + 65536) % 65536`.
+MOD_OPERANDS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 65536.0, -65536.0, 5e-324, 1.5, -1.5, 1e308, math.inf, -math.inf, math.nan]
+)
+
+MOD_PROGRAM = (
+    "function f(a, b) { var d = a % b, t; for (var i = 0; i < 3; i++) { t = a % b; }"
+    " return [d, t]; }"
+    " var r = f(A, B), e = A % B, u;"
+    " for (var j = 0; j < 3; j++) { u = A % B; }"
+    " r.concat([e, u])"
+)
+
+
+def _same_number(left: float, right: float) -> bool:
+    if math.isnan(left) or math.isnan(right):
+        return math.isnan(left) and math.isnan(right)
+    return left == right and math.copysign(1.0, left) == math.copysign(1.0, right)
+
+
+@given(MOD_OPERANDS, MOD_OPERANDS)
+@settings(max_examples=800, deadline=None)
+def test_float_modulo_matches_the_generic_operator(left: float, right: float) -> None:
+    interp = BytecodeInterpreter()
+    interp.define_global("A", left)
+    interp.define_global("B", right)
+    results = interp.run(MOD_PROGRAM).elements
+    expected = Interpreter(install_builtins=False)._binary_op("%", left, right)
+    assert len(results) == 4
+    assert all(_same_number(result, expected) for result in results), (left, right, results)
+    # Every `%` loop above ran translated.
+    assert interp.translated_loop_runs == 2

@@ -227,8 +227,10 @@ def js_string(text: str) -> str:
     return f"'{escaped}'"
 
 
+# Identifier characters are UTF-16 code units, so a letter above U+FFFF
+# (a surrogate pair) cannot be one; the string literals carry those.
 identifier = st.text(
-    alphabet=st.sampled_from(list("abcXYZ019_$") + ["\U0001d518", "\u00e9"]), max_size=8
+    alphabet=st.sampled_from(list("abcXYZ019_$") + ["\u4e2d", "\u00e9"]), max_size=8
 ).map(lambda text: "_" + text) | st.sampled_from(["__import__", "__builtins__", "_loop"])
 hostile_string = st.lists(st.sampled_from(HOSTILE_PIECES), min_size=1, max_size=6).map(
     "".join

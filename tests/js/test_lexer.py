@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.js.errors import JSSyntaxError
-from repro.js.lexer import OPERATORS, TokenType, tokenize
+from repro.js.lexer import OPERATORS, TokenType, code_units, tokenize
 from tests.js import lexer_reference
 from tests.js.test_differential import corpus_scripts
 
@@ -119,6 +119,28 @@ class TestHexEscapes:
         assert error_at("'ab\\\ncd\\u12'") == ("bad \\u escape", 2, 5)
 
 
+class TestUtf16CodeUnits:
+    """Source is read as UTF-16 code units (ES5 §6): a character above
+    U+FFFF is its surrogate pair, in a literal and in an error."""
+
+    def test_a_literal_holds_the_surrogate_pair(self):
+        assert values("'\U0001f600'") == [(TokenType.STRING, "\ud83d\ude00")]
+
+    def test_each_escape_of_a_run_is_its_own_code_point(self):
+        assert values("'\\ud83d\\ude00\\u0041'") == [(TokenType.STRING, "\ud83d\ude00A")]
+
+    def test_columns_count_code_units(self):
+        tokens = tokenize("'\U0001f600' + x")
+        assert [t.column for t in tokens[:-1]] == [1, 6, 8]
+
+    def test_a_letter_above_the_bmp_is_no_identifier(self):
+        assert error_at("var \U0001d518 = 1;") == ("unexpected character '\\ud835'", 1, 5)
+
+    def test_code_units(self):
+        assert code_units("ascii") == "ascii"
+        assert code_units("é\U0001f600\U0010ffff") == "é\ud83d\ude00\udbff\udfff"
+
+
 class TestStrings:
     def test_single_and_double_quotes(self):
         assert values("'a' \"b\"") == [
@@ -215,7 +237,10 @@ def outcome(lex: Callable[[str], List[Any]], source: str) -> Any:
 
 
 def assert_matches_reference(source: str) -> None:
-    assert outcome(tokenize, source) == outcome(lexer_reference.tokenize, source), source
+    """The reference reads the source as UTF-16 code units, as the
+    production lexer does (it predates the split)."""
+    expected = outcome(lexer_reference.tokenize, code_units(source))
+    assert outcome(tokenize, source) == expected, source
 
 
 #: Source pieces covering every token kind, escape and error path.
@@ -236,11 +261,17 @@ PIECES = [
     # comments and whitespace
     "// line\n", "/* a\nb */", "/**/", " ", "\t", "\n", "\r\n", "\xa0", "\u2028",
     "\f", "\v",
+    # characters above U+FFFF (two code units) and surrogate escapes
+    "\U0001f600", "'\U0001f600'", "a\U0001d518", "\U0001d518", "'\\ud83d\\ude00'",
+    "'\\uD83D'", "'\\ude00\\u0041\\udfff'", "'" + "\\ud83d\\ude00" * 300 + "'",
 ]
 
 source_text = st.lists(
     st.sampled_from(PIECES)
-    | st.text(alphabet=st.sampled_from(list("ab019xXeE+-.'\"\\/*\n \tu_é²٣½\xa0\u2028")), max_size=6),
+    | st.text(
+        alphabet=st.sampled_from(list("ab019xXeE+-.'\"\\/*\n \tu_é²٣½\xa0\u2028\U0001f600")),
+        max_size=6,
+    ),
     max_size=24,
 ).map("".join)
 

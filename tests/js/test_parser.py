@@ -1,10 +1,23 @@
-"""Unit tests for the JavaScript parser (AST shapes + errors)."""
+"""Unit tests for the JavaScript parser (AST shapes + errors).
+
+The ``diff``-marked tests at the end hold the flat expression path to
+the frozen call-per-level parser (``tests/js/parser_reference.py``):
+equal ASTs or the same ``JSSyntaxError``, on generated programs, on
+token soups and on every corpus script, layer and wrapper.
+"""
+
+from typing import Any
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.js import nodes as ast
 from repro.js.errors import JSSyntaxError
+from repro.js.lexer import KEYWORDS, OPERATORS
 from repro.js.parser import parse
+from tests.core.test_monitor_code_oracle import corpus_texts, wrapped_corpus
+from tests.js import parser_reference
+from tests.property.test_js_engines import eval_program, fn_program, loop_fn_program, program
 
 
 def first(source):
@@ -164,3 +177,96 @@ class TestExpressions:
     def test_unexpected_token_raises(self):
         with pytest.raises(JSSyntaxError):
             parse("var = 4;")
+
+
+# -- the oracle -------------------------------------------------------------------
+
+
+def outcome(parser: Any, source: str) -> Any:
+    """The AST, or the error raised as (message, line, column)."""
+    try:
+        return parser(source)
+    except JSSyntaxError as error:
+        return ("JSSyntaxError", str(error), error.line, error.column)
+
+
+def assert_matches_reference(source: str) -> None:
+    assert outcome(parse, source) == outcome(parser_reference.parse, source), source
+
+
+#: Tokens and fragments every statement and expression form is made of.
+PIECES = [
+    *OPERATORS, *sorted(KEYWORDS),
+    "a", "b", "$x", "_y", "0", "1.5", "0x1F", "1e3", "'s'", '"t"', "\n",
+    "function f(a, b) {", "function (x) {", "}", "var x = ", "for (var k in o)",
+    "for (i = 0; i < 3; i++)", "try {", "} catch (e) {", "} finally {",
+    "switch (a) {", "case 1:", "default:", "new F(", "o.p", "o['p']", "f()",
+    "{a: 1, 'b': 2, 3: c, if: 4}", "a ? b : c", "x++", "--y", "return\n1",
+]
+
+token_soup = st.lists(st.sampled_from(PIECES), max_size=30).map(" ".join)
+
+#: Operands and operators chained without parentheses, so precedence,
+#: associativity, ``?:``, assignment and ``in`` under ``no_in`` decide
+#: the tree.  The empty operator sets two operands side by side, where a
+#: string literal spelling an operator must not act as one.
+OPERANDS = [
+    "a", "b.c", "f(x)", "1", "'+'", "'in'", "!a", "-b", "typeof c", "x++", "--y",
+    "new F()", "new G", "o[k]", "(a, b)", "function () {}", "[1, 2]", "{p: 1}",
+]
+CHAIN_OPS = [
+    "||", "&&", "|", "^", "&", "==", "!=", "===", "!==", "<", ">", "<=", ">=",
+    "instanceof", "in", "<<", ">>", ">>>", "+", "-", "*", "/", "%",
+    "=", "+=", ">>>=", "?", ":", ",", "",
+]
+chain = st.tuples(
+    st.sampled_from(OPERANDS),
+    st.lists(st.tuples(st.sampled_from(CHAIN_OPS), st.sampled_from(OPERANDS)), max_size=8),
+).map(lambda t: t[0] + "".join(f" {op} {operand}" for op, operand in t[1]))
+chain_statement = st.tuples(
+    st.sampled_from(["{};", "for ({} ;;) {{}}", "for ({} in o) {{}}", "for (var v = {} ;;) {{}}"]),
+    chain,
+).map(lambda t: t[0].format(t[1]))
+
+
+def _splice(parts: Any) -> str:
+    """``source`` with one space-separated piece deleted or replaced."""
+    source, index, piece, delete = parts
+    words = source.split(" ")
+    index %= len(words)
+    words[index : index + 1] = [] if delete else [piece]
+    return " ".join(words)
+
+
+mutated_program = st.tuples(
+    program | fn_program, st.integers(0, 10_000), st.sampled_from(PIECES), st.booleans()
+).map(_splice)
+
+
+@pytest.mark.diff
+@given(program | fn_program | loop_fn_program | eval_program)
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_the_reference_on_generated_programs(source: str) -> None:
+    assert_matches_reference(source)
+
+
+@pytest.mark.diff
+@given(chain_statement)
+@settings(max_examples=1500, deadline=None)
+def test_parser_matches_the_reference_on_operator_chains(source: str) -> None:
+    assert_matches_reference(source)
+
+
+@pytest.mark.diff
+@given(token_soup | mutated_program)
+@settings(max_examples=1500, deadline=None)
+def test_parser_matches_the_reference_on_broken_programs(source: str) -> None:
+    assert_matches_reference(source)
+
+
+@pytest.mark.diff
+def test_parser_matches_the_reference_on_every_corpus_text_and_wrapper() -> None:
+    sources = corpus_texts() + wrapped_corpus()
+    assert len(sources) > 100
+    for source in sources:
+        assert_matches_reference(source)

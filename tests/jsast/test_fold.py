@@ -7,13 +7,15 @@ full-copy rebuild it replaced, on every corpus script.
 import copy
 import dataclasses
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.js import evaluate
 from repro.js import nodes as ast
 from repro.js.parser import parse
-from repro.jsast import fold
+from repro.jsast import consts, fold
 from repro.jsast.consts import MAX_CHARS
 from repro.jsast.fold import ConstantFolder, fold_program
 from repro.jsast.walk import walk
@@ -271,22 +273,131 @@ def _full_copy_rebuild(node, transform):
     return dataclasses.replace(node, **changes)
 
 
+def _reference_fold_expr(self, node):
+    """``ConstantFolder.fold_expr`` before it kept each node's result
+    for the pass: every call folds the node's whole subtree again."""
+    if isinstance(node, ast.StringLiteral):
+        return fold._Wrapped(node.value)
+    if isinstance(node, ast.NumberLiteral):
+        return fold._Wrapped(float(node.value))
+    if isinstance(node, ast.BooleanLiteral):
+        return fold._Wrapped(node.value)
+    if isinstance(node, ast.NullLiteral):
+        return fold._Wrapped(None)
+    if isinstance(node, ast.UndefinedLiteral):
+        return fold._Wrapped(consts.UNDEFINED)
+    if isinstance(node, ast.Identifier):
+        return self.env.get(node.name)
+    if isinstance(node, ast.BinaryExpression):
+        left = self.fold_expr(node.left)
+        if left is None:
+            return None
+        right = self.fold_expr(node.right)
+        if right is None:
+            return None
+        return fold._wrap(consts.binary(node.op, left.value, right.value))
+    if isinstance(node, ast.UnaryExpression):
+        operand = self.fold_expr(node.operand)
+        if operand is None:
+            return None
+        return fold._wrap(consts.unary(node.op, operand.value))
+    if isinstance(node, ast.ConditionalExpression):
+        test = self.fold_expr(node.test)
+        if test is None:
+            return None
+        taken = consts.truthy(test.value)
+        return self.fold_expr(node.consequent if taken else node.alternate)
+    if isinstance(node, ast.SequenceExpression):
+        if not node.expressions:
+            return None
+        return self.fold_expr(node.expressions[-1])
+    if isinstance(node, ast.CallExpression):
+        return self._fold_call(node)
+    if isinstance(node, ast.MemberExpression):
+        return self._fold_member(node)
+    return None
+
+
+def _reference_fold(program):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fold, "_rebuild", _full_copy_rebuild)
+        patch.setattr(ConstantFolder, "fold_expr", _reference_fold_expr)
+        return fold_program(program)
+
+
+def assert_folds_as_the_reference(program):
+    """``fold_program`` leaves its input as it was and returns a tree
+    equal to the one the folder built before: a full copy, with every
+    subtree folded again from scratch."""
+    pristine = copy.deepcopy(program)
+    folded = fold_program(program)
+    assert program == pristine
+    reference = _reference_fold(program)
+    assert program == pristine
+    assert folded == reference
+    return folded
+
+
 @pytest.mark.diff
-def test_folding_matches_the_full_copy_rebuild_on_every_corpus_script(monkeypatch):
-    """On every corpus program ``fold_program`` leaves its input as it
-    was and returns a tree equal to the one a full copy builds."""
+def test_folding_matches_the_full_copy_rebuild_on_every_corpus_script():
     programs = corpus_programs()
     assert len(programs) > 50
-    copied = 0
-    for program in programs:
-        pristine = copy.deepcopy(program)
-        folded = fold_program(program)
-        assert program == pristine
-        with monkeypatch.context() as patch:
-            patch.setattr(fold, "_rebuild", _full_copy_rebuild)
-            reference = fold_program(program)
-        assert program == pristine
-        assert folded == reference
-        copied += folded is not program
+    copied = sum(assert_folds_as_the_reference(program) is not program for program in programs)
     # Folding copies some programs, and shares the others whole.
     assert 0 < copied < len(programs)
+
+
+#: Foldable pieces under calls, members and conditionals that do not
+#: fold, and stable names feeding them.
+_FOLD_PIECES = st.sampled_from([
+    "'a' + 'b'", "1 + 2", "-(3)", "'ab'.length", "String.fromCharCode(72, 105)",
+    "unescape('%41')", "['x', 'y'].join('')", "k", "q", "f(x)", "o.p", "x",
+])
+
+
+@pytest.mark.diff
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["f({})", "o.m({}, {})", "({}) ? {} : x", "[{}, {}]", "{} + x", "x[{}]"]),
+            _FOLD_PIECES,
+            _FOLD_PIECES,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_folding_matches_the_full_copy_rebuild_on_generated_scripts(statements):
+    lines = ["var k = 'ev' + 'al';", "var q = k + 1;"]
+    lines += [template.format(first, second) + ";" for template, first, second in statements]
+    assert_folds_as_the_reference(parse("\n".join(lines)))
+
+
+# -- linear time ------------------------------------------------------------------
+
+
+def test_an_opaque_chain_folds_each_node_once_per_pass(monkeypatch):
+    """``x + 'a' + ... + 'a'`` of n terms: ``fold_expr`` is called
+    3n - 1 times, linear in n, because a node that did not fold is not
+    tried again in the same pass; re-folding every subtree of the
+    opaque chain made about n²/2 calls (80,600 at n = 400)."""
+    calls = []
+    counted = ConstantFolder.fold_expr
+
+    def counting(self, node):
+        calls.append(node)
+        return counted(self, node)
+
+    monkeypatch.setattr(ConstantFolder, "fold_expr", counting)
+    # The counting wrapper doubles the folder's recursion depth.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        for n in (50, 100, 200, 400):
+            calls.clear()
+            program = parse("var y = x" + " + 'a'" * (n - 1) + ";")
+            assert fold_program(program) is program
+            assert len(calls) == 3 * n - 1, n
+    finally:
+        sys.setrecursionlimit(limit)

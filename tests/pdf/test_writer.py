@@ -1,7 +1,13 @@
-"""Unit tests for PDF serialization + parse/write round trips."""
+"""Unit tests for PDF serialization + parse/write round trips.
+
+The ``diff``-marked tests at the end hold the literal-string
+serialiser to the frozen per-byte one (``tests/pdf/writer_reference.py``).
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.pdf import writer
 from repro.pdf.objects import (
     PDFArray,
     PDFDict,
@@ -15,6 +21,7 @@ from repro.pdf.parser import parse_pdf
 from repro.pdf.builder import DocumentBuilder
 from repro.pdf.document import PDFDocument
 from repro.pdf.writer import serialize_value
+from tests.pdf import writer_reference
 
 
 class TestSerializeValue:
@@ -124,3 +131,47 @@ class TestRoundTrip:
         one = PDFDocument.from_bytes(builder.to_bytes())
         two = PDFDocument.from_bytes(one.to_bytes())
         assert one.object_count() == two.object_count()
+
+
+# -- the serialiser oracle ------------------------------------------------------
+
+
+def _special_bytes():
+    return st.binary(max_size=200) | st.lists(
+        st.sampled_from([0, 9, 10, 13, 31, 32, 40, 41, 65, 92, 126, 127, 128, 254, 255]),
+        max_size=60,
+    ).map(bytes)
+
+
+@pytest.mark.diff
+@given(_special_bytes(), st.booleans())
+@settings(max_examples=1500, deadline=None)
+def test_string_serialiser_matches_the_reference(data, hex_form):
+    value = PDFString(data, hex_form=hex_form)
+    assert writer._serialize_string(value) == writer_reference.serialize_string(value)
+
+
+@pytest.mark.diff
+@pytest.mark.parametrize("corpus", ["golden", "mixed", "obfuscated", "table_x_js"])
+def test_string_serialiser_matches_the_reference_on_every_protected_corpus(corpus, monkeypatch):
+    """Every string Phase I writes for a corpus (the scripts' wrappers
+    included) comes out as the per-byte serialiser wrote it."""
+    from repro.core.pipeline import ProtectionPipeline
+    from tests.pdf.test_parser_oracle import CORPORA
+
+    serialize = writer._serialize_string
+    seen = []
+
+    def checked(value):
+        written = serialize(value)
+        assert written == writer_reference.serialize_string(value), bytes(value)[:80]
+        seen.append(value)
+        return written
+
+    monkeypatch.setattr(writer, "_serialize_string", checked)
+    for name, data in CORPORA[corpus]():
+        try:
+            ProtectionPipeline(seed=1301).protect(data, name)
+        except Exception:  # noqa: BLE001 - a malformed document may not parse
+            continue
+    assert seen
