@@ -52,7 +52,6 @@ the dispatch loop.
 
 from __future__ import annotations
 
-from math import fmod
 from types import FunctionType
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, cast
 
@@ -187,15 +186,11 @@ _FLOAT_OPS: Dict[str, str] = {
 }
 #: In-range int32 bitwise fast paths.
 _INT32_OPS: Dict[str, str] = {"^": "^", "&": "&", "|": "|"}
-#: The all-float ``%`` fast path's test, the dispatch loop's: a finite
-#: dividend and a non-zero, non-NaN divisor, where ``_binary_op`` takes
-#: ``fmod`` (its other cases give NaN).
-_FMOD_OK = "{r} == {r} and {r} != 0.0 and {l} - {l} == 0.0"
 #: Operators that always go through ``_binary_op``.
-_SLOW_OPS = frozenset(("/", "<<", ">>", ">>>", "instanceof", "in"))
+_SLOW_OPS = frozenset(("/", "%", "<<", ">>", ">>>", "instanceof", "in"))
 #: Canonical operator text, so generated source never echoes an arg.
 _OP_TEXT: Dict[str, str] = {
-    op: op for op in (*_FLOAT_OPS, *_INT32_OPS, "%", *_SLOW_OPS)
+    op: op for op in (*_FLOAT_OPS, *_INT32_OPS, *_SLOW_OPS)
 }
 
 _UNARY_OPS: Dict[str, str] = {
@@ -285,7 +280,7 @@ def _namespace() -> Dict[str, Any]:
         "BreakSignal": BreakSignal, "ContinueSignal": ContinueSignal,
         "JSRuntimeError": JSRuntimeError, "JSThrow": JSThrow,
         "budget_exceeded": _budget_exceeded, "signal_target": signal_target,
-        "fmod": fmod, "is_callable": is_callable, "strict_equals": strict_equals,
+        "is_callable": is_callable, "strict_equals": strict_equals,
         "to_int32": to_int32, "to_number": to_number, "to_string": to_string,
         "truthy": truthy, "type_of": type_of,
     }
@@ -753,15 +748,6 @@ class _Generator:
                     f"    {left} = record_string({left} + {right})",
                 )
             self.emit(1, "else:", f"    {slow}")
-        elif text == "%":
-            self.emit(
-                1,
-                f"if (type({left}) is float and type({right}) is float"
-                f" and {_FMOD_OK.format(l=left, r=right)}):",
-                f"    {left} = fmod({left}, {right})",
-                "else:",
-                f"    {slow}",
-            )
         elif text in _INT32_OPS:
             self.emit(
                 1,

@@ -388,20 +388,13 @@ def join_array(array: JSArray, separator: str) -> str:
     does, instead of recursing without end."""
     if array.joining:
         return ""
-    elements = array.elements
-    if not elements or type(elements[0]) is str:
-        # All strings, as a decryptor's or shellcode builder's array is:
-        # one str.join (its TypeError at a non-string falls through).
-        try:
-            return separator.join(elements)
-        except TypeError:
-            pass
     array.joining = True
     try:
-        return separator.join(
-            "" if (item is UNDEFINED or item is None) else to_string(item)
+        return separator.join([
+            item if type(item) is str
+            else "" if (item is UNDEFINED or item is None) else to_string(item)
             for item in array.elements
-        )
+        ])
     finally:
         array.joining = False
 

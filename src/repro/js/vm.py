@@ -22,7 +22,6 @@ aborted scripts.
 
 from __future__ import annotations
 
-from math import fmod
 from types import FunctionType
 from typing import Any, List, Optional, Tuple
 
@@ -295,16 +294,6 @@ class BytecodeInterpreter(Interpreter):
                                     stack[-1] = left == right
                                 elif arg == "!==" or arg == "!=":
                                     stack[-1] = left != right
-                                elif (
-                                    arg == "%"
-                                    and right == right
-                                    and right != 0.0
-                                    and left - left == 0.0
-                                ):
-                                    # Finite dividend, non-zero non-NaN
-                                    # divisor: _binary_op's fmod (the
-                                    # rest of its cases give NaN).
-                                    stack[-1] = fmod(left, right)
                                 elif (
                                     (arg == "^" or arg == "&" or arg == "|")
                                     and -2147483648.0 <= left <= 2147483647.0

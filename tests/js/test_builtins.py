@@ -670,7 +670,7 @@ class TestUtf16Strings:
 
 
 def _reference_join(array, separator):
-    """``join_array`` before all-string arrays took one ``str.join``."""
+    """``join_array`` before it passed string elements through unconverted."""
     from repro.js.values import UNDEFINED, to_string
 
     if array.joining:

@@ -528,8 +528,8 @@ def test_cache_fingerprint_has_no_engine_component() -> None:
 
 
 # ---------------------------------------------------------------------------
-# `%` on two floats: inline in the dispatch loop and in translated loops,
-# against `_binary_op`, the generic path both took before.
+# `%` on two floats, in the dispatch loop and in translated loops, against
+# `_binary_op`: a regression test for any `%` path either tier takes.
 
 #: Operands of every `%` case: NaN, ±Infinity, ±0, subnormals and the
 #: decryptor's `(c - k + 65536) % 65536`.
