@@ -52,10 +52,11 @@ the dispatch loop.
 
 from __future__ import annotations
 
+import hashlib
 from types import FunctionType
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, cast
 
-from repro.js.builtins import STRING_METHODS
+from repro.js.builtins import STRING_METHODS, string_from_char_code
 from repro.js.compiler import (
     ARRAY,
     BINARY,
@@ -211,13 +212,15 @@ _ARRAY_INDEX = (
 )
 
 
-def hot_loop(code: Code, header: int) -> Optional[Translated]:
+def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Translated]:
     """Count one back-edge to ``header``; the loop's translation once hot.
 
-    Returns ``None`` while the loop is still being counted and for good
-    when it cannot be translated.  Threads sharing ``code`` may race on
-    the count (a lost increment only delays translation) or translate
-    the same loop twice (both get the same cached function).
+    ``frame`` is the fragment's slot-mode frame (``None`` in env mode),
+    whose slot types a slot-mode loop is translated for.  Returns
+    ``None`` while the loop is still being counted and for good when it
+    cannot be translated.  Threads sharing ``code`` may race on the
+    count (a lost increment only delays translation) or translate the
+    same loop twice (both get working translations).
     """
     loops = code.loops
     state = loops.get(header, 0)
@@ -227,17 +230,26 @@ def hot_loop(code: Code, header: int) -> Optional[Translated]:
     if state < HOT_LOOP_THRESHOLD:
         loops[header] = state
         return None
-    translated = translate_loop(code, header)
+    translated = translate_loop(code, header, frame)
     loops[header] = translated
     return translated
 
 
-def translate_loop(code: Code, header: int) -> Optional[Translated]:
-    """The loop at ``header`` as ``(function, constants)``, or ``None``."""
-    plan = loop_source(code, header)
+def translate_loop(
+    code: Code, header: int, frame: Optional[List[Any]] = None
+) -> Optional[Translated]:
+    """The loop at ``header`` as ``(function, constants)``, or ``None``.
+
+    Given a slot-mode ``frame``, the typed translation for the types its
+    slots hold; its first constant runs the generic translation when an
+    entry finds other types.  Without one, the generic translation.
+    """
+    plan = loop_source(code, header) if frame is None else typed_loop_source(code, header, frame)
     if plan is None:
         return None
     source, constants = plan
+    if frame is not None:
+        constants = (_Generic(code, header), *constants)
     return cached_loop_function(source, _build), constants
 
 
@@ -258,8 +270,11 @@ def loop_source(code: Code, header: int) -> Optional[Tuple[str, Tuple[Any, ...]]
 
 
 def _build(source: str) -> LoopFunction:
+    # Profilers key a function by (file, line, name): a digest of the
+    # source in the file name keeps every translated loop apart.
+    digest = hashlib.sha1(source.encode()).hexdigest()[:12]
     namespace = _namespace()
-    exec(compile(source, "<js-hot-loop>", "exec"), namespace)
+    exec(compile(source, f"<js-hot-loop {digest}>", "exec"), namespace)
     function: LoopFunction = namespace["_loop"]
     return function
 
@@ -276,7 +291,7 @@ def _namespace() -> Dict[str, Any]:
         # The dispatch loop's own-property fast path covers exactly these
         # (not JSArray, whose get() resolves length and indices itself).
         "PLAIN": frozenset((JSObject, NativeFunction, JSFunction, CompiledFunction)),
-        "STRING_METHODS": STRING_METHODS,
+        "STRING_METHODS": STRING_METHODS, "from_char_code": string_from_char_code,
         "BreakSignal": BreakSignal, "ContinueSignal": ContinueSignal,
         "JSRuntimeError": JSRuntimeError, "JSThrow": JSThrow,
         "budget_exceeded": _budget_exceeded, "signal_target": signal_target,
@@ -284,6 +299,20 @@ def _namespace() -> Dict[str, Any]:
         "to_int32": to_int32, "to_number": to_number, "to_string": to_string,
         "truthy": truthy, "type_of": type_of,
     }
+
+
+#: Locals every loop function binds once on entry.
+_SETUP = (
+    "max_steps = interp.max_steps",
+    "get_property = interp.get_property",
+    "record_string = interp._record_string",
+    "binary_op = interp._binary_op",
+    "set_member = interp._set_member_value",
+    "call_with_code = interp._call_with_code",
+    "call_inner = interp._call_inner",
+    "global_this = interp.global_this",
+    "lookup = env.lookup",
+)
 
 
 def _budget_exceeded(max_steps: int) -> ResourceLimitExceeded:
@@ -421,6 +450,10 @@ class _Generator:
         #: else can see a slot-mode frame while the loop runs).
         self.slots: Set[int] = set()
         self.written: Set[int] = set()
+        #: Names unpacked from ``K`` ahead of the constants.
+        self.leading: List[str] = []
+        #: Indent levels added to every emitted line.
+        self.nest = 0
 
     # -- plumbing
 
@@ -437,7 +470,7 @@ class _Generator:
         return f"l{number}"
 
     def emit(self, indent: int, *lines: str) -> None:
-        pad = "    " * indent
+        pad = "    " * (indent + self.nest)
         self.lines.extend(pad + line for line in lines)
 
     def goto(self, indent: int, target: int, here: int) -> None:
@@ -457,24 +490,23 @@ class _Generator:
         for bid, block in enumerate(self.blocks):
             self.emit(0, f"if b == {bid}:")
             self.block(bid, block)
+        return self.assemble([], dispatch=True)
+
+    def assemble(self, entry: List[str], dispatch: bool) -> Tuple[str, Tuple[Any, ...]]:
+        """The whole function around the emitted body: constants and
+        slots loaded, then ``entry``, the loop and its ways out."""
         body = self.lines
         handlers = self.signal_handler()
-        names = [f"k{index}" for index in range(len(self.constants))]
+        names = self.leading + [f"k{index}" for index in range(len(self.constants))]
         head = ["def _loop(interp, frame, env, this, steps, compl, K):"]
         if names:
             head.append(f"    {', '.join(names)}, = K")
         head += [f"    l{slot} = frame[{slot}]" for slot in sorted(self.slots)]
+        head += ["    " + line for line in entry]
+        head += ["    " + line for line in _SETUP]
+        if dispatch:
+            head.append("    b = 0")
         head += [
-            "    max_steps = interp.max_steps",
-            "    get_property = interp.get_property",
-            "    record_string = interp._record_string",
-            "    binary_op = interp._binary_op",
-            "    set_member = interp._set_member_value",
-            "    call_with_code = interp._call_with_code",
-            "    call_inner = interp._call_inner",
-            "    global_this = interp.global_this",
-            "    lookup = env.lookup",
-            "    b = 0",
             "    ip = -1",
             "    try:",
             "        while True:",
@@ -775,9 +807,18 @@ class _Generator:
         """One call site: the dispatch loop's CALL/CALL_THIS paths, with
         ``interp.steps`` synced around every call that can charge."""
         self.has_calls = True
+        self.emit(
+            1, f"ip = {index}", f"f = {fn}",
+            *self.dispatch(this, result, depth, argc, message, string_methods),
+        )
+
+    def dispatch(
+        self, this: str, result: int, depth: int, argc: int, message: str, string_methods: bool
+    ) -> List[str]:
+        """The lines that call ``f`` on the callee's type."""
         args = "[" + ", ".join(f"s{slot}" for slot in range(depth - argc, depth)) + "]"
         out = f"s{result}"
-        lines = [f"ip = {index}", f"f = {fn}", "t = type(f)"]
+        lines = ["t = type(f)"]
         keyword = "if"
         if string_methods:
             # String-method fast path: f is the raw STRING_METHODS builtin.
@@ -799,4 +840,637 @@ class _Generator:
             f"    {out} = call_inner(f, {this}, {args})",
             "    steps = interp.steps",
         ]
-        self.emit(1, *lines)
+        return lines
+
+
+# -- the typed tier ----------------------------------------------------------------
+#
+# A slot-mode frame is a list only the running loop can touch: the
+# function has no closures, no ``eval`` and no ``try``, and a call gets
+# a frame of its own.  So the types its slots hold when the loop turns
+# hot, and the types the loop's own instructions produce, are facts the
+# generated code can rely on once it has checked the slots on entry.
+#
+# A type is a token: ``float``, ``str``, ``bool`` or ``JSArray`` (the
+# value's exact Python type), ``("method", name)`` for the raw
+# ``STRING_METHODS`` builtin a string's method lookup yields, or
+# ``None`` for a value nothing is known about.  A stack entry pairs its
+# token with the slot it was loaded from when the loop never writes that
+# slot (else -1): a string held there keeps its length for the whole run.
+
+#: Slot types a typed loop may assume on entry, as spelt in its source.
+_TYPE_NAMES: Dict[Any, str] = {float: "float", str: "str", bool: "bool", JSArray: "JSArray"}
+#: What each ``STRING_METHODS`` builtin returns.
+_METHOD_RESULTS: Dict[str, Any] = {
+    "charAt": str, "charCodeAt": float, "indexOf": float, "lastIndexOf": float,
+    "substring": str, "substr": str, "slice": str, "toUpperCase": str,
+    "toLowerCase": str, "split": JSArray, "replace": str, "concat": str,
+    "trim": str, "toString": str, "valueOf": str,
+}
+#: ``_binary_op`` returns a bool for these and a float for every other
+#: operator but ``+``.
+_BOOL_OPS = frozenset(("<", ">", "<=", ">=", "==", "!=", "===", "!==", "instanceof", "in"))
+#: Comparisons that Python spells the same on two floats or two strings.
+_COMPARES = frozenset(_BOOL_OPS - {"instanceof", "in"})
+_UNARY_TYPES: Dict[str, Any] = {"!": bool, "-": float, "+": float, "~": float, "void": None}
+#: Branches a typed loop nests before a block gets a dispatch case.
+_MAX_NESTING = 24
+
+Entry = Tuple[Any, int]
+State = Tuple[Dict[int, Any], Tuple[Entry, ...]]
+
+
+def _const_type(value: Any) -> Any:
+    kind = type(value)
+    return kind if kind is float or kind is str or kind is bool else None
+
+
+def _binary_type(op: str, left: Any, right: Any) -> Any:
+    if op == "+":
+        if left is str or right is str:
+            return str  # either side a string: ToString on both
+        return float if left is float and right is float else None
+    return bool if op in _BOOL_OPS else float
+
+
+def _transfer(op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any], invariant: Set[int]) -> None:
+    """Apply one instruction that is not a jump to the types."""
+    if op == LOAD_SLOT:
+        stack.append((slots[arg], arg if arg in invariant else -1))
+    elif op == STORE_SLOT:
+        slots[arg] = stack[-1][0]
+    elif op == STORE_SLOT_POP or op == DECLARE_SLOT_POP:
+        # DECLARE_SLOT_POP keeps the old value only when storing
+        # undefined, which a known token never is.
+        slots[arg] = stack.pop()[0]
+    elif op == INC_SLOT:
+        slots[arg[0]] = float
+    elif op == CONST:
+        stack.append((_const_type(arg), -1))
+    elif op == STRING or op == TYPEOF_NAME:
+        stack.append((str, -1))
+    elif op == BINARY:
+        right = stack.pop()[0]
+        stack[-1] = (_binary_type(arg, stack[-1][0], right), -1)
+    elif op == MEMBER_GET:
+        token = stack[-1][0]
+        stack[-1] = (float if arg == "length" and (token is str or token is JSArray) else None, -1)
+    elif op == METHOD_LOOKUP:
+        known = stack[-1][0] is str and arg in STRING_METHODS
+        stack.append((("method", arg) if known else None, -1))
+    elif op == CALL_THIS:
+        argc = int(arg[1])
+        callee = stack[-argc - 1][0]
+        del stack[-argc - 2:]
+        stack.append((_METHOD_RESULTS.get(callee[1]) if type(callee) is tuple else None, -1))
+    elif op == DUP:
+        stack.append(stack[-1])
+    elif op == SWAP:
+        stack[-2], stack[-1] = stack[-1], stack[-2]
+    elif op == ROT3:
+        stack[-3:] = [stack[-2], stack[-1], stack[-3]]
+    elif op == TO_NUMBER:
+        stack[-1] = (float, -1)
+    elif op == INCDEC:
+        stack[-1] = (float if stack[-1][0] is float else None, -1)
+    elif op == UNARY:
+        stack[-1] = (_UNARY_TYPES[arg], -1)
+    elif op == TYPEOF:
+        stack[-1] = (str, -1)
+    elif op == ARRAY:
+        del stack[len(stack) - int(arg):]
+        stack.append((JSArray, -1))
+    elif op == MEMBER_SET or op == MEMBER_SET_EXPR:
+        value = stack[-1][0]
+        del stack[-3 if op == MEMBER_SET_EXPR else -2:]
+        stack.append((value, -1))
+    elif op == STORE_NAME or op == NOP:
+        pass
+    else:
+        pops, pushes = _stack_effect(op, arg)
+        del stack[len(stack) - pops:]
+        stack.extend([(None, -1)] * pushes)
+
+
+def _successors(code: Code, header: int, end: int, block: _Block) -> List[int]:
+    """The loop blocks control can pass to from ``block``."""
+    last = block.stop - 1
+    op = code.ops[last]
+    if op == JUMP:
+        targets = [code.args[last]]
+    elif op in _CONDITIONAL:
+        targets = [code.args[last], block.stop]
+    elif op in _TERMINATORS:
+        targets = []
+    else:
+        targets = [block.stop]
+    return [target for target in targets if header <= target <= end]
+
+
+def _slot_uses(code: Code, block: _Block) -> Tuple[Set[int], Set[int]]:
+    """Slots ``block`` reads before writing them, and slots it writes."""
+    used: Set[int] = set()
+    written: Set[int] = set()
+    for index in range(block.start, block.stop):
+        op, arg = code.ops[index], code.args[index]
+        if op == LOAD_SLOT or op == DECLARE_SLOT_POP:
+            if arg not in written:
+                used.add(arg)
+            if op == DECLARE_SLOT_POP:
+                written.add(arg)
+        elif op == INC_SLOT:
+            if arg[0] not in written:
+                used.add(arg[0])
+            written.add(arg[0])
+        elif op == STORE_SLOT or op == STORE_SLOT_POP:
+            written.add(arg)
+    return used, written
+
+
+def _join(old: State, new: State) -> State:
+    slots = {slot: token if new[0][slot] == token else None for slot, token in old[0].items()}
+    stack = tuple(
+        (a[0] if a[0] == b[0] else None, a[1] if a[1] == b[1] else -1)
+        for a, b in zip(old[1], new[1])
+    )
+    return slots, stack
+
+
+class _Analysis:
+    """Types at every block entry of one loop, for a frame's slot types.
+
+    A slot that some path reads before writing it (it is live at the
+    header) starts with the type its frame value has; the rest start
+    unknown.  Joining every edge into each block until nothing changes
+    leaves, at the header, the types the loop keeps on every iteration:
+    those are the ones its entry checks.
+    """
+
+    def __init__(self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]) -> None:
+        self.succ = {block.start: _successors(code, header, end, block) for block in blocks}
+        uses = {block.start: _slot_uses(code, block) for block in blocks}
+        touched: Set[int] = set()
+        written: Set[int] = set()
+        for used, wrote in uses.values():
+            touched |= used | wrote
+            written |= wrote
+        self.invariant = touched - written
+        live = self._live_at_header(blocks, uses, header)
+        entry: Dict[int, Any] = {}
+        for slot in touched:
+            kind = type(frame[slot])
+            entry[slot] = kind if slot in live and kind in _TYPE_NAMES else None
+        self.states = self._infer(code, header, end, blocks, entry)
+        self.checks = {slot: token for slot, token in self.states[header][0].items() if token is not None}
+
+    def _live_at_header(
+        self, blocks: List[_Block], uses: Dict[int, Tuple[Set[int], Set[int]]], header: int
+    ) -> Set[int]:
+        live: Dict[int, Set[int]] = {block.start: set() for block in blocks}
+        changed = True
+        while changed:
+            changed = False
+            for block in reversed(blocks):
+                used, written = uses[block.start]
+                after: Set[int] = set()
+                for target in self.succ[block.start]:
+                    after |= live[target]
+                # A DECLARE_SLOT_POP both reads and (maybe) writes: it
+                # stays a read, so only definite writes kill liveness.
+                now = used | (after - {slot for slot in written if slot not in used})
+                if now != live[block.start]:
+                    live[block.start] = now
+                    changed = True
+        return live[header]
+
+    def _infer(
+        self, code: Code, header: int, end: int, blocks: List[_Block], entry: Dict[int, Any]
+    ) -> Dict[int, State]:
+        stops = {block.start: block.stop for block in blocks}
+        states: Dict[int, State] = {header: (entry, ())}
+        work = [header]
+
+        def flow(target: int, slots: Dict[int, Any], stack: List[Entry]) -> None:
+            if not header <= target <= end:
+                return
+            new: State = (dict(slots), tuple(stack))
+            old = states.get(target)
+            if old is not None:
+                new = _join(old, new)
+                if new == old:
+                    return
+            states[target] = new
+            work.append(target)
+
+        while work:
+            start = work.pop()
+            slots, entries = states[start]
+            slots = dict(slots)
+            stack = list(entries)
+            index = start
+            for index in range(start, stops[start]):
+                op, arg = code.ops[index], code.args[index]
+                if op == JUMP:
+                    flow(arg, slots, stack)
+                elif op in _CONDITIONAL:
+                    if op == JUMP_IF_FALSE_KEEP or op == JUMP_IF_TRUE_KEEP:
+                        flow(arg, slots, stack)  # the taken edge keeps the value
+                        stack.pop()
+                    else:
+                        stack.pop()
+                        flow(arg, slots, stack)
+                elif op != RETURN and op != THROW:
+                    _transfer(op, arg, stack, slots, self.invariant)
+            if code.ops[index] not in _TERMINATORS:
+                flow(stops[start], slots, stack)
+        return states
+
+
+class _TooDeep(Exception):
+    def __init__(self, start: int) -> None:
+        super().__init__(start)
+        self.start = start
+
+
+class _TypedGenerator(_Generator):
+    """Renders one slot-mode loop for the slot types its frame holds.
+
+    Where the analysis proves an operand's type, the ``type()`` test
+    goes; where it does not, the instruction is emitted as the generic
+    translation emits it.  Blocks reached from one place only (and the
+    short ``i++`` latch before a back-edge) are inlined where control
+    reaches them, so a loop whose only join point is its header has no
+    block dispatch at all.
+    """
+
+    def __init__(self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]) -> None:
+        super().__init__(code, header, end, blocks)
+        self.analysis = _Analysis(code, header, end, blocks, frame)
+        self.leading = ["generic"]
+        self.by_start = {block.start: block for block in blocks}
+        preds = {block.start: 0 for block in blocks}
+        preds[header] = 1
+        for targets in self.analysis.succ.values():
+            for target in targets:
+                preds[target] += 1
+        ops, args = code.ops, code.args
+        self.joins = {
+            block.start for block in blocks
+            if block.start == header or preds[block.start] > 1 and not (
+                block.stop - block.start <= 3
+                and ops[block.stop - 1] == JUMP and args[block.stop - 1] == header
+            )
+        }
+        self.sections: List[int] = []
+        self.section_ids: Dict[int, int] = {}
+        self.current = 0
+        #: Never-written string slots whose length is read.
+        self.lengths: Set[int] = set()
+
+    def render(self) -> Tuple[str, Tuple[Any, ...]]:
+        while True:
+            self.sections = sorted(self.joins)
+            self.section_ids = {start: sid for sid, start in enumerate(self.sections)}
+            self.constants, self.lines, self.has_calls = [], [], False
+            self.slots, self.written, self.lengths = set(), set(), set()
+            try:
+                self.body()
+            except _TooDeep as deep:
+                self.joins.add(deep.start)
+                continue
+            break
+        checks = self.analysis.checks
+        entry: List[str] = []
+        if checks:
+            test = " or ".join(
+                f"type(l{slot}) is not {_TYPE_NAMES[token]}" for slot, token in sorted(checks.items())
+            )
+            entry += [f"if {test}:", "    return generic(interp, frame, env, this, steps, compl)"]
+        entry += [f"m{slot} = float(len(l{slot}))" for slot in sorted(self.lengths)]
+        return self.assemble(entry, dispatch=len(self.sections) > 1)
+
+    def body(self) -> None:
+        if len(self.sections) == 1:
+            self.chain(self.header, 0)
+            return
+        for sid, start in enumerate(self.sections):
+            self.current = sid
+            self.put(0, f"if b == {sid}:")
+            self.chain(start, 1)
+
+    def put(self, level: int, *lines: str) -> None:
+        pad = "    " * level
+        self.lines.extend(pad + line for line in lines)
+
+    # -- control flow
+
+    def leaves(self, target: int) -> bool:
+        """Whether going to ``target`` ends in ``return`` or ``continue``."""
+        if not self.header <= target <= self.end:
+            return True
+        sid = self.section_ids.get(target)
+        if sid is not None:
+            return sid <= self.current
+        last = self.by_start[target].stop - 1
+        return self.code.ops[last] == JUMP and self.code.args[last] == self.header
+
+    def goto_typed(self, level: int, target: int) -> bool:
+        """Transfer control to ``target``; True when the emitted code
+        leaves this iteration's straight line (return or continue)."""
+        if not self.header <= target <= self.end:
+            self.put(level, f"return ({target}, steps, compl)")
+            return True
+        sid = self.section_ids.get(target)
+        if sid is None:
+            return self.chain(target, level)
+        if len(self.sections) == 1:
+            self.put(level, "continue")
+            return True
+        self.put(level, f"b = {sid}")
+        if sid <= self.current:
+            self.put(level, "continue")
+            return True
+        return False
+
+    def branch(self, level: int, test: str, if_true: int, if_false: int) -> bool:
+        if self.leaves(if_false) and not self.leaves(if_true):
+            test, if_true, if_false = f"not ({test})", if_false, if_true
+        self.put(level, f"if {test}:")
+        if self.goto_typed(level + 1, if_true):
+            return self.goto_typed(level, if_false)
+        self.put(level, "else:")
+        self.goto_typed(level + 1, if_false)
+        return False
+
+    def chain(self, start: int, level: int) -> bool:
+        """Emit the block at ``start`` and the blocks it inlines."""
+        if level > _MAX_NESTING:
+            raise _TooDeep(start)
+        code = self.code
+        block = self.by_start[start]
+        slots, entries = self.analysis.states[start]
+        slots = dict(slots)
+        stack = list(entries)
+        self.nest = level - 1
+        for index in range(block.start, block.stop):
+            op, arg, charge = code.ops[index], code.args[index], code.charges[index]
+            if charge:
+                self.put(
+                    level,
+                    f"steps += {charge}",
+                    "if steps > max_steps:",
+                    "    steps = max_steps + 1",
+                    "    raise budget_exceeded(max_steps)",
+                )
+            if op == JUMP:
+                return self.goto_typed(level, arg)
+            if op in _CONDITIONAL:
+                return self.conditional(level, index, op, arg, stack)
+            if op == RETURN or op == THROW:
+                self.nest = level - 1
+                _Generator.op(self, 0, index, op, arg, len(stack))
+                return True
+            if op == BINARY and index + 2 == block.stop and self.fusable(index, stack):
+                return self.fused(level, index, arg, len(stack))
+            self.typed_op(level, index, op, arg, stack, slots)
+            _transfer(op, arg, stack, slots, self.analysis.invariant)
+        return self.goto_typed(level, block.stop)
+
+    def conditional(self, level: int, index: int, op: int, arg: Any, stack: List[Entry]) -> bool:
+        d = len(stack)
+        top, token = f"s{d - 1}", stack[-1][0]
+        if op == JUMP_IF_STRICT_EQ:
+            other = stack[-2][0]
+            if token is other and (token is float or token is str):
+                test = f"s{d - 2} == {top}"
+            else:
+                test = f"strict_equals(s{d - 2}, {top})"
+            return self.branch(level, test, arg, index + 1)
+        if token is bool or token is str:
+            test = top
+        elif token is float:
+            test = f"{top} != 0.0 and {top} == {top}"
+        else:
+            test = f"{top} is True or ({top} is not False and truthy({top}))"
+        if op == JUMP_IF_FALSE or op == JUMP_IF_FALSE_KEEP:
+            return self.branch(level, test, index + 1, arg)
+        return self.branch(level, test, arg, index + 1)
+
+    def fusable(self, index: int, stack: List[Entry]) -> bool:
+        """A comparison of two floats feeding the block's closing
+        branch, which has no charge of its own."""
+        code = self.code
+        return (
+            code.args[index] in _COMPARES
+            and stack[-1][0] is float and stack[-2][0] is float
+            and code.ops[index + 1] in (JUMP_IF_FALSE, JUMP_IF_TRUE)
+            and not code.charges[index + 1]
+        )
+
+    def fused(self, level: int, index: int, arg: str, d: int) -> bool:
+        test = _FLOAT_OPS[_OP_TEXT[arg]].format(l=f"s{d - 2}", r=f"s{d - 1}")
+        target = self.code.args[index + 1]
+        if self.code.ops[index + 1] == JUMP_IF_FALSE:
+            return self.branch(level, test, index + 2, target)
+        return self.branch(level, test, target, index + 2)
+
+    # -- instructions
+
+    def typed_op(
+        self, level: int, index: int, op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any]
+    ) -> None:
+        d = len(stack)
+        top = f"s{d - 1}"
+        token = stack[-1][0] if stack else None
+        if op == INC_SLOT and slots[arg[0]] is float:
+            slot = self.slot(arg[0], written=True)
+            self.put(level, f"{slot} = {slot} + {_DELTAS[arg[1]]}")
+        elif op == TO_NUMBER and token is float:
+            pass
+        elif op == DECLARE_SLOT_POP and token is not None:
+            self.put(level, f"{self.slot(arg, written=True)} = {top}")
+        elif op == BINARY and self.typed_binary(level, arg, stack):
+            pass
+        elif op == MEMBER_GET and arg == "length" and token is str:
+            origin = stack[-1][1]
+            if origin >= 0:
+                self.lengths.add(origin)
+                self.put(level, f"{top} = m{origin}")
+            else:
+                self.put(level, f"{top} = float(len({top}))")
+        elif op == MEMBER_GET and arg == "length" and token is JSArray:
+            self.put(level, f"{top} = float(len({top}.elements))")
+        elif op == METHOD_LOOKUP and token is str:
+            method = STRING_METHODS.get(arg)
+            if method is None:
+                self.put(level, f"s{d} = get_property({top}, {self.const(arg)})")
+            else:
+                self.put(level, f"s{d} = {self.const(method)}")
+        elif op == CALL_THIS and self.typed_call(level, index, arg, stack):
+            pass
+        elif op == MEMBER_GET_EXPR and (token is float or stack[-2][0] is JSArray):
+            obj = f"s{d - 2}"
+            self.put(
+                level,
+                f"if {self.element_test(top, token, obj, stack[-2][0])}:",
+                f"    v = {obj}.elements",
+                f"    t = int({top})",
+                f"    {obj} = v[t] if t < len(v) else UNDEFINED",
+                "else:",
+                f"    {obj} = get_property({obj}, to_string({top}))",
+            )
+        elif op == MEMBER_SET_EXPR and (stack[-2][0] is float or stack[-3][0] is JSArray):
+            key, obj = f"s{d - 2}", f"s{d - 3}"
+            self.put(
+                level,
+                f"if {self.element_test(key, stack[-2][0], obj, stack[-3][0])}:",
+                f"    v = {obj}.elements",
+                f"    t = int({key})",
+                "    if t < len(v):",
+                f"        v[t] = {top}",
+                "    elif t == len(v):",
+                f"        v.append({top})",
+                "    else:",
+                f"        {obj}.set(str(t), {top})",
+                "else:",
+                f"    set_member({obj}, to_string({key}), {top})",
+                f"{obj} = {top}",
+            )
+        elif op == UNARY and token is float and (arg == "-" or arg == "+"):
+            if arg == "-":
+                self.put(level, f"{top} = -{top}")
+        elif op == UNARY and token is bool and arg == "!":
+            self.put(level, f"{top} = not {top}")
+        else:
+            self.nest = level - 1
+            _Generator.op(self, 0, index, op, arg, d)
+
+    @staticmethod
+    def element_test(key: str, key_token: Any, obj: str, obj_token: Any) -> str:
+        """``_ARRAY_INDEX`` without the type tests the analysis proved."""
+        tests = []
+        if key_token is not float:
+            tests.append(f"type({key}) is float")
+        if obj_token is not JSArray:
+            tests.append(f"type({obj}) is JSArray")
+        tests += [f"0.0 <= {key} <= 4294967294.0", f"{key}.is_integer()"]
+        return " and ".join(tests)
+
+    def typed_binary(self, level: int, op: str, stack: List[Entry]) -> bool:
+        d = len(stack)
+        left, right = f"s{d - 2}", f"s{d - 1}"
+        ltype, rtype = stack[-2][0], stack[-1][0]
+        text = _OP_TEXT[op]
+        slow = f"{left} = binary_op({text!r}, {left}, {right})"
+        if text in _FLOAT_OPS and (ltype is float or rtype is float):
+            fast = f"{left} = {_FLOAT_OPS[text].format(l=left, r=right)}"
+            if ltype is float and rtype is float:
+                self.put(level, fast)
+            else:
+                other = right if ltype is float else left
+                self.put(level, f"if type({other}) is float:", f"    {fast}", "else:", f"    {slow}")
+            return True
+        if text == "+" and (ltype is str or rtype is str):
+            concat = f"{left} = record_string({left} + {right})"
+            if ltype is str and rtype is str:
+                self.put(level, concat)
+            else:
+                other = right if ltype is str else left
+                self.put(level, f"if type({other}) is str:", f"    {concat}", "else:", f"    {slow}")
+            return True
+        if text in _COMPARES and ltype is str and rtype is str:
+            self.put(level, f"{left} = {_FLOAT_OPS[text].format(l=left, r=right)}")
+            return True
+        if text in _INT32_OPS and (ltype is float or rtype is float):
+            tests = [f"type({name}) is float" for name, kind in ((left, ltype), (right, rtype)) if kind is not float]
+            tests += [
+                f"-2147483648.0 <= {left} <= 2147483647.0",
+                f"-2147483648.0 <= {right} <= 2147483647.0",
+            ]
+            self.put(
+                level,
+                f"if {' and '.join(tests)}:",
+                f"    {left} = float(int({left}) {_INT32_OPS[text]} int({right}))",
+                "else:",
+                f"    {slow}",
+            )
+            return True
+        return False
+
+    def typed_call(self, level: int, index: int, arg: Any, stack: List[Entry]) -> bool:
+        name, argc = arg[0], int(arg[1])
+        d = len(stack)
+        receiver = d - argc - 2
+        callee = stack[receiver + 1][0]
+        recv, fn = f"s{receiver}", f"s{receiver + 1}"
+        args = "[" + ", ".join(f"s{slot}" for slot in range(d - argc, d)) + "]"
+        last, last_token = f"s{d - 1}", stack[-1][0]
+        if type(callee) is tuple:
+            # The raw builtin of a proven string: no type dispatch.
+            self.has_calls = True
+            method = callee[1]
+            self.put(level, f"ip = {index}")
+            if argc == 1 and (method == "charCodeAt" or method == "charAt"):
+                test = f"0.0 <= {last} < len({recv})"
+                if last_token is not float:
+                    test = f"type({last}) is float and {test}"
+                fast = f"{recv}[int({last})]"
+                if method == "charCodeAt":
+                    fast = f"float(ord({fast}))"
+                self.put(
+                    level, f"if {test}:", f"    {recv} = {fast}",
+                    "else:", f"    {recv} = {fn}(interp, {recv}, {args})",
+                )
+            else:
+                self.put(level, f"{recv} = {fn}(interp, {recv}, {args})")
+            return True
+        if name == "fromCharCode" and argc == 1:
+            # The callee is a property read a script can rebind: only
+            # the builtin itself takes its own fast path inline.
+            self.has_calls = True
+            test = "type(f) is NativeFunction and f.fn is from_char_code"
+            if last_token is not float:
+                test += f" and type({last}) is float"
+            message = f"{self.const(name)} + ' is not a function'"
+            self.put(
+                level, f"ip = {index}", f"f = {fn}", f"if {test} and 0.0 <= {last} < 65536.0:",
+                "    interp.steps = steps", f"    {recv} = chr(int({last}))", "else:",
+            )
+            self.put(level + 1, *self.dispatch(recv, receiver, d, argc, message, True))
+            return True
+        return False
+
+
+def typed_loop_source(
+    code: Code, header: int, frame: List[Any]
+) -> Optional[Tuple[str, Tuple[Any, ...]]]:
+    """Generated source and constants of the slot-mode loop at
+    ``header``, typed for the values ``frame`` holds; ``None`` when the
+    loop stays on the dispatch loop.  The function takes the generic
+    translation's entry as the first constant (see :func:`translate_loop`)."""
+    end = _loop_end(code, header)
+    if end < 0:
+        return None
+    blocks = _blocks(code, header, end)
+    if blocks is None:
+        return None
+    return _TypedGenerator(code, header, end, blocks, frame).render()
+
+
+class _Generic:
+    """A typed loop's fallback: the generic translation, built the first
+    time an entry check fails and run in the typed loop's place."""
+
+    __slots__ = ("code", "header", "translated")
+
+    def __init__(self, code: Code, header: int) -> None:
+        self.code = code
+        self.header = header
+        self.translated: Optional[Translated] = None
+
+    def __call__(self, interp: Any, frame: Any, env: Any, this: Any, steps: int, compl: Any) -> Tuple[int, int, Any]:
+        translated = self.translated
+        if translated is None:
+            translated = self.translated = translate_loop(self.code, self.header)
+            assert translated is not None  # the typed tier translated it
+        return translated[0](interp, frame, env, this, steps, compl, translated[1])

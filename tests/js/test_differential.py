@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch.scanner import _settings_fingerprint
 from repro.cli import main
+from repro.core.monitor_code import _decryptor_js
 from repro.core.pipeline import PipelineSettings
 from repro.corpus import build_dataset
 from repro.corpus import test_scale as corpus_test_scale
@@ -42,6 +44,7 @@ from repro.corpus.js_snippets import (
 from repro.corpus.sized import table_x_documents, table_x_js_documents
 from repro.js import hotloop
 from repro.js import vm as vm_mod
+from repro.js.compiler import MAKE_FUNCTION, Code, clear_code_cache, compile_source
 from repro.js.interpreter import Host, Interpreter
 from repro.js.vm import BytecodeInterpreter
 from repro.reader.payload import Payload
@@ -564,3 +567,146 @@ def test_float_modulo_matches_the_generic_operator(left: float, right: float) ->
     assert all(_same_number(result, expected) for result in results), (left, right, results)
     # Every `%` loop above ran translated.
     assert interp.translated_loop_runs == 2
+
+
+# ---------------------------------------------------------------------------
+# Typed loops: a slot-mode loop is translated for the types its frame
+# slots hold when it turns hot (here, at its first back-edge), checks
+# them on every entry and runs the generic translation when they differ.
+# Each case runs three ways: on the walker, on the VM, and on the VM with
+# every loop translated generically, the typed tier's oracle.
+
+
+def _function_codes(code: Code) -> Dict[int, Code]:
+    """The Code of every function declared or created in ``code``."""
+    found: Dict[int, Code] = {}
+    inner = [action[1] for action in code.hoist_actions if action[0] != "var"]
+    inner += [arg for op, arg in zip(code.ops, code.args) if op == MAKE_FUNCTION]
+    for function in inner:
+        found[id(function)] = function
+        found.update(_function_codes(function))
+    return found
+
+
+def typed_loops(source: str) -> Tuple[int, int]:
+    """How many of ``source``'s function loops were translated typed, and
+    how many of those ran their generic translation on some entry."""
+    typed = fell_back = 0
+    for code in _function_codes(compile_source(source)).values():
+        for state in code.loops.values():
+            if type(state) is tuple and isinstance(state[1][0], hotloop._Generic):
+                typed += 1
+                fell_back += state[1][0].translated is not None
+    return typed, fell_back
+
+
+def _generic_hot_loop(code: Code, header: int, frame: Any) -> Any:
+    return hotloop.hot_loop(code, header, None)
+
+
+def assert_typed_equivalent(source: str, max_steps: int = 300_000) -> Tuple[int, int]:
+    """Walker, VM and generic-only VM agree; the VM run's typed_loops()."""
+    walker = run_engine(Interpreter, source, max_steps)
+    clear_code_cache()
+    typed = run_engine(BytecodeInterpreter, source, max_steps)
+    counts = typed_loops(source)
+    clear_code_cache()
+    with mock.patch.object(vm_mod, "hot_loop", _generic_hot_loop):
+        generic = run_engine(BytecodeInterpreter, source, max_steps)
+    clear_code_cache()
+    assert walker == typed == generic, (
+        f"divergence on:\n{source}\n  ast: {walker}\n  typed: {typed}\n  generic: {generic}"
+    )
+    return counts
+
+
+TYPED_LOOP_CASES = {
+    # Typed for a string and a number; entered with an array, a numeric
+    # string and a fraction, so the entry check fails, then passes again.
+    "entry-check-fails": (
+        "function f(s, k) { var t = 0; for (var i = 0; i < s.length; i++) { t = t + (s[i] ^ k); }"
+        " return t; } f('12345', 3) + ':' + f([1, 2, 3], 3) + ':' + f('99', '4')"
+        " + ':' + f([7, 8], 1.5) + ':' + f('678', 3)"
+    ),
+    # A number slot and a string slot the loop rewrites with other types.
+    "slot-rewritten": (
+        "function f(n) { var x = 0, y = 'a', z = true; for (var i = 0; i < n; i++) {"
+        " if (i == 2) { x = 'x' + x; y = i; } if (i == 4) { z = [i]; } x = x + 1; y = y + i;"
+        " z = z + ''; } return x + ':' + y + ':' + z; } f(7)"
+    ),
+    # Every kind of constant, in arithmetic, comparisons and branches.
+    "constants": (
+        "function f(n) { var r = '', c = 0, b = false; for (var i = 0; i < n; i++) {"
+        " c = c + (i & 1 ? true : false) + null + (i < 2 ? -0 : 0.5) * 2 - 1e308 * 10 + (1 / -0);"
+        " b = !b; if (b === true) { c = c - 1; } if ('x') { r = r + i; } if ('') { r = r + '?'; }"
+        " r = r + undefined + 'x' + 'yz' + (c === c) + (i === 'x') + (true === (i < 3)) + (null == i)"
+        " + (1 / 0) + (i < 'b') + ('a' < 'b') + typeof c + (i & 2147483648) + (i | 4294967295); }"
+        " return r + ':' + c + ':' + (1 / c); } f(5)"
+    ),
+    # charCodeAt and charAt with indexes the fast path does not take,
+    # proven numbers (n) and values of any type (k).
+    "char-indexes": (
+        "function f(s, idx) { var out = ''; for (var j = 0; j < idx.length; j++) {"
+        " var k = idx[j], n = k * 1;"
+        " out = out + s.charCodeAt(k) + ',' + s.charCodeAt(n) + ',' + s.charAt(k) + ','"
+        " + s.charAt(n) + ',' + s.charCodeAt() + s.charAt(n, 1) + ';'; } return out; }"
+        " f('ab\\ud83d\\ude00', [0, 1.5, 2.9, 3, 4, -0, -0.5, -1, NaN, Infinity, -Infinity, 1e300,"
+        " -1e300, 4294967296, 4294967297, '1', null, undefined, true, [2]])"
+    ),
+    "fromCharCode-replaced-before": (
+        "String.fromCharCode = function (c) { return '<' + c + '>'; };"
+        " function f(n) { var out = ''; for (var i = 0; i < n; i++)"
+        " { out = out + String.fromCharCode(65 + i); } return out; } f(5)"
+    ),
+    "fromCharCode-replaced-inside": (
+        "function repl(c) { return '#' + c; } var o = {fromCharCode: String.fromCharCode};"
+        " function f(n) { var out = ''; for (var i = 0; i < n; i++) {"
+        " if (i == 3) String.fromCharCode = repl; if (i == 5) String.fromCharCode = unescape;"
+        " if (i == 6) String.fromCharCode = 7;"
+        " out = out + o.fromCharCode(67 + i) + String.fromCharCode(65 + i)"
+        " + String.fromCharCode('66') + String.fromCharCode(70000 + i) + String.fromCharCode(-1); }"
+        " return out; } f(8)"
+    ),
+}
+
+
+@pytest.mark.parametrize("source", TYPED_LOOP_CASES.values(), ids=TYPED_LOOP_CASES.keys())
+def test_typed_loops(source: str) -> None:
+    typed, fell_back = assert_typed_equivalent(source)
+    assert typed > 0, "no loop was translated typed"
+    if source == TYPED_LOOP_CASES["entry-check-fails"]:
+        assert fell_back == typed, "the entry check never failed"
+
+
+#: Loops the typed tier exists for: the Table X tiers' work() loop on a
+#: short string, and the wrapper's three decryptors.
+TYPED_SWEEP_CASES = [
+    (
+        "function work() { var acc = 0; var p = 'ab01cd'; var out = ''; var key = 77;"
+        " for (var i = 0; i < p.length; i++) { acc = (acc + (p.charCodeAt(i) ^ key) * 3) & 16777215;"
+        " if ((i & 3) === 0) { out += String.fromCharCode(65 + (acc & 15)); } }"
+        " return acc + ':' + out.length; } work()"
+    ),
+    *(
+        _decryptor_js("__q", scheme, 1201) + f" __qdec('{text}');"
+        for scheme, text in (("xor", "ӶӴӹ"), ("shift", "ӖӗӘ"),
+                             ("reverse-shift", "ӘӗӖ"))
+    ),
+]
+
+
+@pytest.mark.parametrize("source", TYPED_SWEEP_CASES, ids=lambda s: s[:40])
+def test_typed_loop_budget_sweep(source: str) -> None:
+    """The budget blows at the same tick, with the same telemetry, at
+    every cutoff from the first step to past the last."""
+    _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=100_000)
+    clear_code_cache()
+    for max_steps in range(1, full_steps + 2):
+        ast_run = run_engine(Interpreter, source, max_steps)
+        bc_run = run_engine(BytecodeInterpreter, source, max_steps)
+        assert ast_run == bc_run, (
+            f"divergence at max_steps={max_steps} on:\n{source}\n"
+            f"  ast: {ast_run}\n  bytecode: {bc_run}"
+        )
+    assert typed_loops(source) == (1, 0)
+    assert_typed_equivalent(source)

@@ -11,6 +11,8 @@ threads sharing one translated loop.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import sys
 import threading
 from typing import Any, Dict, List, Tuple
@@ -26,9 +28,16 @@ from repro.js.compiler import (
     clear_code_cache,
     compile_source,
 )
-from repro.js.hotloop import HOT_LOOP_THRESHOLD, MAX_LOOP_INSTRS, loop_source, translate_loop
+from repro.js.hotloop import (
+    HOT_LOOP_THRESHOLD,
+    MAX_LOOP_INSTRS,
+    loop_source,
+    translate_loop,
+    typed_loop_source,
+)
 from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Host, Interpreter
 from repro.js.parser import parse
+from repro.js.values import UNDEFINED, JSArray
 from repro.js.vm import BytecodeInterpreter
 
 
@@ -293,6 +302,61 @@ def test_generated_top_level_source_holds_no_attacker_text(fills: Dict[str, str]
     """At the top level every variable is a name, read and written
     through ``env``: names still reach the function only as constants."""
     _assert_no_attacker_text(fills, top_level=True)
+
+
+#: The frame values a typed translation of TEMPLATE is made for, by
+#: placeholder; every other slot holds undefined.
+FRAME_VALUES: Dict[str, Any] = {"p": "a string", "q": JSArray([]), "a": "ab", "c": 1.0, "i": 0.0}
+
+
+def _typed_translation(fills: Dict[str, str]) -> Tuple[List[Any], str, Tuple[Any, ...]]:
+    """``_translation`` for the typed tier, with a frame of FRAME_VALUES."""
+    code = function_code(TEMPLATE.format(**fills))
+    header = loop_header(code)
+    placeholders = {fills[name]: name for name in NAMES}
+    frame = [FRAME_VALUES.get(placeholders.get(name, ""), UNDEFINED) for name in code.slot_names]
+    rendered = typed_loop_source(code, header, frame)
+    assert rendered is not None
+    literals = [arg for op, arg in zip(code.ops[header:], code.args[header:]) if op == STRING]
+    return literals, rendered[0], rendered[1]
+
+
+@given(fills_strategy)
+@settings(max_examples=150, deadline=None)
+def test_typed_source_holds_no_attacker_text(fills: Dict[str, str]) -> None:
+    """A typed translation depends on the loop's shape and the types it
+    is made for: renaming every identifier and refilling every literal
+    with another of its type gives the same source."""
+    _, canonical_source, _ = _typed_translation(CANONICAL)
+    literals, source, constants = _typed_translation(fills)
+    assert source == canonical_source
+    assert len(literals) == 3
+    assert all(any(k is literal for k in constants) for literal in literals)
+    # It is typed: it checks the slots it was made for on entry.
+    assert "return generic(" in source and "is not str" in source
+
+
+def test_profiler_sees_each_translated_loop() -> None:
+    """Each translated loop compiles under a file name of its own, so
+    cProfile and pstats keep them apart."""
+    source = (
+        "function f(n) { var t = 0; for (var i = 0; i < n; i++) { t += i; } return t; }"
+        " function g(s) { var n = 0; for (var i = 0; i < s.length; i++)"
+        " { n = n + s.charCodeAt(i); } return n; }"
+        " var w = 'profiled'; while (w.length < 300) w += w;"
+        " var r = 0; for (var k = 0; k < 3; k++) { r = r + f(300) + g(w); } r"
+    )
+    clear_code_cache()
+    profiler = cProfile.Profile()
+    vm = BytecodeInterpreter()
+    profiler.runcall(vm.run, source)
+    assert vm.translated_loop_runs == 6
+    stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
+    loops = [
+        value for key, value in stats.items()
+        if key[0].startswith("<js-hot-loop") and key[2] == "_loop"
+    ]
+    assert sorted(value[1] for value in loops) == [3, 3]
 
 
 def test_shape_alike_loops_share_one_compiled_function() -> None:
