@@ -53,6 +53,7 @@ the dispatch loop.
 from __future__ import annotations
 
 import hashlib
+import math
 from types import FunctionType
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, cast
 
@@ -296,7 +297,7 @@ def _namespace() -> Dict[str, Any]:
         "JSRuntimeError": JSRuntimeError, "JSThrow": JSThrow,
         "budget_exceeded": _budget_exceeded, "signal_target": signal_target,
         "is_callable": is_callable, "strict_equals": strict_equals,
-        "to_int32": to_int32, "to_number": to_number, "to_string": to_string,
+        "to_int32": to_int32, "to_number": to_number, "to_string": to_string, "trunc": math.trunc,
         "truthy": truthy, "type_of": type_of,
     }
 
@@ -854,9 +855,11 @@ class _Generator:
 # A type is a token: ``float``, ``str``, ``bool`` or ``JSArray`` (the
 # value's exact Python type), ``("method", name)`` for the raw
 # ``STRING_METHODS`` builtin a string's method lookup yields, or
-# ``None`` for a value nothing is known about.  A stack entry pairs its
-# token with the slot it was loaded from when the loop never writes that
-# slot (else -1): a string held there keeps its length for the whole run.
+# ``None`` for a value nothing is known about.  A stack entry is a token,
+# the slot it was loaded from when the loop never writes that slot, and
+# the pc of the ``CONST`` it came from (-1 when not): a never-written
+# slot keeps its string length and ToInt32 for the whole run, and a
+# literal's ToInt32 is known when the loop is translated.
 
 #: Slot types a typed loop may assume on entry, as spelt in its source.
 _TYPE_NAMES: Dict[Any, str] = {float: "float", str: "str", bool: "bool", JSArray: "JSArray"}
@@ -876,7 +879,8 @@ _UNARY_TYPES: Dict[str, Any] = {"!": bool, "-": float, "+": float, "~": float, "
 #: Branches a typed loop nests before a block gets a dispatch case.
 _MAX_NESTING = 24
 
-Entry = Tuple[Any, int]
+Entry = Tuple[Any, int, int]
+_NOTHING: Entry = (None, -1, -1)
 State = Tuple[Dict[int, Any], Tuple[Entry, ...]]
 
 
@@ -893,10 +897,12 @@ def _binary_type(op: str, left: Any, right: Any) -> Any:
     return bool if op in _BOOL_OPS else float
 
 
-def _transfer(op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any], invariant: Set[int]) -> None:
-    """Apply one instruction that is not a jump to the types."""
+def _transfer(
+    pc: int, op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any], invariant: Set[int]
+) -> None:
+    """Apply the instruction at ``pc``, which is not a jump, to the types."""
     if op == LOAD_SLOT:
-        stack.append((slots[arg], arg if arg in invariant else -1))
+        stack.append((slots[arg], arg if arg in invariant else -1, -1))
     elif op == STORE_SLOT:
         slots[arg] = stack[-1][0]
     elif op == STORE_SLOT_POP or op == DECLARE_SLOT_POP:
@@ -906,23 +912,23 @@ def _transfer(op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any], inva
     elif op == INC_SLOT:
         slots[arg[0]] = float
     elif op == CONST:
-        stack.append((_const_type(arg), -1))
+        stack.append((_const_type(arg), -1, pc))
     elif op == STRING or op == TYPEOF_NAME:
-        stack.append((str, -1))
+        stack.append((str, -1, -1))
     elif op == BINARY:
         right = stack.pop()[0]
-        stack[-1] = (_binary_type(arg, stack[-1][0], right), -1)
+        stack[-1] = (_binary_type(arg, stack[-1][0], right), -1, -1)
     elif op == MEMBER_GET:
         token = stack[-1][0]
-        stack[-1] = (float if arg == "length" and (token is str or token is JSArray) else None, -1)
+        stack[-1] = (float if arg == "length" and (token is str or token is JSArray) else None, -1, -1)
     elif op == METHOD_LOOKUP:
         known = stack[-1][0] is str and arg in STRING_METHODS
-        stack.append((("method", arg) if known else None, -1))
+        stack.append((("method", arg) if known else None, -1, -1))
     elif op == CALL_THIS:
         argc = int(arg[1])
         callee = stack[-argc - 1][0]
         del stack[-argc - 2:]
-        stack.append((_METHOD_RESULTS.get(callee[1]) if type(callee) is tuple else None, -1))
+        stack.append((_METHOD_RESULTS.get(callee[1]) if type(callee) is tuple else None, -1, -1))
     elif op == DUP:
         stack.append(stack[-1])
     elif op == SWAP:
@@ -930,26 +936,26 @@ def _transfer(op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any], inva
     elif op == ROT3:
         stack[-3:] = [stack[-2], stack[-1], stack[-3]]
     elif op == TO_NUMBER:
-        stack[-1] = (float, -1)
+        stack[-1] = (float, -1, -1)
     elif op == INCDEC:
-        stack[-1] = (float if stack[-1][0] is float else None, -1)
+        stack[-1] = (float if stack[-1][0] is float else None, -1, -1)
     elif op == UNARY:
-        stack[-1] = (_UNARY_TYPES[arg], -1)
+        stack[-1] = (_UNARY_TYPES[arg], -1, -1)
     elif op == TYPEOF:
-        stack[-1] = (str, -1)
+        stack[-1] = (str, -1, -1)
     elif op == ARRAY:
         del stack[len(stack) - int(arg):]
-        stack.append((JSArray, -1))
+        stack.append((JSArray, -1, -1))
     elif op == MEMBER_SET or op == MEMBER_SET_EXPR:
         value = stack[-1][0]
         del stack[-3 if op == MEMBER_SET_EXPR else -2:]
-        stack.append((value, -1))
+        stack.append((value, -1, -1))
     elif op == STORE_NAME or op == NOP:
         pass
     else:
         pops, pushes = _stack_effect(op, arg)
         del stack[len(stack) - pops:]
-        stack.extend([(None, -1)] * pushes)
+        stack.extend([_NOTHING] * pushes)
 
 
 def _successors(code: Code, header: int, end: int, block: _Block) -> List[int]:
@@ -990,7 +996,7 @@ def _slot_uses(code: Code, block: _Block) -> Tuple[Set[int], Set[int]]:
 def _join(old: State, new: State) -> State:
     slots = {slot: token if new[0][slot] == token else None for slot, token in old[0].items()}
     stack = tuple(
-        (a[0] if a[0] == b[0] else None, a[1] if a[1] == b[1] else -1)
+        (a[0] if a[0] == b[0] else None, a[1] if a[1] == b[1] else -1, a[2] if a[2] == b[2] else -1)
         for a, b in zip(old[1], new[1])
     )
     return slots, stack
@@ -1080,7 +1086,7 @@ class _Analysis:
                         stack.pop()
                         flow(arg, slots, stack)
                 elif op != RETURN and op != THROW:
-                    _transfer(op, arg, stack, slots, self.invariant)
+                    _transfer(index, op, arg, stack, slots, self.invariant)
             if code.ops[index] not in _TERMINATORS:
                 flow(stops[start], slots, stack)
         return states
@@ -1124,15 +1130,17 @@ class _TypedGenerator(_Generator):
         self.sections: List[int] = []
         self.section_ids: Dict[int, int] = {}
         self.current = 0
-        #: Never-written string slots whose length is read.
+        #: Never-written string slots whose length is read, and
+        #: never-written number slots an int32 operator reads.
         self.lengths: Set[int] = set()
+        self.int32s: Set[int] = set()
 
     def render(self) -> Tuple[str, Tuple[Any, ...]]:
         while True:
             self.sections = sorted(self.joins)
             self.section_ids = {start: sid for sid, start in enumerate(self.sections)}
             self.constants, self.lines, self.has_calls = [], [], False
-            self.slots, self.written, self.lengths = set(), set(), set()
+            self.slots, self.written, self.lengths, self.int32s = set(), set(), set(), set()
             try:
                 self.body()
             except _TooDeep as deep:
@@ -1147,6 +1155,7 @@ class _TypedGenerator(_Generator):
             )
             entry += [f"if {test}:", "    return generic(interp, frame, env, this, steps, compl)"]
         entry += [f"m{slot} = float(len(l{slot}))" for slot in sorted(self.lengths)]
+        entry += [f"i{slot} = to_int32(l{slot})" for slot in sorted(self.int32s)]
         return self.assemble(entry, dispatch=len(self.sections) > 1)
 
     def body(self) -> None:
@@ -1233,7 +1242,7 @@ class _TypedGenerator(_Generator):
             if op == BINARY and index + 2 == block.stop and self.fusable(index, stack):
                 return self.fused(level, index, arg, len(stack))
             self.typed_op(level, index, op, arg, stack, slots)
-            _transfer(op, arg, stack, slots, self.analysis.invariant)
+            _transfer(index, op, arg, stack, slots, self.analysis.invariant)
         return self.goto_typed(level, block.stop)
 
     def conditional(self, level: int, index: int, op: int, arg: Any, stack: List[Entry]) -> bool:
@@ -1314,7 +1323,7 @@ class _TypedGenerator(_Generator):
                 level,
                 f"if {self.element_test(top, token, obj, stack[-2][0])}:",
                 f"    v = {obj}.elements",
-                f"    t = int({top})",
+                f"    t = trunc({top})",
                 f"    {obj} = v[t] if t < len(v) else UNDEFINED",
                 "else:",
                 f"    {obj} = get_property({obj}, to_string({top}))",
@@ -1325,7 +1334,7 @@ class _TypedGenerator(_Generator):
                 level,
                 f"if {self.element_test(key, stack[-2][0], obj, stack[-3][0])}:",
                 f"    v = {obj}.elements",
-                f"    t = int({key})",
+                f"    t = trunc({key})",
                 "    if t < len(v):",
                 f"        v[t] = {top}",
                 "    elif t == len(v):",
@@ -1353,7 +1362,7 @@ class _TypedGenerator(_Generator):
             tests.append(f"type({key}) is float")
         if obj_token is not JSArray:
             tests.append(f"type({obj}) is JSArray")
-        tests += [f"0.0 <= {key} <= 4294967294.0", f"{key}.is_integer()"]
+        tests += [f"0.0 <= {key}", f"{key} <= 4294967294.0", f"{key}.is_integer()"]
         return " and ".join(tests)
 
     def typed_binary(self, level: int, op: str, stack: List[Entry]) -> bool:
@@ -1382,20 +1391,30 @@ class _TypedGenerator(_Generator):
             self.put(level, f"{left} = {_FLOAT_OPS[text].format(l=left, r=right)}")
             return True
         if text in _INT32_OPS and (ltype is float or rtype is float):
-            tests = [f"type({name}) is float" for name, kind in ((left, ltype), (right, rtype)) if kind is not float]
-            tests += [
-                f"-2147483648.0 <= {left} <= 2147483647.0",
-                f"-2147483648.0 <= {right} <= 2147483647.0",
-            ]
-            self.put(
-                level,
-                f"if {' and '.join(tests)}:",
-                f"    {left} = float(int({left}) {_INT32_OPS[text]} int({right}))",
-                "else:",
-                f"    {slow}",
-            )
+            tests: List[str] = []
+            operands = [self.int32_operand(name, entry, tests) for name, entry in ((left, stack[-2]), (right, stack[-1]))]
+            fast = f"{left} = float({operands[0]} {_INT32_OPS[text]} {operands[1]})"
+            if tests:
+                self.put(level, f"if {' and '.join(tests)}:", f"    {fast}", "else:", f"    {slow}")
+            else:
+                self.put(level, fast)
             return True
         return False
+
+    def int32_operand(self, name: str, entry: Entry, tests: List[str]) -> str:
+        """``name``'s ToInt32 as an int, adding to ``tests`` what must
+        hold for the inline form: a literal's and a never-written
+        number slot's are computed before the loop runs."""
+        token, slot, pc = entry
+        if pc >= 0:
+            return self.const(to_int32(self.code.args[pc]))
+        if slot >= 0 and token is float:
+            self.int32s.add(slot)
+            return f"i{slot}"
+        if token is not float:
+            tests.append(f"type({name}) is float")
+        tests += [f"-2147483648.0 <= {name}", f"{name} <= 2147483647.0"]
+        return f"trunc({name})"
 
     def typed_call(self, level: int, index: int, arg: Any, stack: List[Entry]) -> bool:
         name, argc = arg[0], int(arg[1])
@@ -1414,7 +1433,7 @@ class _TypedGenerator(_Generator):
                 test = f"0.0 <= {last} < len({recv})"
                 if last_token is not float:
                     test = f"type({last}) is float and {test}"
-                fast = f"{recv}[int({last})]"
+                fast = f"{recv}[trunc({last})]"
                 if method == "charCodeAt":
                     fast = f"float(ord({fast}))"
                 self.put(
@@ -1434,7 +1453,7 @@ class _TypedGenerator(_Generator):
             message = f"{self.const(name)} + ' is not a function'"
             self.put(
                 level, f"ip = {index}", f"f = {fn}", f"if {test} and 0.0 <= {last} < 65536.0:",
-                "    interp.steps = steps", f"    {recv} = chr(int({last}))", "else:",
+                "    interp.steps = steps", f"    {recv} = chr(trunc({last}))", "else:",
             )
             self.put(level + 1, *self.dispatch(recv, receiver, d, argc, message, True))
             return True

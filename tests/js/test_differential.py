@@ -634,6 +634,12 @@ TYPED_LOOP_CASES = {
         " if (i == 2) { x = 'x' + x; y = i; } if (i == 4) { z = [i]; } x = x + 1; y = y + i;"
         " z = z + ''; } return x + ':' + y + ':' + z; } f(7)"
     ),
+    # The length of a string slot the loop writes is read afresh; the
+    # one it never writes is read once per entry.
+    "string-lengths": (
+        "function f(s) { var p = 'ab', n = 0; while (p.length < 40 && n < s.length) { p = p + p; n++; }"
+        " return p.length + ':' + n; } f('0123456789')"
+    ),
     # Every kind of constant, in arithmetic, comparisons and branches.
     "constants": (
         "function f(n) { var r = '', c = 0, b = false; for (var i = 0; i < n; i++) {"
@@ -642,6 +648,16 @@ TYPED_LOOP_CASES = {
         " r = r + undefined + 'x' + 'yz' + (c === c) + (i === 'x') + (true === (i < 3)) + (null == i)"
         " + (1 / 0) + (i < 'b') + ('a' < 'b') + typeof c + (i & 2147483648) + (i | 4294967295); }"
         " return r + ':' + c + ':' + (1 / c); } f(5)"
+    ),
+    # Int32 operators on literals of every type and on a never-written
+    # slot outside the int32 range, whose ToInt32 is taken once.
+    "int32-operands": (
+        "function f(k, n) { var t = 0; for (var i = 0; i < n; i++) {"
+        " t = t + (i ^ k) + (k & i) + (i | 4294967296.5) + (i & -2147483649) + (i ^ NaN)"
+        " + (i & 'x') + (i | '12') + (i & null) + (i ^ true) + (i & undefined) + (1e10 ^ i)"
+        " + (t & 65535) + (k | k) + (2.5 ^ 7); } return t; }"
+        " f(2147483648, 4) + ':' + f(NaN, 3) + ':' + f(-1.5, 3) + ':' + f(Infinity, 2)"
+        " + ':' + f(-1e300, 2) + ':' + f(4294967301, 2)"
     ),
     # charCodeAt and charAt with indexes the fast path does not take,
     # proven numbers (n) and values of any type (k).
