@@ -29,6 +29,7 @@ three Table X columns.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -161,6 +162,21 @@ class DocumentAnalysis:
     timings: PhaseTimings
     #: None when the document was already instrumented.
     js_analysis: Optional[DocumentJSAnalysis]
+
+
+def _generator_seed(seed: Optional[int], document_key: str) -> Optional[int]:
+    """The seed of one document's monitoring-code generator.
+
+    Hashing the pipeline seed with the document's key gives every
+    document its own identifier prefix, cipher and decoys (§IV-B), from
+    a random stream apart from the key store's, so no decoy repeats a
+    real key.  Without a pipeline seed the generator seeds itself from
+    the key.
+    """
+    if seed is None:
+        return None
+    digest = hashlib.sha256(f"{seed}:{document_key}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class Instrumenter:
@@ -461,7 +477,7 @@ class Instrumenter:
         generator = mc.MonitorCodeGenerator(
             key.render(),
             soap_url=self.soap_url,
-            seed=self.seed,
+            seed=_generator_seed(self.seed, key.document_key),
             fake_copies=self.fake_copies,
             wrap_dynamic_methods=self.wrap_dynamic_methods,
         )

@@ -1,5 +1,6 @@
 """Unit tests for key management and monitoring-code generation."""
 
+import re
 from unittest import mock
 
 import pytest
@@ -21,8 +22,53 @@ from repro.js.lexer import code_units
 from repro.js.values import JSObject, NativeFunction, UNDEFINED
 from repro.js.vm import BytecodeInterpreter
 from repro.pdf.builder import DocumentBuilder
+from repro.pdf.document import PDFDocument
 from repro.pdf.objects import PDFName, PDFString
 from tests.conftest import spray_js
+
+
+def _scripts(protected: bytes) -> str:
+    """Every JavaScript action of a protected document, as text."""
+    document = PDFDocument.from_bytes(protected)
+    return "\n".join(
+        document.get_javascript_code(action) for action in document.iter_javascript_actions()
+    )
+
+
+def _scheme_of(protected: bytes) -> str:
+    """The cipher of the one wrapper in a protected document, read off
+    its decryptor."""
+    code = _scripts(protected)
+    if re.search(r"String\.fromCharCode\(s\.charCodeAt\(i\) \^ [0-9]+\)", code):
+        return "xor"
+    if "for (var i = s.length - 1; i >= 0; i--)" in code:
+        return "reverse-shift"
+    assert "for (var i = 0; i < s.length; i++)" in code
+    return "shift"
+
+
+class TestPerDocumentRandomisation:
+    def test_documents_of_one_pipeline_draw_their_own_randomisation(self):
+        """§IV-B: each document one pipeline protects gets its own
+        identifier prefix and decoys, and no decoy repeats a real key."""
+        pipeline = ProtectionPipeline()
+        prefixes, decoys, keys = [], [], []
+        for index in range(3):
+            builder = DocumentBuilder()
+            builder.add_page("")
+            builder.add_javascript(f"var x{index} = {index};")
+            protected = pipeline.protect(builder.to_bytes(), f"doc{index}.pdf")
+            code = _scripts(protected.data)
+            prefixes += re.findall(r"var (__[a-z]{6})k = ", code)
+            decoys += re.findall(r'var k = "([0-9a-f]{24}:[0-9a-f]{24})"', code)
+            keys.append(protected.key_text)
+        assert len(set(prefixes)) == len(prefixes) == 3
+        assert len(set(decoys)) == len(decoys) == 6
+        real = {part for key in keys for part in key.split(":")}
+        assert len(real) == 4  # one detector id, three document keys
+        for decoy in decoys:
+            text = decoy.replace(":", "")
+            assert not any(part in text for part in real), decoy
 
 
 class TestKeyStore:
@@ -262,12 +308,12 @@ class TestUtf16SourceRoundTrip:
         return builder.to_bytes()
 
     def test_the_gated_dropper_is_malicious_under_every_scheme(self):
+        data = self._gated_dropper()
         seeds = {}
         for seed in range(16):
-            scheme = MonitorCodeGenerator("k", seed=seed).wrap_script("x").scheme
-            seeds.setdefault(scheme, seed)
+            protected = ProtectionPipeline(seed=seed).protect(data, "gated.pdf").data
+            seeds.setdefault(_scheme_of(protected), seed)
         assert set(seeds) == set(ENCRYPTION_SCHEMES)
-        data = self._gated_dropper()
         for scheme, seed in seeds.items():
             for triage in (False, True):
                 report = ProtectionPipeline(seed=seed, triage=triage).scan(data, "gated.pdf")
