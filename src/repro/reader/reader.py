@@ -18,6 +18,7 @@ from urllib.parse import urlparse
 from repro import obs as obs_mod
 from repro.js.errors import JSError, ReaderCrash, ResourceLimitExceeded
 from repro.js.interpreter import Host, Interpreter
+from repro.js.lexer import code_units
 from repro.js.values import JSArray, JSObject, UNDEFINED
 from repro.pdf.document import PDFDocument
 from repro.pdf.objects import PDFStream, PDFString
@@ -167,7 +168,9 @@ class DocumentHandle:
         for key, value in info.items():
             resolved = self.document.resolve(value)
             if isinstance(resolved, PDFString):
-                out[str(key)] = resolved.to_text()
+                # JS strings are UTF-16 code units, as the script's own
+                # literals are (repro.js.lexer).
+                out[str(key)] = code_units(resolved.to_text())
             else:
                 out[str(key)] = to_string_safe(resolved)
         return out

@@ -216,3 +216,25 @@ def test_stack_overflow_keeps_the_sessions_verdict(tail):
         plain.verdict.malicious,
         plain.verdict.malscore,
     )
+
+
+def _titled_document(script: str, title: str) -> bytes:
+    builder = DocumentBuilder()
+    builder.add_page("JS")
+    builder.set_info(Title=title)
+    builder.add_javascript(script)
+    return builder.to_bytes()
+
+
+def test_host_strings_from_pdf_text_are_code_units():
+    """``this.info.Title`` reaches JS as UTF-16 code units, as a reader
+    hands it over: a UTF-16BE Title of U+1F600 has length 2.  Gated on
+    the length 1 the emulator used to give it, the spray no longer
+    fires; gated on 2 it does."""
+    pipeline = ProtectionPipeline()
+    dropper = _heap_spray_dropper()
+    for length, fires in ((1, False), (2, True)):
+        script = f"if (this.info.Title.length == {length}) {{\n{dropper}\n}}"
+        report = pipeline.scan(_titled_document(script, "\U0001f600"), "titled.pdf")
+        assert not report.errored
+        assert report.verdict.malicious is fires, length

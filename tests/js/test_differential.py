@@ -47,6 +47,7 @@ from repro.js import vm as vm_mod
 from repro.js.compiler import MAKE_FUNCTION, Code, clear_code_cache, compile_source
 from repro.js.interpreter import Host, Interpreter
 from repro.js.vm import BytecodeInterpreter
+from repro.pdf.builder import DocumentBuilder
 from repro.reader.payload import Payload
 from tests.js.golden_disasm import GOLDEN_SCRIPTS
 
@@ -505,6 +506,28 @@ def test_full_pipeline_corpus_identical(monkeypatch) -> None:
         if ast_fp != bc_fp
     ]
     assert not mismatches, f"verdict divergence on {len(mismatches)} documents: {mismatches}"
+
+
+def test_host_text_is_code_units_on_both_engines(monkeypatch) -> None:
+    """A PDF text string reaches either engine as UTF-16 code units: the
+    dropper gated on a non-BMP Title's surrogate pair fires on both."""
+    builder = DocumentBuilder()
+    builder.add_page("titled")
+    builder.set_info(Title="\U0001f600a")
+    builder.add_javascript(
+        "var t = this.info.Title;"
+        " if (t.length == 3 && t.charCodeAt(0) == 0xD83D && t.charAt(2) == 'a') {\n"
+        + spray_script(
+            150, Payload.dropper(), random.Random(1),
+            exploit_call=exploit_call_for("CVE-2008-2992"),
+        )
+        + "\n}"
+    )
+    documents = [("titled.pdf", builder.to_bytes())]
+    bc_fps = _scan_fingerprints(documents, BytecodeInterpreter)
+    monkeypatch.setattr(vm_mod, "BytecodeInterpreter", Interpreter)
+    assert _scan_fingerprints(documents, Interpreter) == bc_fps
+    assert bc_fps[0][1], "the gate did not see the Title's code units"
 
 
 # ---------------------------------------------------------------------------
