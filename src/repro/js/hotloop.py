@@ -920,7 +920,8 @@ def _transfer(
         stack[-1] = (_binary_type(arg, stack[-1][0], right), -1, -1)
     elif op == MEMBER_GET:
         token = stack[-1][0]
-        stack[-1] = (float if arg == "length" and (token is str or token is JSArray) else None, -1, -1)
+        sized = arg == "length" and (token is str or token is JSArray)
+        stack[-1] = (float if sized else None, -1, -1)
     elif op == METHOD_LOOKUP:
         known = stack[-1][0] is str and arg in STRING_METHODS
         stack.append((("method", arg) if known else None, -1, -1))
@@ -928,7 +929,8 @@ def _transfer(
         argc = int(arg[1])
         callee = stack[-argc - 1][0]
         del stack[-argc - 2:]
-        stack.append((_METHOD_RESULTS.get(callee[1]) if type(callee) is tuple else None, -1, -1))
+        result = _METHOD_RESULTS.get(callee[1]) if type(callee) is tuple else None
+        stack.append((result, -1, -1))
     elif op == DUP:
         stack.append(stack[-1])
     elif op == SWAP:
@@ -974,7 +976,9 @@ def _successors(code: Code, header: int, end: int, block: _Block) -> List[int]:
 
 
 def _slot_uses(code: Code, block: _Block) -> Tuple[Set[int], Set[int]]:
-    """Slots ``block`` reads before writing them, and slots it writes."""
+    """Slots ``block`` reads before writing them, and slots it writes.
+    A ``DECLARE_SLOT_POP`` counts as both: it keeps the old value when
+    it stores undefined."""
     used: Set[int] = set()
     written: Set[int] = set()
     for index in range(block.start, block.stop):
@@ -994,9 +998,14 @@ def _slot_uses(code: Code, block: _Block) -> Tuple[Set[int], Set[int]]:
 
 
 def _join(old: State, new: State) -> State:
+    """What holds on both of two edges into a block."""
     slots = {slot: token if new[0][slot] == token else None for slot, token in old[0].items()}
     stack = tuple(
-        (a[0] if a[0] == b[0] else None, a[1] if a[1] == b[1] else -1, a[2] if a[2] == b[2] else -1)
+        (
+            a[0] if a[0] == b[0] else None,
+            a[1] if a[1] == b[1] else -1,
+            a[2] if a[2] == b[2] else -1,
+        )
         for a, b in zip(old[1], new[1])
     )
     return slots, stack
@@ -1012,7 +1021,9 @@ class _Analysis:
     those are the ones its entry checks.
     """
 
-    def __init__(self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]) -> None:
+    def __init__(
+        self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]
+    ) -> None:
         self.succ = {block.start: _successors(code, header, end, block) for block in blocks}
         uses = {block.start: _slot_uses(code, block) for block in blocks}
         touched: Set[int] = set()
@@ -1027,7 +1038,9 @@ class _Analysis:
             kind = type(frame[slot])
             entry[slot] = kind if slot in live and kind in _TYPE_NAMES else None
         self.states = self._infer(code, header, end, blocks, entry)
-        self.checks = {slot: token for slot, token in self.states[header][0].items() if token is not None}
+        self.checks = {
+            slot: token for slot, token in self.states[header][0].items() if token is not None
+        }
 
     def _live_at_header(
         self, blocks: List[_Block], uses: Dict[int, Tuple[Set[int], Set[int]]], header: int
@@ -1041,9 +1054,7 @@ class _Analysis:
                 after: Set[int] = set()
                 for target in self.succ[block.start]:
                     after |= live[target]
-                # A DECLARE_SLOT_POP both reads and (maybe) writes: it
-                # stays a read, so only definite writes kill liveness.
-                now = used | (after - {slot for slot in written if slot not in used})
+                now = used | (after - written)
                 if now != live[block.start]:
                     live[block.start] = now
                     changed = True
@@ -1109,22 +1120,24 @@ class _TypedGenerator(_Generator):
     block dispatch at all.
     """
 
-    def __init__(self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]) -> None:
+    def __init__(
+        self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]
+    ) -> None:
         super().__init__(code, header, end, blocks)
         self.analysis = _Analysis(code, header, end, blocks, frame)
         self.leading = ["generic"]
         self.by_start = {block.start: block for block in blocks}
         preds = {block.start: 0 for block in blocks}
-        preds[header] = 1
         for targets in self.analysis.succ.values():
             for target in targets:
                 preds[target] += 1
-        ops, args = code.ops, code.args
-        self.joins = {
+        #: The blocks with a dispatch case of their own: the header, and
+        #: every join point but a latch, which is short enough to copy
+        #: into each block that reaches it.
+        self.joins = {header} | {
             block.start for block in blocks
-            if block.start == header or preds[block.start] > 1 and not (
-                block.stop - block.start <= 3
-                and ops[block.stop - 1] == JUMP and args[block.stop - 1] == header
+            if preds[block.start] > 1 and not (
+                block.stop - block.start <= 3 and self.ends_in_back_edge(block.start)
             )
         }
         self.sections: List[int] = []
@@ -1151,7 +1164,8 @@ class _TypedGenerator(_Generator):
         entry: List[str] = []
         if checks:
             test = " or ".join(
-                f"type(l{slot}) is not {_TYPE_NAMES[token]}" for slot, token in sorted(checks.items())
+                f"type(l{slot}) is not {_TYPE_NAMES[token]}"
+                for slot, token in sorted(checks.items())
             )
             entry += [f"if {test}:", "    return generic(interp, frame, env, this, steps, compl)"]
         entry += [f"m{slot} = float(len(l{slot}))" for slot in sorted(self.lengths)]
@@ -1173,6 +1187,10 @@ class _TypedGenerator(_Generator):
 
     # -- control flow
 
+    def ends_in_back_edge(self, start: int) -> bool:
+        last = self.by_start[start].stop - 1
+        return self.code.ops[last] == JUMP and self.code.args[last] == self.header
+
     def leaves(self, target: int) -> bool:
         """Whether going to ``target`` ends in ``return`` or ``continue``."""
         if not self.header <= target <= self.end:
@@ -1180,8 +1198,7 @@ class _TypedGenerator(_Generator):
         sid = self.section_ids.get(target)
         if sid is not None:
             return sid <= self.current
-        last = self.by_start[target].stop - 1
-        return self.code.ops[last] == JUMP and self.code.args[last] == self.header
+        return self.ends_in_back_edge(target)
 
     def goto_typed(self, level: int, target: int) -> bool:
         """Transfer control to ``target``; True when the emitted code
@@ -1377,7 +1394,9 @@ class _TypedGenerator(_Generator):
                 self.put(level, fast)
             else:
                 other = right if ltype is float else left
-                self.put(level, f"if type({other}) is float:", f"    {fast}", "else:", f"    {slow}")
+                self.put(
+                    level, f"if type({other}) is float:", f"    {fast}", "else:", f"    {slow}"
+                )
             return True
         if text == "+" and (ltype is str or rtype is str):
             concat = f"{left} = record_string({left} + {right})"
@@ -1385,15 +1404,18 @@ class _TypedGenerator(_Generator):
                 self.put(level, concat)
             else:
                 other = right if ltype is str else left
-                self.put(level, f"if type({other}) is str:", f"    {concat}", "else:", f"    {slow}")
+                self.put(
+                    level, f"if type({other}) is str:", f"    {concat}", "else:", f"    {slow}"
+                )
             return True
         if text in _COMPARES and ltype is str and rtype is str:
             self.put(level, f"{left} = {_FLOAT_OPS[text].format(l=left, r=right)}")
             return True
         if text in _INT32_OPS and (ltype is float or rtype is float):
             tests: List[str] = []
-            operands = [self.int32_operand(name, entry, tests) for name, entry in ((left, stack[-2]), (right, stack[-1]))]
-            fast = f"{left} = float({operands[0]} {_INT32_OPS[text]} {operands[1]})"
+            first = self.int32_operand(left, stack[-2], tests)
+            second = self.int32_operand(right, stack[-1], tests)
+            fast = f"{left} = float({first} {_INT32_OPS[text]} {second})"
             if tests:
                 self.put(level, f"if {' and '.join(tests)}:", f"    {fast}", "else:", f"    {slow}")
             else:
@@ -1487,7 +1509,9 @@ class _Generic:
         self.header = header
         self.translated: Optional[Translated] = None
 
-    def __call__(self, interp: Any, frame: Any, env: Any, this: Any, steps: int, compl: Any) -> Tuple[int, int, Any]:
+    def __call__(
+        self, interp: Any, frame: Any, env: Any, this: Any, steps: int, compl: Any
+    ) -> Tuple[int, int, Any]:
         translated = self.translated
         if translated is None:
             translated = self.translated = translate_loop(self.code, self.header)
