@@ -30,6 +30,12 @@ Operand-stack slots become Python locals (``s0``, ``s1``, ...), as do
 the frame slots the loop touches (``l0``, ...; written back on every
 way out), and the loop's basic blocks an ``if b == k`` chain.
 
+A loop in slot mode (a function body whose locals live in a frame only
+the running loop can touch) is translated for the types its frame
+slots hold when it turns hot (:func:`typed_loop_source`): it checks
+them once per entry and runs this generic translation when they
+differ, so the generic one is both its fallback and its oracle.
+
 **Attacker-controlled values never enter generated source.**  Names,
 property names and literals reach the function only through its
 constants tuple, which holds the ``Code``'s own literal objects (the
@@ -37,7 +43,9 @@ spray pool dedupes by identity).  Operators map through fixed tables.
 The only values formatted into the source are compiler-produced ints
 (slot indices, pcs and charges); the rest is fixed text, such as the
 element fast path's index bound.  The source therefore depends only on
-the loop's shape, and compiled functions are memoised by source text
+the loop's shape (and, typed, on the types it was translated for and
+on which of a fixed set of property names an access uses), and
+compiled functions are memoised by source text
 (:func:`repro.js.compiler.cached_loop_function`).
 
 ``compile()`` time is outside both the JS step budget and the scan
@@ -876,7 +884,8 @@ _BOOL_OPS = frozenset(("<", ">", "<=", ">=", "==", "!=", "===", "!==", "instance
 #: Comparisons that Python spells the same on two floats or two strings.
 _COMPARES = frozenset(_BOOL_OPS - {"instanceof", "in"})
 _UNARY_TYPES: Dict[str, Any] = {"!": bool, "-": float, "+": float, "~": float, "void": None}
-#: Branches a typed loop nests before a block gets a dispatch case.
+#: Branches a typed loop nests before a block gets a dispatch case of
+#: its own: Python refuses source indented past 100 levels.
 _MAX_NESTING = 24
 
 Entry = Tuple[Any, int, int]
@@ -1362,11 +1371,6 @@ class _TypedGenerator(_Generator):
                 f"    set_member({obj}, to_string({key}), {top})",
                 f"{obj} = {top}",
             )
-        elif op == UNARY and token is float and (arg == "-" or arg == "+"):
-            if arg == "-":
-                self.put(level, f"{top} = -{top}")
-        elif op == UNARY and token is bool and arg == "!":
-            self.put(level, f"{top} = not {top}")
         else:
             self.nest = level - 1
             _Generator.op(self, 0, index, op, arg, d)
@@ -1500,7 +1504,9 @@ def typed_loop_source(
 
 class _Generic:
     """A typed loop's fallback: the generic translation, built the first
-    time an entry check fails and run in the typed loop's place."""
+    time an entry check fails and run in the typed loop's place.
+    Threads sharing the loop may both build it; each gets a working
+    translation of the same loop."""
 
     __slots__ = ("code", "header", "translated")
 

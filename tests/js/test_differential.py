@@ -692,6 +692,14 @@ TYPED_LOOP_CASES = {
         " f('ab\\ud83d\\ude00', [0, 1.5, 2.9, 3, 4, -0, -0.5, -1, NaN, Infinity, -Infinity, 1e300,"
         " -1e300, 4294967296, 4294967297, '1', null, undefined, true, [2]])"
     ),
+    # Branches nested deeper than Python's 100 indentation levels, each
+    # rejoining before the latch: the deepest blocks get dispatch cases
+    # of their own.
+    "deep-nesting": (
+        "function f(n) { var t = 1, c = 0; for (var i = 0; i < n; i++) { "
+        + "if (t) { " * 110 + "c++; " + "} " * 110
+        + "c = c + 2; } return c; } f(3)"
+    ),
     "fromCharCode-replaced-before": (
         "String.fromCharCode = function (c) { return '<' + c + '>'; };"
         " function f(n) { var out = ''; for (var i = 0; i < n; i++)"

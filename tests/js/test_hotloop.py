@@ -409,14 +409,20 @@ def test_equal_literals_reach_the_spray_pool_as_distinct_objects() -> None:
 def test_threads_share_one_translated_decode_loop() -> None:
     """Serve's thread backend shares Code objects, and with them loop
     counters and translations, across threads: here a function's decode
-    loop and a top-level checksum loop of one cached program."""
+    loop, a top-level checksum loop of one cached program, and a typed
+    loop whose entry check fails in every thread, which then builds or
+    shares its generic fallback."""
     source = (
         "function decode(data, key) { var out = '';"
         " for (var i = 0; i < data.length; i++)"
         " { out += String.fromCharCode(data.charCodeAt(i) ^ key); } return out.length; }"
+        " function total(a) { var t = 0; for (var i = 0; i < a.length; i++) { t = t + a[i]; }"
+        " return t; }"
         " var d = 'thread-shared decode loop '; while (d.length < 4200) { d += d; }"
         " var sum = 0; for (var j = 0; j < 600; j++) { sum = (sum * 31 + d.charCodeAt(j)) % 65521; }"
-        " decode(d.substr(0, 4200), 42) + ':' + sum"
+        " var n = []; for (var k = 0; k < 300; k++) { n[k] = k; }"
+        " decode(d.substr(0, 4200), 42) + ':' + sum + ':' + total(d.substr(0, 300)).length"
+        " + ':' + total(n)"
     )
     walker_host = Host()
     walker = Interpreter(host=walker_host)
@@ -455,3 +461,8 @@ def test_threads_share_one_translated_decode_loop() -> None:
     assert compile_source(source) is program
     # The top-level checksum loop ran translated from the shared program.
     assert any(type(state) is tuple for state in program.loops.values())
+    # total() was typed for a string, and entered with an array too.
+    total = program.hoist_actions[1][1]
+    assert total.name == "total"
+    (function, constants), = total.loops.values()
+    assert constants[0].translated is not None
