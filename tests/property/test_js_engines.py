@@ -199,6 +199,26 @@ def test_random_loop_bodies_agree(source):
     assert_engines_agree(source)
 
 
+#: The same loops, reading both arguments first, entered again with
+#: other argument types: a slot-mode loop is typed for the slot types
+#: of the call it turns hot in, so the later calls fail its entry check
+#: and run the generic translation.
+reentered_loop_program = loop_fn_program.map(
+    lambda source: source.replace(
+        "k++) { ", "k++) { s = s + b; i = i + a; ", 1
+    ).replace(
+        "out = gen(1, 'q');",
+        "out = gen(1, 'q') + '|' + gen('x', 2.5) + '|' + gen(true, [3]) + '|' + gen(1, 'q');",
+    )
+)
+
+
+@given(reentered_loop_program)
+@settings(max_examples=100, deadline=None)
+def test_random_loops_reentered_with_other_types_agree(source):
+    assert_engines_agree(source)
+
+
 @given(eval_program)
 @settings(max_examples=80, deadline=None)
 def test_random_programs_agree_through_eval(source):
