@@ -1246,7 +1246,6 @@ class _TypedGenerator(_Generator):
         slots, entries = self.analysis.states[start]
         slots = dict(slots)
         stack = list(entries)
-        self.nest = level - 1
         for index in range(block.start, block.stop):
             op, arg, charge = code.ops[index], code.args[index], code.charges[index]
             if charge:
