@@ -1141,7 +1141,8 @@ _CACHE_CAP = 256
 _CODE_CACHE: "OrderedDict[str, Code]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 #: Translated hot-loop functions keyed by their generated source, which
-#: depends only on a loop's shape (``repro.js.hotloop``).
+#: depends only on a loop's shape and, typed, the types it was
+#: translated for (``repro.js.hotloop``).
 _LOOP_CACHE_CAP = 256
 _LOOP_CACHE: "OrderedDict[str, Any]" = OrderedDict()
 
