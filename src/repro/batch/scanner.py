@@ -1,4 +1,4 @@
-"""Parallel corpus scanning over a worker pool.
+"""Parallel corpus scanning over one persistent worker pool.
 
 The paper deploys the detector as a gateway filter: every inbound PDF
 is instrumented before delivery.  A gateway sees *corpora*, not single
@@ -18,6 +18,14 @@ sequential:
   ``timeout``/``errored`` in the :class:`~repro.batch.report.BatchReport`
   while every other document completes normally.
 
+There is one pool, brought up by :meth:`BatchScanner.start`, and every
+scan takes the same path onto it: one verdict-cache lookup (unless the
+scan bypasses the cache), then a submission whose done-callback stores
+the verdict, answered by a :class:`ScanHandle`.  The scan service submits one request at a time
+(:meth:`BatchScanner.submit_one`); a batch run
+(:meth:`BatchScanner.scan_items`) is a loop over handles that adds
+in-run deduplication, per-attempt timeouts and retries.
+
 Backends
 --------
 ``thread``
@@ -30,27 +38,20 @@ Backends
     here).  Requires picklable work, which is why workers rebuild the
     pipeline from :class:`~repro.core.pipeline.PipelineSettings`.  A
     worker killed mid-scan breaks the whole pool and fails every scan
-    in it; the next submission replaces the pool (batch runs retry the
-    lost documents, the scan service answers them 503).
+    in it; the next submission replaces the pool and counts a respawn
+    (batch runs retry the lost documents, the scan service answers
+    them 503).
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
+import functools
+import queue
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import limits as limits_mod
 from repro import obs as obs_mod
@@ -82,7 +83,11 @@ BatchItem = Tuple[str, bytes]
 #: ``scan(data, name) -> OpenReport``.
 PipelineFactory = Callable[[], Any]
 
-_WAIT_SLACK = 0.005  # seconds added to wait() so deadlines have passed
+#: What a worker returns: the verdict core, the JSON-ready report, the
+#: scan's seconds and its span tree (None for pipelines without obs).
+ScanResult = Tuple[VerdictSummary, Dict[str, Any], float, Optional[List[Dict[str, Any]]]]
+
+_WAIT_SLACK = 0.005  # seconds added to waits so deadlines have passed
 
 
 def _settings_fingerprint(settings: PipelineSettings) -> str:
@@ -113,39 +118,17 @@ def _pipeline_tracer(pipeline: Any) -> Optional[Any]:
     return getattr(obs, "tracer", None)
 
 
-def _run_scan(
-    pipeline: Any,
-    name: str,
-    data: bytes,
-    delay: float,
-    parent_span_id: Optional[int] = None,
-) -> Tuple[VerdictSummary, float]:
-    if delay > 0:
-        time.sleep(delay)
-    tracer = _pipeline_tracer(pipeline)
-    start = time.perf_counter()
-    if tracer is not None:
-        # Re-parent this worker thread's spans to the submitting
-        # ``batch.run`` span so the trace tree stays connected across
-        # the pool boundary.
-        with tracer.attach(parent_span_id):
-            report = pipeline.scan(data, name)
-    else:
-        report = pipeline.scan(data, name)
-    return VerdictSummary.from_report(report), time.perf_counter() - start
-
-
 def _run_scan_report(
     pipeline: Any,
     name: str,
     data: bytes,
-    limits: Optional[ScanLimits],
+    limits: ScanLimits,
     deadline_at: Optional[float],
     parent_span_id: Optional[int] = None,
-) -> Tuple[VerdictSummary, Dict[str, Any], float, bool, Optional[List[Dict[str, Any]]]]:
-    """Service-mode scan: one request, full report payload back.
+) -> ScanResult:
+    """Scan one document in a worker and return its :data:`ScanResult`.
 
-    ``limits`` is the request's effective budget (already capped by the
+    ``limits`` is the scan's effective budget (already capped by the
     scanner's per-attempt timeout); ``deadline_at`` is a
     ``time.monotonic`` instant by which the *whole request* — queue
     wait included — must finish, so the remaining time further caps the
@@ -153,46 +136,30 @@ def _run_scan_report(
     aborts on the first budget check and comes back as a structured
     ``deadline`` limit report instead of burning a worker slot.
 
-    Returns ``(summary, report_dict, seconds, cacheable, spans)``: the
-    verdict core, the JSON-ready ``OpenReport.to_dict()`` payload (kept
-    as a plain dict so the process backend can pickle it), whether the
-    verdict may be cached under the scanner's settings fingerprint, and
-    the scan's span tree as plain dicts (collected even with a disabled
-    sink — the service's slow-scan buffer needs full span trees without
-    paying for always-on emission).  ``cacheable`` is False when
-    ``deadline_at`` tightened the budget *and* the scan aborted on a
-    budget: that abort may be an artifact of this request's remaining
-    queue time, not of the configured limits the cache fingerprint
-    describes — caching it would serve a possibly-wrong verdict to
-    every later request for the digest.
+    The report comes back as ``OpenReport.to_dict()`` (a plain dict,
+    so the process backend can pickle it), and the span tree as plain
+    dicts, collected even with a disabled sink — the service's
+    slow-scan buffer needs full span trees without paying for
+    always-on emission.
     """
-    if limits is None:
-        limits = ScanLimits()
-    effective = limits
     if deadline_at is not None:
-        remaining = max(0.0, deadline_at - time.monotonic())
-        effective = cap_deadline(limits, remaining)
-    tightened = effective.deadline_seconds != limits.deadline_seconds
+        limits = cap_deadline(limits, max(0.0, deadline_at - time.monotonic()))
     tracer = _pipeline_tracer(pipeline)
     spans: Optional[List[Dict[str, Any]]] = None
     start = time.perf_counter()
     # The outer activation wins over the pipeline's own (re-entrant
     # scope), so per-request overrides govern the whole scan; blown
     # budgets are still converted to limit reports by ``pipeline.scan``.
-    with limits_mod.activate(effective):
+    with limits_mod.activate(limits):
         if tracer is not None:
+            # Re-parent this worker thread's spans to the submitter's
+            # span so the trace tree stays connected across the pool.
             with tracer.attach(parent_span_id), tracer.collect() as spans:
                 report = pipeline.scan(data, name)
         else:
             report = pipeline.scan(data, name)
     seconds = time.perf_counter() - start
-    summary = VerdictSummary.from_report(report)
-    # A clean verdict under a tighter deadline equals the full-budget
-    # verdict (budgets only abort scans, never change detection logic).
-    cacheable = not tightened or (
-        summary.limit_kind is None and not summary.errored
-    )
-    return summary, report.to_dict(), seconds, cacheable, spans
+    return VerdictSummary.from_report(report), report.to_dict(), seconds, spans
 
 
 class _ThreadWorker:
@@ -202,36 +169,19 @@ class _ThreadWorker:
         self._factory = factory
         self._local = threading.local()
 
-    def _pipeline(self) -> Any:
-        pipeline = getattr(self._local, "pipeline", None)
-        if pipeline is None:
-            pipeline = self._factory()
-            self._local.pipeline = pipeline
-        return pipeline
-
     def __call__(
         self,
         name: str,
         data: bytes,
-        delay: float,
-        parent_span_id: Optional[int] = None,
-    ) -> Tuple[VerdictSummary, float]:
-        return _run_scan(self._pipeline(), name, data, delay, parent_span_id)
-
-
-class _ServiceThreadWorker(_ThreadWorker):
-    """Thread-pool target for per-request (service-mode) submissions."""
-
-    def __call__(  # type: ignore[override]
-        self,
-        name: str,
-        data: bytes,
-        limits: Optional[ScanLimits],
+        limits: ScanLimits,
         deadline_at: Optional[float],
         parent_span_id: Optional[int] = None,
-    ) -> Tuple[VerdictSummary, Dict[str, Any], float, bool, Optional[List[Dict[str, Any]]]]:
+    ) -> ScanResult:
+        pipeline = getattr(self._local, "pipeline", None)
+        if pipeline is None:
+            pipeline = self._local.pipeline = self._factory()
         return _run_scan_report(
-            self._pipeline(), name, data, limits, deadline_at, parent_span_id
+            pipeline, name, data, limits, deadline_at, parent_span_id
         )
 
 
@@ -245,33 +195,23 @@ def _process_initializer(settings: PipelineSettings) -> None:
     _process_pipeline = settings.build()
 
 
-def _process_worker(
-    name: str,
-    data: bytes,
-    delay: float,
-    parent_span_id: Optional[int] = None,
-) -> Tuple[VerdictSummary, float]:
-    # ``parent_span_id`` is accepted for signature parity but ignored:
-    # span ids are per-process counters, so a parent id from the
-    # orchestrator process would alias unrelated spans here.
-    assert _process_pipeline is not None, "pool initializer did not run"
-    return _run_scan(_process_pipeline, name, data, delay)
-
-
 def _service_process_worker(
     name: str,
     data: bytes,
-    limits: Optional[ScanLimits],
+    limits: ScanLimits,
     deadline_at: Optional[float],
     parent_span_id: Optional[int] = None,
-) -> Tuple[VerdictSummary, Dict[str, Any], float, bool, Optional[List[Dict[str, Any]]]]:
+) -> ScanResult:
+    # ``parent_span_id`` is accepted for signature parity but ignored:
+    # span ids are per-process counters, so a parent id from the
+    # orchestrator process would alias unrelated spans here.
     assert _process_pipeline is not None, "pool initializer did not run"
     return _run_scan_report(_process_pipeline, name, data, limits, deadline_at)
 
 
 @dataclass(frozen=True)
 class ScanOutcome:
-    """What one service-mode scan produced.
+    """What one scan produced.
 
     ``report`` is the JSON-ready ``OpenReport.to_dict()`` payload for
     scans that actually ran; cache answers carry only the ``summary``
@@ -288,7 +228,7 @@ class ScanOutcome:
 
 
 class ScanHandle:
-    """Handle for one document submitted via :meth:`BatchScanner.submit_one`.
+    """Handle for one document submitted to the pool.
 
     Resolves either immediately (verdict-cache hit) or when the worker
     pool finishes the scan.  :meth:`result` re-raises worker exceptions
@@ -300,7 +240,7 @@ class ScanHandle:
         self,
         name: str,
         digest: str,
-        future: Optional["cf.Future[Any]"] = None,
+        future: Optional["cf.Future[ScanResult]"] = None,
         outcome: Optional[ScanOutcome] = None,
     ) -> None:
         if (future is None) == (outcome is None):
@@ -329,67 +269,45 @@ class ScanHandle:
         else:
             fn()
 
+    def cancel(self) -> bool:
+        """Withdraw a scan still queued for a worker; a running scan
+        cannot be stopped, only abandoned."""
+        return self._future is not None and self._future.cancel()
+
     def result(self, timeout: Optional[float] = None) -> ScanOutcome:
         if self._outcome is None:
             assert self._future is not None
-            summary, report, seconds, _cacheable, spans = self._future.result(
-                timeout
-            )
+            summary, report, seconds, spans = self._future.result(timeout)
             self._outcome = ScanOutcome(summary, report, seconds, spans=spans)
         return self._outcome
 
 
 # -- orchestration -----------------------------------------------------------
 
-def _submit(
-    executor: cf.Executor,
-    replace: Callable[[cf.Executor], cf.Executor],
-    *call: Any,
-) -> Tuple[cf.Executor, "cf.Future[Any]"]:
-    """Submit ``call``; if a dead worker broke the pool, ``replace`` it
-    and submit again.
-
-    A crashed process worker takes the whole process pool down, and a
-    broken pool rejects the submission before anything runs, so the
-    second submission cannot scan a document twice.  Returns the pool
-    that took the call, with its future.
-    """
-    try:
-        return executor, executor.submit(*call)
-    except cf.BrokenExecutor:
-        executor = replace(executor)
-        return executor, executor.submit(*call)
-
-
 @dataclass
 class _Task:
-    """One scheduled scan for one unique document."""
+    """One unique document of a batch run, across its attempts."""
 
-    key: Any  # digest (cache on) or item index (cache off)
-    digest: str
     name: str
     data: bytes
+    digest: str
+    #: Item indexes this scan answers: the scanned document first, then
+    #: its in-run duplicates.
+    members: List[int]
     attempt: int = 1
-    delay: float = 0.0
+    #: ``time.monotonic()`` when the current attempt was submitted.
     submitted_at: float = 0.0
-
-    def deadline(self, timeout: Optional[float]) -> Optional[float]:
-        if timeout is None:
-            return None
-        return self.submitted_at + self.delay + timeout
-
-
-@dataclass
-class _Done:
-    status: str
-    summary: Optional[VerdictSummary] = None
-    attempts: int = 0
-    seconds: float = 0.0
-    error: Optional[str] = None
+    #: ``time.monotonic()`` after which a held retry may be submitted.
+    ready_at: float = 0.0
 
 
 class BatchScanner:
     """Fan a corpus out over a worker pool and aggregate the verdicts.
+
+    One persistent pool serves both uses: :meth:`submit_one` (the scan
+    service, one request at a time) and :meth:`scan_items` (a batch
+    run, which starts the pool for the run when the scanner was not
+    started).  A scanner runs one batch at a time.
 
     Parameters
     ----------
@@ -398,14 +316,16 @@ class BatchScanner:
     backend:
         ``"thread"`` or ``"process"`` (see module docstring).
     timeout:
-        Per-document wall-clock seconds *per attempt*; ``None`` waits
-        forever.  Counted from (re)submission plus any backoff delay.
+        Per-document wall-clock seconds *per attempt* of a batch run,
+        counted from the attempt's submission; ``None`` waits forever.
+        Also caps every scan's in-scan deadline.
     retries:
-        Extra attempts after a timeout or worker exception.
+        Extra attempts a batch run gives a document after a timeout or
+        worker exception.
     backoff / max_backoff:
         Retry n waits ``min(backoff * 2**(n-1), max_backoff)`` seconds
-        before scanning (slept in the worker so the orchestrator never
-        blocks).
+        before it is submitted again; the run holds it meanwhile, so a
+        waiting retry occupies no worker.
     settings:
         Pipeline configuration for default workers (picklable, so it
         also feeds the process backend).
@@ -424,7 +344,7 @@ class BatchScanner:
         ``batch.run`` / ``serve.request`` span (the tracer's span stack
         is thread-local).  Process workers emit to their own process's
         default obs instead — spans cannot cross the pickle boundary
-        live, though service-mode scans ship them back as dicts.
+        live, so they ship them back as dicts in the scan result.
     """
 
     def __init__(
@@ -472,13 +392,12 @@ class BatchScanner:
             self.cache = VerdictCache(fingerprint=_settings_fingerprint(self.settings))
         else:
             self.cache = cache
-        #: Persistent executor for service-mode submissions (see
-        #: :meth:`start`); batch runs keep building their own.
+        #: The persistent worker pool (see :meth:`start`).
         self._service_executor: Optional[cf.Executor] = None
-        self._service_worker: Optional[Callable[..., Any]] = None
+        self._service_worker: Optional[Callable[..., ScanResult]] = None
         self._service_lock = threading.Lock()
-        #: Times a dead worker broke the persistent pool and it was
-        #: replaced (see :meth:`_replace_service_executor`).
+        #: Times a dead worker broke the pool and it was replaced (see
+        #: :meth:`_replace_service_executor`).
         self.worker_respawns = 0
 
     # -- input conveniences ----------------------------------------------
@@ -507,15 +426,14 @@ class BatchScanner:
 
         return self.scan_paths(list(iter_pdf_paths(root)))
 
-    # -- service mode ------------------------------------------------------
+    # -- the pool ----------------------------------------------------------
 
     def start(self) -> "BatchScanner":
-        """Bring up the persistent worker pool for per-request scans.
+        """Bring up the persistent worker pool every scan runs on.
 
-        Batch runs (:meth:`scan_items`) build and tear down their own
-        executor; a long-running service instead submits one document
-        at a time against a pool that outlives individual requests.
-        Idempotent and thread-safe; pair with :meth:`shutdown`.
+        Idempotent and thread-safe; pair with :meth:`shutdown`.  The
+        process worker is read from the module by name here, so a
+        wrapper installed before the pool starts is the one that runs.
         """
         with self._service_lock:
             if self._service_executor is None:
@@ -523,16 +441,14 @@ class BatchScanner:
                 if self.backend == "process":
                     self._service_worker = _service_process_worker
                 else:
-                    factory = self.pipeline_factory
-                    if factory is None:
-                        settings = self.settings
-                        shared_obs = self.obs
-                        # Worker pipelines share the scanner's obs: the
-                        # tracer stack is thread-local and the sink is
-                        # lock-protected, so worker spans interleave
-                        # safely and stay parented to the submitter.
-                        factory = lambda: settings.build(obs=shared_obs)  # noqa: E731
-                    self._service_worker = _ServiceThreadWorker(factory)
+                    # Worker pipelines share the scanner's obs: the
+                    # tracer stack is thread-local and the sink is
+                    # lock-protected, so worker spans interleave
+                    # safely and stay parented to the submitter.
+                    self._service_worker = _ThreadWorker(
+                        self.pipeline_factory
+                        or functools.partial(self.settings.build, obs=self.obs)
+                    )
         return self
 
     @property
@@ -559,7 +475,7 @@ class BatchScanner:
         deadline_at: Optional[float] = None,
         use_cache: bool = True,
     ) -> ScanHandle:
-        """Submit one document to the persistent pool (service mode).
+        """Submit one document to the persistent pool.
 
         ``limits`` overrides the pipeline budgets for this request only
         (its deadline still re-capped by the scanner timeout);
@@ -568,53 +484,24 @@ class BatchScanner:
         deadline, so queue wait counts against the request.  Cache hits
         resolve immediately; custom-limits requests bypass the cache
         both ways (a verdict produced under tighter budgets must not be
-        served to default-budget requests, and vice versa).  For the
-        same reason a scan whose budget was tightened by ``deadline_at``
-        and that aborted on a limit is never written to the cache.  A
-        pool broken by a dead worker is replaced before submitting; a
-        worker that dies during this scan fails the handle with
-        ``concurrent.futures.BrokenExecutor``.
+        served to default-budget requests, and vice versa).  A scan
+        that aborted on a budget is errored, so the cache never stores
+        it.  A pool broken by a dead worker is replaced before
+        submitting; a worker that dies during this scan fails the
+        handle with ``concurrent.futures.BrokenExecutor``.
         """
         self.start()
         digest = content_digest(data)
-        custom = limits is not None
-        cache = self.cache if (use_cache and not custom) else None
-        if cache is not None:
-            hit = cache.get(digest)
-            self._count_cache(hit=hit is not None)
-            if hit is not None:
-                return ScanHandle(
-                    name, digest,
-                    outcome=ScanOutcome(hit, None, 0.0, cached=True),
-                )
-        executor, worker = self._service_executor, self._service_worker
-        if executor is None or worker is None:
-            raise RuntimeError("scanner has been shut down")
-        # Capture the submitting thread's span context (the enclosing
-        # serve.request span) so the worker's spans parent to it.
-        # Process workers get None: span ids are per-process counters.
-        parent_span_id = (
-            self.obs.tracer.current_span_id if self.backend == "thread" else None
+        cache = self.cache if (use_cache and limits is None) else None
+        hit = self._lookup(cache, digest)
+        if hit is not None:
+            return ScanHandle(
+                name, digest, outcome=ScanOutcome(hit, None, 0.0, cached=True)
+            )
+        return self._submit_scan(
+            name, data, digest, self.effective_limits(limits), deadline_at,
+            cache,
         )
-        _, future = _submit(
-            executor, self._replace_service_executor, worker, name, data,
-            self.effective_limits(limits), deadline_at, parent_span_id,
-        )
-        if cache is not None:
-            def _store(done: "cf.Future[Any]") -> None:
-                if done.cancelled() or done.exception() is not None:
-                    return
-                summary, _report, _seconds, cacheable, _spans = done.result()
-                # Verdicts produced under a budget tightened by the
-                # request deadline (queue wait shrank the in-scan
-                # budget) that aborted on a limit are artifacts of this
-                # request's timing, not of the configured limits the
-                # fingerprint describes — never cache those.
-                if cacheable:
-                    cache.put(digest, summary)
-
-            future.add_done_callback(_store)
-        return ScanHandle(name, digest, future=future)
 
     def scan_one(
         self,
@@ -629,11 +516,63 @@ class BatchScanner:
             name, data, limits=limits, deadline_at=deadline_at
         ).result(wait_timeout)
 
+    def _lookup(
+        self, cache: Optional[VerdictCache], digest: str
+    ) -> Optional[VerdictSummary]:
+        """The cached verdict for ``digest``, counted as a hit or miss."""
+        if cache is None:
+            return None
+        hit = cache.get(digest)
+        self._count_cache(hit=hit is not None)
+        return hit
+
+    def _submit_scan(
+        self,
+        name: str,
+        data: bytes,
+        digest: str,
+        limits: ScanLimits,
+        deadline_at: Optional[float],
+        cache: Optional[VerdictCache],
+        on_done: Optional[Callable[[ScanHandle], None]] = None,
+    ) -> ScanHandle:
+        """Submit a scan that missed the cache; ``cache`` stores its verdict.
+
+        One done-callback stores the verdict and then calls ``on_done``,
+        so whoever ``on_done`` tells finds the verdict already cached.
+        """
+        executor, worker = self._service_executor, self._service_worker
+        if executor is None or worker is None:
+            raise RuntimeError("scanner has been shut down")
+        # Capture the submitting thread's span context (the enclosing
+        # serve.request or batch.run span) so the worker's spans parent
+        # to it.  Process workers get None: span ids are per-process.
+        parent_span_id = (
+            self.obs.tracer.current_span_id if self.backend == "thread" else None
+        )
+        call = (worker, name, data, limits, deadline_at, parent_span_id)
+        try:
+            future = executor.submit(*call)
+        except cf.BrokenExecutor:
+            # A broken pool rejects the submission before anything runs,
+            # so submitting again cannot scan the document twice.
+            future = self._replace_service_executor(executor).submit(*call)
+        handle = ScanHandle(name, digest, future=future)
+        if cache is not None or on_done is not None:
+            def _done(done: "cf.Future[ScanResult]") -> None:
+                if cache is not None and not done.cancelled() and done.exception() is None:
+                    cache.put(digest, done.result()[0])
+                if on_done is not None:
+                    on_done(handle)
+
+            future.add_done_callback(_done)
+        return handle
+
     def _replace_service_executor(self, broken: cf.Executor) -> cf.Executor:
         """Swap the broken persistent pool for a fresh one, exactly once.
 
-        Every request that finds the pool broken lands here; only the
-        first swaps it (and counts a respawn), the rest get that
+        Every submission that finds the pool broken lands here; only
+        the first swaps it (and counts a respawn), the rest get that
         replacement.  A pool torn down by :meth:`shutdown` is never
         rebuilt.
         """
@@ -646,6 +585,17 @@ class BatchScanner:
             fresh = self._service_executor
         broken.shutdown(wait=False)
         return fresh
+
+    def _make_executor(self) -> cf.Executor:
+        if self.backend == "process":
+            return cf.ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_process_initializer,
+                initargs=(self.settings,),
+            )
+        return cf.ThreadPoolExecutor(
+            max_workers=self.jobs, thread_name_prefix="repro-batch"
+        )
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear down the persistent pool (no-op when never started)."""
@@ -660,6 +610,11 @@ class BatchScanner:
     # -- the batch run ----------------------------------------------------
 
     def scan_items(self, items: Iterable[BatchItem]) -> BatchReport:
+        """Scan a corpus on the persistent pool.
+
+        An unstarted scanner starts the pool for the run and shuts it
+        down (without waiting for abandoned workers) at the end.
+        """
         materialized = [(name, data) for name, data in items]
         report = BatchReport(
             jobs=self.jobs,
@@ -667,214 +622,153 @@ class BatchScanner:
             timeout=self.timeout,
             retries=self.retries,
         )
+        owns_pool = not self.started
+        self.start()
         wall_start = time.perf_counter()
-        with self.obs.tracer.span(
-            "batch.run", items=len(materialized), jobs=self.jobs,
-            backend=self.backend,
-        ) as run_span:
-            results = self._scan_materialized(materialized, report)
-            report.items.extend(results)
-            report.wall_seconds = time.perf_counter() - wall_start
-            run_span.set_tag("scans_executed", report.scans_executed)
-            run_span.set_tag("cache_hits", report.cache_hits)
+        try:
+            with self.obs.tracer.span(
+                "batch.run", items=len(materialized), jobs=self.jobs,
+                backend=self.backend,
+            ) as run_span:
+                report.items.extend(self._scan_materialized(materialized, report))
+                report.wall_seconds = time.perf_counter() - wall_start
+                run_span.set_tag("scans_executed", report.scans_executed)
+                run_span.set_tag("cache_hits", report.cache_hits)
+        finally:
+            if owns_pool:
+                self.shutdown(wait=False)  # flushes the cache too
+            elif self.cache is not None:
+                self.cache.flush()
         if self.obs.enabled:
             self.obs.metrics.inc("batch_runs")
             self.obs.metrics.observe("batch_wall_seconds", report.wall_seconds)
-        if self.cache is not None:
-            self.cache.flush()
         return report
 
     def _scan_materialized(
         self, materialized: List[BatchItem], report: BatchReport
     ) -> List[BatchItemResult]:
         results: List[Optional[BatchItemResult]] = [None] * len(materialized)
-        tasks: Dict[Any, _Task] = {}
-        members: Dict[Any, List[int]] = {}
-        resolved: Dict[str, VerdictSummary] = {}  # cache hits this run
+        limits = self.effective_limits()
+        tasks: List[_Task] = []
+        by_digest: Dict[str, _Task] = {}
+        pending: Dict[ScanHandle, _Task] = {}
+        held: List[_Task] = []  # retries waiting out their backoff
+        # Fed by each scan's done-callback, after its verdict is stored.
+        finished: "queue.SimpleQueue[ScanHandle]" = queue.SimpleQueue()
+
+        def submit(task: _Task) -> None:
+            task.submitted_at = time.monotonic()
+            handle = self._submit_scan(
+                task.name, task.data, task.digest, limits, None, self.cache,
+                on_done=finished.put,
+            )
+            pending[handle] = task
+
+        def retry_or_fail(task: _Task, status: str, error: str) -> None:
+            if task.attempt <= self.retries:
+                report.retries_used += 1
+                if self.obs.enabled:
+                    self.obs.metrics.inc("batch_retries", reason=status)
+                task.ready_at = time.monotonic() + min(
+                    self.backoff * (2 ** (task.attempt - 1)), self.max_backoff
+                )
+                task.attempt += 1
+                held.append(task)
+            else:
+                results[task.members[0]] = BatchItemResult(
+                    name=task.name, sha256=task.digest, status=status,
+                    attempts=task.attempt, seconds=self.timeout or 0.0,
+                    error=error,
+                )
+
+        def settle(handle: ScanHandle) -> None:
+            task = pending.pop(handle, None)
+            if task is None:
+                return  # an abandoned attempt that finished late
+            try:
+                outcome = handle.result()
+            except Exception as error:  # the worker raised or died
+                retry_or_fail(
+                    task, STATUS_ERRORED, f"{type(error).__name__}: {error}"
+                )
+                return
+            results[task.members[0]] = BatchItemResult(
+                name=task.name, sha256=task.digest, status=STATUS_OK,
+                verdict=outcome.summary, attempts=task.attempt,
+                seconds=outcome.seconds,
+            )
 
         for index, (name, data) in enumerate(materialized):
             digest = content_digest(data)
-            if self.cache is None:
-                # Cache (and dedup) off: every item is its own scan.
-                tasks[index] = _Task(key=index, digest=digest, name=name, data=data)
-                members[index] = [index]
-                continue
-            if digest in tasks:
-                # In-run duplicate: ride on the representative's scan.
-                members[digest].append(index)
+            twin = by_digest.get(digest) if self.cache is not None else None
+            if twin is not None:
+                # In-run duplicate: ride on the first copy's answer.
+                twin.members.append(index)
                 report.cache_hits += 1
                 self._count_cache(hit=True)
                 continue
-            hit = resolved.get(digest)
-            if hit is None:
-                hit = self.cache.get(digest)
-                if hit is not None:
-                    resolved[digest] = hit
-                    report.cache_hits += 1
-                    self._count_cache(hit=True)
-            else:
-                report.cache_hits += 1
-                self._count_cache(hit=True)
+            task = _Task(name=name, data=data, digest=digest, members=[index])
+            tasks.append(task)
+            by_digest[digest] = task
+            hit = self._lookup(self.cache, digest)
             if hit is not None:
+                report.cache_hits += 1
                 results[index] = BatchItemResult(
                     name=name, sha256=digest, status=STATUS_OK,
                     verdict=hit, cached=True,
                 )
                 continue
-            report.cache_misses += 1
-            self._count_cache(hit=False)
-            tasks[digest] = _Task(key=digest, digest=digest, name=name, data=data)
-            members[digest] = [index]
+            if self.cache is not None:
+                report.cache_misses += 1
+            submit(task)
 
-        done = self._execute(tasks, report)
+        while pending or held:
+            now = time.monotonic()
+            for task in [task for task in held if task.ready_at <= now]:
+                held.remove(task)
+                submit(task)
+            wakeups = [task.ready_at for task in held]
+            if self.timeout is not None:
+                wakeups += [t.submitted_at + self.timeout for t in pending.values()]
+            wait_for = max(0.0, min(wakeups) - now) + _WAIT_SLACK if wakeups else None
+            try:
+                handle = finished.get(timeout=wait_for)
+            except queue.Empty:
+                pass  # a deadline or a backoff is due
+            else:
+                settle(handle)
+            if self.timeout is not None:
+                now = time.monotonic()
+                for late, task in list(pending.items()):
+                    if now >= task.submitted_at + self.timeout:
+                        # Cannot kill a running worker; abandon the
+                        # attempt (its thread/process finishes on its
+                        # own) and retry on a free slot.
+                        late.cancel()
+                        del pending[late]
+                        if self.obs.enabled:
+                            self.obs.metrics.inc("batch_timeouts")
+                        retry_or_fail(
+                            task, STATUS_TIMEOUT,
+                            f"no result within {self.timeout:g}s "
+                            f"(attempt {task.attempt})",
+                        )
 
-        for key, outcome in done.items():
-            task = tasks[key]
-            for position, index in enumerate(members[key]):
-                name = materialized[index][0]
-                is_representative = position == 0
-                results[index] = BatchItemResult(
-                    name=name,
-                    sha256=task.digest,
-                    status=outcome.status,
-                    verdict=outcome.summary,
-                    cached=not is_representative,
-                    attempts=outcome.attempts if is_representative else 0,
-                    seconds=outcome.seconds if is_representative else 0.0,
-                    error=outcome.error,
+        for task in tasks:
+            first = results[task.members[0]]
+            assert first is not None
+            for index in task.members[1:]:
+                results[index] = replace(
+                    first, name=materialized[index][0], cached=True,
+                    attempts=0, seconds=0.0,
                 )
-            if (
-                outcome.status == STATUS_OK
-                and outcome.summary is not None
-                and self.cache is not None
-            ):
-                self.cache.put(task.digest, outcome.summary)
-            self._record_item(task.name, outcome)
-
-        report.scans_executed = sum(d.attempts for d in done.values())
-        report.timeouts = sum(
-            1 for d in done.values() if d.status == STATUS_TIMEOUT
-        )
+            if not first.cached:
+                self._record_item(first)
+                report.scans_executed += first.attempts
+                if first.status == STATUS_TIMEOUT:
+                    report.timeouts += 1
         assert all(result is not None for result in results)
         return [result for result in results if result is not None]
-
-    # -- executor loop -----------------------------------------------------
-
-    def _make_executor(self) -> cf.Executor:
-        if self.backend == "process":
-            return cf.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_process_initializer,
-                initargs=(self.settings,),
-            )
-        return cf.ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="repro-batch"
-        )
-
-    def _worker_callable(self) -> Callable[..., Tuple[VerdictSummary, float]]:
-        if self.backend == "process":
-            return _process_worker
-        factory = self.pipeline_factory
-        if factory is None:
-            settings = self.settings
-            shared_obs = self.obs
-            factory = lambda: settings.build(obs=shared_obs)  # noqa: E731
-        return _ThreadWorker(factory)
-
-    def _execute(self, tasks: Dict[Any, _Task], report: BatchReport) -> Dict[Any, _Done]:
-        done_out: Dict[Any, _Done] = {}
-        if not tasks:
-            return done_out
-        worker = self._worker_callable()
-        executor = self._make_executor()
-        pending: Dict[cf.Future, _Task] = {}
-
-        # The orchestrator thread holds the ``batch.run`` span while
-        # submitting; capture it so thread workers re-parent to it.
-        parent_span_id = (
-            self.obs.tracer.current_span_id if self.backend == "thread" else None
-        )
-
-        def replace(broken: cf.Executor) -> cf.Executor:
-            broken.shutdown(wait=False)
-            return self._make_executor()
-
-        def submit(task: _Task) -> None:
-            nonlocal executor
-            task.submitted_at = time.monotonic()
-            executor, future = _submit(
-                executor, replace,
-                worker, task.name, task.data, task.delay, parent_span_id,
-            )
-            pending[future] = task
-
-        def retry_or_fail(task: _Task, status: str, error: Optional[str]) -> None:
-            if task.attempt <= self.retries:
-                report.retries_used += 1
-                if self.obs.enabled:
-                    self.obs.metrics.inc("batch_retries", reason=status)
-                task.attempt += 1
-                task.delay = min(
-                    self.backoff * (2 ** (task.attempt - 2)), self.max_backoff
-                )
-                submit(task)
-            else:
-                done_out[task.key] = _Done(
-                    status=status,
-                    attempts=task.attempt,
-                    seconds=self.timeout or 0.0,
-                    error=error,
-                )
-
-        try:
-            for task in tasks.values():
-                submit(task)
-            while pending:
-                wait_for: Optional[float] = None
-                if self.timeout is not None:
-                    now = time.monotonic()
-                    next_deadline = min(
-                        task.deadline(self.timeout) for task in pending.values()
-                    )
-                    wait_for = max(0.0, next_deadline - now) + _WAIT_SLACK
-                finished, _ = cf.wait(
-                    set(pending), timeout=wait_for,
-                    return_when=cf.FIRST_COMPLETED,
-                )
-                for future in finished:
-                    task = pending.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        summary, seconds = future.result()
-                        done_out[task.key] = _Done(
-                            status=STATUS_OK, summary=summary,
-                            attempts=task.attempt, seconds=seconds,
-                        )
-                    else:
-                        retry_or_fail(
-                            task, STATUS_ERRORED,
-                            f"{type(error).__name__}: {error}",
-                        )
-                if self.timeout is not None:
-                    now = time.monotonic()
-                    for future, task in list(pending.items()):
-                        deadline = task.deadline(self.timeout)
-                        if deadline is not None and now >= deadline:
-                            # Cannot kill a running worker; abandon the
-                            # future (its thread/process finishes on its
-                            # own) and retry on a fresh slot.
-                            future.cancel()
-                            pending.pop(future)
-                            if self.obs.enabled:
-                                self.obs.metrics.inc("batch_timeouts")
-                            retry_or_fail(
-                                task, STATUS_TIMEOUT,
-                                f"no result within {self.timeout:g}s "
-                                f"(attempt {task.attempt})",
-                            )
-        finally:
-            executor.shutdown(wait=False)
-        return done_out
 
     # -- obs helpers -------------------------------------------------------
 
@@ -884,18 +778,18 @@ class BatchScanner:
                 "batch_cache_lookups", result="hit" if hit else "miss"
             )
 
-    def _record_item(self, name: str, outcome: _Done) -> None:
+    def _record_item(self, item: BatchItemResult) -> None:
         if not self.obs.enabled:
             return
-        with self.obs.tracer.span("batch.document", document=name) as span:
-            span.set_tag("status", outcome.status)
-            span.set_tag("attempts", outcome.attempts)
-            span.set_tag("scan_seconds", outcome.seconds)
-            if outcome.summary is not None:
-                span.set_tag("malicious", outcome.summary.malicious)
-        self.obs.metrics.inc("batch_docs", status=outcome.status)
-        if outcome.status == STATUS_OK:
-            self.obs.metrics.observe("batch_scan_seconds", outcome.seconds)
+        with self.obs.tracer.span("batch.document", document=item.name) as span:
+            span.set_tag("status", item.status)
+            span.set_tag("attempts", item.attempts)
+            span.set_tag("scan_seconds", item.seconds)
+            if item.verdict is not None:
+                span.set_tag("malicious", item.verdict.malicious)
+        self.obs.metrics.inc("batch_docs", status=item.status)
+        if item.status == STATUS_OK:
+            self.obs.metrics.observe("batch_scan_seconds", item.seconds)
 
 
 def scan_corpus(

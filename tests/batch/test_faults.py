@@ -38,6 +38,7 @@ def stub_report(name, malicious=False):
         did_nothing=not malicious,
         errored=False,
         error=None,
+        to_dict=lambda: {},
     )
 
 
@@ -147,6 +148,22 @@ class TestRetries:
         assert item.attempts == 6
         # 5 backoffs, each capped at 0.03s (plus scheduling slack).
         assert elapsed < 2.0
+
+    def test_backoff_holds_no_worker(self, obs):
+        """The run holds a retry until its backoff has passed, so the
+        only worker scans the third document meanwhile and the two
+        one-second backoffs overlap instead of running back to back."""
+        scanner = make_scanner(
+            obs, jobs=1, retries=1, backoff=1.0, max_backoff=1.0,
+            timeout=None,
+        )
+        start = time.perf_counter()
+        report = scanner.scan_items(
+            [("boom1.pdf", b"x"), ("boom2.pdf", b"y"), ("ok.pdf", b"z")]
+        )
+        elapsed = time.perf_counter() - start
+        assert [item.attempts for item in report.items] == [2, 2, 1]
+        assert elapsed < 1.8
 
 
 class TestObsCounters:

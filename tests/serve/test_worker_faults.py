@@ -13,7 +13,9 @@ service that answers 503 forever.
 * an async job whose worker dies ends in a terminal 503 state instead
   of staying pending;
 * many submitters that find the pool broken at once replace it exactly
-  once, and a pool torn down by ``shutdown`` is never rebuilt.
+  once, and a pool torn down by ``shutdown`` is never rebuilt;
+* a batch run whose worker is killed replaces the pool the same way,
+  counting the respawn, and retries the documents it lost.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, List
 
 import pytest
 
-from repro.batch import BatchScanner
+from repro.batch import STATUS_OK, BatchScanner
 from repro.corpus.sized import table_x_js_documents
 from repro.serve import AdmissionConfig, ScanService, start_server
 
@@ -281,6 +283,38 @@ class TestPoolReplacement:
                 )
         finally:
             scanner.shutdown()
+
+    def test_batch_run_survives_a_killed_worker(self, busy_doc):
+        """A batch run replaces a pool broken under it through the one
+        replacement path, so the respawn is counted, and retries the
+        documents the dead worker took down."""
+        scanner = BatchScanner(
+            jobs=1, backend="process", settings=service_settings()
+        )
+        # Two documents that differ by one byte, so both are scanned.
+        items = [("busy-a.pdf", busy_doc), ("busy-b.pdf", busy_doc + b"\n")]
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        def new_workers() -> List[multiprocessing.Process]:
+            return [
+                child for child in multiprocessing.active_children()
+                if child.pid not in before
+            ]
+
+        reports: List[object] = []
+        run = threading.Thread(
+            target=lambda: reports.append(scanner.scan_items(items))
+        )
+        run.start()
+        wait_until(lambda: bool(new_workers()), "the pool's worker to start")
+        time.sleep(MID_SCAN_DELAY)
+        os.kill(new_workers()[0].pid, signal.SIGKILL)
+        run.join(timeout=2 * RESPONSE_BOUND_SECONDS)
+        assert not run.is_alive(), "the batch run hung after its worker died"
+        (report,) = reports
+        assert [item.status for item in report.items] == [STATUS_OK, STATUS_OK]
+        assert report.retries_used >= 1
+        assert scanner.worker_respawns == 1
 
     def test_shut_down_pool_is_never_rebuilt(self):
         scanner = BatchScanner(
