@@ -389,13 +389,22 @@ class Compiler:
         statements: List[ast.Node],
         scope: Optional[Dict[str, int]],
         completion: bool,
+        body: bool = True,
     ) -> None:
+        """Compile ``statements`` into ``code``.  A program or function
+        ``body`` binds its own function declarations at hoisting, so
+        reaching one only ticks; a try sub-block (``body=False``)
+        re-creates them like any nested declaration."""
         self._frags.append(_Frag())
         self._scope_stack.append(scope)
         self._completion_stack.append(completion)
         try:
             for statement in statements:
-                self._stmt(statement)
+                if body and isinstance(statement, ast.FunctionDeclaration):
+                    self.f.pending += 1  # the walker's exec_statement tick
+                    self._set_compl_undef()
+                else:
+                    self._stmt(statement)
             self._flush()
             frag = self.f
             code.ops = tuple(frag.ops)
@@ -420,7 +429,9 @@ class Compiler:
             "slot" if scope is not None else "env",
             completion=completion,
         )
-        self._compile_into(sub, statements, scope=scope, completion=completion)
+        self._compile_into(
+            sub, statements, scope=scope, completion=completion, body=False
+        )
         return sub
 
     @staticmethod
@@ -549,8 +560,9 @@ class Compiler:
         self._set_compl_undef()
 
     def _c_FunctionDeclaration(self, node: ast.FunctionDeclaration) -> None:
-        # The walker re-creates the function object when the statement
-        # itself executes (on top of the hoisted one).
+        # Only a declaration nested in a block, if, loop, try or switch
+        # gets here: like SpiderMonkey's function statements, it is
+        # re-created when reached (on top of the hoisted one).
         code = self.compile_function(node.name, node.params, node.body)
         self._emit(MAKE_FUNCTION, code)
         self._emit(DECLARE_POP, node.name)

@@ -158,10 +158,7 @@ class Interpreter:
             scope = env if env is not None else self.global_env
             this_value = this if this is not None else self.global_this
             self._hoist(program.body, scope)
-            result: Any = UNDEFINED
-            for statement in program.body:
-                result = self.exec_statement(statement, scope, this_value)
-            return result
+            return self._exec_body(program.body, scope, this_value)
         except RecursionError:
             raise stack_overflow() from None
 
@@ -233,6 +230,24 @@ class Interpreter:
                 self._hoist(case.body, env)
 
     # -- statements ------------------------------------------------------------
+
+    def _exec_body(self, statements: List[ast.Node], env: Environment, this: Any) -> Any:
+        """Run a program or function body; returns the last statement value.
+
+        The body's own function declarations were bound at hoisting
+        (ES5 §10.5), so reaching one only ticks.  A declaration nested
+        in a block, if, loop, try or switch is re-created when reached
+        (:meth:`_exec_FunctionDeclaration`), like SpiderMonkey's
+        function statements.
+        """
+        result: Any = UNDEFINED
+        for statement in statements:
+            if isinstance(statement, ast.FunctionDeclaration):
+                self._tick()
+                result = UNDEFINED
+            else:
+                result = self.exec_statement(statement, env, this)
+        return result
 
     def exec_statement(self, node: ast.Node, env: Environment, this: Any) -> Any:
         self._tick()
@@ -742,10 +757,7 @@ class Interpreter:
             return code
         program = parse(code)
         self._hoist(program.body, env)
-        result: Any = UNDEFINED
-        for statement in program.body:
-            result = self.exec_statement(statement, env, this)
-        return result
+        return self._exec_body(program.body, env, this)
 
     def _eval_NewExpression(self, node: ast.NewExpression, env: Environment, this: Any) -> Any:
         fn = self.eval_expression(node.callee, env, this)
@@ -792,7 +804,7 @@ class Interpreter:
             call_env.declare("arguments", JSArray(list(args)))
             self._hoist(fn.body.statements, call_env)
             try:
-                self._exec_Block(fn.body, call_env, this)
+                self._exec_body(fn.body.statements, call_env, this)
             except ReturnSignal as signal:
                 return signal.value
             return UNDEFINED

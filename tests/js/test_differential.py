@@ -290,6 +290,30 @@ def test_language_surface(source: str) -> None:
     assert_equivalent(source)
 
 
+#: A function declaration at the top of a program, a function body or
+#: eval'd code is bound once, at hoisting (ES5 §10.5), so the script
+#: sees one function object; one nested in a block is re-created where
+#: it stands, as SpiderMonkey's function statements are.  Each source
+#: maps to the ES5 value both engines must give.
+HOISTED_DECLARATION_CASES = {
+    "var g = f; function f() {} g === f": True,
+    "f.x = 1; function f() {} f.x": 1.0,
+    "function h() { var g = f; function f() {} return g === f; } h()": True,
+    "function h() { f.x = 1; function f() {} return f.x; } h()": 1.0,
+    "eval('var g = f; function f() {} g === f')": True,
+    "if (true) { function f() { return 1; } } else { function f() { return 2; } } f()": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "source", HOISTED_DECLARATION_CASES, ids=lambda s: s[:48]
+)
+def test_function_declarations_follow_es5(source: str) -> None:
+    assert_equivalent(source)
+    status = run_engine(BytecodeInterpreter, source)[0]
+    assert status == ("ok", repr(HOISTED_DECLARATION_CASES[source]))
+
+
 # ---------------------------------------------------------------------------
 # Corpus generators (the JS the pipeline actually scans)
 

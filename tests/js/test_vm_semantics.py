@@ -124,27 +124,27 @@ def test_statement_update_compiles_to_fused_opcode() -> None:
     code = compile_source("function tick() { var i = 0; i++; i--; }")
     listing = disassemble(code)
     assert "INC_SLOT" in listing
-    fn_code = code.args[code.ops.index(32)]  # MAKE_FUNCTION arg
+    fn_code = code.hoist_actions[0][1]  # the hoisted declaration's code
     assert fn_code.ops.count(INC_SLOT) == 2
 
 
 def test_statement_store_folds_pop() -> None:
     code = compile_source("function set() { var x = 0; x = 1; x = x + 1; }")
-    fn_code = code.args[code.ops.index(32)]
+    fn_code = code.hoist_actions[0][1]
     assert STORE_SLOT_POP in fn_code.ops
 
 
 def test_value_position_update_is_not_fused() -> None:
     code = compile_source("function keep() { var i = 0; var r = i++; return r; }")
-    fn_code = code.args[code.ops.index(32)]
+    fn_code = code.hoist_actions[0][1]
     assert INC_SLOT not in fn_code.ops
 
 
 def test_arguments_init_elided_when_unreferenced() -> None:
     used = compile_source("function a() { return arguments.length; } a()")
     unused = compile_source("function b() { return 1; } b()")
-    used_fn = used.args[used.ops.index(32)]
-    unused_fn = unused.args[unused.ops.index(32)]
+    used_fn = used.hoist_actions[0][1]
+    unused_fn = unused.hoist_actions[0][1]
     from repro.js.compiler import INIT_ARGUMENTS
 
     used_kinds = [entry[1] for entry in used_fn.init_plan]
