@@ -18,6 +18,7 @@ from tests.serve.conftest import (
     assert_verdict_matches,
     http_get,
     http_post,
+    scan_url,
     service_settings,
 )
 
@@ -82,6 +83,32 @@ class TestConcurrentMixedLoad:
         assert snap["in_flight"] == 0
         terminal = snap["completed"] + sum(snap["shed"].values())
         assert terminal == snap["admitted"] + sum(snap["shed"].values())
+
+    def test_load_within_capacity_is_served_in_full(
+        self, corpus_docs, expected_verdicts
+    ):
+        """Steady state: clients that never hold more requests open than
+        the queue admits get 200 on every request, each with its
+        one-shot verdict; only true excess is shed."""
+        config = AdmissionConfig(
+            max_in_flight=2, max_queue_depth=4, deadline_seconds=60.0
+        )
+        service = ScanService(
+            settings=service_settings(), jobs=2, cache=False, admission=config
+        )
+        handle = start_server(service)
+        names = ["benign.pdf", "plain.pdf", "malicious.pdf", "garbage.pdf"] * 3
+        try:
+            with cf.ThreadPoolExecutor(max_workers=config.max_queue_depth) as clients:
+                results = list(clients.map(
+                    lambda name: http_post(scan_url(handle, name), corpus_docs[name]),
+                    names,
+                ))
+        finally:
+            handle.stop()
+        assert [status for status, _, _ in results] == [200] * len(names)
+        for (_, payload, _), name in zip(results, names):
+            assert_verdict_matches(payload, expected_verdicts[name], name)
 
     def test_overloaded_http_server_sheds_with_429_and_retry_after(
         self, corpus_docs
