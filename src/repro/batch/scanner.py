@@ -50,8 +50,11 @@ import functools
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import limits as limits_mod
 from repro import obs as obs_mod
@@ -317,7 +320,8 @@ class BatchScanner:
         ``"thread"`` or ``"process"`` (see module docstring).
     timeout:
         Per-document wall-clock seconds *per attempt* of a batch run,
-        counted from the attempt's submission; ``None`` waits forever.
+        counted from the attempt's submission, which waits for a free
+        worker; ``None`` waits forever.
         Also caps every scan's in-scan deadline.
     retries:
         Extra attempts a batch run gives a document after a timeout or
@@ -653,15 +657,22 @@ class BatchScanner:
         by_digest: Dict[str, _Task] = {}
         pending: Dict[ScanHandle, _Task] = {}
         held: List[_Task] = []  # retries waiting out their backoff
+        ready: Deque[_Task] = deque()  # attempts waiting for a worker
+        # Attempts handed to the pool whose scan has not finished,
+        # abandoned ones included: at most ``jobs``, so every attempt's
+        # timeout starts when a worker can take it.
+        in_pool = 0
         # Fed by each scan's done-callback, after its verdict is stored.
         finished: "queue.SimpleQueue[ScanHandle]" = queue.SimpleQueue()
 
         def submit(task: _Task) -> None:
+            nonlocal in_pool
             task.submitted_at = time.monotonic()
             handle = self._submit_scan(
                 task.name, task.data, task.digest, limits, None, self.cache,
                 on_done=finished.put,
             )
+            in_pool += 1
             pending[handle] = task
 
         def retry_or_fail(task: _Task, status: str, error: str) -> None:
@@ -682,6 +693,8 @@ class BatchScanner:
                 )
 
         def settle(handle: ScanHandle) -> None:
+            nonlocal in_pool
+            in_pool -= 1
             task = pending.pop(handle, None)
             if task is None:
                 return  # an abandoned attempt that finished late
@@ -720,13 +733,15 @@ class BatchScanner:
                 continue
             if self.cache is not None:
                 report.cache_misses += 1
-            submit(task)
+            ready.append(task)
 
-        while pending or held:
+        while pending or held or ready:
             now = time.monotonic()
             for task in [task for task in held if task.ready_at <= now]:
                 held.remove(task)
-                submit(task)
+                ready.append(task)
+            while ready and in_pool < self.jobs:
+                submit(ready.popleft())
             wakeups = [task.ready_at for task in held]
             if self.timeout is not None:
                 wakeups += [t.submitted_at + self.timeout for t in pending.values()]
@@ -743,7 +758,8 @@ class BatchScanner:
                     if now >= task.submitted_at + self.timeout:
                         # Cannot kill a running worker; abandon the
                         # attempt (its thread/process finishes on its
-                        # own) and retry on a free slot.
+                        # own, holding its slot until then) and retry
+                        # on a free slot.
                         late.cancel()
                         del pending[late]
                         if self.obs.enabled:

@@ -402,7 +402,6 @@ class Compiler:
             for statement in statements:
                 if body and isinstance(statement, ast.FunctionDeclaration):
                     self.f.pending += 1  # the walker's exec_statement tick
-                    self._set_compl_undef()
                 else:
                     self._stmt(statement)
             self._flush()
@@ -498,15 +497,16 @@ class Compiler:
         if self._completion_stack[-1]:
             self._emit(SET_COMPL_UNDEF)
 
+    # A declaration, an empty statement and a block of only those leave
+    # the completion register alone (ES5 §12.1, §14); their statement
+    # tick rides on the next instruction.
+
     def _c_Block(self, node: ast.Block) -> None:
-        if not node.statements:
-            self._set_compl_undef()
-            return
         for statement in node.statements:
             self._stmt(statement)
 
     def _c_EmptyStatement(self, node: ast.EmptyStatement) -> None:
-        self._set_compl_undef()
+        pass
 
     def _c_ExpressionStatement(self, node: ast.ExpressionStatement) -> None:
         if not self._completion_stack[-1]:
@@ -557,7 +557,6 @@ class Compiler:
                     self._emit(DECLARE, name)
                 # slot mode: hoisting already zeroed the slot; declare()
                 # with UNDEFINED is a no-op on an existing binding.
-        self._set_compl_undef()
 
     def _c_FunctionDeclaration(self, node: ast.FunctionDeclaration) -> None:
         # Only a declaration nested in a block, if, loop, try or switch
@@ -566,7 +565,6 @@ class Compiler:
         code = self.compile_function(node.name, node.params, node.body)
         self._emit(MAKE_FUNCTION, code)
         self._emit(DECLARE_POP, node.name)
-        self._set_compl_undef()
 
     def _c_IfStatement(self, node: ast.IfStatement) -> None:
         self._expr(node.test)
@@ -1184,17 +1182,25 @@ def compile_source(source: str) -> Code:
     return code
 
 
+def cached_loop_lookup(source: str) -> Any:
+    """The function :func:`cached_loop_function` holds for ``source``,
+    or ``None``; never builds."""
+    with _CACHE_LOCK:
+        cached = _LOOP_CACHE.get(source)
+        if cached is not None:
+            _LOOP_CACHE.move_to_end(source)
+        return cached
+
+
 def cached_loop_function(source: str, build: Callable[[str], _F]) -> _F:
     """``build(source)``, memoised per process by ``source`` in an LRU.
 
     ``build`` (Python's ``compile()``) runs outside the lock; two
     threads missing at once both build, and the later insert wins.
     """
-    with _CACHE_LOCK:
-        cached = _LOOP_CACHE.get(source)
-        if cached is not None:
-            _LOOP_CACHE.move_to_end(source)
-            return cached
+    cached = cached_loop_lookup(source)
+    if cached is not None:
+        return cached
     function = build(source)
     with _CACHE_LOCK:
         _LOOP_CACHE[source] = function

@@ -10,6 +10,13 @@ into one Python function.  The VM enters that function at the loop
 header and resumes its dispatch loop at whatever pc the loop exits to.
 Code outside hot loops stays on the dispatch loop.
 
+Translations are cached by their source (below), so at a loop's
+second back-edge :func:`hot_loop` generates the source and looks it
+up: a loop whose shape some other ``Code`` already made hot (each
+document's decryptor, say) runs translated from there on, without a
+``compile()``, and the threshold only bounds the compiling of shapes
+not seen before.
+
 A translated loop is observably identical to the dispatch loop:
 
 * every instruction's charge is added, and the budget checked, at the
@@ -17,9 +24,11 @@ A translated loop is observably identical to the dispatch loop:
 * ``interp.steps`` is synced around every call exactly where the
   dispatch loop syncs it, and on every way out of the function;
 * ``_record_string`` runs at the same points;
-* names are read, written and declared through the same ``env``
-  calls, at every execution: a callee can rebind a global, so no
-  binding is ever cached in a local;
+* names are read, written and declared at every execution: a read or
+  a write tests the running scope's own bindings dict first (bound
+  once per entry), exactly the first hop of ``env.lookup`` and
+  ``env.assign``, and makes that call when the name is not there.  A
+  callee can rebind a global, so no binding is ever cached in a local;
 * the completion register of program and ``eval`` code comes in as an
   argument and goes back out on every exit to the dispatch loop;
 * a ``BreakSignal``/``ContinueSignal`` unwinding out of a call maps
@@ -32,7 +41,7 @@ way out), and the loop's basic blocks an ``if b == k`` chain.
 
 A loop in slot mode (a function body whose locals live in a frame only
 the running loop can touch) is translated for the types its frame
-slots hold when it turns hot (:func:`typed_loop_source`): it checks
+slots hold when it is looked up (:func:`typed_loop_source`): it checks
 them once per entry and runs this generic translation when they
 differ, so the generic one is both its fallback and its oracle.
 
@@ -49,7 +58,7 @@ compiled functions are memoised by source text
 (:func:`repro.js.compiler.cached_loop_function`).
 
 ``compile()`` time is outside both the JS step budget and the scan
-deadline, so two module constants bound it: a loop is translated only
+deadline, so two module constants bound it: a loop is compiled only
 after :data:`HOT_LOOP_THRESHOLD` back-edges, and a translation reads
 and compiles at most :data:`MAX_LOOP_INSTRS` instructions; a loop with
 no back-edge that close to its header is never translated.  Loops holding an op
@@ -115,6 +124,7 @@ from repro.js.compiler import (
     UNARY,
     Code,
     cached_loop_function,
+    cached_loop_lookup,
     signal_target,
 )
 from repro.js.errors import (
@@ -139,7 +149,8 @@ from repro.js.values import (
     type_of,
 )
 
-#: Back-edges a loop takes on the dispatch loop before it is translated.
+#: Back-edges a loop takes on the dispatch loop before it is compiled,
+#: when the loop cache does not hold its translation already.
 #: Translating a loop costs about as much as ~165 of its iterations on
 #: the dispatch loop, so by the 128th back-edge the interpretation
 #: already done has paid for most of the compile (docs/JS_ENGINE.md).
@@ -225,17 +236,32 @@ def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Tr
     """Count one back-edge to ``header``; the loop's translation once hot.
 
     ``frame`` is the fragment's slot-mode frame (``None`` in env mode),
-    whose slot types a slot-mode loop is translated for.  Returns
-    ``None`` while the loop is still being counted and for good when it
-    cannot be translated.  Threads sharing ``code`` may race on the
-    count (a lost increment only delays translation) or translate the
-    same loop twice (both get working translations).
+    whose slot types a slot-mode loop is translated for.  At the second
+    back-edge the loop's source is generated and looked up in the loop
+    cache, without compiling: a loop some other ``Code`` already made
+    hot is entered at once, and a loop that cannot be translated is
+    marked "never".  Otherwise the loop is translated at the
+    :data:`HOT_LOOP_THRESHOLD`-th back-edge.  Returns ``None`` while
+    the loop is still being counted and for good when it cannot be
+    translated.  Threads sharing ``code`` may race on the count (a lost
+    increment only delays translation, or repeats the lookup) or
+    translate the same loop twice (both get working translations).
     """
     loops = code.loops
     state = loops.get(header, 0)
     if type(state) is not int:
         return cast(Optional[Translated], state)
     state += 1
+    if state == 2 and state < HOT_LOOP_THRESHOLD:
+        plan = _plan(code, header, frame)
+        if plan is None:
+            loops[header] = None
+            return None
+        function = cached_loop_lookup(plan[0])
+        if function is not None:
+            translated: Optional[Translated] = (function, plan[1])
+            loops[header] = translated
+            return translated
     if state < HOT_LOOP_THRESHOLD:
         loops[header] = state
         return None
@@ -253,13 +279,21 @@ def translate_loop(
     slots hold; its first constant runs the generic translation when an
     entry finds other types.  Without one, the generic translation.
     """
-    plan = loop_source(code, header) if frame is None else typed_loop_source(code, header, frame)
+    plan = _plan(code, header, frame)
     if plan is None:
         return None
+    return cached_loop_function(plan[0], _build), plan[1]
+
+
+def _plan(
+    code: Code, header: int, frame: Optional[List[Any]]
+) -> Optional[Tuple[str, Tuple[Any, ...]]]:
+    """:func:`translate_loop`'s source and constants, before ``compile()``."""
+    plan = loop_source(code, header) if frame is None else typed_loop_source(code, header, frame)
+    if plan is None or frame is None:
+        return plan
     source, constants = plan
-    if frame is not None:
-        constants = (_Generic(code, header), *constants)
-    return cached_loop_function(source, _build), constants
+    return source, (_Generic(code, header), *constants)
 
 
 def loop_source(code: Code, header: int) -> Optional[Tuple[str, Tuple[Any, ...]]]:
@@ -321,6 +355,7 @@ _SETUP = (
     "call_inner = interp._call_inner",
     "global_this = interp.global_this",
     "lookup = env.lookup",
+    "bindings = env.bindings",
 )
 
 
@@ -594,9 +629,18 @@ class _Generator:
         elif op == STORE_SLOT:
             emit(1, f"{self.slot(arg, written=True)} = {top}")
         elif op == LOAD_NAME:
-            emit(1, f"s{d} = lookup({self.const(arg)})")
+            # The running scope's own bindings are lookup()'s first hop.
+            name = self.const(arg)
+            emit(1, f"s{d} = bindings[{name}] if {name} in bindings else lookup({name})")
         elif op == STORE_NAME:
-            emit(1, f"env.assign({self.const(arg)}, {top})")
+            name = self.const(arg)
+            emit(
+                1,
+                f"if {name} in bindings:",
+                f"    bindings[{name}] = {top}",
+                "else:",
+                f"    env.assign({name}, {top})",
+            )
         elif op == JUMP:
             self.goto(1, arg, bid)
         elif op == JUMP_IF_FALSE or op == JUMP_IF_TRUE:

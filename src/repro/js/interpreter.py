@@ -58,6 +58,12 @@ SPRAY_POOL_THRESHOLD = 4096
 #: Bytes per JS string character (UTF-16), used for heap accounting.
 BYTES_PER_CHAR = 2
 
+#: The completion of a statement that produces no value: a declaration,
+#: an empty statement, or a block of only those.  A statement list
+#: keeps the value before it (ES5 §12.1, §14), so it never leaves
+#: ``run`` or ``eval``.
+EMPTY: Any = object()
+
 
 class Environment:
     """A lexical scope: bindings plus a parent pointer."""
@@ -244,9 +250,10 @@ class Interpreter:
         for statement in statements:
             if isinstance(statement, ast.FunctionDeclaration):
                 self._tick()
-                result = UNDEFINED
             else:
-                result = self.exec_statement(statement, env, this)
+                value = self.exec_statement(statement, env, this)
+                if value is not EMPTY:
+                    result = value
         return result
 
     def exec_statement(self, node: ast.Node, env: Environment, this: Any) -> Any:
@@ -257,26 +264,22 @@ class Interpreter:
             raise JSRuntimeError(f"cannot execute {kind}")
         return method(node, env, this)
 
-    def _exec_Program(self, node: ast.Program, env: Environment, this: Any) -> Any:
-        result: Any = UNDEFINED
-        for statement in node.body:
-            result = self.exec_statement(statement, env, this)
-        return result
-
     def _exec_Block(self, node: ast.Block, env: Environment, this: Any) -> Any:
-        result: Any = UNDEFINED
+        result: Any = EMPTY
         for statement in node.statements:
-            result = self.exec_statement(statement, env, this)
+            value = self.exec_statement(statement, env, this)
+            if value is not EMPTY:
+                result = value
         return result
 
     def _exec_EmptyStatement(self, node: ast.EmptyStatement, env: Environment, this: Any) -> Any:
-        return UNDEFINED
+        return EMPTY
 
     def _exec_VarDeclaration(self, node: ast.VarDeclaration, env: Environment, this: Any) -> Any:
         for name, init in node.declarations:
             value = self.eval_expression(init, env, this) if init is not None else UNDEFINED
             env.declare(name, value)
-        return UNDEFINED
+        return EMPTY
 
     def _exec_ExpressionStatement(
         self, node: ast.ExpressionStatement, env: Environment, this: Any
@@ -287,7 +290,7 @@ class Interpreter:
         self, node: ast.FunctionDeclaration, env: Environment, this: Any
     ) -> Any:
         env.declare(node.name, JSFunction(node.name, node.params, node.body, env))
-        return UNDEFINED
+        return EMPTY
 
     def _exec_IfStatement(self, node: ast.IfStatement, env: Environment, this: Any) -> Any:
         if truthy(self.eval_expression(node.test, env, this)):
@@ -422,7 +425,9 @@ class Interpreter:
         finally:
             if node.finally_block is not None and not fatal:
                 self._exec_Block(node.finally_block, env, this)
-        return result
+        # A try that produces no value completes with undefined, as the
+        # VM's try fragment does (docs/JS_ENGINE.md, "Caveats").
+        return UNDEFINED if result is EMPTY else result
 
     def _exec_SwitchStatement(
         self, node: ast.SwitchStatement, env: Environment, this: Any

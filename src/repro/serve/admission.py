@@ -7,8 +7,9 @@ learns nothing.  The admission controller makes overload a *first-class
 response* instead:
 
 * a **bounded queue**: at most ``max_queue_depth`` admitted requests
-  may be waiting for a worker slot; request ``max_queue_depth + 1``
-  is shed immediately with HTTP 429 and a ``Retry-After`` hint;
+  may be waiting for a worker slot, on top of the ``max_in_flight``
+  that hold or are about to take one; the next request is shed
+  immediately with HTTP 429 and a ``Retry-After`` hint;
 * **max in-flight**: at most ``max_in_flight`` requests occupy worker
   slots at once (normally sized to the scanner's worker count);
 * a **per-request deadline** covering queue wait *and* scan: a request
@@ -149,16 +150,17 @@ class AdmissionController:
                 raise RequestShed(
                     SHED_DRAINING, self.config.retry_after_seconds
                 )
-            if self._queued >= self.config.max_queue_depth:
+            config = self.config
+            if self._queued + self._in_flight >= config.max_in_flight + config.max_queue_depth:
                 self.shed[SHED_QUEUE_FULL] += 1
                 raise RequestShed(
-                    SHED_QUEUE_FULL, self.config.retry_after_seconds
+                    SHED_QUEUE_FULL, config.retry_after_seconds
                 )
             self._queued += 1
             self.admitted += 1
-            self.peak_queue_depth = max(self.peak_queue_depth, self._queued)
+            self.peak_queue_depth = max(self.peak_queue_depth, self._waiting())
             now = self._clock()
-            deadline = self.config.deadline_seconds
+            deadline = config.deadline_seconds
             return Ticket(
                 admitted_at=now,
                 deadline_at=None if deadline is None else now + deadline,
@@ -236,10 +238,15 @@ class AdmissionController:
 
     # -- introspection -----------------------------------------------------
 
+    def _waiting(self) -> int:
+        """Admitted requests with no free worker slot to take (lock held)."""
+        return max(0, self._queued - (self.config.max_in_flight - self._in_flight))
+
     @property
     def queue_depth(self) -> int:
+        """Admitted requests waiting for a worker slot."""
         with self._cond:
-            return self._queued
+            return self._waiting()
 
     @property
     def in_flight(self) -> int:
@@ -250,7 +257,7 @@ class AdmissionController:
         """Gauges + counters for ``/metrics`` and ``/healthz``."""
         with self._cond:
             return {
-                "queue_depth": self._queued,
+                "queue_depth": self._waiting(),
                 "in_flight": self._in_flight,
                 "max_queue_depth": self.config.max_queue_depth,
                 "max_in_flight": self.config.max_in_flight,

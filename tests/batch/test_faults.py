@@ -53,6 +53,14 @@ class FaultyPipeline:
         return stub_report(name, malicious=name.startswith("mal"))
 
 
+class SlowPipeline:
+    """Every scan takes 50 ms."""
+
+    def scan(self, data, name):
+        time.sleep(0.05)
+        return stub_report(name)
+
+
 class FlakyPipeline:
     """Raises on the first attempt for each name, succeeds after."""
 
@@ -124,6 +132,16 @@ class TestIsolation:
         (item,) = report.items
         assert item.attempts == 1
         assert report.retries_used == 0
+
+    def test_timeout_starts_when_a_worker_takes_the_attempt(self, obs):
+        """Ten 50 ms scans on one worker take 0.5 s, far past the 0.2 s
+        timeout, but no single scan comes near it: none times out."""
+        report = make_scanner(
+            obs, jobs=1, timeout=0.2, pipeline_factory=SlowPipeline
+        ).scan_items([(f"doc{k}.pdf", bytes([k])) for k in range(10)])
+        assert [item.status for item in report.items] == [STATUS_OK] * 10
+        assert report.retries_used == 0
+        assert report.timeouts == 0
 
 
 class TestRetries:

@@ -314,6 +314,30 @@ def test_function_declarations_follow_es5(source: str) -> None:
     assert status == ("ok", repr(HOISTED_DECLARATION_CASES[source]))
 
 
+#: A declaration, an empty statement and a block of only those produce
+#: no value, so the statement list keeps the one before them (ES5
+#: §12.1, §14): each source maps to the ES5 value both engines must give.
+EMPTY_COMPLETION_CASES = {
+    "1; function f() {}": 1.0,
+    "eval('1; function f() {}')": 1.0,
+    "eval('2; var x = 3;')": 2.0,
+    "eval('3;;')": 3.0,
+    "eval('4; if (true) var y;')": 4.0,
+    "eval('5; { var z; }')": 5.0,
+    "6; {}": 6.0,
+    "7; if (true) { function g() {} }": 7.0,
+    "eval('8; var u; 9; var w;')": 9.0,
+    "var n = 0; while (n < 3) { n++; var m = n; } eval('10; var v = n;')": 10.0,
+}
+
+
+@pytest.mark.parametrize("source", EMPTY_COMPLETION_CASES, ids=lambda s: s[:48])
+def test_empty_completions_follow_es5(source: str) -> None:
+    assert_equivalent(source)
+    status = run_engine(BytecodeInterpreter, source)[0]
+    assert status == ("ok", repr(EMPTY_COMPLETION_CASES[source]))
+
+
 # ---------------------------------------------------------------------------
 # Corpus generators (the JS the pipeline actually scans)
 

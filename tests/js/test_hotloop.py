@@ -4,7 +4,8 @@ Equivalence with the walker is swept in the differential suites
 (``pytest -m diff``), which force translation at the first back-edge.
 This module runs with the production threshold and checks what those
 suites cannot: the bounds that keep hostile scripts from making the
-translator compile without limit, that attacker-controlled text never
+translator compile without limit, warm entry of a loop whose
+translation is already cached, that attacker-controlled text never
 reaches generated source, literal identity in the spray pool, and
 threads sharing one translated loop.
 """
@@ -17,8 +18,10 @@ import sys
 import threading
 from typing import Any, Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.js import hotloop
 from repro.js.compiler import (
     JUMP,
     STRING,
@@ -62,6 +65,27 @@ def loop_header(code: Code) -> int:
         if op == JUMP and arg <= index:
             return int(arg)
     raise AssertionError("no loop")
+
+
+@pytest.fixture(autouse=True)
+def cold_loop_cache() -> None:
+    """Each test starts with an empty loop cache: a loop whose
+    translation is cached runs translated from its second back-edge, so
+    what turns hot must not depend on which tests ran before."""
+    clear_code_cache()
+
+
+def counting_builds(monkeypatch: pytest.MonkeyPatch) -> List[str]:
+    """The sources ``hotloop._build`` compiles from now on."""
+    built: List[str] = []
+    build = hotloop._build
+
+    def counting(source: str) -> Any:
+        built.append(source)
+        return build(source)
+
+    monkeypatch.setattr(hotloop, "_build", counting)
+    return built
 
 
 # -- the tier rule -------------------------------------------------------------
@@ -196,6 +220,96 @@ def test_top_level_loops_at_the_threshold_are_translated() -> None:
     value, vm = run_vm(_many_top_level_loops(200, HOT_LOOP_THRESHOLD))
     assert value == 200.0 * HOT_LOOP_THRESHOLD
     assert vm.translated_loop_runs == 200
+
+
+# -- warm entry ------------------------------------------------------------------
+
+
+#: One loop shape in two Codes: the literal ``k`` reaches the loop only
+#: through its constants tuple.
+WARM_TEMPLATE = (
+    "function f(n) {{ var t = 0; for (var i = 0; i < n; i++) {{ t += i * {k}; }} return t; }}"
+    " f({n})"
+)
+WARM_TOP_LEVEL_TEMPLATE = "var t = 0; for (var i = 0; i < {n}; i++) {{ t += i * {k}; }} t"
+
+
+@pytest.mark.parametrize("template", [WARM_TEMPLATE, WARM_TOP_LEVEL_TEMPLATE])
+def test_a_cached_loop_is_entered_at_its_second_back_edge(
+    template: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """The first Code's loop turns hot at the threshold; the second's,
+    of the same shape, runs its 10 iterations translated without a
+    compile, with the walker's value and steps."""
+    run_vm(template.format(k=3, n=HOT_LOOP_THRESHOLD + 10))
+    built = counting_builds(monkeypatch)
+    source = template.format(k=5, n=10)
+    value, vm = run_vm(source)
+    walker = Interpreter()
+    assert value == walker.run(source) == 225.0
+    assert vm.steps == walker.steps
+    assert vm.translated_loop_runs == 1
+    assert built == []
+
+
+def test_a_warm_entered_typed_loop_falls_back_on_other_slot_types() -> None:
+    """A typed loop entered warm was typed for the slots of its second
+    back-edge; called again with a string, its entry check fails and the
+    generic translation runs, with the walker's value and steps."""
+    template = (
+        "function total(a) {{ var t = {k}; for (var i = 0; i < a.length; i++)"
+        " {{ t = t + a[i]; }} return t; }} "
+    )
+    run_vm(
+        template.format(k=0) + "var n = [];"
+        f" for (var j = 0; j < {HOT_LOOP_THRESHOLD + 10}; j++) {{ n[j] = j; }} total(n)"
+    )
+    source = template.format(k=1) + "total([1, 2, 3, 4]) + ':' + total('abcd')"
+    value, vm = run_vm(source)
+    walker = Interpreter()
+    assert value == walker.run(source) == "11:1abcd"
+    assert vm.steps == walker.steps
+    assert vm.translated_loop_runs == 2
+    total = compile_source(source).hoist_actions[0][1]
+    (function, constants), = total.loops.values()
+    assert constants[0].translated is not None
+
+
+def test_warm_entry_never_compiles(monkeypatch: pytest.MonkeyPatch) -> None:
+    """200 distinct loops that stop below the threshold build nothing;
+    200 whose shapes another Code made hot all run translated, and
+    build nothing either."""
+    built = counting_builds(monkeypatch)
+    value, vm = run_vm(_many_loops(200, HOT_LOOP_THRESHOLD - 1))
+    assert (value, vm.translated_loop_runs, built) == (200.0 * (HOT_LOOP_THRESHOLD - 1), 0, [])
+    run_vm(_many_top_level_loops(200, HOT_LOOP_THRESHOLD))
+    assert len(built) == 200
+    value, vm = run_vm(_many_top_level_loops(200, 10))
+    assert value == 2000.0
+    assert vm.translated_loop_runs == 200
+    assert len(built) == 200
+
+
+def _named_function(source: str, name: str) -> Code:
+    for action in compile_source(source).hoist_actions:
+        if action[0] == "func" and action[1].name == name:
+            return action[1]
+    raise AssertionError(f"no function {name}")
+
+
+def test_an_untranslatable_loop_is_marked_never_at_its_second_back_edge() -> None:
+    """A loop holding an op the translator does not take, and one with no
+    back-edge within the cap, are settled when first looked up."""
+    for body in ("new C();", LONG_BODY):
+        source = (
+            "function C() {}"
+            f" function f() {{ var x = 0; for (var i = 0; i < 2; i++) {{ {body} }} return i; }}"
+            " f()"
+        )
+        value, vm = run_vm(source)
+        assert value == 2.0
+        code = _named_function(source, "f")
+        assert code.loops == {loop_header(code): None}
 
 
 # -- generated source ------------------------------------------------------------

@@ -27,7 +27,7 @@ class TestAdmit:
     def test_happy_path_lifecycle(self):
         ctl = controller()
         ticket = ctl.admit()
-        assert ctl.queue_depth == 1
+        assert ctl.queue_depth == 0  # a worker slot is free for it
         ctl.acquire(ticket)
         assert ctl.queue_depth == 0
         assert ctl.in_flight == 1
@@ -37,14 +37,45 @@ class TestAdmit:
         assert ctl.completed == 1
 
     def test_queue_full_sheds_with_429(self):
-        ctl = controller(max_queue_depth=2)
-        ctl.admit(), ctl.admit()
+        """One worker slot and a queue of two: the fourth request is
+        the first with nowhere to wait."""
+        ctl = controller(max_queue_depth=2, max_in_flight=1)
+        ctl.admit(), ctl.admit(), ctl.admit()
+        assert ctl.queue_depth == 2
         with pytest.raises(RequestShed) as caught:
             ctl.admit()
         assert caught.value.reason == SHED_QUEUE_FULL
         assert caught.value.status == 429
         assert caught.value.retry_after > 0
         assert ctl.shed[SHED_QUEUE_FULL] == 1
+
+    def test_no_queue_admits_a_request_per_free_slot(self):
+        ctl = controller(max_queue_depth=0, max_in_flight=2)
+        first, second = ctl.admit(), ctl.admit()
+        assert ctl.queue_depth == 0
+        with pytest.raises(RequestShed) as caught:
+            ctl.admit()
+        assert caught.value.reason == SHED_QUEUE_FULL
+        ctl.acquire(first)
+        ctl.acquire(second)
+        assert ctl.in_flight == 2
+
+    def test_burst_at_capacity_is_admitted_before_any_acquire(self):
+        """A simultaneous burst of max_in_flight + max_queue_depth
+        requests is admitted in full; only the one after it is shed."""
+        ctl = controller(max_queue_depth=2, max_in_flight=2)
+        tickets = [ctl.admit() for _ in range(4)]
+        assert ctl.queue_depth == 2
+        with pytest.raises(RequestShed):
+            ctl.admit()
+        ctl.acquire(tickets[0])
+        ctl.acquire(tickets[1])
+        assert (ctl.queue_depth, ctl.in_flight) == (2, 2)
+        ctl.release(tickets[0])
+        assert ctl.queue_depth == 1  # a slot is free for the third
+        snap = ctl.snapshot()
+        assert snap["peak_queue_depth"] == 2
+        assert snap["shed"][SHED_QUEUE_FULL] == 1
 
     def test_draining_sheds_with_503(self):
         ctl = controller()
@@ -133,7 +164,7 @@ class TestDrainAndStats:
         snap = ctl.snapshot()
         assert snap["queue_depth"] == 1
         assert snap["in_flight"] == 2
-        assert snap["peak_queue_depth"] == 3
+        assert snap["peak_queue_depth"] == 1  # the third found both slots taken
         assert snap["peak_in_flight"] == 2
         assert snap["admitted"] == 3
         assert snap["draining"] is False

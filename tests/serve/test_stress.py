@@ -88,8 +88,8 @@ class TestConcurrentMixedLoad:
         self, corpus_docs, expected_verdicts
     ):
         """Steady state: clients that never hold more requests open than
-        the queue admits get 200 on every request, each with its
-        one-shot verdict; only true excess is shed."""
+        the worker slots plus the queue admit get 200 on every request,
+        each with its one-shot verdict; only true excess is shed."""
         config = AdmissionConfig(
             max_in_flight=2, max_queue_depth=4, deadline_seconds=60.0
         )
@@ -99,7 +99,8 @@ class TestConcurrentMixedLoad:
         handle = start_server(service)
         names = ["benign.pdf", "plain.pdf", "malicious.pdf", "garbage.pdf"] * 3
         try:
-            with cf.ThreadPoolExecutor(max_workers=config.max_queue_depth) as clients:
+            capacity = config.max_in_flight + config.max_queue_depth
+            with cf.ThreadPoolExecutor(max_workers=capacity) as clients:
                 results = list(clients.map(
                     lambda name: http_post(scan_url(handle, name), corpus_docs[name]),
                     names,

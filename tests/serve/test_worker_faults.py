@@ -31,7 +31,7 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.batch import STATUS_OK, BatchScanner
-from repro.corpus.sized import table_x_js_documents
+from repro.pdf.builder import DocumentBuilder
 from repro.serve import AdmissionConfig, ScanService, start_server
 
 from tests.serve.conftest import (
@@ -62,10 +62,18 @@ SUBMITTERS = 16
 
 @pytest.fixture(scope="module")
 def busy_doc() -> bytes:
-    """The largest JS-weighted Table X tier: about a second of script
-    work on a 2-core host, so a kill shortly after submission lands
-    while the worker is still scanning."""
-    return table_x_js_documents()[-1][1]
+    """About a second of script work on a 2-core host, so a kill shortly
+    after submission lands while the worker is still scanning.  The
+    loop holds a ``try``, which keeps it on the dispatch loop, so a
+    faster hot-loop tier cannot shorten it."""
+    builder = DocumentBuilder()
+    builder.add_page("busy js document")
+    builder.add_javascript(
+        "var acc = 0; for (var i = 0; i < 100000; i++)"
+        " { try { acc = (acc * 31 + i) % 65521; } catch (e) {} }",
+        trigger="OpenAction",
+    )
+    return builder.to_bytes()
 
 
 @pytest.fixture()
