@@ -931,6 +931,15 @@ _UNARY_TYPES: Dict[str, Any] = {"!": bool, "-": float, "+": float, "~": float, "
 #: Branches a typed loop nests before a block gets a dispatch case of
 #: its own: Python refuses source indented past 100 levels.
 _MAX_NESTING = 24
+#: Ops whose generic code neither raises nor reads ``steps``, so a
+#: charge run needs no flush before them: slot and stack moves, and the
+#: value helpers (``to_number``, ``to_int32``, ``truthy``, ``type_of``)
+#: that never fail.
+_PURE = frozenset((
+    LOAD_SLOT, STORE_SLOT, STORE_SLOT_POP, DECLARE_SLOT_POP, INC_SLOT, CONST, DUP, SWAP,
+    ROT3, POP, NOP, SET_COMPL, SET_COMPL_UNDEF, LOAD_THIS, TO_NUMBER, INCDEC, UNARY, TYPEOF,
+    ARRAY, OBJECT,
+))
 
 Entry = Tuple[Any, int, int]
 _NOTHING: Entry = (None, -1, -1)
@@ -1171,6 +1180,20 @@ class _TypedGenerator(_Generator):
     short ``i++`` latch before a back-edge) are inlined where control
     reaches them, so a loop whose only join point is its header has no
     block dispatch at all.
+
+    The step budget is charged per *run*: a stretch of one block that
+    starts on an empty operand stack and ends at the block's end or at
+    the first instruction that can run JS code (a general call, or the
+    inline ``fromCharCode``).  A run opens with one guard, ``if steps +
+    total > max_steps: return (first pc, steps, compl)``, after which
+    the dispatch loop charges the run instruction by instruction, so an
+    exhaustion lands where it would have.  Inside a guarded run the
+    charges pile up in :attr:`pending` and reach ``steps`` only where
+    ``steps`` can be seen: before a helper call or a raise, a call's
+    ``interp.steps`` sync, a branch or an exit.  A fast path's slow
+    branch adds them before its call and takes them back after.  A run
+    with one charged instruction, and every instruction charged on a
+    non-empty stack, is checked at its instruction as before.
     """
 
     def __init__(
@@ -1200,12 +1223,14 @@ class _TypedGenerator(_Generator):
         #: never-written number slots an int32 operator reads.
         self.lengths: Set[int] = set()
         self.int32s: Set[int] = set()
+        #: Charges of the guarded run so far that ``steps`` lacks.
+        self.pending = 0
 
     def render(self) -> Tuple[str, Tuple[Any, ...]]:
         while True:
             self.sections = sorted(self.joins)
             self.section_ids = {start: sid for sid, start in enumerate(self.sections)}
-            self.constants, self.lines, self.has_calls = [], [], False
+            self.constants, self.lines, self.has_calls, self.pending = [], [], False, 0
             self.slots, self.written, self.lengths, self.int32s = set(), set(), set(), set()
             try:
                 self.body()
@@ -1290,9 +1315,15 @@ class _TypedGenerator(_Generator):
         slots, entries = self.analysis.states[start]
         slots = dict(slots)
         stack = list(entries)
+        run_stop, guarded = block.start, False
         for index in range(block.start, block.stop):
             op, arg, charge = code.ops[index], code.args[index], code.charges[index]
-            if charge:
+            if index >= run_stop and not stack:
+                run_stop = self.run_stop(index, block.stop, slots)
+                guarded = self.guard(level, index, run_stop)
+            if guarded and index < run_stop:
+                self.pending += charge
+            elif charge:
                 self.put(
                     level,
                     f"steps += {charge}",
@@ -1300,6 +1331,8 @@ class _TypedGenerator(_Generator):
                     "    steps = max_steps + 1",
                     "    raise budget_exceeded(max_steps)",
                 )
+            if op == JUMP or op in _CONDITIONAL or op == RETURN or op == THROW:
+                self.flush(level)
             if op == JUMP:
                 return self.goto_typed(level, arg)
             if op in _CONDITIONAL:
@@ -1309,10 +1342,54 @@ class _TypedGenerator(_Generator):
                 _Generator.op(self, 0, index, op, arg, len(stack))
                 return True
             if op == BINARY and index + 2 == block.stop and self.fusable(index, stack):
+                self.flush(level)
                 return self.fused(level, index, arg, len(stack))
             self.typed_op(level, index, op, arg, stack, slots)
             _transfer(index, op, arg, stack, slots, self.analysis.invariant)
+        self.flush(level)
         return self.goto_typed(level, block.stop)
+
+    # -- the step budget
+
+    def run_stop(self, start: int, stop: int, slots: Dict[int, Any]) -> int:
+        """One past the run starting at ``start`` on an empty stack: the
+        block's ``stop``, or just past the first instruction that can run
+        JS code, whose charge is added before its call."""
+        code = self.code
+        slots = dict(slots)
+        stack: List[Entry] = []
+        for index in range(start, stop):
+            op, arg = code.ops[index], code.args[index]
+            if op == CALL or op == CALL_THIS_DYN:
+                return index + 1
+            if op == CALL_THIS and type(stack[-int(arg[1]) - 1][0]) is not tuple:
+                return index + 1  # not a proven string's own builtin
+            if op != JUMP and op not in _CONDITIONAL and op != RETURN and op != THROW:
+                _transfer(index, op, arg, stack, slots, self.analysis.invariant)
+        return stop
+
+    def guard(self, level: int, start: int, stop: int) -> bool:
+        """Open the run ``start..stop`` with one budget comparison; False
+        when it charges at most one instruction, which its own check
+        covers."""
+        charges = [charge for charge in self.code.charges[start:stop] if charge]
+        if len(charges) < 2:
+            return False
+        self.put(level, f"if steps + {sum(charges)} > max_steps:", f"    return ({start}, steps, compl)")
+        return True
+
+    def flush(self, level: int) -> None:
+        """Add the run's pending charge to ``steps`` for good."""
+        if self.pending:
+            self.put(level, f"steps += {self.pending}")
+            self.pending = 0
+
+    def slow(self, *lines: str) -> List[str]:
+        """A fast path's slow branch, indented under its ``else:``: the
+        pending charge is in ``steps`` while the branch runs."""
+        if self.pending:
+            lines = (f"steps += {self.pending}", *lines, f"steps -= {self.pending}")
+        return ["    " + line for line in lines]
 
     def conditional(self, level: int, index: int, op: int, arg: Any, stack: List[Entry]) -> bool:
         d = len(stack)
@@ -1381,6 +1458,7 @@ class _TypedGenerator(_Generator):
         elif op == METHOD_LOOKUP and token is str:
             method = STRING_METHODS.get(arg)
             if method is None:
+                self.flush(level)
                 self.put(level, f"s{d} = get_property({top}, {self.const(arg)})")
             else:
                 self.put(level, f"s{d} = {self.const(method)}")
@@ -1395,7 +1473,7 @@ class _TypedGenerator(_Generator):
                 f"    t = trunc({top})",
                 f"    {obj} = v[t] if t < len(v) else UNDEFINED",
                 "else:",
-                f"    {obj} = get_property({obj}, to_string({top}))",
+                *self.slow(f"{obj} = get_property({obj}, to_string({top}))"),
             )
         elif op == MEMBER_SET_EXPR and (stack[-2][0] is float or stack[-3][0] is JSArray):
             key, obj = f"s{d - 2}", f"s{d - 3}"
@@ -1411,10 +1489,12 @@ class _TypedGenerator(_Generator):
                 "    else:",
                 f"        {obj}.set(str(t), {top})",
                 "else:",
-                f"    set_member({obj}, to_string({key}), {top})",
+                *self.slow(f"set_member({obj}, to_string({key}), {top})"),
                 f"{obj} = {top}",
             )
         else:
+            if op not in _PURE:
+                self.flush(level)
             self.nest = level - 1
             _Generator.op(self, 0, index, op, arg, d)
 
@@ -1441,11 +1521,10 @@ class _TypedGenerator(_Generator):
                 self.put(level, fast)
             else:
                 other = right if ltype is float else left
-                self.put(
-                    level, f"if type({other}) is float:", f"    {fast}", "else:", f"    {slow}"
-                )
+                self.put(level, f"if type({other}) is float:", f"    {fast}", "else:", *self.slow(slow))
             return True
         if text == "+" and (ltype is str or rtype is str):
+            self.flush(level)
             concat = f"{left} = record_string({left} + {right})"
             if ltype is str and rtype is str:
                 self.put(level, concat)
@@ -1464,7 +1543,7 @@ class _TypedGenerator(_Generator):
             second = self.int32_operand(right, stack[-1], tests)
             fast = f"{left} = float({first} {_INT32_OPS[text]} {second})"
             if tests:
-                self.put(level, f"if {' and '.join(tests)}:", f"    {fast}", "else:", f"    {slow}")
+                self.put(level, f"if {' and '.join(tests)}:", f"    {fast}", "else:", *self.slow(slow))
             else:
                 self.put(level, fast)
             return True
@@ -1507,15 +1586,18 @@ class _TypedGenerator(_Generator):
                     fast = f"float(ord({fast}))"
                 self.put(
                     level, f"if {test}:", f"    {recv} = {fast}",
-                    "else:", f"    {recv} = {fn}(interp, {recv}, {args})",
+                    "else:", *self.slow(f"{recv} = {fn}(interp, {recv}, {args})"),
                 )
             else:
+                self.flush(level)
                 self.put(level, f"{recv} = {fn}(interp, {recv}, {args})")
             return True
         if name == "fromCharCode" and argc == 1:
             # The callee is a property read a script can rebind: only
-            # the builtin itself takes its own fast path inline.
+            # the builtin itself takes its own fast path inline.  Both
+            # paths store steps, and the general one can run JS code.
             self.has_calls = True
+            self.flush(level)
             test = "type(f) is NativeFunction and f.fn is from_char_code"
             if last_token is not float:
                 test += f" and type({last}) is float"

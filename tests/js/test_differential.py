@@ -805,3 +805,118 @@ def test_typed_loop_budget_sweep(source: str) -> None:
         )
     assert typed_loops(source) == (1, 0)
     assert_typed_equivalent(source)
+
+
+# ---------------------------------------------------------------------------
+# Charge runs: a typed loop charges the step budget once per call-free run
+# of a block, opening it with one guard, and adds the run's pending charge
+# to ``steps`` only where ``steps`` can be seen.  Each case puts one such
+# place inside a run: a slow branch that must add the pending charge and
+# take it back, a helper call that keeps it, a raise, or a general call
+# that ends the run.
+
+TYPED_RUN_SWEEP_CASES = {
+    # `| 0` and `& 65535` on a number outside the int32 range: the slow
+    # branch calls binary_op inside the run.
+    "int32-out-of-range": (
+        "function f(n) { var t = 0, u = 0; for (var i = 0; i < n; i++) {"
+        " t = (t + 3e9 * i) | 0; u = u + (t & 65535) + i; } return t + ':' + u; } f(4)"
+    ),
+    # charCodeAt before, inside and past the string: the out-of-range
+    # indexes call the builtin inside the run.
+    "charCodeAt-out-of-range": (
+        "function f(s) { var t = 0; for (var i = -2; i < s.length + 2; i++) {"
+        " t = t + s.charCodeAt(i + 1) + (s.charCodeAt(i) | 0); } return t; } f('abc')"
+    ),
+    # A string `+` charges the reader for the new string inside the run.
+    "string-plus": (
+        "function f(n) { var s = 'x', c = 'yz'; for (var i = 0; i < n; i++) {"
+        " s = s + c + i; c = c + 'w'; } return s + ':' + c.length; } f(4)"
+    ),
+    # An element read from undefined raises a TypeError from the slow
+    # branch of the element fast path, inside the run.
+    "slow-branch-raises": (
+        "function f(rows) { var t = 0; for (var i = 0; i < 5; i++) { t = t + i * 2 + rows[i][0]; }"
+        " return t; } var r; try { r = f([[1], [2], [3]]); } catch (e) { r = e.name; } r + ':' + r.length"
+    ),
+    # A read of an undeclared global raises a ReferenceError out of the
+    # run, which code outside the loop catches and goes on from.
+    "undeclared-global": (
+        "function f(n) { var t = 0; for (var i = 0; i < n; i++) { t = t + i * 2 + 1;"
+        " if (i == 3) { t = t + i + missing; } } return t; }"
+        " var r; try { r = f(6); } catch (e) { r = e.name + ':' + 'caught'; } r + ':' + r.length"
+    ),
+    # The general fromCharCode branch runs JS code that charges the budget
+    # and allocates; the instructions after it are charged one by one.
+    "general-fromCharCode": (
+        "var calls = 0; String.fromCharCode = function (c) { calls++; return 'ab' + c; };"
+        " function f(n) { var out = ''; for (var i = 0; i < n; i++) {"
+        " out = out + String.fromCharCode(65 + i) + 'cd' + i; } return out + ':' + calls; } f(4)"
+    ),
+    # A general call to a script function ends the run the same way.
+    "general-call": (
+        "function g(x) { return 'g' + x; }"
+        " function f(n) { var t = 0, s = ''; for (var i = 0; i < n; i++) {"
+        " t = t + i * 2; s = s + g(i) + 'ab' + t; } return s; } f(4)"
+    ),
+}
+
+
+def run_watching_loops(source: str, max_steps: int) -> Tuple[Tuple[Any, int, int, int], list]:
+    """``run_engine`` on the VM, logging each translated-loop entry
+    ("enter") and each return to a pc inside the loop ("fallback"): a
+    guard that found too little budget left for its run.  A fallback
+    whose block would have fit the budget from there on is logged as
+    "early fallback" instead: its run, which lies within that block,
+    fit too."""
+    events: list = []
+
+    def watching_hot_loop(code: Code, header: int, frame: Any) -> Any:
+        translated = hotloop.hot_loop(code, header, frame)
+        if translated is None:
+            return None
+        function, constants = translated
+        end = hotloop._loop_end(code, header)
+        blocks = hotloop._blocks(code, header, end)
+        assert blocks is not None
+
+        def watched(interp: Any, *args: Any) -> Any:
+            events.append("enter")
+            pc, steps, value = function(interp, *args)
+            if header <= pc <= end:
+                stop = next(block.stop for block in blocks if block.start <= pc < block.stop)
+                fits = steps + sum(code.charges[pc:stop]) <= interp.max_steps
+                events.append("early fallback" if fits else "fallback")
+            return pc, steps, value
+
+        return watched, constants
+
+    clear_code_cache()
+    with mock.patch.object(vm_mod, "hot_loop", watching_hot_loop):
+        footprint = run_engine(BytecodeInterpreter, source, max_steps)
+    clear_code_cache()
+    return footprint, events
+
+
+@pytest.mark.parametrize(
+    "source", TYPED_RUN_SWEEP_CASES.values(), ids=TYPED_RUN_SWEEP_CASES.keys()
+)
+def test_typed_run_budget_sweep(source: str) -> None:
+    """At every cutoff the walker, the VM with generic loops and the VM
+    with typed loops agree; a guard falls back only when the budget runs
+    out in its run, so the dispatch loop then raises before any loop is
+    entered again."""
+    assert assert_typed_equivalent(source)[0] == 1, "the loop was not translated typed"
+    _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=100_000)
+    fallbacks = 0
+    for max_steps in range(1, full_steps + 2):
+        assert_typed_equivalent(source, max_steps)
+        footprint, events = run_watching_loops(source, max_steps)
+        assert "early fallback" not in events, f"a guard fell back early at {max_steps}"
+        if "fallback" in events:
+            fallbacks += 1
+            assert events[-1] == "fallback", f"a loop ran after a fallback at {max_steps}"
+            assert footprint[0][:2] == ("err", "ResourceLimitExceeded"), (
+                f"a guard fell back with budget to spare at max_steps={max_steps}: {footprint}"
+            )
+    assert fallbacks > 0, "no guard ever fell back"

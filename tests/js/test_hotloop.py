@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.corpus.sized import _js_workload_script
 from repro.js import hotloop
 from repro.js.compiler import (
     JUMP,
@@ -515,6 +516,42 @@ def test_equal_literals_reach_the_spray_pool_as_distinct_objects() -> None:
     assert len({id(s) for s in pool}) == len({id(s) for s in walker_host.spray_pool}) == 2
     # The tail ran translated: it still alternates the two literal objects.
     assert pool[-1] is pool[-3] and pool[-1] is not pool[-2]
+
+
+# -- the step budget in typed loops ------------------------------------------------
+
+
+def test_js_heavy_main_loop_compares_once_per_run(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The `js-heavy` workload's main loop (the JS-weighted Table X
+    tiers' XOR loop) compares against the budget once per run: on its
+    common path a guard for the header's run, a guard for the body's run
+    up to its `(i & 1023) === 0` branch and the latch's own check, where
+    every charged instruction used to compare (13 an iteration).  Each
+    guard falls back to its run's first pc."""
+    rendered: List[Tuple[int, str]] = []
+
+    def spy(code: Code, header: int, frame: List[Any]) -> Any:
+        plan = typed_loop_source(code, header, frame)
+        if plan is not None and "float(ord(" in plan[0]:
+            rendered.append((header, plan[0]))
+        return plan
+
+    monkeypatch.setattr(hotloop, "typed_loop_source", spy)
+    BytecodeInterpreter().run(_js_workload_script("tier", 1 << 20, 7))
+    header, source = rendered[0]
+    comparisons = [line.strip() for line in source.splitlines() if "> max_steps:" in line]
+    assert comparisons == [
+        "if steps + 4 > max_steps:",  # i < p.length
+        "if steps + 22 > max_steps:",  # acc = ...; (i & 1023) === 0
+        "if steps > max_steps:",  # i++
+        "if steps + 12 > max_steps:",  # out += String.fromCharCode(...), up to the call
+        "if steps > max_steps:",  # i++ on that path
+    ]
+    for start in (header, header + 5, header + 24):
+        assert f"return ({start}, steps, compl)" in source
+    # The charCodeAt slow branch adds the run's pending charge and takes
+    # it back.
+    assert "steps += 12\n" in source and "steps -= 12\n" in source
 
 
 # -- threads -----------------------------------------------------------------------
