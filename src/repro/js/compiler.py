@@ -43,6 +43,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.js import nodes as ast
+from repro.js.errors import check_deadline
 from repro.js.parser import parse
 from repro.js.values import UNDEFINED
 
@@ -1165,13 +1166,16 @@ def compile_source(source: str) -> Code:
     Only the same text again hits the cache.  An instrumentation
     wrapper never does: it embeds its document's key and its script's
     ciphertext, so each one compiles.  Parse failures are never cached
-    (they must re-raise each time, as the walker would re-parse).
+    (they must re-raise each time, as the walker would re-parse).  A
+    miss is work outside the step budget, so it first checks the scan's
+    deadline.
     """
     with _CACHE_LOCK:
         cached = _CODE_CACHE.get(source)
         if cached is not None:
             _CODE_CACHE.move_to_end(source)
             return cached
+    check_deadline()
     program = parse(source)
     code = Compiler().compile_program(program)
     with _CACHE_LOCK:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.limits import ResourceLimitExceeded as _BaseResourceLimitExceeded
+from repro.limits import active as _active_budget
 
 
 class JSError(Exception):
@@ -58,6 +59,24 @@ class ResourceLimitExceeded(JSError, _BaseResourceLimitExceeded):
     pipeline's budget handler — sees it alongside every other blown
     budget.
     """
+
+
+def check_deadline() -> None:
+    """Raise when the active scan's wall-clock deadline has passed.
+
+    The engine calls this before work its step budget does not charge:
+    compiling a script or ``eval``'d text, and generating a hot loop's
+    source.  It raises the engine's own :class:`ResourceLimitExceeded`,
+    so no JS ``catch`` or ``finally`` runs after it, and the reader
+    passes it on: the scan ends in a ``deadline`` limit report.
+    """
+    budget = _active_budget()
+    if budget is None:
+        return
+    try:
+        budget.check_deadline()
+    except _BaseResourceLimitExceeded as exc:
+        raise ResourceLimitExceeded(exc.kind, exc.limit, exc.detail) from None
 
 
 class ReaderCrash(JSError):

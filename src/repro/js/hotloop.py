@@ -133,6 +133,7 @@ from repro.js.errors import (
     JSRuntimeError,
     JSThrow,
     ResourceLimitExceeded,
+    check_deadline,
 )
 from repro.js.values import (
     JSArray,
@@ -253,6 +254,7 @@ def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Tr
         return cast(Optional[Translated], state)
     state += 1
     if state == 2 and state < HOT_LOOP_THRESHOLD:
+        check_deadline()
         plan = _plan(code, header, frame)
         if plan is None:
             loops[header] = None
@@ -265,6 +267,7 @@ def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Tr
     if state < HOT_LOOP_THRESHOLD:
         loops[header] = state
         return None
+    check_deadline()
     translated = translate_loop(code, header, frame)
     loops[header] = translated
     return translated

@@ -363,6 +363,8 @@ class Reader:
             except ReaderCrash:
                 raise
             except ResourceLimitExceeded as exc:
+                if exc.kind != "js-steps":
+                    raise  # the scan's own budgets (the deadline) end the scan
                 handle.script_errors.append(f"{label}: {exc}")
             except JSError as exc:
                 handle.script_errors.append(f"{label}: {exc}")

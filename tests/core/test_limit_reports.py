@@ -9,8 +9,10 @@ import time
 import pytest
 
 from repro.core.pipeline import OpenReport, ProtectionPipeline
+from repro.js.compiler import clear_code_cache
 from repro.limits import ResourceLimitExceeded, ScanLimits
 from repro.obs import MemorySink, Observability
+from repro.pdf.builder import DocumentBuilder
 from tests.data import malformed
 
 #: Budgets tight enough that every corpus bomb trips within seconds.
@@ -88,6 +90,49 @@ class TestBombReports:
         # any budget may fire first under a zero deadline, but the
         # deadline must be among the possibilities and nothing hangs
         assert report.limit_kind is not None
+
+
+def _eval_loops_document(copies: int = 200) -> bytes:
+    """A script that ``eval``s ``copies`` fresh texts of 255
+    instructions, each a loop inside the translator's window that runs
+    twice: compiling each text and generating each loop's source at its
+    second back-edge, neither charged to the step budget, are most of
+    its cost (about 5 us a step)."""
+    body = " ".join(f"n = n + k * {j};" for j in range(34))
+    script = (
+        f"var n = 0; for (var c = 0; c < {copies}; c++) {{"
+        f" eval('var k = ' + c + '; for (var i = 0; i < 2; i++) {{ {body} }}'); }}"
+    )
+    builder = DocumentBuilder()
+    builder.add_page("eval loops")
+    builder.add_javascript(script)
+    return builder.to_bytes()
+
+
+class TestScriptDeadline:
+    """The deadline bounds JS work the step budget does not charge."""
+
+    def test_deadline_ends_a_script_of_unbudgeted_work(self):
+        data = _eval_loops_document()
+        clear_code_cache()
+        pipeline = ProtectionPipeline(limits=ScanLimits(deadline_seconds=0.05))
+        start = time.monotonic()
+        report = pipeline.scan(data, "eval-loops.pdf")
+        elapsed = time.monotonic() - start
+        assert report.errored
+        assert report.limit_kind == "deadline"
+        assert "deadline" in report.verdict.reasons[0]
+        assert elapsed < 0.5
+
+    def test_default_limits_run_it_to_the_end(self):
+        clear_code_cache()
+        report = ProtectionPipeline().scan(_eval_loops_document(), "eval-loops.pdf")
+        assert not report.errored
+        assert report.limit_kind is None
+        assert not report.verdict.malicious
+        handle = report.outcome.handle
+        assert handle.executed_scripts >= 1
+        assert handle.script_errors == []
 
 
 class TestLimitReportShape:
