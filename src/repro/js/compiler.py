@@ -578,13 +578,8 @@ class Compiler:
             self._stmt(node.alternate)
             self._flush()
             self._patch(jump_end)
-        elif self._completion_stack[-1]:
-            jump_end = self._emit(JUMP)
-            self._flush()
-            self._patch(jump_false)
-            self._emit(SET_COMPL_UNDEF)
-            self._patch(jump_end)
         else:
+            # Untaken, it leaves the completion register alone (ES5 §12.5).
             self._flush()
             self._patch(jump_false)
 

@@ -297,7 +297,7 @@ class Interpreter:
             return self.exec_statement(node.consequent, env, this)
         if node.alternate is not None:
             return self.exec_statement(node.alternate, env, this)
-        return UNDEFINED
+        return EMPTY  # ES5 §12.5: an untaken if has no value
 
     def _exec_WhileStatement(self, node: ast.WhileStatement, env: Environment, this: Any) -> Any:
         while truthy(self.eval_expression(node.test, env, this)):
@@ -425,9 +425,8 @@ class Interpreter:
         finally:
             if node.finally_block is not None and not fatal:
                 self._exec_Block(node.finally_block, env, this)
-        # A try that produces no value completes with undefined, as the
-        # VM's try fragment does (docs/JS_ENGINE.md, "Caveats").
-        return UNDEFINED if result is EMPTY else result
+        # ES5 §12.14: the try or catch block's value, which may be empty.
+        return result
 
     def _exec_SwitchStatement(
         self, node: ast.SwitchStatement, env: Environment, this: Any

@@ -44,7 +44,7 @@ from repro.js.errors import (
     stack_overflow,
 )
 from repro.js.hotloop import hot_loop
-from repro.js.interpreter import Environment, Interpreter
+from repro.js.interpreter import EMPTY, Environment, Interpreter
 from repro.js.values import (
     JSArray,
     JSFunction,
@@ -169,8 +169,11 @@ class BytecodeInterpreter(Interpreter):
         try_code, catch_param, catch_code, finally_code = spec
         result: Any = UNDEFINED
         fatal = False
+        # The try and catch blocks start with an empty completion
+        # register: a block that produces no value leaves its parent's
+        # register alone (ES5 §12.14).
         try:
-            result = self._run_code(try_code, env, this, frame)
+            result = self._run_code(try_code, env, this, frame, EMPTY)
         except (ReaderCrash, ResourceLimitExceeded):
             # Crash or engine abort: JS-level catch/finally never runs
             # (an instrumented epilogue must not fire after a hijack).
@@ -181,13 +184,13 @@ class BytecodeInterpreter(Interpreter):
                 raise
             catch_env = Environment(env)
             catch_env.declare(catch_param or "e", thrown.value)
-            result = self._run_code(catch_code, catch_env, this, None)
+            result = self._run_code(catch_code, catch_env, this, None, EMPTY)
         except (JSRuntimeError, RecursionError) as error:
             if catch_code is None:
                 raise
             catch_env = Environment(env)
             catch_env.declare(catch_param or "e", error_object(error, self.error_prototypes))
-            result = self._run_code(catch_code, catch_env, this, None)
+            result = self._run_code(catch_code, catch_env, this, None, EMPTY)
         finally:
             if finally_code is not None and not fatal:
                 fout = self._run_code(finally_code, env, this, frame)
@@ -206,6 +209,7 @@ class BytecodeInterpreter(Interpreter):
         env: Environment,
         this: Any,
         frame: Optional[List[Any]],
+        compl: Any = UNDEFINED,
     ) -> Any:
         instrs = code.instrs
         if instrs is None:
@@ -219,7 +223,6 @@ class BytecodeInterpreter(Interpreter):
         steps = self.steps
         stack: List[Any] = []
         iters: List[Any] = []
-        compl: Any = UNDEFINED
         pc = 0
         ip = 0
         # Hot-loop locals: every dispatch avoids the attribute walks.
@@ -694,7 +697,8 @@ class BytecodeInterpreter(Interpreter):
                             result = self._exec_try(arg, env, this, frame)
                             steps = self.steps
                             if completion:
-                                compl = result
+                                if result is not EMPTY:
+                                    compl = result
                             elif result is not NO_RETURN:
                                 return result
                         elif op == 50:  # FORIN_INIT
