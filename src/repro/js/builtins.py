@@ -426,10 +426,25 @@ def _str_last_index_of(interp: Any, value: str, args: List[Any]) -> float:
     return float(value.rfind(search, 0, start + len(search)))
 
 
+#: The replacement patterns a string search value has (ES5 Table 22):
+#: ``$n`` names a capture, which a string pattern lacks, so it stays.
+_REPLACE_PATTERN = re.compile(r"\$[$&`']")
+
+
 def _str_replace(interp: Any, value: str, args: List[Any]) -> str:
-    return interp._record_string(
-        value.replace(to_string(_arg(args, 0, "")), to_string(_arg(args, 1, "")), 1)
-    )
+    """``replace`` with a string search value (ES5 §15.5.4.11): the
+    first match is replaced, and ``$$``, ``$&``, ``$` `` and ``$'`` in
+    the replacement expand."""
+    search = to_string(_arg(args, 0, ""))
+    replacement = to_string(_arg(args, 1, ""))
+    start = value.find(search)
+    if start < 0:
+        return interp._record_string(value)
+    end = start + len(search)
+    if "$" in replacement:
+        expansions = {"$$": "$", "$&": search, "$`": value[:start], "$'": value[end:]}
+        replacement = _REPLACE_PATTERN.sub(lambda match: expansions[match.group()], replacement)
+    return interp._record_string(value[:start] + replacement + value[end:])
 
 
 def _str_concat(interp: Any, value: str, args: List[Any]) -> str:

@@ -46,6 +46,7 @@ from repro.js import hotloop
 from repro.js import vm as vm_mod
 from repro.js.compiler import MAKE_FUNCTION, Code, clear_code_cache, compile_source
 from repro.js.interpreter import Host, Interpreter
+from repro.js.values import UNDEFINED
 from repro.js.vm import BytecodeInterpreter
 from repro.pdf.builder import DocumentBuilder
 from repro.reader.payload import Payload
@@ -328,6 +329,19 @@ EMPTY_COMPLETION_CASES = {
     "7; if (true) { function g() {} }": 7.0,
     "eval('8; var u; 9; var w;')": 9.0,
     "var n = 0; while (n < 3) { n++; var m = n; } eval('10; var v = n;')": 10.0,
+    # An untaken `if` without `else` has no value (ES5 §12.5), and a
+    # `try` is its taken block's value, which may be none (§12.14).
+    "4; if (false) 1;": 4.0,
+    "eval('4; if (0) 1;')": 4.0,
+    "11; if (false) 1; else var t;": 11.0,
+    "8; try { var q; } catch (e) {}": 8.0,
+    "eval('8; try { var q; } catch (e) {}')": 8.0,
+    "12; try { throw 1; } catch (e) { var c; }": 12.0,
+    "13; try { throw 1; } catch (e) { 14; }": 14.0,
+    "15; try { 16; } finally { 17; }": 16.0,
+    "18; try { } finally { 19; }": 18.0,
+    "20; try { try { var d; } finally { } } catch (e) { }": 20.0,
+    "try { var q; } catch (e) {}": UNDEFINED,
 }
 
 
@@ -336,6 +350,29 @@ def test_empty_completions_follow_es5(source: str) -> None:
     assert_equivalent(source)
     status = run_engine(BytecodeInterpreter, source)[0]
     assert status == ("ok", repr(EMPTY_COMPLETION_CASES[source]))
+
+
+#: ``replace`` with a string search value expands ``$$``, ``$&``,
+#: ``$` `` and ``$'`` in its replacement (ES5 §15.5.4.11, Table 22);
+#: ``$n`` names a capture a string pattern lacks, so it stays as it is.
+REPLACE_PATTERN_CASES = {
+    "'abc'.replace('b', '$&$&')": "abbc",
+    "'abc'.replace('b', \"[$`|$'|$$|$1|$&|$]\")": "a[a|c|$|$1|b|$]c",
+    "'abc'.replace('x', '$&')": "abc",
+    "'abc'.replace('', '$&-$`-')": "--abc",
+    "'a$c'.replace('$', '$$$$')": "a$$c",
+    "'aXbXc'.replace('X', '$$&')": "a$&bXc",
+    "'abc'.replace('c', \"$'!\")": "ab!",
+    "function f(s) { var t = ''; for (var i = 0; i < 3; i++) { t = t + s.replace('b', '<$&$`>'); }"
+    " return t; } f('abc')": "a<ba>ca<ba>ca<ba>c",
+}
+
+
+@pytest.mark.parametrize("source", REPLACE_PATTERN_CASES, ids=lambda s: s[:48])
+def test_replace_patterns_follow_es5(source: str) -> None:
+    assert_equivalent(source)
+    status = run_engine(BytecodeInterpreter, source)[0]
+    assert status == ("ok", repr(REPLACE_PATTERN_CASES[source]))
 
 
 # ---------------------------------------------------------------------------
