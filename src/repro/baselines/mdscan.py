@@ -24,6 +24,7 @@ from repro.corpus.dataset import Sample
 from repro.js.errors import JSError
 from repro.js.interpreter import Host, Interpreter
 from repro.js.values import JSArray, JSObject, NativeFunction, UNDEFINED
+from repro.js.vm import BytecodeInterpreter
 from repro.reader.payload import NOP, parse_payload
 
 #: Emulated-heap thresholds for "shellcode present".
@@ -91,7 +92,7 @@ class MDScanDetector(BaselineDetector):
         if not sources:
             return False
         host = _EmulationHost()
-        interp = Interpreter(host=host, max_steps=MAX_EMULATION_STEPS)
+        interp = BytecodeInterpreter(host=host, max_steps=MAX_EMULATION_STEPS)
         _stub_environment(interp)
         for code in sources:
             try:

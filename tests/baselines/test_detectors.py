@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import mdscan
 from repro.baselines import (
     MDScanDetector,
     MarkovNGramDetector,
@@ -14,6 +15,8 @@ from repro.baselines import (
 )
 from repro.baselines.base import train_test_split
 from repro.corpus import CorpusConfig, build_dataset
+from repro.corpus import test_scale as corpus_test_scale
+from repro.js.interpreter import Interpreter
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +130,17 @@ class TestSignatureAV:
         detector = SignatureAVDetector()
         raw = Sample("x.pdf", b"...Collab.getIcon(...)...", "malicious", "standard")
         assert detector.predict(raw)
+
+
+@pytest.mark.diff
+def test_mdscan_flags_the_same_samples_on_the_walker(monkeypatch):
+    """MDScan emulates on the bytecode VM; with its interpreter class
+    swapped for the walker, it flags exactly the same test-scale
+    samples."""
+    samples = list(build_dataset(corpus_test_scale()).all_samples())
+    detector = MDScanDetector()
+    on_vm = {sample.name for sample in samples if detector.predict(sample)}
+    monkeypatch.setattr(mdscan, "BytecodeInterpreter", Interpreter)
+    on_walker = {sample.name for sample in samples if detector.predict(sample)}
+    assert on_vm == on_walker
+    assert len(on_vm) == 66
