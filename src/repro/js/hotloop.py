@@ -19,8 +19,12 @@ not seen before.
 
 A translated loop is observably identical to the dispatch loop:
 
-* every instruction's charge is added, and the budget checked, at the
-  same instruction boundary, with the same clamp to ``max_steps + 1``;
+* the budget runs out on the same instruction, after the same side
+  effects, with the same clamp to ``max_steps + 1``: the generic
+  translation adds and checks every charge at its instruction, and the
+  typed one checks once per call-free run and falls back to the
+  dispatch loop at the run's start when the run does not fit (see
+  :class:`_TypedGenerator`);
 * ``interp.steps`` is synced around every call exactly where the
   dispatch loop syncs it, and on every way out of the function;
 * ``_record_string`` runs at the same points;
@@ -57,11 +61,12 @@ on which of a fixed set of property names an access uses), and
 compiled functions are memoised by source text
 (:func:`repro.js.compiler.cached_loop_function`).
 
-``compile()`` time is outside both the JS step budget and the scan
-deadline, so two module constants bound it: a loop is compiled only
-after :data:`HOT_LOOP_THRESHOLD` back-edges, and a translation reads
-and compiles at most :data:`MAX_LOOP_INSTRS` instructions; a loop with
-no back-edge that close to its header is never translated.  Loops holding an op
+Generating a loop's source and ``compile()`` time are outside the JS
+step budget, so the scan's deadline is checked before each generation,
+and two module constants bound it: a loop is compiled only after
+:data:`HOT_LOOP_THRESHOLD` back-edges, and a translation reads and
+compiles at most :data:`MAX_LOOP_INSTRS` instructions; a loop with no
+back-edge that close to its header is never translated.  Loops holding an op
 outside the translator's set (``EXEC_TRY``, ``FORIN_*``,
 ``DIRECT_EVAL``, ``MAKE_FUNCTION``, ``NEW``, ``RAISE_*``, ...) stay on
 the dispatch loop.
@@ -242,7 +247,9 @@ def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Tr
     cache, without compiling: a loop some other ``Code`` already made
     hot is entered at once, and a loop that cannot be translated is
     marked "never".  Otherwise the loop is translated at the
-    :data:`HOT_LOOP_THRESHOLD`-th back-edge.  Returns ``None`` while
+    :data:`HOT_LOOP_THRESHOLD`-th back-edge.  Both first check the
+    scan's deadline, since neither is charged to the step budget.
+    Returns ``None`` while
     the loop is still being counted and for good when it cannot be
     translated.  Threads sharing ``code`` may race on the count (a lost
     increment only delays translation, or repeats the lookup) or
