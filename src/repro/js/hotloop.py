@@ -1394,12 +1394,13 @@ class _TypedGenerator(_Generator):
             self.put(level, f"steps += {self.pending}")
             self.pending = 0
 
-    def slow(self, *lines: str) -> List[str]:
+    def slow(self, line: str) -> List[str]:
         """A fast path's slow branch, indented under its ``else:``: the
-        pending charge is in ``steps`` while the branch runs."""
+        pending charge is in ``steps`` while ``line`` runs."""
+        lines = [line]
         if self.pending:
-            lines = (f"steps += {self.pending}", *lines, f"steps -= {self.pending}")
-        return ["    " + line for line in lines]
+            lines = [f"steps += {self.pending}", line, f"steps -= {self.pending}"]
+        return ["    " + text for text in lines]
 
     def conditional(self, level: int, index: int, op: int, arg: Any, stack: List[Entry]) -> bool:
         d = len(stack)
