@@ -1385,7 +1385,9 @@ class _TypedGenerator(_Generator):
         charges = [charge for charge in self.code.charges[start:stop] if charge]
         if len(charges) < 2:
             return False
-        self.put(level, f"if steps + {sum(charges)} > max_steps:", f"    return ({start}, steps, compl)")
+        self.put(
+            level, f"if steps + {sum(charges)} > max_steps:", f"    return ({start}, steps, compl)"
+        )
         return True
 
     def flush(self, level: int) -> None:
@@ -1532,7 +1534,9 @@ class _TypedGenerator(_Generator):
                 self.put(level, fast)
             else:
                 other = right if ltype is float else left
-                self.put(level, f"if type({other}) is float:", f"    {fast}", "else:", *self.slow(slow))
+                self.put(
+                    level, f"if type({other}) is float:", f"    {fast}", "else:", *self.slow(slow)
+                )
             return True
         if text == "+" and (ltype is str or rtype is str):
             self.flush(level)
@@ -1554,7 +1558,9 @@ class _TypedGenerator(_Generator):
             second = self.int32_operand(right, stack[-1], tests)
             fast = f"{left} = float({first} {_INT32_OPS[text]} {second})"
             if tests:
-                self.put(level, f"if {' and '.join(tests)}:", f"    {fast}", "else:", *self.slow(slow))
+                self.put(
+                    level, f"if {' and '.join(tests)}:", f"    {fast}", "else:", *self.slow(slow)
+                )
             else:
                 self.put(level, fast)
             return True

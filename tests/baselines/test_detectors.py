@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines import mdscan
 from repro.baselines import (
     MDScanDetector,
     MarkovNGramDetector,
@@ -12,6 +11,7 @@ from repro.baselines import (
     StructuralPathDetector,
     WepawetDetector,
     evaluate_detector,
+    mdscan,
 )
 from repro.baselines.base import train_test_split
 from repro.corpus import CorpusConfig, build_dataset
