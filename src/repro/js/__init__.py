@@ -7,14 +7,18 @@ loops must really allocate, and the Acrobat object model
 (``app.setTimeOut``, ``Doc.addScript``, ``Collab.*`` …) must really
 dispatch — including into the version-gated exploit registry.
 
-The reader runs one engine, the bytecode VM
-(:class:`repro.js.vm.BytecodeInterpreter`).  The tree-walking
-:class:`Interpreter` is its base class and its differential oracle.
+There is one engine, the bytecode VM
+(:class:`repro.js.vm.BytecodeInterpreter`).  :class:`Interpreter` is
+the runtime kernel it subclasses, and the type native callbacks
+receive; it runs no source itself.
 
 Public surface::
 
-    from repro.js import Interpreter, JSRuntimeError, evaluate
+    from repro.js import JSRuntimeError, evaluate
+    from repro.js.vm import BytecodeInterpreter
     result = evaluate("var x = 2; x * 21")   # -> 42.0
+    vm = BytecodeInterpreter(max_steps=10_000)
+    vm.run("var s = 'ab'; s + s")            # -> 'abab'
 """
 
 from typing import Any

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.js.errors import JSRuntimeError
@@ -206,6 +207,15 @@ def install_globals(interp: Any) -> None:
     env.lookup("String").set(
         "fromCharCode", NativeFunction("fromCharCode", string_from_char_code)
     )
+    number = env.lookup("Number")
+    for name, value in (
+        ("MAX_VALUE", sys.float_info.max),
+        ("MIN_VALUE", math.nextafter(0.0, 1.0)),
+        ("NaN", math.nan),
+        ("POSITIVE_INFINITY", math.inf),
+        ("NEGATIVE_INFINITY", -math.inf),
+    ):
+        number.set(name, value)
 
     def _array_ctor(i: Any, t: Any, a: List[Any]) -> JSArray:
         if len(a) == 1 and isinstance(a[0], float):
@@ -452,11 +462,11 @@ def _str_concat(interp: Any, value: str, args: List[Any]) -> str:
 
 
 #: String methods keyed by name, signature ``(interp, value, args)``
-#: where ``value`` is the receiver string.  Shared by the tree-walker
-#: (wrapped per access in a NativeFunction below) and dispatched
-#: directly — no wrapper allocation — by the bytecode VM's
-#: string-method fast path.  Heap accounting (``_record_string``) lives
-#: inside each method, so both engines charge identically.
+#: where ``value`` is the receiver string.  ``get_property`` wraps one
+#: per access in a NativeFunction (below); the bytecode VM's
+#: string-method fast path calls it directly, with no wrapper.  Heap
+#: accounting (``_record_string``) lives inside each method, so both
+#: paths charge identically.
 STRING_METHODS = {
     "charAt": _str_char_at,
     "charCodeAt": _str_char_code_at,
@@ -556,12 +566,24 @@ def _number_property(interp: Any, value: float, name: str) -> Any:
 
 
 def _number_to_fixed(value: float, args: List[Any]) -> str:
+    """ES5 §15.7.4.5: ``n`` is the integer nearest ``x * 10**f``, the
+    larger one on a tie, computed exactly; the sign is written only
+    when ``x < 0``, so ``-0`` has none."""
     digits = to_integer(_arg(args, 0, 0.0))
     if not 0 <= digits <= 20:
         raise JSRuntimeError("toFixed() digits must be between 0 and 20", "RangeError")
     if not math.isfinite(value) or abs(value) >= 1e21:
         return format_number(value)
-    return f"{value:.{int(digits)}f}"
+    places = int(digits)
+    numerator, denominator = abs(value).as_integer_ratio()
+    n = (2 * numerator * 10**places + denominator) // (2 * denominator)
+    text = str(n).rjust(places + 1, "0")
+    if places:
+        text = f"{text[:-places]}.{text[-places:]}"
+    return "-" + text if value < 0 else text
+
+
+_RADIX_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _number_to_string(value: float, args: List[Any]) -> str:
@@ -573,15 +595,59 @@ def _number_to_string(value: float, args: List[Any]) -> str:
         raise JSRuntimeError("toString() radix must be between 2 and 36", "RangeError")
     if radix == 10 or math.isnan(value) or math.isinf(value):
         return format_number(value)
-    radix = int(radix)
-    integer = int(abs(value))
-    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-    out = []
-    while integer:
-        out.append(digits[integer % radix])
-        integer //= radix
-    text = "".join(reversed(out)) or "0"
-    return "-" + text if value < 0 else text
+    return _radix_string(value, int(radix))
+
+
+def _radix_string(value: float, radix: int) -> str:
+    """A finite number in base ``radix``, with V8's digits (ES5
+    §15.7.4.2 leaves them to the implementation).
+
+    Fraction digits stop once the rest is below half a unit in the
+    last place of ``value``, and the last one rounds to even.  An
+    integer part at or above ``radix * 2**53`` ends in zeros where its
+    digits are not represented.
+    """
+    negative = value < 0
+    if negative:
+        value = -value
+    integer = float(math.floor(value))
+    fraction = value - integer
+    delta = max(math.nextafter(0.0, 1.0), 0.5 * (math.nextafter(value, math.inf) - value))
+    fraction_digits: List[int] = []
+    if fraction >= delta:
+        while True:
+            fraction *= radix
+            delta *= radix
+            digit = int(fraction)
+            fraction_digits.append(digit)
+            fraction -= digit
+            if (fraction > 0.5 or (fraction == 0.5 and digit & 1)) and fraction + delta > 1:
+                # Round up, carrying through the digits already written.
+                while fraction_digits:
+                    last = fraction_digits.pop() + 1
+                    if last < radix:
+                        fraction_digits.append(last)
+                        break
+                else:
+                    integer += 1
+                break
+            if fraction < delta:
+                break
+    text: List[str] = []
+    while integer / radix >= 2.0**53:
+        integer /= radix
+        text.append("0")
+    while True:
+        remainder = math.fmod(integer, radix)
+        text.append(_RADIX_DIGITS[int(remainder)])
+        integer = (integer - remainder) / radix
+        if integer <= 0:
+            break
+    text.reverse()
+    if fraction_digits:
+        text.append(".")
+        text.extend(_RADIX_DIGITS[digit] for digit in fraction_digits)
+    return ("-" if negative else "") + "".join(text)
 
 
 # ---------------------------------------------------------------------------

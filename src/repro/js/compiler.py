@@ -2,8 +2,9 @@
 
 Compiles the tree produced by :mod:`repro.js.parser` into flat
 instruction tuples executed by :class:`repro.js.vm.BytecodeInterpreter`.
-The tree-walking :class:`repro.js.interpreter.Interpreter` stays the
-reference semantics; everything here is defined in terms of it:
+The tree-walker kept as the differential oracle
+(``tests/js/walker_reference.py``) stays the reference semantics;
+everything here is defined in terms of it:
 
 * **Charge aggregation.**  The walker charges one step per
   ``exec_statement`` / ``eval_expression`` entry, pre-order.  The
@@ -16,7 +17,7 @@ reference semantics; everything here is defined in terms of it:
   no ``eval`` identifier and no ``try``/``catch`` gets its locals
   (self-name, params, ``arguments``, hoisted vars) resolved to frame
   slots at compile time; everything else — and all program/eval
-  top-level code — uses the walker's ``Environment`` chain, so closure
+  top-level code — uses the kernel's ``Environment`` chain, so closure
   and implicit-global semantics are shared, not re-implemented.
 * **Signal regions.**  ``break``/``continue`` compile to jumps inside a
   fragment; region tables map a :class:`BreakSignal`/
@@ -150,7 +151,7 @@ class Code:
     """
 
     __slots__ = (
-        "kind", "mode", "completion", "name", "params", "body",
+        "kind", "mode", "completion", "name", "params",
         "ops", "args", "charges", "nlocals", "slot_names", "init_plan",
         "hoist_actions", "regions", "consts", "instrs", "loops",
     )
@@ -162,14 +163,12 @@ class Code:
         completion: bool,
         name: str = "",
         params: Tuple[str, ...] = (),
-        body: Optional[ast.Block] = None,
     ) -> None:
         self.kind = kind
         self.mode = mode
         self.completion = completion
         self.name = name
         self.params = params
-        self.body = body
         self.ops: Tuple[int, ...] = ()
         self.args: Tuple[Any, ...] = ()
         self.charges: Tuple[int, ...] = ()
@@ -328,7 +327,7 @@ class Compiler:
         else:
             code = Code(
                 "function", "env", completion=False,
-                name=name or "", params=tuple(params), body=body,
+                name=name or "", params=tuple(params),
             )
             code.hoist_actions = tuple(hoist)
             self._compile_into(code, body.statements, scope=None, completion=False)
@@ -344,7 +343,7 @@ class Compiler:
     ) -> Code:
         code = Code(
             "function", "slot", completion=False,
-            name=name or "", params=tuple(params), body=body,
+            name=name or "", params=tuple(params),
         )
         slots: Dict[str, int] = {}
 
@@ -450,7 +449,7 @@ class Compiler:
     _scope_stack: List[Optional[Dict[str, int]]]
     _completion_stack: List[bool]
 
-    # -- hoisting (mirrors Interpreter._hoist_one, including order) --------
+    # -- hoisting (mirrors the reference walker's _hoist_one, in order) ----
 
     def _collect_hoist(self, statements: List[ast.Node], out: List[Tuple[Any, ...]]) -> None:
         for statement in statements:

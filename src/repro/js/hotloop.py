@@ -142,7 +142,6 @@ from repro.js.errors import (
 )
 from repro.js.values import (
     JSArray,
-    JSFunction,
     JSObject,
     NativeFunction,
     UNDEFINED,
@@ -343,7 +342,7 @@ def _namespace() -> Dict[str, Any]:
         "NativeFunction": NativeFunction, "CompiledFunction": CompiledFunction,
         # The dispatch loop's own-property fast path covers exactly these
         # (not JSArray, whose get() resolves length and indices itself).
-        "PLAIN": frozenset((JSObject, NativeFunction, JSFunction, CompiledFunction)),
+        "PLAIN": frozenset((JSObject, NativeFunction, CompiledFunction)),
         "STRING_METHODS": STRING_METHODS, "from_char_code": string_from_char_code,
         "BreakSignal": BreakSignal, "ContinueSignal": ContinueSignal,
         "JSRuntimeError": JSRuntimeError, "JSThrow": JSThrow,

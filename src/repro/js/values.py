@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Union
 from repro.js.errors import JSRuntimeError, stack_overflow
 
 if TYPE_CHECKING:
-    from repro.js import nodes as ast
     from repro.js.interpreter import Environment, Interpreter
 
 
@@ -164,19 +163,12 @@ def array_index(name: str) -> Optional[int]:
 
 
 class JSFunction(JSObject):
-    """A user-defined function: parameters + body + closure scope."""
+    """A script function: its name and closure scope.  Each engine
+    subclasses it with what it runs (the VM's ``CompiledFunction``)."""
 
-    def __init__(
-        self,
-        name: Optional[str],
-        params: List[str],
-        body: "ast.Block",
-        closure: "Environment",
-    ) -> None:
+    def __init__(self, name: Optional[str], closure: "Environment") -> None:
         super().__init__(class_name="Function")
         self.name = name or ""
-        self.params = params
-        self.body = body
         self.closure = closure
 
     def __repr__(self) -> str:

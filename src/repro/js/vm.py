@@ -1,11 +1,14 @@
 """Bytecode VM: executes :class:`repro.js.compiler.Code` fragments.
 
-:class:`BytecodeInterpreter` subclasses the tree-walking
+:class:`BytecodeInterpreter` subclasses the runtime kernel
 :class:`~repro.js.interpreter.Interpreter` and reuses its entire value
 model, builtins, host wiring, ``_binary_op``, ``get_property`` and
-construction/assignment kernels — only the evaluation loop is replaced.
-The two engines are required to agree bit-for-bit on observed API
-channels, monitor events, step counts and verdicts.
+construction/assignment kernels; it adds the evaluation loop and the
+engine entries ``run``, ``eval_in_scope`` and ``_call_inner``.  Its
+reference semantics is the tree-walker kept as the differential oracle
+(``tests/js/walker_reference.py``): the two are required to agree
+bit-for-bit on observed API channels, monitor events, step counts and
+verdicts.
 
 Hot loops leave the dispatch loop: once a loop's back-edge has been
 taken often enough, :mod:`repro.js.hotloop` translates it into a
@@ -68,27 +71,21 @@ NO_RETURN = object()
 
 
 class CompiledFunction(JSFunction):
-    """A JSFunction that also carries its compiled Code.
-
-    It *is* a JSFunction (real body AST + closure), so the walker can
-    execute it and ``typeof``/``instanceof``/``prototype`` behave
-    identically.
-    """
+    """The VM's script function: its compiled Code and its closure."""
 
     def __init__(self, code: Code, closure: Environment) -> None:
-        assert code.body is not None
-        super().__init__(code.name or None, list(code.params), code.body, closure)
+        super().__init__(code.name, closure)
         self.code = code
 
 
 class BytecodeInterpreter(Interpreter):
-    """Drop-in replacement for Interpreter backed by compiled bytecode."""
+    """The JS engine: the runtime kernel plus compiled bytecode."""
 
     #: Times this interpreter ran a loop as its translated function
     #: (``repro.js.hotloop``).
     translated_loop_runs = 0
 
-    # -- public API (same shape as the walker) ---------------------------
+    # -- engine entries ----------------------------------------------------
 
     def run(self, source: str, this: Any = None, env: Optional[Environment] = None) -> Any:
         try:
@@ -112,9 +109,7 @@ class BytecodeInterpreter(Interpreter):
     def _call_inner(self, fn: Any, this: Any, args: List[Any]) -> Any:
         if isinstance(fn, CompiledFunction):
             return self._call_with_code(fn.code, fn, this, args)
-        if isinstance(fn, NativeFunction):
-            return fn.fn(self, this, args)
-        raise JSRuntimeError("value is not callable", "TypeError")
+        return super()._call_inner(fn, this, args)
 
     def _call_with_code(self, code: Code, fn: JSFunction, this: Any, args: List[Any]) -> Any:
         if code.mode == "slot":
@@ -367,7 +362,6 @@ class BytecodeInterpreter(Interpreter):
                                     tobj is JSObject
                                     or tobj is NativeFunction
                                     or tobj is CompiledFunction
-                                    or tobj is JSFunction
                                 )
                                 and arg in obj.properties
                             ):
@@ -423,7 +417,6 @@ class BytecodeInterpreter(Interpreter):
                                     trec is JSObject
                                     or trec is NativeFunction
                                     or trec is CompiledFunction
-                                    or trec is JSFunction
                                 )
                                 and arg in receiver.properties
                             ):

@@ -4,7 +4,7 @@ The constant folder (:mod:`repro.jsast.fold`) and the abstract
 interpreter (:mod:`repro.jsast.absint`) compute every constant they
 produce through this module, and it computes each one with the
 runtime's own code: :mod:`repro.js.values`, :mod:`repro.js.builtins`
-and the engines' ``Interpreter._binary_op``.  A constant a static pass
+and the runtime kernel's ``Interpreter._binary_op``.  A constant a static pass
 reports is therefore the value the emulator computes for the same
 expression: the passes cannot disagree with the runtime on what
 ``'1' == 1``, ``'ab'[5]`` or ``unescape('%U0041')`` is, and a change to

@@ -16,7 +16,7 @@ from repro.baselines import (
 from repro.baselines.base import train_test_split
 from repro.corpus import CorpusConfig, build_dataset
 from repro.corpus import test_scale as corpus_test_scale
-from repro.js.interpreter import Interpreter
+from tests.js.walker_reference import Walker
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ def test_mdscan_flags_the_same_samples_on_the_walker(monkeypatch):
     samples = list(build_dataset(corpus_test_scale()).all_samples())
     detector = MDScanDetector()
     on_vm = {sample.name for sample in samples if detector.predict(sample)}
-    monkeypatch.setattr(mdscan, "BytecodeInterpreter", Interpreter)
+    monkeypatch.setattr(mdscan, "BytecodeInterpreter", Walker)
     on_walker = {sample.name for sample in samples if detector.predict(sample)}
     assert on_vm == on_walker
     assert len(on_vm) == 66

@@ -51,6 +51,7 @@ from repro.js.vm import BytecodeInterpreter
 from repro.pdf.builder import DocumentBuilder
 from repro.reader.payload import Payload
 from tests.js.golden_disasm import GOLDEN_SCRIPTS
+from tests.js.walker_reference import Walker
 
 pytestmark = pytest.mark.diff
 
@@ -83,7 +84,7 @@ def run_engine(
 
 
 def assert_equivalent(source: str, max_steps: int = 300_000) -> None:
-    ast_run = run_engine(Interpreter, source, max_steps)
+    ast_run = run_engine(Walker, source, max_steps)
     bc_run = run_engine(BytecodeInterpreter, source, max_steps)
     assert ast_run == bc_run, (
         f"engine divergence on:\n{source}\n  ast: {ast_run}\n  bytecode: {bc_run}"
@@ -509,10 +510,10 @@ def run_vm_counting(source: str, max_steps: int) -> Tuple[Tuple[Any, int, int, i
 
 @pytest.mark.parametrize("source", SWEEP_CASES, ids=lambda s: s[:40])
 def test_budget_exhaustion_sweep(source: str) -> None:
-    _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=2_000)
+    _, full_steps, _, _ = run_engine(Walker, source, max_steps=2_000)
     translated = 0
     for max_steps in range(1, min(full_steps + 2, 400)):
-        ast_run = run_engine(Interpreter, source, max_steps)
+        ast_run = run_engine(Walker, source, max_steps)
         bc_run, runs = run_vm_counting(source, max_steps)
         translated += runs
         assert ast_run == bc_run, (
@@ -535,7 +536,7 @@ TRANSLATOR_REGRESSIONS = [
 
 @pytest.mark.parametrize("source", TRANSLATOR_REGRESSIONS, ids=lambda s: s[41:60])
 def test_translator_regressions(source: str) -> None:
-    ast_run = run_engine(Interpreter, source, max_steps=3_000)
+    ast_run = run_engine(Walker, source, max_steps=3_000)
     bc_run, runs = run_vm_counting(source, max_steps=3_000)
     assert ast_run == bc_run
     assert ast_run[1] == 3_001  # the budget blows inside the loop
@@ -583,8 +584,8 @@ def test_full_pipeline_corpus_identical(monkeypatch) -> None:
     documents += [(f"table-x-js {label}.pdf", data) for label, data in table_x_js_documents()]
     documents += [(f"table-x {label}.pdf", data) for label, data in table_x_documents()]
     bc_fps = _scan_fingerprints(documents, BytecodeInterpreter)
-    monkeypatch.setattr(vm_mod, "BytecodeInterpreter", Interpreter)
-    ast_fps = _scan_fingerprints(documents, Interpreter)
+    monkeypatch.setattr(vm_mod, "BytecodeInterpreter", Walker)
+    ast_fps = _scan_fingerprints(documents, Walker)
     mismatches = [
         (name, ast_fp, bc_fp)
         for (name, _), ast_fp, bc_fp in zip(documents, ast_fps, bc_fps)
@@ -610,8 +611,8 @@ def test_host_text_is_code_units_on_both_engines(monkeypatch) -> None:
     )
     documents = [("titled.pdf", builder.to_bytes())]
     bc_fps = _scan_fingerprints(documents, BytecodeInterpreter)
-    monkeypatch.setattr(vm_mod, "BytecodeInterpreter", Interpreter)
-    assert _scan_fingerprints(documents, Interpreter) == bc_fps
+    monkeypatch.setattr(vm_mod, "BytecodeInterpreter", Walker)
+    assert _scan_fingerprints(documents, Walker) == bc_fps
     assert bc_fps[0][1], "the gate did not see the Title's code units"
 
 
@@ -714,7 +715,7 @@ def _generic_hot_loop(code: Code, header: int, frame: Any) -> Any:
 
 def assert_typed_equivalent(source: str, max_steps: int = 300_000) -> Tuple[int, int]:
     """Walker, VM and generic-only VM agree; the VM run's typed_loops()."""
-    walker = run_engine(Interpreter, source, max_steps)
+    walker = run_engine(Walker, source, max_steps)
     clear_code_cache()
     typed = run_engine(BytecodeInterpreter, source, max_steps)
     counts = typed_loops(source)
@@ -831,10 +832,10 @@ TYPED_SWEEP_CASES = [
 def test_typed_loop_budget_sweep(source: str) -> None:
     """The budget blows at the same tick, with the same telemetry, at
     every cutoff from the first step to past the last."""
-    _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=100_000)
+    _, full_steps, _, _ = run_engine(Walker, source, max_steps=100_000)
     clear_code_cache()
     for max_steps in range(1, full_steps + 2):
-        ast_run = run_engine(Interpreter, source, max_steps)
+        ast_run = run_engine(Walker, source, max_steps)
         bc_run = run_engine(BytecodeInterpreter, source, max_steps)
         assert ast_run == bc_run, (
             f"divergence at max_steps={max_steps} on:\n{source}\n"
@@ -944,7 +945,7 @@ def test_typed_run_budget_sweep(source: str) -> None:
     out in its run, so the dispatch loop then raises before any loop is
     entered again."""
     assert assert_typed_equivalent(source)[0] == 1, "the loop was not translated typed"
-    _, full_steps, _, _ = run_engine(Interpreter, source, max_steps=100_000)
+    _, full_steps, _, _ = run_engine(Walker, source, max_steps=100_000)
     fallbacks = 0
     for max_steps in range(1, full_steps + 2):
         assert_typed_equivalent(source, max_steps)

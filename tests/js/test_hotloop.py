@@ -39,10 +39,11 @@ from repro.js.hotloop import (
     translate_loop,
     typed_loop_source,
 )
-from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Host, Interpreter
+from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Host
 from repro.js.parser import parse
 from repro.js.values import UNDEFINED, JSArray
 from repro.js.vm import BytecodeInterpreter
+from tests.js.walker_reference import Walker
 
 
 def run_vm(source: str, host: Any = None) -> Tuple[Any, BytecodeInterpreter]:
@@ -98,7 +99,7 @@ def test_hot_slot_loop_is_translated() -> None:
         f" f({HOT_LOOP_THRESHOLD + 50})"
     )
     value, vm = run_vm(source)
-    walker = Interpreter()
+    walker = Walker()
     assert value == walker.run(source)
     assert vm.steps == walker.steps
     assert vm.translated_loop_runs == 1
@@ -107,7 +108,7 @@ def test_hot_slot_loop_is_translated() -> None:
 def test_program_level_loop_is_translated() -> None:
     source = "var t = 0; for (var i = 0; i < 1000; i++) { t += i; } t"
     value, vm = run_vm(source)
-    walker = Interpreter()
+    walker = Walker()
     assert value == walker.run(source) == 499500.0
     assert vm.steps == walker.steps
     assert vm.translated_loop_runs == 1
@@ -178,7 +179,7 @@ def test_long_loop_with_an_early_continue_runs_only_its_head_translated() -> Non
         "function f() { var i = 0, n = 0, x = 0; while (i < 300) { i++;"
         f" if (i % 3) continue; {body} n++; }} return n + ':' + i; }} f()"
     )
-    walker = Interpreter()
+    walker = Walker()
     expected = walker.run(source)
     value, vm = run_vm(source)
     assert (value, vm.steps) == (expected, walker.steps)
@@ -246,7 +247,7 @@ def test_a_cached_loop_is_entered_at_its_second_back_edge(
     built = counting_builds(monkeypatch)
     source = template.format(k=5, n=10)
     value, vm = run_vm(source)
-    walker = Interpreter()
+    walker = Walker()
     assert value == walker.run(source) == 225.0
     assert vm.steps == walker.steps
     assert vm.translated_loop_runs == 1
@@ -267,7 +268,7 @@ def test_a_warm_entered_typed_loop_falls_back_on_other_slot_types() -> None:
     )
     source = template.format(k=1) + "total([1, 2, 3, 4]) + ':' + total('abcd')"
     value, vm = run_vm(source)
-    walker = Interpreter()
+    walker = Walker()
     assert value == walker.run(source) == "11:1abcd"
     assert vm.steps == walker.steps
     assert vm.translated_loop_runs == 2
@@ -506,7 +507,7 @@ def test_equal_literals_reach_the_spray_pool_as_distinct_objects() -> None:
         f" {{ a[a.length] = i % 2 ? '{chunk}' : '{chunk}'; }} return a.length; }} f()"
     )
     walker_host = Host()
-    Interpreter(host=walker_host).run(source)
+    Walker(host=walker_host).run(source)
     host = Host()
     value, vm = run_vm(source, host)
     assert value == 300.0
@@ -576,7 +577,7 @@ def test_threads_share_one_translated_decode_loop() -> None:
         " + ':' + total(n)"
     )
     walker_host = Host()
-    walker = Interpreter(host=walker_host)
+    walker = Walker(host=walker_host)
     expected = (walker.run(source), walker.steps, walker_host.spray_pool)
     assert len(expected[2]) > 50  # out grows past the spray-pool threshold
     program = compile_source(source)  # one shared Code, counted from zero by all threads

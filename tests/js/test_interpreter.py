@@ -1,4 +1,4 @@
-"""Unit tests for the JavaScript evaluator."""
+"""Unit tests for the JavaScript engine (the bytecode VM)."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.js import evaluate
 from repro.js.errors import JSRuntimeError, JSThrow, ResourceLimitExceeded
-from repro.js.interpreter import Interpreter
+from repro.js.vm import BytecodeInterpreter
 
 
 class TestArithmetic:
@@ -217,15 +217,15 @@ class TestEval:
 class TestResourceLimits:
     def test_infinite_loop_bounded(self):
         with pytest.raises(ResourceLimitExceeded):
-            Interpreter(max_steps=10_000).run("while (true) {}")
+            BytecodeInterpreter(max_steps=10_000).run("while (true) {}")
 
     def test_allocation_accounting(self):
-        interp = Interpreter()
+        interp = BytecodeInterpreter()
         interp.run("var s = 'ab'; while (s.length < 4096) s += s;")
         assert interp.host.allocated_bytes >= 4096 * 2
 
     def test_spray_pool_collects_large_strings(self):
-        interp = Interpreter()
+        interp = BytecodeInterpreter()
         interp.run("var s = 'xy'; while (s.length < 10000) s += s;")
         assert interp.host.spray_pool
 

@@ -5,9 +5,8 @@ The charging rule (one step per walker ``exec_statement`` /
 a verdict can hinge on *where* the step budget blows, so both engines
 must count identically — these tests pin the exact totals so a charge
 regression shows up as a number, not as a distant verdict flip.  Also
-covered here: the per-process code cache, VM functions called from
-the walker, the profiler fallback, and the ``arguments``-elision
-optimisation.
+covered here: the per-process code cache, the profiler fallback, and
+the ``arguments``-elision optimisation.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from repro.js.compiler import (
     compile_source,
     disassemble,
 )
-from repro.js.interpreter import Interpreter
 from repro.js.vm import BytecodeInterpreter
+from tests.js.walker_reference import Walker
 
 # One step per statement/expression the walker would visit, pre-order.
 # Totals were measured on the reference walker; the VM must agree.
@@ -48,7 +47,7 @@ PINNED_STEPS = [
 
 @pytest.mark.parametrize("source,expected", PINNED_STEPS, ids=lambda c: str(c)[:40])
 def test_pinned_step_counts(source, expected) -> None:
-    walker = Interpreter()
+    walker = Walker()
     compiled = BytecodeInterpreter()
     walker.run(source)
     compiled.run(source)
@@ -60,7 +59,7 @@ def test_budget_blows_at_identical_tick() -> None:
     source = "var s = 0; for (var i = 0; i < 100; i++) s += i;"
     for budget in (1, 2, 3, 5, 8, 13, 21, 34):
         runs = []
-        for engine in (Interpreter, BytecodeInterpreter):
+        for engine in (Walker, BytecodeInterpreter):
             interp = engine(max_steps=budget)
             try:
                 interp.run(source)
@@ -103,20 +102,6 @@ def test_parse_errors_are_not_cached() -> None:
 
 
 # ---------------------------------------------------------------------------
-# A CompiledFunction is a real JSFunction: the walker (the differential
-# oracle) can call it.
-
-
-def test_vm_function_callable_from_walker() -> None:
-    compiled = BytecodeInterpreter()
-    compiled.run("function shared(n) { return n + 1; }")
-    fn = compiled.global_env.lookup("shared")
-    walker = Interpreter(host=compiled.host)
-    walker.global_env = compiled.global_env
-    assert walker.call_function(fn, walker.global_this, [41.0]) == 42.0
-
-
-# ---------------------------------------------------------------------------
 # Fused opcodes and the arguments-elision optimisation
 
 
@@ -154,7 +139,7 @@ def test_arguments_init_elided_when_unreferenced() -> None:
 
 
 def test_arguments_still_behaves_when_used() -> None:
-    for engine in (Interpreter, BytecodeInterpreter):
+    for engine in (Walker, BytecodeInterpreter):
         interp = engine()
         got = interp.run(
             "function probe() { return arguments.length + ':' + arguments[0]; }"

@@ -1,12 +1,16 @@
 """Where a scan's time went: the span self-time roll-up
-(:func:`repro.obs.report.span_self_times`), ``repro profile`` and the
-slow-scan exemplar buffer (:class:`repro.obs.profile.SlowScanBuffer`)."""
+(:func:`repro.obs.report.span_self_times`), ``repro profile``, the
+check that no scan can run the tree-walker, and the slow-scan exemplar
+buffer (:class:`repro.obs.profile.SlowScanBuffer`)."""
 
+import ast
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.pipeline import ProtectionPipeline
 from repro.js.interpreter import Interpreter
@@ -164,62 +168,40 @@ def test_profile_rows_sum_to_the_scan_on_the_golden_corpus(
     assert scripts, "no golden document ran a script"
 
 
-# -- no production scan runs the tree-walker -------------------------------------
+# -- one JS engine in the product --------------------------------------------
 
 
-@pytest.fixture()
-def walker_calls(monkeypatch):
-    """Make the walker's dispatch raise, and record every attempt."""
-    calls = []
-
-    def refuse(kind):
-        def dispatch(self, node, env, this):
-            calls.append((kind, type(node).__name__))
-            raise AssertionError(f"walker {kind} dispatched {type(node).__name__}")
-
-        return dispatch
-
-    monkeypatch.setattr(Interpreter, "exec_statement", refuse("exec_statement"))
-    monkeypatch.setattr(Interpreter, "eval_expression", refuse("eval_expression"))
-    return calls
+def _imports_from_tests(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] == "tests" for module in modules):
+            yield node.lineno
 
 
-def _golden():
-    from repro.corpus import build_dataset, dataset_items
-    from tests.batch.golden import GOLDEN_CONFIG
-
-    return list(dataset_items(build_dataset(GOLDEN_CONFIG)))
-
-
-def _obfuscated():
-    from repro.corpus.obfuscated import obfuscated_corpus
-
-    return list(obfuscated_corpus(6, 6))
-
-
-def _table_x_js():
-    from repro.corpus.sized import table_x_js_documents
-
-    return table_x_js_documents()
-
-
-@pytest.mark.parametrize(
-    "corpus", [_golden, _obfuscated, _table_x_js], ids=lambda fn: fn.__name__[1:]
-)
-def test_scans_never_dispatch_through_the_walker(corpus, walker_calls):
-    for name, data in corpus():
-        ProtectionPipeline().scan(data, name)
-    assert walker_calls == []
-
-
-def test_repro_profile_never_dispatches_through_the_walker(
-    tmp_path, malicious_doc_bytes, walker_calls, capsys
-):
-    path = tmp_path / "mal.pdf"
-    path.write_bytes(malicious_doc_bytes)
-    assert main(["profile", str(path)]) == 1
-    assert "reader.script" in capsys.readouterr().out
-    assert walker_calls == []
+def test_src_ships_no_tree_walker():
+    """No scan and no ``repro profile`` can dispatch through the
+    tree-walker: the runtime kernel the VM subclasses evaluates no AST,
+    and no module under ``src/repro`` imports the walker, or anything
+    else, from ``tests``."""
+    walker_methods = [
+        name
+        for name in dir(Interpreter)
+        if name in ("exec_statement", "eval_expression")
+        or name.startswith(("_exec_", "_eval_", "_hoist"))
+    ]
+    assert walker_methods == []
+    src = Path(repro.__file__).parent
+    importers = [
+        f"{path.relative_to(src)}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        for line in _imports_from_tests(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == []
 
 
 # -- SlowScanBuffer --------------------------------------------------------

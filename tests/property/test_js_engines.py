@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.js import hotloop
-from repro.js.interpreter import Host, Interpreter
+from repro.js.interpreter import Host
 from repro.js.vm import BytecodeInterpreter
+from tests.js.walker_reference import Walker
 
 pytestmark = pytest.mark.diff
 
@@ -174,7 +175,7 @@ def footprint(engine: type, source: str) -> Tuple[Any, ...]:
 
 
 def assert_engines_agree(source: str) -> None:
-    ast_run = footprint(Interpreter, source)
+    ast_run = footprint(Walker, source)
     bc_run = footprint(BytecodeInterpreter, source)
     assert ast_run == bc_run, (
         f"engines diverged on:\n{source}\n  ast: {ast_run}\n  bytecode: {bc_run}"
@@ -230,7 +231,7 @@ def test_random_programs_agree_through_eval(source):
 def test_random_budget_cutoffs_agree(source, budget):
     """The budget must blow at the same tick for any cutoff."""
     runs = []
-    for engine in (Interpreter, BytecodeInterpreter):
+    for engine in (Walker, BytecodeInterpreter):
         interp = engine(max_steps=budget)
         try:
             interp.run(source)

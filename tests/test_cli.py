@@ -332,6 +332,10 @@ class TestProfile:
         spans = {line.split()[0] for line in out.splitlines()[3:]}
         assert {"pipeline.scan", "reader.open", "reader.script"} <= spans
 
+    def test_profile_exits_one_on_a_malicious_document(self, malicious_file, capsys):
+        assert main(["profile", str(malicious_file)]) == 1
+        assert "reader.script" in capsys.readouterr().out
+
     def test_profile_json_output(self, benign_file, capsys):
         code = main(["profile", str(benign_file), "--json", "-"])
         rows = json.loads(capsys.readouterr().out)
