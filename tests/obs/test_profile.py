@@ -18,6 +18,7 @@ from repro.js.vm import BytecodeInterpreter
 from repro.obs import Observability, get_default
 from repro.obs.profile import SlowScanBuffer
 from repro.obs.report import span_self_times
+from tests.js.walker_reference import Walker
 
 
 def _span(span_id, name, start, end, parent_id=None):
@@ -202,6 +203,61 @@ def test_src_ships_no_tree_walker():
         for line in _imports_from_tests(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert importers == []
+
+
+@pytest.fixture()
+def walker_calls(monkeypatch):
+    """Make the reference walker's dispatch raise, and record every attempt."""
+    calls = []
+
+    def refuse(kind):
+        def dispatch(self, node, env, this):
+            calls.append((kind, type(node).__name__))
+            raise AssertionError(f"walker {kind} dispatched {type(node).__name__}")
+
+        return dispatch
+
+    monkeypatch.setattr(Walker, "exec_statement", refuse("exec_statement"))
+    monkeypatch.setattr(Walker, "eval_expression", refuse("eval_expression"))
+    return calls
+
+
+def _golden():
+    from repro.corpus import build_dataset, dataset_items
+    from tests.batch.golden import GOLDEN_CONFIG
+
+    return list(dataset_items(build_dataset(GOLDEN_CONFIG)))
+
+
+def _obfuscated():
+    from repro.corpus.obfuscated import obfuscated_corpus
+
+    return list(obfuscated_corpus(6, 6))
+
+
+def _table_x_js():
+    from repro.corpus.sized import table_x_js_documents
+
+    return table_x_js_documents()
+
+
+@pytest.mark.parametrize(
+    "corpus", [_golden, _obfuscated, _table_x_js], ids=lambda fn: fn.__name__[1:]
+)
+def test_scans_never_dispatch_through_the_walker(corpus, walker_calls):
+    for name, data in corpus():
+        ProtectionPipeline().scan(data, name)
+    assert walker_calls == []
+
+
+def test_repro_profile_never_dispatches_through_the_walker(
+    tmp_path, malicious_doc_bytes, walker_calls, capsys
+):
+    path = tmp_path / "mal.pdf"
+    path.write_bytes(malicious_doc_bytes)
+    assert main(["profile", str(path)]) == 1
+    assert "reader.script" in capsys.readouterr().out
+    assert walker_calls == []
 
 
 # -- SlowScanBuffer --------------------------------------------------------
