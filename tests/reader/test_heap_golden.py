@@ -1,0 +1,32 @@
+"""JS heap accounting must not drift: every snapshot document's scan
+charges the bytes, sprays the bytes, pools the strings and peaks the
+reader process where ``tests/data/js_heap_golden.json`` says
+(``tests/reader/heap_golden.py`` defines the corpora and prints the
+regeneration command)."""
+
+import pytest
+
+from tests.reader.heap_golden import GOLDEN_PATH, REGEN_COMMAND, compute_figures, load_figures
+
+pytestmark = pytest.mark.diff
+
+
+def test_heap_figures_match_the_snapshot():
+    assert GOLDEN_PATH.exists(), f"snapshot missing: {GOLDEN_PATH}\nregenerate with: {REGEN_COMMAND}"
+    expected = load_figures()
+    actual = compute_figures()
+    assert {corpus: len(docs) for corpus, docs in expected.items()} == {
+        "malicious": 80,
+        "obfuscated": 12,
+    }
+    problems = [
+        f"  {corpus}/{name}: {expected.get(corpus, {}).get(name)} != {actual.get(corpus, {}).get(name)}"
+        for corpus in sorted(set(expected) | set(actual))
+        for name in sorted(set(expected.get(corpus, {})) | set(actual.get(corpus, {})))
+        if expected.get(corpus, {}).get(name) != actual.get(corpus, {}).get(name)
+    ]
+    assert not problems, (
+        f"JS heap figures drifted from {GOLDEN_PATH.name} ({len(problems)} document(s)):\n"
+        + "\n".join(problems)
+        + f"\nIf this change is intentional, regenerate with:\n  {REGEN_COMMAND}"
+    )
