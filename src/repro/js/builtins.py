@@ -397,10 +397,11 @@ def _error_constructor(name: str, prototype: JSObject) -> NativeFunction:
 def primitive_property(interp: Any, obj: Any, name: str) -> Any:
     if isinstance(obj, str):
         return _string_property(interp, obj, name)
+    # bool before number: Python's bool is an int.
+    if isinstance(obj, bool):
+        return _boolean_property(obj, name)
     if isinstance(obj, (int, float)):
         return _number_property(interp, float(obj), name)
-    if isinstance(obj, bool):
-        return _number_property(interp, 1.0 if obj else 0.0, name)
     raise JSRuntimeError(f"cannot read property {name!r}", "TypeError")
 
 
@@ -461,6 +462,55 @@ def _str_concat(interp: Any, value: str, args: List[Any]) -> str:
     return interp._record_string(value + "".join(to_string(x) for x in args))
 
 
+def _str_substring(interp: Any, value: str, args: List[Any]) -> str:
+    length = len(value)
+    start = _arg(args, 0, 0.0)
+    end = _arg(args, 1, UNDEFINED)
+    if type(start) is float and start <= 0.0 and (
+        end is UNDEFINED or (type(end) is float and end >= length)
+    ):
+        return interp._record_string(value)  # the whole string
+    first = int(min(max(to_integer(start), 0.0), length))
+    last = length if end is UNDEFINED else int(min(max(to_integer(end), 0.0), length))
+    if first > last:
+        first, last = last, first
+    return interp._record_string(value[first:last])
+
+
+def _str_substr(interp: Any, value: str, args: List[Any]) -> str:
+    length = len(value)
+    start = _arg(args, 0, 0.0)
+    count = _arg(args, 1, UNDEFINED)
+    if type(start) is float and type(count) is float:
+        if start == 0.0 and count >= length:
+            # The spray's substr-copy idiom, c.substr(0, c.length).
+            return interp._record_string(value)
+        if 0.0 <= start <= length and count >= 0.0 and start.is_integer() and count.is_integer():
+            # Whole, non-negative, start in range: ToInteger and the
+            # clamps are no-ops, and the slice clamps the count.
+            first = int(start)
+            return interp._record_string(value[first : first + int(count)])
+    first = _relative_index(start, length, 0)
+    if count is UNDEFINED:
+        return interp._record_string(value[first:])
+    count = to_integer(count)
+    return interp._record_string(
+        value[first : first + int(min(count, length - first))] if count > 0 else ""
+    )
+
+
+def _str_slice(interp: Any, value: str, args: List[Any]) -> str:
+    length = len(value)
+    start = _arg(args, 0)
+    end = _arg(args, 1)
+    if (start is UNDEFINED or (type(start) is float and start == 0.0)) and (
+        end is UNDEFINED or (type(end) is float and end >= length)
+    ):
+        return interp._record_string(value)  # the whole string
+    first = _relative_index(start, length, 0)
+    return interp._record_string(value[first : _relative_index(end, length, length)])
+
+
 #: String methods keyed by name, signature ``(interp, value, args)``
 #: where ``value`` is the receiver string.  ``get_property`` wraps one
 #: per access in a NativeFunction (below); the bytecode VM's
@@ -472,9 +522,9 @@ STRING_METHODS = {
     "charCodeAt": _str_char_code_at,
     "indexOf": _str_index_of,
     "lastIndexOf": _str_last_index_of,
-    "substring": lambda i, v, a: i._record_string(_substring(v, a)),
-    "substr": lambda i, v, a: i._record_string(_substr(v, a)),
-    "slice": lambda i, v, a: i._record_string(_slice_str(v, a)),
+    "substring": _str_substring,
+    "substr": _str_substr,
+    "slice": _str_slice,
     "toUpperCase": lambda i, v, a: i._record_string(v.upper()),
     "toLowerCase": lambda i, v, a: i._record_string(v.lower()),
     "split": lambda i, v, a: _split(v, a),
@@ -498,46 +548,6 @@ def _string_property(interp: Any, value: str, name: str) -> Any:
     return NativeFunction(name, lambda i, t, a, _fn=fn, _v=value: _fn(i, _v, a))
 
 
-def _substring(value: str, args: List[Any]) -> str:
-    length = len(value)
-    start = int(min(max(to_integer(_arg(args, 0, 0.0)), 0.0), length))
-    end_arg = _arg(args, 1, UNDEFINED)
-    end = length if end_arg is UNDEFINED else int(min(max(to_integer(end_arg), 0.0), length))
-    if start > end:
-        start, end = end, start
-    return value[start:end]
-
-
-def _substr(value: str, args: List[Any]) -> str:
-    if len(args) == 2:
-        # Two whole, non-negative floats with the start in range (the
-        # substr-copy spray idiom): ToInteger and the clamps are no-ops,
-        # and the slice clamps the count.
-        start_arg, count_arg = args
-        if (
-            type(start_arg) is float
-            and type(count_arg) is float
-            and 0.0 <= start_arg <= len(value)
-            and count_arg >= 0.0
-            and start_arg.is_integer()
-            and count_arg.is_integer()
-        ):
-            first = int(start_arg)
-            return value[first : first + int(count_arg)]
-    start = _relative_index(_arg(args, 0, 0.0), len(value), 0)
-    count_arg = _arg(args, 1, UNDEFINED)
-    if count_arg is UNDEFINED:
-        return value[start:]
-    count = to_integer(count_arg)
-    return value[start : start + int(min(count, len(value) - start))] if count > 0 else ""
-
-
-def _slice_str(value: str, args: List[Any]) -> str:
-    length = len(value)
-    start = _relative_index(_arg(args, 0), length, 0)
-    return value[start : _relative_index(_arg(args, 1), length, length)]
-
-
 def _split(value: str, args: List[Any]) -> JSArray:
     """ES5 §15.5.4.14 for string separators: at most ``ToUint32(limit)``
     parts (2**32 - 1 when the limit is undefined)."""
@@ -551,6 +561,16 @@ def _split(value: str, args: List[Any]) -> JSArray:
     sep = to_string(separator)
     parts = list(value) if sep == "" else value.split(sep)
     return JSArray(parts if len(parts) <= limit else parts[:limit])
+
+
+def _boolean_property(value: bool, name: str) -> Any:
+    """Boolean.prototype's methods (ES5 §15.6.4): ``toString`` and
+    ``valueOf``, which take no arguments."""
+    if name == "toString":
+        return NativeFunction(name, lambda i, t, a: "true" if value else "false")
+    if name == "valueOf":
+        return NativeFunction(name, lambda i, t, a: value)
+    return UNDEFINED
 
 
 def _number_property(interp: Any, value: float, name: str) -> Any:

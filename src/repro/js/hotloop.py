@@ -212,11 +212,17 @@ _FLOAT_OPS: Dict[str, str] = {
 }
 #: In-range int32 bitwise fast paths.
 _INT32_OPS: Dict[str, str] = {"^": "^", "&": "&", "|": "|"}
+#: When two floats' ``%`` is ``fmod``: a non-zero divisor and a finite
+#: dividend.  ``fmod`` of a NaN divisor is NaN, as ``_binary_op`` gives;
+#: every other case goes through ``_binary_op``.  Both generators format
+#: this one rule, and the dispatch loop's all-float ``BINARY`` branch
+#: spells it for ``left`` and ``right`` (``tests/js/test_hotloop.py``).
+_FMOD_OK = "{r} != 0.0 and {l} - {l} == 0.0"
 #: Operators that always go through ``_binary_op``.
-_SLOW_OPS = frozenset(("/", "%", "<<", ">>", ">>>", "instanceof", "in"))
+_SLOW_OPS = frozenset(("/", "<<", ">>", ">>>", "instanceof", "in"))
 #: Canonical operator text, so generated source never echoes an arg.
 _OP_TEXT: Dict[str, str] = {
-    op: op for op in (*_FLOAT_OPS, *_INT32_OPS, *_SLOW_OPS)
+    op: op for op in (*_FLOAT_OPS, *_INT32_OPS, "%", *_SLOW_OPS)
 }
 
 _UNARY_OPS: Dict[str, str] = {
@@ -347,7 +353,7 @@ def _namespace() -> Dict[str, Any]:
         "BreakSignal": BreakSignal, "ContinueSignal": ContinueSignal,
         "JSRuntimeError": JSRuntimeError, "JSThrow": JSThrow,
         "budget_exceeded": _budget_exceeded, "signal_target": signal_target,
-        "is_callable": is_callable, "strict_equals": strict_equals,
+        "fmod": math.fmod, "is_callable": is_callable, "strict_equals": strict_equals,
         "to_int32": to_int32, "to_number": to_number, "to_string": to_string, "trunc": math.trunc,
         "truthy": truthy, "type_of": type_of,
     }
@@ -842,6 +848,15 @@ class _Generator:
                     f"    {left} = record_string({left} + {right})",
                 )
             self.emit(1, "else:", f"    {slow}")
+        elif text == "%":
+            self.emit(
+                1,
+                f"if (type({left}) is float and type({right}) is float"
+                f" and {_FMOD_OK.format(l=left, r=right)}):",
+                f"    {left} = fmod({left}, {right})",
+                "else:",
+                f"    {slow}",
+            )
         elif text in _INT32_OPS:
             self.emit(
                 1,
@@ -1547,6 +1562,15 @@ class _TypedGenerator(_Generator):
                 self.put(
                     level, f"if type({other}) is str:", f"    {concat}", "else:", f"    {slow}"
                 )
+            return True
+        if text == "%" and (ltype is float or rtype is float):
+            operands = ((left, ltype), (right, rtype))
+            tests = [f"type({name}) is float" for name, token in operands if token is not float]
+            tests.append(_FMOD_OK.format(l=left, r=right))
+            self.put(
+                level, f"if {' and '.join(tests)}:", f"    {left} = fmod({left}, {right})",
+                "else:", *self.slow(slow),
+            )
             return True
         if text in _COMPARES and ltype is str and rtype is str:
             self.put(level, f"{left} = {_FLOAT_OPS[text].format(l=left, r=right)}")

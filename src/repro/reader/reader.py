@@ -67,10 +67,13 @@ class _ReaderJSHost(Host):
         return self.reader.clock.now()
 
     def on_string_alloc(self, length: int) -> None:
+        # Runs for every string of 2+ characters a script makes, so it
+        # reads the reader's ``_process`` attribute rather than the
+        # ``current_process`` property, and ``Process.alive`` is plain too.
         nbytes = length * 2
         self.allocated_bytes += nbytes
         self.handle.js_heap_bytes += nbytes
-        process = self.reader.current_process
+        process = self.reader._process
         if process is not None and process.alive:
             process.alloc(self._js_tag, nbytes)
 

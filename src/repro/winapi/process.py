@@ -60,6 +60,10 @@ class Process:
         self.base_memory = base_memory
         self.sandboxed = sandboxed
         self.state = ProcessState.RUNNING
+        #: ``state is ProcessState.RUNNING``, kept by :meth:`_end` (the
+        #: only writer of ``state``) as a plain attribute, which every JS
+        #: string's memory charge reads.
+        self.alive = True
         self.exit_reason: Optional[str] = None
         self.modules: List[str] = [name, "ntdll.dll", "kernel32.dll"]
         self.command_line: str = name
@@ -117,23 +121,20 @@ class Process:
         return dll_name in self.modules
 
     def crash(self, reason: str) -> None:
-        if self.state is ProcessState.RUNNING:
-            self.state = ProcessState.CRASHED
-            self.exit_reason = reason
+        self._end(ProcessState.CRASHED, reason)
 
     def exit(self, reason: str = "normal exit") -> None:
-        if self.state is ProcessState.RUNNING:
-            self.state = ProcessState.EXITED
-            self.exit_reason = reason
+        self._end(ProcessState.EXITED, reason)
 
     def terminate(self, reason: str) -> None:
-        if self.state is ProcessState.RUNNING:
-            self.state = ProcessState.TERMINATED
-            self.exit_reason = reason
+        self._end(ProcessState.TERMINATED, reason)
 
-    @property
-    def alive(self) -> bool:
-        return self.state is ProcessState.RUNNING
+    def _end(self, state: ProcessState, reason: str) -> None:
+        """Leave ``RUNNING`` for ``state``; an ended process stays as it is."""
+        if self.alive:
+            self.state = state
+            self.alive = False
+            self.exit_reason = reason
 
     def __repr__(self) -> str:
         return f"Process(pid={self.pid}, {self.name!r}, {self.state.value})"

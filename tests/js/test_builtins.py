@@ -475,6 +475,30 @@ class TestNumberFormatting:
         assert walker == vm == expected
 
 
+class TestBooleanMethods:
+    """A boolean receiver gets ``Boolean.prototype``'s ``toString`` and
+    ``valueOf`` (ES5 §15.6.4), not ``Number``'s, on both engines; each
+    expected value as node 20 gives it.  Every row gave another result
+    before (``true.toString()`` was ``'1'``)."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("true.toString()", "true"),
+            ("false.toString()", "false"),
+            ("true.toString(2)", "true"),
+            ("(1 < 2).toString()", "true"),
+            ("false.valueOf() === false", True),
+            ("typeof true.valueOf()", "boolean"),
+            ("typeof true.toFixed", "undefined"),
+            ("true.toFixed(2)", "TypeError"),
+        ],
+    )
+    def test_both_engines_give_what_node_gives(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm == expected
+
+
 class TestES5StringAndMath:
     """``split``'s limit (ES5 §15.5.4.14), ``lastIndexOf``'s position
     (§15.5.4.8) and ``Math.round`` (§15.8.2.15) on both engines.  Each

@@ -481,6 +481,13 @@ ENV_LOOP_SWEEP_CASES = [
         " for (var i = 0; i < s.length; i++) { if (at(i) == 'n') return i; } return -1; }"
         " find('banana')"
     ),
+    # `%` on two floats: the divisor turns 0, then the dividend turns
+    # Infinity, so the inline fmod path's slow branch runs in the loop.
+    (
+        "var t = 0, d = 5, x = 7, nans = 0; for (var i = 0; i < 6; i++) {"
+        " if (i == 2) d = 0; if (i == 4) { x = 1 / 0; d = 3; }"
+        " var r = x % d; if (r != r) nans++; else t = t + r * i; } t + ':' + nans"
+    ),
 ]
 
 SWEEP_CASES = [
@@ -890,6 +897,14 @@ TYPED_RUN_SWEEP_CASES = {
         "var calls = 0; String.fromCharCode = function (c) { calls++; return 'ab' + c; };"
         " function f(n) { var out = ''; for (var i = 0; i < n; i++) {"
         " out = out + String.fromCharCode(65 + i) + 'cd' + i; } return out + ':' + calls; } f(4)"
+    ),
+    # `%` on two floats whose divisor turns 0 and dividend Infinity:
+    # the inline fmod path's slow branch calls binary_op inside the run.
+    "modulo-slow-branch": (
+        "function f(n) { var t = 0, d = 5, x = 7, nans = 0, r; for (var i = 0; i < n; i++) {"
+        " if (i == 2) { d = 0; } if (i == 4) { x = 1 / 0; d = 3; }"
+        " r = x % d; if (r != r) { nans++; } else { t = t + r * i; } }"
+        " return t + ':' + nans; } f(6)"
     ),
     # A general call to a script function ends the run the same way.
     "general-call": (

@@ -6,14 +6,17 @@ This module runs with the production threshold and checks what those
 suites cannot: the bounds that keep hostile scripts from making the
 translator compile without limit, warm entry of a loop whose
 translation is already cached, that attacker-controlled text never
-reaches generated source, literal identity in the spray pool, and
-threads sharing one translated loop.
+reaches generated source, literal identity in the spray pool, that the
+wrapper's decryptor takes ``%`` inline on every tier, and threads
+sharing one translated loop.
 """
 
 from __future__ import annotations
 
 import cProfile
+import inspect
 import pstats
+import re
 import sys
 import threading
 from typing import Any, Dict, List, Tuple
@@ -21,8 +24,10 @@ from typing import Any, Dict, List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.monitor_code import ENCRYPTION_SCHEMES, MonitorCodeGenerator
 from repro.corpus.sized import _js_workload_script
 from repro.js import hotloop
+from repro.js import vm as vm_mod
 from repro.js.compiler import (
     JUMP,
     STRING,
@@ -41,7 +46,7 @@ from repro.js.hotloop import (
 )
 from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Host
 from repro.js.parser import parse
-from repro.js.values import UNDEFINED, JSArray
+from repro.js.values import UNDEFINED, JSArray, JSObject, NativeFunction
 from repro.js.vm import BytecodeInterpreter
 from tests.js.walker_reference import Walker
 
@@ -553,6 +558,79 @@ def test_js_heavy_main_loop_compares_once_per_run(monkeypatch: pytest.MonkeyPatc
     # The charCodeAt slow branch adds the run's pending charge and takes
     # it back.
     assert "steps += 12\n" in source and "steps -= 12\n" in source
+
+
+# -- the wrapper's decryptor ----------------------------------------------------------
+
+
+class ModuloCountingVM(BytecodeInterpreter):
+    """Counts the ``%`` evaluations that reach ``_binary_op``."""
+
+    modulo_calls = 0
+
+    def _binary_op(self, op: str, left: Any, right: Any) -> Any:
+        if op == "%":
+            self.modulo_calls += 1
+        return super()._binary_op(op, left, right)
+
+
+def wrapped_script(scheme: str, original: str) -> str:
+    """``original`` as a wrapper whose generator drew ``scheme``."""
+    for seed in range(100):
+        generator = MonitorCodeGenerator("det:doc", seed=seed, wrap_dynamic_methods=False)
+        generated = generator.wrap_script(original)
+        if generated.scheme == scheme:
+            return generated.code
+    raise AssertionError(f"no seed below 100 draws {scheme}")
+
+
+#: Where the decryptor's loop runs: typed, generic, or on the dispatch
+#: loop with translation off.
+DECRYPTOR_TIERS = {
+    "typed": hotloop.hot_loop,
+    "generic": lambda code, header, frame: hotloop.hot_loop(code, header, None),
+    "dispatch": lambda code, header, frame: None,
+}
+
+
+@pytest.mark.parametrize("tier", DECRYPTOR_TIERS)
+@pytest.mark.parametrize("scheme", ENCRYPTION_SCHEMES)
+def test_wrapped_script_decrypts_without_generic_modulo(
+    monkeypatch: pytest.MonkeyPatch, scheme: str, tier: str
+) -> None:
+    """Every cipher scheme's decryptor takes ``%`` on two floats inline,
+    in both translations and on the dispatch loop: no ``_binary_op``
+    call."""
+    monkeypatch.setattr(vm_mod, "hot_loop", DECRYPTOR_TIERS[tier])
+    sources: List[str] = []
+
+    def spy(code: Code, header: int, frame: List[Any]) -> Any:
+        plan = typed_loop_source(code, header, frame)
+        sources.extend([plan[0]] if plan is not None else [])
+        return plan
+
+    monkeypatch.setattr(hotloop, "typed_loop_source", spy)
+    marker = "x" * 600
+    vm = ModuloCountingVM()
+    soap = JSObject()
+    soap.set("request", NativeFunction("request", lambda i, t, a: UNDEFINED))
+    vm.define_global("SOAP", soap)
+    vm.run(wrapped_script(scheme, f"var marker = '{marker}';"))
+    assert vm.global_env.lookup("marker") == marker
+    assert vm.modulo_calls == 0
+    assert (vm.translated_loop_runs > 0) == (tier != "dispatch")
+    if tier == "typed" and scheme != "xor":
+        # Two operands proven floats: the rule alone guards fmod.
+        rule = re.compile(r"if s\d+ != 0\.0 and (s\d+) - \1 == 0\.0:\n *\1 = fmod")
+        assert sources and all(rule.search(source) for source in sources)
+
+
+def test_dispatch_loop_spells_the_one_modulo_rule() -> None:
+    """The dispatch loop's all-float ``%`` test is ``_FMOD_OK``, the
+    template both translations format."""
+    assert hotloop._FMOD_OK.format(l="left", r="right") in inspect.getsource(
+        BytecodeInterpreter._run_code
+    )
 
 
 # -- threads -----------------------------------------------------------------------

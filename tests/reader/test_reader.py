@@ -283,7 +283,39 @@ class TestAcrobatSurface:
         assert reader.system.network.connections[0].host == "svc.example"
 
 
+def js_doc(code):
+    builder = DocumentBuilder()
+    builder.add_page("")
+    builder.add_javascript(code)
+    return builder.to_bytes()
+
+
 class TestMemoryModel:
+    def test_substr_copy_spray_charges_every_copy(self):
+        """The spray idiom `m[i] = c.substr(0, c.length)` at top level
+        charges 2 bytes per code unit of every copy and pools `c` once."""
+        block = "var c = unescape('%u9090%u4141'); while (c.length < 5000) c += c; var m = [];"
+        copies = 300
+        handles = {}
+        peaks = {}
+        for n in (0, copies):
+            reader = Reader()
+            # Equal lengths, so both documents take the same render memory.
+            outcome = reader.open(js_doc(
+                block + f" for (var i = 0; i < {n:3}; i++) {{ m[i] = c.substr(0, c.length); }}"
+            ))
+            handles[n] = outcome.handle
+            peaks[n] = reader.current_process.memory_counters().peak_working_set_size
+        handle = handles[copies]
+        c = handle.interpreter.global_env.lookup("c")
+        copy_bytes = copies * 2 * len(c)
+        assert len(c) == 8192
+        assert handle.sprayed_bytes - handles[0].sprayed_bytes == copy_bytes
+        assert handle.js_heap_bytes - handles[0].js_heap_bytes == copy_bytes
+        assert peaks[copies] - peaks[0] == copy_bytes
+        assert all(copy is c for copy in handle.interpreter.global_env.lookup("m").elements)
+        assert sum(1 for entry in handle.spray_pool if entry is c) == 1
+
     def test_spray_visible_in_counters(self):
         reader = Reader()
         outcome = reader.open(spray_doc(spray_mb=120))
