@@ -464,8 +464,8 @@ def _str_concat(interp: Any, value: str, args: List[Any]) -> str:
 
 def _str_substring(interp: Any, value: str, args: List[Any]) -> str:
     length = len(value)
-    start = _arg(args, 0, 0.0)
-    end = _arg(args, 1, UNDEFINED)
+    start = args[0] if args else 0.0
+    end = args[1] if len(args) > 1 else UNDEFINED
     if type(start) is float and start <= 0.0 and (
         end is UNDEFINED or (type(end) is float and end >= length)
     ):
@@ -479,8 +479,8 @@ def _str_substring(interp: Any, value: str, args: List[Any]) -> str:
 
 def _str_substr(interp: Any, value: str, args: List[Any]) -> str:
     length = len(value)
-    start = _arg(args, 0, 0.0)
-    count = _arg(args, 1, UNDEFINED)
+    start = args[0] if args else 0.0
+    count = args[1] if len(args) > 1 else UNDEFINED
     if type(start) is float and type(count) is float:
         if start == 0.0 and count >= length:
             # The spray's substr-copy idiom, c.substr(0, c.length).
@@ -501,8 +501,8 @@ def _str_substr(interp: Any, value: str, args: List[Any]) -> str:
 
 def _str_slice(interp: Any, value: str, args: List[Any]) -> str:
     length = len(value)
-    start = _arg(args, 0)
-    end = _arg(args, 1)
+    start = args[0] if args else UNDEFINED
+    end = args[1] if len(args) > 1 else UNDEFINED
     if (start is UNDEFINED or (type(start) is float and start == 0.0)) and (
         end is UNDEFINED or (type(end) is float and end >= length)
     ):

@@ -12,11 +12,16 @@ static passes call ``_binary_op`` on a bare kernel
 
 Design notes relevant to the reproduction:
 
-* **Allocation accounting.** Every string the program materialises is
-  charged to a host callback at two bytes per character (UTF-16, the
-  unit real heap-spray arithmetic uses).  The simulated reader wires
-  this into the process memory counters, which is how the paper's
-  "suspicious memory consumption" feature (F8) observes heap sprays.
+* **Allocation accounting.** Every string of two or more characters
+  the program materialises is charged once, by ``_record_string``, to
+  ``host.on_string_alloc`` at two bytes per character (UTF-16, the
+  unit real heap-spray arithmetic uses).  The simulated reader's host
+  adds that to the document's JS heap and, in the same call, to the
+  reader process's memory counters (``Process.alloc``), which is how
+  the paper's "suspicious memory consumption" feature (F8) observes
+  heap sprays.  The call runs for every string a spray copies, so the
+  chain holds no property or ``Enum`` lookup (docs/JS_ENGINE.md,
+  "String charges").
 * **Spray pool.** Large strings are additionally handed to the host so
   the reader's control-flow-hijack model can scan the "heap" for a NOP
   sled + payload, exactly mirroring the paper's infection model.

@@ -838,3 +838,72 @@ def test_unescape_runs_past_one_match(count, escape):
     decoder decodes it, with a broken escape and text at each end."""
     text = "x%4" + escape * count + "%zz" + escape + "%"
     assert _unescape(text) == unescape_reference.unescape(text)
+
+
+# -- the slicing oracle -------------------------------------------------------------
+
+
+def _reference_slices():
+    """``substring``, ``substr`` and ``slice`` before they became plain
+    functions with a whole-string case: the result, which each method
+    then charged."""
+    from repro.js.builtins import _relative_index
+    from repro.js.values import UNDEFINED, to_integer
+
+    def arg(args, index, default=UNDEFINED):
+        return args[index] if index < len(args) else default
+
+    def substring(value, args):
+        length = len(value)
+        start = int(min(max(to_integer(arg(args, 0, 0.0)), 0.0), length))
+        end_arg = arg(args, 1, UNDEFINED)
+        end = length if end_arg is UNDEFINED else int(min(max(to_integer(end_arg), 0.0), length))
+        if start > end:
+            start, end = end, start
+        return value[start:end]
+
+    def substr(value, args):
+        start = _relative_index(arg(args, 0, 0.0), len(value), 0)
+        count_arg = arg(args, 1, UNDEFINED)
+        if count_arg is UNDEFINED:
+            return value[start:]
+        count = to_integer(count_arg)
+        return value[start : start + int(min(count, len(value) - start))] if count > 0 else ""
+
+    def slice_(value, args):
+        length = len(value)
+        start = _relative_index(arg(args, 0), length, 0)
+        return value[start : _relative_index(arg(args, 1), length, length)]
+
+    return {"substring": substring, "substr": substr, "slice": slice_}
+
+
+def _slice_args():
+    from repro.js.values import UNDEFINED
+
+    number = st.floats(allow_nan=True) | st.sampled_from(
+        [0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, -1.0, -6.0, -7.0, 1.5, 1e300, -1e300]
+    )
+    value = number | st.sampled_from([UNDEFINED, None, True, False, "", "2", "x"])
+    return st.lists(value, max_size=3)
+
+
+@pytest.mark.diff
+@given(
+    st.sampled_from(["substring", "substr", "slice"]),
+    st.text(max_size=7),
+    _slice_args(),
+)
+@settings(max_examples=1500, deadline=None)
+def test_slicing_methods_match_the_reference(name, value, args):
+    """Same string, same charge and, where the whole string comes back,
+    the receiver itself (the spray pool dedupes by identity)."""
+    from repro.js.builtins import STRING_METHODS
+    from repro.js.interpreter import Host, Interpreter
+
+    host = Host()
+    result = STRING_METHODS[name](Interpreter(host=host, install_builtins=False), value, args)
+    expected = _reference_slices()[name](value, args)
+    assert result == expected
+    assert (result is value) == (expected is value) or len(value) < 2
+    assert host.allocated_bytes == (2 * len(expected) if len(expected) >= 2 else 0)
