@@ -606,7 +606,8 @@ def test_wrapped_script_decrypts_without_generic_modulo(
 
     def spy(code: Code, header: int, frame: List[Any]) -> Any:
         plan = typed_loop_source(code, header, frame)
-        sources.extend([plan[0]] if plan is not None else [])
+        if plan is not None:
+            sources.append(plan[0])
         return plan
 
     monkeypatch.setattr(hotloop, "typed_loop_source", spy)
