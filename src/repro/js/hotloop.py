@@ -1565,12 +1565,12 @@ class _TypedGenerator(_Generator):
             return True
         if text == "%" and (ltype is float or rtype is float):
             operands = ((left, ltype), (right, rtype))
-            tests = [f"type({name}) is float" for name, token in operands if token is not float]
-            tests.append(_FMOD_OK.format(l=left, r=right))
-            self.put(
-                level, f"if {' and '.join(tests)}:", f"    {left} = fmod({left}, {right})",
-                "else:", *self.slow(slow),
+            test = " and ".join(
+                [f"type({name}) is float" for name, token in operands if token is not float]
+                + [_FMOD_OK.format(l=left, r=right)]
             )
+            fast = f"{left} = fmod({left}, {right})"
+            self.put(level, f"if {test}:", f"    {fast}", "else:", *self.slow(slow))
             return True
         if text in _COMPARES and ltype is str and rtype is str:
             self.put(level, f"{left} = {_FLOAT_OPS[text].format(l=left, r=right)}")
