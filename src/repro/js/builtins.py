@@ -466,10 +466,6 @@ def _str_substring(interp: Any, value: str, args: List[Any]) -> str:
     length = len(value)
     start = args[0] if args else 0.0
     end = args[1] if len(args) > 1 else UNDEFINED
-    if type(start) is float and start <= 0.0 and (
-        end is UNDEFINED or (type(end) is float and end >= length)
-    ):
-        return interp._record_string(value)  # the whole string
     first = int(min(max(to_integer(start), 0.0), length))
     last = length if end is UNDEFINED else int(min(max(to_integer(end), 0.0), length))
     if first > last:
@@ -483,7 +479,8 @@ def _str_substr(interp: Any, value: str, args: List[Any]) -> str:
     count = args[1] if len(args) > 1 else UNDEFINED
     if type(start) is float and type(count) is float:
         if start == 0.0 and count >= length:
-            # The spray's substr-copy idiom, c.substr(0, c.length).
+            # The spray's copy, c.substr(0, c.length): the receiver at
+            # once, without the slice below (which also returns it).
             return interp._record_string(value)
         if 0.0 <= start <= length and count >= 0.0 and start.is_integer() and count.is_integer():
             # Whole, non-negative, start in range: ToInteger and the
@@ -503,10 +500,6 @@ def _str_slice(interp: Any, value: str, args: List[Any]) -> str:
     length = len(value)
     start = args[0] if args else UNDEFINED
     end = args[1] if len(args) > 1 else UNDEFINED
-    if (start is UNDEFINED or (type(start) is float and start == 0.0)) and (
-        end is UNDEFINED or (type(end) is float and end >= length)
-    ):
-        return interp._record_string(value)  # the whole string
     first = _relative_index(start, length, 0)
     return interp._record_string(value[first : _relative_index(end, length, length)])
 

@@ -212,17 +212,12 @@ _FLOAT_OPS: Dict[str, str] = {
 }
 #: In-range int32 bitwise fast paths.
 _INT32_OPS: Dict[str, str] = {"^": "^", "&": "&", "|": "|"}
-#: When two floats' ``%`` is ``fmod``: a non-zero divisor and a finite
-#: dividend.  ``fmod`` of a NaN divisor is NaN, as ``_binary_op`` gives;
-#: every other case goes through ``_binary_op``.  Both generators format
-#: this one rule, and the dispatch loop's all-float ``BINARY`` branch
-#: spells it for ``left`` and ``right`` (``tests/js/test_hotloop.py``).
-_FMOD_OK = "{r} != 0.0 and {l} - {l} == 0.0"
-#: Operators that always go through ``_binary_op``.
-_SLOW_OPS = frozenset(("/", "<<", ">>", ">>>", "instanceof", "in"))
+#: Operators the generic translation always sends to ``_binary_op``
+#: (the typed one takes ``%`` of floats inline, in ``typed_binary``).
+_SLOW_OPS = frozenset(("/", "%", "<<", ">>", ">>>", "instanceof", "in"))
 #: Canonical operator text, so generated source never echoes an arg.
 _OP_TEXT: Dict[str, str] = {
-    op: op for op in (*_FLOAT_OPS, *_INT32_OPS, "%", *_SLOW_OPS)
+    op: op for op in (*_FLOAT_OPS, *_INT32_OPS, *_SLOW_OPS)
 }
 
 _UNARY_OPS: Dict[str, str] = {
@@ -848,15 +843,6 @@ class _Generator:
                     f"    {left} = record_string({left} + {right})",
                 )
             self.emit(1, "else:", f"    {slow}")
-        elif text == "%":
-            self.emit(
-                1,
-                f"if (type({left}) is float and type({right}) is float"
-                f" and {_FMOD_OK.format(l=left, r=right)}):",
-                f"    {left} = fmod({left}, {right})",
-                "else:",
-                f"    {slow}",
-            )
         elif text in _INT32_OPS:
             self.emit(
                 1,
@@ -1564,10 +1550,12 @@ class _TypedGenerator(_Generator):
                 )
             return True
         if text == "%" and (ltype is float or rtype is float):
+            # fmod is _binary_op's answer for a divisor that is not +-0
+            # and a finite dividend (a NaN divisor gives NaN in both).
             operands = ((left, ltype), (right, rtype))
             test = " and ".join(
                 [f"type({name}) is float" for name, token in operands if token is not float]
-                + [_FMOD_OK.format(l=left, r=right)]
+                + [f"{right} != 0.0 and {left} - {left} == 0.0"]
             )
             fast = f"{left} = fmod({left}, {right})"
             self.put(level, f"if {test}:", f"    {fast}", "else:", *self.slow(slow))

@@ -25,7 +25,6 @@ aborted scripts.
 
 from __future__ import annotations
 
-from math import fmod
 from types import FunctionType
 from typing import Any, List, Optional, Tuple
 
@@ -293,13 +292,6 @@ class BytecodeInterpreter(Interpreter):
                                     stack[-1] = left == right
                                 elif arg == "!==" or arg == "!=":
                                     stack[-1] = left != right
-                                elif (
-                                    arg == "%" and right != 0.0 and left - left == 0.0
-                                ):
-                                    # hotloop._FMOD_OK: a non-zero divisor
-                                    # and a finite dividend, where
-                                    # _binary_op takes fmod.
-                                    stack[-1] = fmod(left, right)
                                 elif (
                                     (arg == "^" or arg == "&" or arg == "|")
                                     and -2147483648.0 <= left <= 2147483647.0

@@ -845,8 +845,8 @@ def test_unescape_runs_past_one_match(count, escape):
 
 def _reference_slices():
     """``substring``, ``substr`` and ``slice`` before they became plain
-    functions with a whole-string case: the result, which each method
-    then charged."""
+    functions (``substr`` with a whole-string case): the result, which
+    each method then charged."""
     from repro.js.builtins import _relative_index
     from repro.js.values import UNDEFINED, to_integer
 
@@ -907,3 +907,22 @@ def test_slicing_methods_match_the_reference(name, value, args):
     assert result == expected
     assert (result is value) == (expected is value) or len(value) < 2
     assert host.allocated_bytes == (2 * len(expected) if len(expected) >= 2 else 0)
+
+
+def test_substr_copy_returns_the_receiver_unsliced():
+    """``c.substr(0, c.length)``, the spray's copy, returns the receiver
+    before any slicing, and charges it as any result.  A ``str`` subclass
+    shows that no slice ran: a slice of one is a new ``str``, where a
+    plain string's whole slice is the string itself."""
+    from repro.js.builtins import STRING_METHODS
+    from repro.js.interpreter import Host, Interpreter
+
+    class Receiver(str):
+        pass
+
+    host = Host()
+    interp = Interpreter(host=host, install_builtins=False)
+    c = Receiver("ab" * 100)
+    for start, count in ((0.0, 200.0), (-0.0, 1e9), (0.0, float("inf"))):
+        assert STRING_METHODS["substr"](interp, c, [start, count]) is c
+    assert host.allocated_bytes == 3 * 2 * len(c)

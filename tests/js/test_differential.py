@@ -481,8 +481,8 @@ ENV_LOOP_SWEEP_CASES = [
         " for (var i = 0; i < s.length; i++) { if (at(i) == 'n') return i; } return -1; }"
         " find('banana')"
     ),
-    # `%` on two floats: the divisor turns 0, then the dividend turns
-    # Infinity, so the inline fmod path's slow branch runs in the loop.
+    # `%` on two floats whose divisor turns 0, then dividend Infinity:
+    # the NaN results of a generic translation's `%` at every cutoff.
     (
         "var t = 0, d = 5, x = 7, nans = 0; for (var i = 0; i < 6; i++) {"
         " if (i == 2) d = 0; if (i == 4) { x = 1 / 0; d = 3; }"
@@ -899,7 +899,7 @@ TYPED_RUN_SWEEP_CASES = {
         " out = out + String.fromCharCode(65 + i) + 'cd' + i; } return out + ':' + calls; } f(4)"
     ),
     # `%` on two floats whose divisor turns 0 and dividend Infinity:
-    # the inline fmod path's slow branch calls binary_op inside the run.
+    # the typed translation's fmod path takes its slow branch in the run.
     "modulo-slow-branch": (
         "function f(n) { var t = 0, d = 5, x = 7, nans = 0, r; for (var i = 0; i < n; i++) {"
         " if (i == 2) { d = 0; } if (i == 4) { x = 1 / 0; d = 3; }"

@@ -7,14 +7,13 @@ suites cannot: the bounds that keep hostile scripts from making the
 translator compile without limit, warm entry of a loop whose
 translation is already cached, that attacker-controlled text never
 reaches generated source, literal identity in the spray pool, that the
-wrapper's decryptor takes ``%`` inline on every tier, and threads
+wrapper's decryptor, once translated, takes ``%`` inline, and threads
 sharing one translated loop.
 """
 
 from __future__ import annotations
 
 import cProfile
-import inspect
 import pstats
 import re
 import sys
@@ -27,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.monitor_code import ENCRYPTION_SCHEMES, MonitorCodeGenerator
 from repro.corpus.sized import _js_workload_script
 from repro.js import hotloop
-from repro.js import vm as vm_mod
 from repro.js.compiler import (
     JUMP,
     STRING,
@@ -564,13 +562,14 @@ def test_js_heavy_main_loop_compares_once_per_run(monkeypatch: pytest.MonkeyPatc
 
 
 class ModuloCountingVM(BytecodeInterpreter):
-    """Counts the ``%`` evaluations that reach ``_binary_op``."""
+    """Counts the ``%`` evaluations a translated loop sends to
+    ``_binary_op``."""
 
-    modulo_calls = 0
+    translated_modulo_calls = 0
 
     def _binary_op(self, op: str, left: Any, right: Any) -> Any:
-        if op == "%":
-            self.modulo_calls += 1
+        if op == "%" and sys._getframe(1).f_code.co_filename.startswith("<js-hot-loop "):
+            self.translated_modulo_calls += 1
         return super()._binary_op(op, left, right)
 
 
@@ -584,24 +583,12 @@ def wrapped_script(scheme: str, original: str) -> str:
     raise AssertionError(f"no seed below 100 draws {scheme}")
 
 
-#: Where the decryptor's loop runs: typed, generic, or on the dispatch
-#: loop with translation off.
-DECRYPTOR_TIERS = {
-    "typed": hotloop.hot_loop,
-    "generic": lambda code, header, frame: hotloop.hot_loop(code, header, None),
-    "dispatch": lambda code, header, frame: None,
-}
-
-
-@pytest.mark.parametrize("tier", DECRYPTOR_TIERS)
 @pytest.mark.parametrize("scheme", ENCRYPTION_SCHEMES)
 def test_wrapped_script_decrypts_without_generic_modulo(
-    monkeypatch: pytest.MonkeyPatch, scheme: str, tier: str
+    monkeypatch: pytest.MonkeyPatch, scheme: str
 ) -> None:
-    """Every cipher scheme's decryptor takes ``%`` on two floats inline,
-    in both translations and on the dispatch loop: no ``_binary_op``
-    call."""
-    monkeypatch.setattr(vm_mod, "hot_loop", DECRYPTOR_TIERS[tier])
+    """Every cipher scheme's decryptor loop, once translated, runs typed
+    and takes ``%`` on two floats inline: no ``_binary_op`` call."""
     sources: List[str] = []
 
     def spy(code: Code, header: int, frame: List[Any]) -> Any:
@@ -618,20 +605,12 @@ def test_wrapped_script_decrypts_without_generic_modulo(
     vm.define_global("SOAP", soap)
     vm.run(wrapped_script(scheme, f"var marker = '{marker}';"))
     assert vm.global_env.lookup("marker") == marker
-    assert vm.modulo_calls == 0
-    assert (vm.translated_loop_runs > 0) == (tier != "dispatch")
-    if tier == "typed" and scheme != "xor":
+    assert vm.translated_loop_runs > 0 and sources
+    assert vm.translated_modulo_calls == 0
+    if scheme != "xor":
         # Two operands proven floats: the rule alone guards fmod.
         rule = re.compile(r"if s\d+ != 0\.0 and (s\d+) - \1 == 0\.0:\n *\1 = fmod")
-        assert sources and all(rule.search(source) for source in sources)
-
-
-def test_dispatch_loop_spells_the_one_modulo_rule() -> None:
-    """The dispatch loop's all-float ``%`` test is ``_FMOD_OK``, the
-    template both translations format."""
-    assert hotloop._FMOD_OK.format(l="left", r="right") in inspect.getsource(
-        BytecodeInterpreter._run_code
-    )
+        assert all(rule.search(source) for source in sources)
 
 
 # -- threads -----------------------------------------------------------------------

@@ -115,6 +115,22 @@ class TestLifecycle:
         proc.terminate("confined")
         assert proc.state is ProcessState.TERMINATED
 
+    @given(ends=st.lists(st.sampled_from(["crash", "exit", "terminate"]), max_size=4))
+    def test_alive_follows_the_state(self, ends):
+        """``alive`` is a plain attribute beside ``state``: it reads
+        ``state is RUNNING`` after every end, and the first end wins."""
+        states = {
+            "crash": ProcessState.CRASHED,
+            "exit": ProcessState.EXITED,
+            "terminate": ProcessState.TERMINATED,
+        }
+        proc = System().spawn("x.exe")
+        assert proc.alive and proc.state is ProcessState.RUNNING
+        for end in ends:
+            getattr(proc, end)(end)
+            assert not proc.alive
+            assert proc.state is states[ends[0]] and proc.exit_reason == ends[0]
+
     def test_modules(self):
         system = System()
         proc = system.spawn("x.exe")
