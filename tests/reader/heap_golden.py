@@ -3,14 +3,18 @@
 The reader charges every string a script makes to the document's JS
 heap and to the reader process (Fig. 7's in-JS memory, F8's heap-spray
 evidence), and hands strings of 4096+ characters to the spray pool.
-``tests/data/js_heap_golden.json`` pins, for every malicious sample of
-``build_dataset(test_scale())`` and every ``obfuscated_corpus(6, 6)``
-document, what one scan leaves behind:
+``tests/data/js_heap_golden.json`` pins, for every sample of
+``build_dataset(test_scale())`` (benign and malicious), every
+``obfuscated_corpus(6, 6)`` document and every ``table_x_js_documents()``
+tier, what one scan leaves behind:
 
 * ``js_heap``: ``handle.js_heap_bytes``;
 * ``sprayed``: ``handle.sprayed_bytes``;
 * ``pool``: ``len(handle.spray_pool)``;
-* ``peak``: the reader process's ``memory_counters().peak_working_set_size``.
+* ``peak``: the reader process's ``memory_counters().peak_working_set_size``;
+* ``steps``: the reader interpreter's ``steps``, the step budget's
+  per-document count (translated loops must charge exactly what the
+  dispatch loop charges).
 
 Each document is scanned by a fresh pipeline, so its figures do not
 depend on the documents before it.  A document whose scan opens no
@@ -33,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.pipeline import ProtectionPipeline
 from repro.corpus import build_dataset, test_scale
 from repro.corpus.obfuscated import obfuscated_corpus
+from repro.corpus.sized import table_x_js_documents
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "js_heap_golden.json"
 
@@ -44,9 +49,12 @@ REGEN_COMMAND = "PYTHONPATH=src python -m tests.reader.heap_golden"
 
 def corpora() -> Dict[str, List[Tuple[str, bytes]]]:
     """``corpus name -> [(document name, bytes)]`` for the snapshot."""
+    dataset = build_dataset(test_scale())
     return {
-        "malicious": [(s.name, s.data) for s in build_dataset(test_scale()).malicious],
+        "benign": [(s.name, s.data) for s in dataset.benign],
+        "malicious": [(s.name, s.data) for s in dataset.malicious],
         "obfuscated": obfuscated_corpus(6, 6),
+        "table_x_js": table_x_js_documents(),
     }
 
 
@@ -63,6 +71,7 @@ def heap_figures(name: str, data: bytes) -> Optional[Dict[str, int]]:
         "sprayed": handle.sprayed_bytes,
         "pool": len(handle.spray_pool),
         "peak": process.memory_counters().peak_working_set_size,
+        "steps": handle.interpreter.steps,
     }
 
 

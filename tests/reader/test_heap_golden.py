@@ -1,8 +1,8 @@
-"""JS heap accounting must not drift: every snapshot document's scan
-charges the bytes, sprays the bytes, pools the strings and peaks the
-reader process where ``tests/data/js_heap_golden.json`` says
-(``tests/reader/heap_golden.py`` defines the corpora and prints the
-regeneration command)."""
+"""JS heap accounting and the step budget must not drift: every
+snapshot document's scan charges the bytes, sprays the bytes, pools the
+strings, peaks the reader process and takes the JS steps where
+``tests/data/js_heap_golden.json`` says (``tests/reader/heap_golden.py``
+defines the corpora and prints the regeneration command)."""
 
 import pytest
 
@@ -16,8 +16,10 @@ def test_heap_figures_match_the_snapshot():
     expected = load_figures()
     actual = compute_figures()
     assert {corpus: len(docs) for corpus, docs in expected.items()} == {
+        "benign": 120,
         "malicious": 80,
         "obfuscated": 12,
+        "table_x_js": 6,
     }
     problems = [
         f"  {corpus}/{name}: {expected.get(corpus, {}).get(name)} != {actual.get(corpus, {}).get(name)}"
