@@ -17,37 +17,45 @@ document's decryptor, say) runs translated from there on, without a
 ``compile()``, and the threshold only bounds the compiling of shapes
 not seen before.
 
+**Variables.**  Operand-stack slots become Python locals (``s0``,
+``s1``, ...), and so do the loop's variables (``l0``, ...):
+
+* in slot mode (a function body whose locals live in a frame only the
+  running loop can touch), each frame slot the loop uses, read on
+  entry and written back on every way out;
+* in env mode (program and ``eval`` code, and functions with closures,
+  ``eval`` or ``try``), each name the loop uses that the running
+  scope's own bindings hold on entry: a pseudo-slot (:class:`_View`).
+  Only a call can run JS code in this engine (conversions never call
+  script, and ``eval`` and ``sort``'s comparator are reached only
+  through calls), so the loop writes the names it assigns back to the
+  bindings before every general call, including the inline
+  ``fromCharCode``'s general path, and reads every cached name again
+  after it, knowing nothing of their types from there on.  Every way
+  out writes them back too, except a call that raised: its callee's
+  bindings stand.  A name the scope does not bind on entry is read and
+  written through the bindings dict, then ``env.lookup`` or
+  ``env.assign``, at every execution.
+
+A loop is translated for the types its variables hold when it is
+looked up, and checks them, and in env mode that each cached name is
+still bound, once per entry; when one differs the function returns to
+the dispatch loop at the header, which runs the loop from there.
+
 A translated loop is observably identical to the dispatch loop:
 
 * the budget runs out on the same instruction, after the same side
-  effects, with the same clamp to ``max_steps + 1``: the generic
-  translation adds and checks every charge at its instruction, and the
-  typed one checks once per call-free run and falls back to the
-  dispatch loop at the run's start when the run does not fit (see
-  :class:`_TypedGenerator`);
+  effects, with the same clamp to ``max_steps + 1``: the loop checks
+  once per call-free run and falls back to the dispatch loop at the
+  run's start when the run does not fit (see :class:`_Generator`);
 * ``interp.steps`` is synced around every call exactly where the
   dispatch loop syncs it, and on every way out of the function;
 * ``_record_string`` runs at the same points;
-* names are read, written and declared at every execution: a read or
-  a write tests the running scope's own bindings dict first (bound
-  once per entry), exactly the first hop of ``env.lookup`` and
-  ``env.assign``, and makes that call when the name is not there.  A
-  callee can rebind a global, so no binding is ever cached in a local;
 * the completion register of program and ``eval`` code comes in as an
   argument and goes back out on every exit to the dispatch loop;
 * a ``BreakSignal``/``ContinueSignal`` unwinding out of a call maps
   through the fragment's region table from the call's own pc, and the
   dispatch loop resumes at the target.
-
-Operand-stack slots become Python locals (``s0``, ``s1``, ...), as do
-the frame slots the loop touches (``l0``, ...; written back on every
-way out), and the loop's basic blocks an ``if b == k`` chain.
-
-A loop in slot mode (a function body whose locals live in a frame only
-the running loop can touch) is translated for the types its frame
-slots hold when it is looked up (:func:`typed_loop_source`): it checks
-them once per entry and runs this generic translation when they
-differ, so the generic one is both its fallback and its oracle.
 
 **Attacker-controlled values never enter generated source.**  Names,
 property names and literals reach the function only through its
@@ -56,9 +64,9 @@ spray pool dedupes by identity).  Operators map through fixed tables.
 The only values formatted into the source are compiler-produced ints
 (slot indices, pcs and charges); the rest is fixed text, such as the
 element fast path's index bound.  The source therefore depends only on
-the loop's shape (and, typed, on the types it was translated for and
-on which of a fixed set of property names an access uses), and
-compiled functions are memoised by source text
+the loop's shape, on the types it was translated for, on which names
+the scope bound, and on which of a fixed set of property names an
+access uses, and compiled functions are memoised by source text
 (:func:`repro.js.compiler.cached_loop_function`).
 
 Generating a loop's source and ``compile()`` time are outside the JS
@@ -77,7 +85,7 @@ from __future__ import annotations
 import hashlib
 import math
 from types import FunctionType
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, cast
 
 from repro.js.builtins import STRING_METHODS, string_from_char_code
 from repro.js.compiler import (
@@ -140,6 +148,7 @@ from repro.js.errors import (
     ResourceLimitExceeded,
     check_deadline,
 )
+from repro.js.interpreter import Environment
 from repro.js.values import (
     JSArray,
     JSObject,
@@ -174,6 +183,9 @@ MAX_LOOP_INSTRS = 256
 LoopFunction = Callable[..., Tuple[int, int, Any]]
 Translated = Tuple[LoopFunction, Tuple[Any, ...]]
 
+#: A pseudo-op of env-mode views: ``typeof`` of a cached name.
+TYPEOF_SLOT = -1
+
 _CONDITIONAL = frozenset((
     JUMP_IF_FALSE, JUMP_IF_TRUE, JUMP_IF_FALSE_KEEP, JUMP_IF_TRUE_KEEP,
     JUMP_IF_STRICT_EQ,
@@ -190,7 +202,7 @@ _FIXED_EFFECT: Dict[int, Tuple[int, int]] = {
     JUMP_IF_TRUE: (1, 0), JUMP_IF_STRICT_EQ: (1, 0), SWAP: (2, 2),
     ROT3: (3, 3), MEMBER_GET_EXPR: (2, 1), MEMBER_SET: (2, 1),
     MEMBER_SET_EXPR: (3, 1), METHOD_LOOKUP_EXPR: (2, 3), UNARY: (1, 1),
-    TYPEOF: (1, 1), TYPEOF_NAME: (0, 1), DELETE_MEMBER: (1, 1),
+    TYPEOF: (1, 1), TYPEOF_NAME: (0, 1), TYPEOF_SLOT: (0, 1), DELETE_MEMBER: (1, 1),
     DELETE_MEMBER_EXPR: (2, 1), DECLARE_SLOT_POP: (1, 0), LOAD_THIS: (0, 1),
     RETURN: (1, 0), THROW: (1, 0), NOP: (0, 0), INC_SLOT: (0, 0),
     STORE_SLOT_POP: (1, 0), SET_COMPL: (1, 0), SET_COMPL_UNDEF: (0, 0),
@@ -212,8 +224,8 @@ _FLOAT_OPS: Dict[str, str] = {
 }
 #: In-range int32 bitwise fast paths.
 _INT32_OPS: Dict[str, str] = {"^": "^", "&": "&", "|": "|"}
-#: Operators the generic translation always sends to ``_binary_op``
-#: (the typed one takes ``%`` of floats inline, in ``typed_binary``).
+#: Operators that go to ``_binary_op`` unless ``typed_binary`` proves
+#: an inline form (``%`` with a float operand).
 _SLOW_OPS = frozenset(("/", "%", "<<", ">>", ">>>", "instanceof", "in"))
 #: Canonical operator text, so generated source never echoes an arg.
 _OP_TEXT: Dict[str, str] = {
@@ -229,31 +241,27 @@ _UNARY_OPS: Dict[str, str] = {
 }
 #: INC_SLOT / INCDEC deltas.
 _DELTAS: Dict[float, str] = {1.0: "1.0", -1.0: "-1.0"}
-#: The element fast path's test: a whole float in 0..2**32-2 (exactly
-#: what ``to_string`` -> ``array_index`` accepts) keying a ``JSArray``.
-#: The bound is fixed text, never a value from the ``Code``.
-_ARRAY_INDEX = (
-    "type({key}) is float and type({obj}) is JSArray"
-    " and 0.0 <= {key} <= 4294967294.0 and {key}.is_integer()"
-)
 
 
-def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Translated]:
+def hot_loop(
+    code: Code, header: int, frame: Optional[List[Any]], env: Environment
+) -> Optional[Translated]:
     """Count one back-edge to ``header``; the loop's translation once hot.
 
     ``frame`` is the fragment's slot-mode frame (``None`` in env mode),
-    whose slot types a slot-mode loop is translated for.  At the second
-    back-edge the loop's source is generated and looked up in the loop
-    cache, without compiling: a loop some other ``Code`` already made
-    hot is entered at once, and a loop that cannot be translated is
-    marked "never".  Otherwise the loop is translated at the
-    :data:`HOT_LOOP_THRESHOLD`-th back-edge.  Both first check the
+    whose slot types a slot-mode loop is translated for; an env-mode
+    loop is translated for the names ``env`` binds itself.  At the
+    second back-edge the loop's source is generated and looked up in
+    the loop cache, without compiling: a loop some other ``Code``
+    already made hot is entered at once, and a loop that cannot be
+    translated is marked "never".  Otherwise the loop is translated at
+    the :data:`HOT_LOOP_THRESHOLD`-th back-edge.  Both first check the
     scan's deadline, since neither is charged to the step budget.
-    Returns ``None`` while
-    the loop is still being counted and for good when it cannot be
-    translated.  Threads sharing ``code`` may race on the count (a lost
-    increment only delays translation, or repeats the lookup) or
-    translate the same loop twice (both get working translations).
+    Returns ``None`` while the loop is still being counted and for good
+    when it cannot be translated.  Threads sharing ``code`` may race on
+    the count (a lost increment only delays translation, or repeats
+    the lookup) or translate the same loop twice (both get working
+    translations).
     """
     loops = code.loops
     state = loops.get(header, 0)
@@ -262,7 +270,7 @@ def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Tr
     state += 1
     if state == 2 and state < HOT_LOOP_THRESHOLD:
         check_deadline()
-        plan = _plan(code, header, frame)
+        plan = loop_source(code, header, frame, env)
         if plan is None:
             loops[header] = None
             return None
@@ -275,39 +283,28 @@ def hot_loop(code: Code, header: int, frame: Optional[List[Any]]) -> Optional[Tr
         loops[header] = state
         return None
     check_deadline()
-    translated = translate_loop(code, header, frame)
+    translated = translate_loop(code, header, frame, env)
     loops[header] = translated
     return translated
 
 
 def translate_loop(
-    code: Code, header: int, frame: Optional[List[Any]] = None
+    code: Code, header: int, frame: Optional[List[Any]], env: Environment
 ) -> Optional[Translated]:
-    """The loop at ``header`` as ``(function, constants)``, or ``None``.
-
-    Given a slot-mode ``frame``, the typed translation for the types its
-    slots hold; its first constant runs the generic translation when an
-    entry finds other types.  Without one, the generic translation.
-    """
-    plan = _plan(code, header, frame)
+    """The loop at ``header`` as ``(function, constants)``, or ``None``:
+    :func:`loop_source`, compiled once per process."""
+    plan = loop_source(code, header, frame, env)
     if plan is None:
         return None
     return cached_loop_function(plan[0], _build), plan[1]
 
 
-def _plan(
-    code: Code, header: int, frame: Optional[List[Any]]
+def loop_source(
+    code: Code, header: int, frame: Optional[List[Any]], env: Environment
 ) -> Optional[Tuple[str, Tuple[Any, ...]]]:
-    """:func:`translate_loop`'s source and constants, before ``compile()``."""
-    plan = loop_source(code, header) if frame is None else typed_loop_source(code, header, frame)
-    if plan is None or frame is None:
-        return plan
-    source, constants = plan
-    return source, (_Generic(code, header), *constants)
-
-
-def loop_source(code: Code, header: int) -> Optional[Tuple[str, Tuple[Any, ...]]]:
-    """Generated source and constants tuple for the loop at ``header``.
+    """Generated source and constants tuple for the loop at ``header``,
+    typed for the values ``frame``'s slots hold, or in env mode
+    (``frame`` is ``None``) the names ``env`` binds itself.
 
     ``None`` when the loop stays on the dispatch loop: it has no
     back-edge within :data:`MAX_LOOP_INSTRS` of its header, holds an op
@@ -319,7 +316,11 @@ def loop_source(code: Code, header: int) -> Optional[Tuple[str, Tuple[Any, ...]]
     blocks = _blocks(code, header, end)
     if blocks is None:
         return None
-    return _Generator(code, header, end, blocks).render()
+    if frame is not None:
+        return _Generator(code, header, end, blocks, frame, ()).render()
+    view = _View(code, header, end, env.bindings)
+    values = [env.bindings[name] for name in view.names]
+    return _Generator(view, header, end, blocks, values, view.names).render()
 
 
 def _build(source: str) -> LoopFunction:
@@ -354,7 +355,7 @@ def _namespace() -> Dict[str, Any]:
     }
 
 
-#: Locals every loop function binds once on entry.
+#: Locals every loop function binds once on entry, after its checks.
 _SETUP = (
     "max_steps = interp.max_steps",
     "get_property = interp.get_property",
@@ -365,7 +366,6 @@ _SETUP = (
     "call_inner = interp._call_inner",
     "global_this = interp.global_this",
     "lookup = env.lookup",
-    "bindings = env.bindings",
 )
 
 
@@ -484,446 +484,64 @@ def _blocks(code: Code, header: int, end: int) -> Optional[List[_Block]]:
     return [_Block(start, stops[start], depths[start]) for start in starts if start in depths]
 
 
-# -- code generation -------------------------------------------------------------
+#: How an env-mode view reads each name op on a cached name; ``DECLARE``
+#: of a name the scope binds already does nothing.
+_NAME_AS_SLOT = {
+    LOAD_NAME: LOAD_SLOT, STORE_NAME: STORE_SLOT, DECLARE: NOP,
+    DECLARE_POP: DECLARE_SLOT_POP, TYPEOF_NAME: TYPEOF_SLOT,
+}
 
 
-class _Generator:
-    """Renders one loop's blocks as the source of ``_loop``."""
+class _View:
+    """An env-mode loop's instructions, with each name the scope binds
+    itself on entry read as a pseudo-slot: its index in :attr:`names`,
+    in order of first use.  The view's ops and args map only the
+    loop's own pcs, so building it costs O(loop) however long the
+    fragment; charges and regions are the ``Code``'s own.  Bindings are
+    never removed, so a name bound on entry stays bound for the whole
+    run."""
 
-    def __init__(self, code: Code, header: int, end: int, blocks: List[_Block]) -> None:
-        self.code = code
-        self.header = header
-        self.end = end
-        self.blocks = blocks
-        self.block_ids = {block.start: index for index, block in enumerate(blocks)}
-        self.constants: List[Any] = []
-        self.lines: List[str] = []
-        self.has_calls = False
-        #: Frame slots the loop uses, and those it writes: the loop keeps
-        #: them in locals and writes them back on every way out (nothing
-        #: else can see a slot-mode frame while the loop runs).
-        self.slots: Set[int] = set()
-        self.written: Set[int] = set()
-        #: Names unpacked from ``K`` ahead of the constants.
-        self.leading: List[str] = []
-        #: Indent levels added to every emitted line.
-        self.nest = 0
+    __slots__ = ("ops", "args", "charges", "regions", "names")
 
-    # -- plumbing
-
-    def const(self, value: Any) -> str:
-        self.constants.append(value)
-        return f"k{len(self.constants) - 1}"
-
-    def slot(self, index: Any, written: bool = False) -> str:
-        """The local caching frame slot ``index`` for the loop's run."""
-        number = int(index)
-        self.slots.add(number)
-        if written:
-            self.written.add(number)
-        return f"l{number}"
-
-    def emit(self, indent: int, *lines: str) -> None:
-        pad = "    " * (indent + self.nest)
-        self.lines.extend(pad + line for line in lines)
-
-    def goto(self, indent: int, target: int, here: int) -> None:
-        """Transfer control to ``target`` from the block with id ``here``."""
-        if not self.header <= target <= self.end:
-            self.emit(indent, f"return ({target}, steps, compl)")
-            return
-        block = self.block_ids[target]
-        if block <= here:
-            self.emit(indent, f"b = {block}", "continue")
-        else:
-            self.emit(indent, f"b = {block}")
-
-    # -- rendering
-
-    def render(self) -> Tuple[str, Tuple[Any, ...]]:
-        for bid, block in enumerate(self.blocks):
-            self.emit(0, f"if b == {bid}:")
-            self.block(bid, block)
-        return self.assemble([], dispatch=True)
-
-    def assemble(self, entry: List[str], dispatch: bool) -> Tuple[str, Tuple[Any, ...]]:
-        """The whole function around the emitted body: constants and
-        slots loaded, then ``entry``, the loop and its ways out."""
-        body = self.lines
-        handlers = self.signal_handler()
-        names = self.leading + [f"k{index}" for index in range(len(self.constants))]
-        head = ["def _loop(interp, frame, env, this, steps, compl, K):"]
-        if names:
-            head.append(f"    {', '.join(names)}, = K")
-        head += [f"    l{slot} = frame[{slot}]" for slot in sorted(self.slots)]
-        head += ["    " + line for line in entry]
-        head += ["    " + line for line in _SETUP]
-        if dispatch:
-            head.append("    b = 0")
-        head += [
-            "    ip = -1",
-            "    try:",
-            "        while True:",
-        ]
-        lines = head + ["            " + line for line in body]
-        lines += ["    " + line for line in handlers]
-        lines += ["    finally:"]
-        lines += [f"        frame[{slot}] = l{slot}" for slot in sorted(self.written)]
-        lines += [
-            "        if interp.steps < steps:",
-            "            interp.steps = steps",
-        ]
-        return "\n".join(lines) + "\n", tuple(self.constants)
-
-    def signal_handler(self) -> List[str]:
-        """A Break/ContinueSignal out of a call maps through the region
-        table from the call's pc, as in the dispatch loop, which then
-        resumes at the target; with no region it unwinds further."""
-        if not self.has_calls:
-            return []
-        regions = self.const(self.code.regions)
-        return [
-            "except (BreakSignal, ContinueSignal) as signal:",
-            "    if interp.steps > steps:",
-            "        steps = interp.steps",
-            f"    t = signal_target({regions}, ip, isinstance(signal, ContinueSignal))[0]",
-            "    if t < 0:",
-            "        raise",
-            "    return (t, steps, compl)",
-        ]
-
-    def block(self, bid: int, block: _Block) -> None:
-        code = self.code
-        depth = block.depth
-        for index in range(block.start, block.stop):
-            op, arg, charge = code.ops[index], code.args[index], code.charges[index]
-            if charge:
-                self.emit(
-                    1,
-                    f"steps += {charge}",
-                    "if steps > max_steps:",
-                    "    steps = max_steps + 1",
-                    "    raise budget_exceeded(max_steps)",
-                )
-            depth = self.op(bid, index, op, arg, depth)
-        last = code.ops[block.stop - 1]
-        if last not in _TERMINATORS and last not in _CONDITIONAL:
-            self.goto(1, block.stop, bid)
-
-    def op(self, bid: int, index: int, op: int, arg: Any, depth: int) -> int:
-        """Emit one instruction at stack ``depth``; the depth after it."""
-        d = depth
-        top = f"s{d - 1}"
-        emit = self.emit
-        if op == LOAD_SLOT:
-            emit(1, f"s{d} = {self.slot(arg)}")
-        elif op == INC_SLOT:
-            slot = self.slot(arg[0], written=True)
-            emit(
-                1,
-                f"v = {slot}",
-                "if type(v) is not float:",
-                "    v = to_number(v)",
-                f"{slot} = v + {_DELTAS[arg[1]]}",
-            )
-        elif op == STORE_SLOT_POP:
-            emit(1, f"{self.slot(arg, written=True)} = {top}")
-        elif op == CONST:
-            emit(1, f"s{d} = {self.const(arg)}")
-        elif op == STRING:
-            # The compiler emits STRING only for literals of 2+ chars,
-            # and _record_string ignores shorter ones anyway.
-            emit(1, f"s{d} = record_string({self.const(arg)})")
-        elif op == BINARY:
-            self.binary(arg, f"s{d - 2}", top)
-        elif op == STORE_SLOT:
-            emit(1, f"{self.slot(arg, written=True)} = {top}")
-        elif op == LOAD_NAME:
-            # The running scope's own bindings are lookup()'s first hop.
-            name = self.const(arg)
-            emit(1, f"s{d} = bindings[{name}] if {name} in bindings else lookup({name})")
-        elif op == STORE_NAME:
-            name = self.const(arg)
-            emit(
-                1,
-                f"if {name} in bindings:",
-                f"    bindings[{name}] = {top}",
-                "else:",
-                f"    env.assign({name}, {top})",
-            )
-        elif op == JUMP:
-            self.goto(1, arg, bid)
-        elif op == JUMP_IF_FALSE or op == JUMP_IF_TRUE:
-            test = "is False" if op == JUMP_IF_FALSE else "is True"
-            other = "is not True" if op == JUMP_IF_FALSE else "is not False"
-            negate = "not " if op == JUMP_IF_FALSE else ""
-            emit(1, f"if {top} {test} or ({top} {other} and {negate}truthy({top})):")
-            self.goto(2, arg, bid)
-            emit(1, "else:")
-            self.goto(2, index + 1, bid)
-        elif op == JUMP_IF_FALSE_KEEP or op == JUMP_IF_TRUE_KEEP:
-            emit(1, f"if {top} is True or ({top} is not False and truthy({top})):")
-            first, second = (index + 1, arg) if op == JUMP_IF_FALSE_KEEP else (arg, index + 1)
-            self.goto(2, first, bid)
-            emit(1, "else:")
-            self.goto(2, second, bid)
-        elif op == JUMP_IF_STRICT_EQ:
-            emit(1, f"if strict_equals(s{d - 2}, {top}):")
-            self.goto(2, arg, bid)
-            emit(1, "else:")
-            self.goto(2, index + 1, bid)
-        elif op == POP or op == NOP:
-            pass
-        elif op == MEMBER_GET:
-            name = self.const(arg)
-            is_length = self.const(arg == "length")
-            emit(
-                1,
-                f"t = type({top})",
-                "if t is str:",
-                f"    {top} = float(len({top})) if {is_length} else get_property({top}, {name})",
-                f"elif t is JSArray and {is_length}:",
-                f"    {top} = float(len({top}.elements))",
-                f"elif t in PLAIN and {name} in {top}.properties:",
-                f"    {top} = {top}.properties[{name}]",
-                "else:",
-                f"    {top} = get_property({top}, {name})",
-            )
-        elif op == METHOD_LOOKUP:
-            name = self.const(arg)
-            method = self.const(STRING_METHODS.get(arg))
-            emit(
-                1,
-                f"t = type({top})",
-                "if t is str:",
-                f"    s{d} = {method}",
-                f"    if s{d} is None:",
-                f"        s{d} = get_property({top}, {name})",
-                f"elif t in PLAIN and {name} in {top}.properties:",
-                f"    s{d} = {top}.properties[{name}]",
-                "else:",
-                f"    s{d} = get_property({top}, {name})",
-            )
-        elif op == CALL_THIS:
-            argc = int(arg[1])
-            receiver = d - argc - 2
-            message = f"{self.const(arg[0])} + ' is not a function'"
-            self.call(index, f"s{receiver + 1}", f"s{receiver}", receiver, d, argc, message, True)
-        elif op == CALL:
-            argc = int(arg)
-            callee = d - argc - 1
-            self.call(
-                index, f"s{callee}", "global_this", callee, d, argc,
-                "'value is not a function'", False,
-            )
-        elif op == CALL_THIS_DYN:
-            argc = int(arg)
-            receiver = d - argc - 3
-            message = f"s{receiver + 2} + ' is not a function'"
-            self.call(index, f"s{receiver + 1}", f"s{receiver}", receiver, d, argc, message, True)
-        elif op == DUP:
-            emit(1, f"s{d} = {top}")
-        elif op == INCDEC:
-            emit(1, f"{top} = {top} + {_DELTAS[arg]}")
-        elif op == TO_NUMBER:
-            emit(1, f"if type({top}) is not float:", f"    {top} = to_number({top})")
-        elif op == SWAP:
-            emit(1, f"{top}, s{d - 2} = s{d - 2}, {top}")
-        elif op == ROT3:
-            emit(1, f"s{d - 3}, s{d - 2}, {top} = s{d - 2}, {top}, s{d - 3}")
-        elif op == MEMBER_GET_EXPR:
-            obj = f"s{d - 2}"
-            emit(
-                1,
-                f"if {_ARRAY_INDEX.format(key=top, obj=obj)}:",
-                f"    v = {obj}.elements",
-                f"    t = int({top})",
-                f"    {obj} = v[t] if t < len(v) else UNDEFINED",
-                "else:",
-                f"    {obj} = get_property({obj}, to_string({top}))",
-            )
-        elif op == MEMBER_SET:
-            emit(1, f"set_member(s{d - 2}, {self.const(arg)}, {top})", f"s{d - 2} = {top}")
-        elif op == MEMBER_SET_EXPR:
-            key, obj = f"s{d - 2}", f"s{d - 3}"
-            emit(
-                1,
-                f"if {_ARRAY_INDEX.format(key=key, obj=obj)}:",
-                f"    v = {obj}.elements",
-                f"    t = int({key})",
-                "    if t < len(v):",
-                f"        v[t] = {top}",
-                "    elif t == len(v):",
-                f"        v.append({top})",
-                "    else:",
-                f"        {obj}.set(str(t), {top})",
-                "else:",
-                f"    set_member({obj}, to_string({key}), {top})",
-                f"{obj} = {top}",
-            )
-        elif op == METHOD_LOOKUP_EXPR:
-            emit(
-                1,
-                f"v = to_string({top})",
-                f"if type(s{d - 2}) is str:",
-                "    f = STRING_METHODS.get(v)",
-                "    if f is None:",
-                f"        f = get_property(s{d - 2}, v)",
-                "else:",
-                f"    f = get_property(s{d - 2}, v)",
-                f"{top} = f",
-                f"s{d} = v",
-            )
-        elif op == ARRAY:
-            count = int(arg)
-            items = ", ".join(f"s{slot}" for slot in range(d - count, d))
-            emit(1, f"s{d - count} = JSArray([{items}])")
-        elif op == OBJECT:
-            count = len(arg)
-            keys = self.const(arg)
-            emit(1, "o = JSObject()")
-            if count:
-                values = ", ".join(f"s{slot}" for slot in range(d - count, d))
-                emit(1, f"for v, f in zip({keys}, ({values},)):", "    o.set(v, f)")
-            emit(1, f"s{d - count} = o")
-        elif op == UNARY:
-            emit(1, f"{top} = {_UNARY_OPS[arg].format(v=top)}")
-        elif op == TYPEOF:
-            emit(1, f"{top} = type_of({top})")
-        elif op == TYPEOF_NAME:
-            name = self.const(arg)
-            emit(1, f"s{d} = type_of(env.lookup({name})) if env.has({name}) else 'undefined'")
-        elif op == DELETE_MEMBER:
-            emit(
-                1,
-                f"{top} = {top}.delete({self.const(arg)}) "
-                f"if isinstance({top}, JSObject) else True",
-            )
-        elif op == DELETE_MEMBER_EXPR:
-            emit(
-                1,
-                f"v = to_string({top})",
-                f"s{d - 2} = s{d - 2}.delete(v) if isinstance(s{d - 2}, JSObject) else True",
-            )
-        elif op == SET_COMPL:
-            emit(1, f"compl = {top}")
-        elif op == SET_COMPL_UNDEF:
-            emit(1, "compl = UNDEFINED")
-        elif op == DECLARE:
-            emit(1, f"env.declare({self.const(arg)})")
-        elif op == DECLARE_POP:
-            emit(1, f"env.declare({self.const(arg)}, {top})")
-        elif op == DECLARE_SLOT_POP:
-            emit(1, f"if {top} is not UNDEFINED:", f"    {self.slot(arg, written=True)} = {top}")
-        elif op == LOAD_THIS:
-            emit(1, f"s{d} = this")
-        elif op == RETURN:
-            emit(1, f"return (-1, steps, {top})")
-        elif op == THROW:
-            emit(1, f"raise JSThrow({top})")
-        else:  # pragma: no cover - _translatable() admits nothing else
-            raise AssertionError(f"untranslatable op {op}")
-        pops, pushes = _stack_effect(op, arg)
-        return d - pops + pushes
-
-    def binary(self, op: str, left: str, right: str) -> None:
-        text = _OP_TEXT[op]
-        slow = f"{left} = binary_op({text!r}, {left}, {right})"
-        if text in _FLOAT_OPS:
-            fast = _FLOAT_OPS[text].format(l=left, r=right)
-            self.emit(
-                1,
-                f"if type({left}) is float and type({right}) is float:",
-                f"    {left} = {fast}",
-            )
-            if text == "+":
-                self.emit(
-                    1,
-                    f"elif type({left}) is str and type({right}) is str:",
-                    f"    {left} = record_string({left} + {right})",
-                )
-            self.emit(1, "else:", f"    {slow}")
-        elif text in _INT32_OPS:
-            self.emit(
-                1,
-                f"if (type({left}) is float and type({right}) is float"
-                f" and -2147483648.0 <= {left} <= 2147483647.0"
-                f" and -2147483648.0 <= {right} <= 2147483647.0):",
-                f"    {left} = float(int({left}) {_INT32_OPS[text]} int({right}))",
-                "else:",
-                f"    {slow}",
-            )
-        else:
-            self.emit(1, slow)
-
-    def call(
-        self,
-        index: int,
-        fn: str,
-        this: str,
-        result: int,
-        depth: int,
-        argc: int,
-        message: str,
-        string_methods: bool,
-    ) -> None:
-        """One call site: the dispatch loop's CALL/CALL_THIS paths, with
-        ``interp.steps`` synced around every call that can charge."""
-        self.has_calls = True
-        self.emit(
-            1, f"ip = {index}", f"f = {fn}",
-            *self.dispatch(this, result, depth, argc, message, string_methods),
-        )
-
-    def dispatch(
-        self, this: str, result: int, depth: int, argc: int, message: str, string_methods: bool
-    ) -> List[str]:
-        """The lines that call ``f`` on the callee's type."""
-        args = "[" + ", ".join(f"s{slot}" for slot in range(depth - argc, depth)) + "]"
-        out = f"s{result}"
-        lines = ["t = type(f)"]
-        keyword = "if"
-        if string_methods:
-            # String-method fast path: f is the raw STRING_METHODS builtin.
-            lines += ["if t is FunctionType:", f"    {out} = f(interp, {this}, {args})"]
-            keyword = "elif"
-        lines += [
-            f"{keyword} t is CompiledFunction:",
-            "    interp.steps = steps",
-            f"    {out} = call_with_code(f.code, f, {this}, {args})",
-            "    steps = interp.steps",
-            "elif t is NativeFunction:",
-            "    interp.steps = steps",
-            f"    {out} = f.fn(interp, {this}, {args})",
-            "    steps = interp.steps",
-            "else:",
-            "    if not is_callable(f):",
-            f"        raise JSRuntimeError({message}, 'TypeError')",
-            "    interp.steps = steps",
-            f"    {out} = call_inner(f, {this}, {args})",
-            "    steps = interp.steps",
-        ]
-        return lines
+    def __init__(self, code: Code, header: int, end: int, bindings: Dict[str, Any]) -> None:
+        window = range(header, end + 1)
+        self.ops: Dict[int, int] = {index: code.ops[index] for index in window}
+        self.args: Dict[int, Any] = {index: code.args[index] for index in window}
+        self.charges = code.charges
+        self.regions = code.regions
+        self.names: List[str] = []
+        slots: Dict[str, int] = {}
+        for index in window:
+            op, name = self.ops[index], self.args[index]
+            if op in _NAME_AS_SLOT and name in bindings:
+                if name not in slots:
+                    slots[name] = len(self.names)
+                    self.names.append(name)
+                self.ops[index] = _NAME_AS_SLOT[op]
+                self.args[index] = slots[name]
 
 
-# -- the typed tier ----------------------------------------------------------------
+# -- types ---------------------------------------------------------------------
 #
-# A slot-mode frame is a list only the running loop can touch: the
-# function has no closures, no ``eval`` and no ``try``, and a call gets
-# a frame of its own.  So the types its slots hold when the loop turns
-# hot, and the types the loop's own instructions produce, are facts the
-# generated code can rely on once it has checked the slots on entry.
+# Between two calls, a loop's variables can be touched by the loop
+# alone: a slot-mode frame belongs to the running loop (the function
+# has no closures, no ``eval`` and no ``try``, and a call gets a frame
+# of its own), and a cached name lives in a local until the next write
+# back.  So the types its variables hold when the loop turns hot, and
+# the types the loop's own instructions produce, are facts the
+# generated code can rely on once it has checked them on entry.  After
+# a general call a cached name is read again and its type is unknown.
 #
 # A type is a token: ``float``, ``str``, ``bool`` or ``JSArray`` (the
 # value's exact Python type), ``("method", name)`` for the raw
 # ``STRING_METHODS`` builtin a string's method lookup yields, or
 # ``None`` for a value nothing is known about.  A stack entry is a token,
 # the slot it was loaded from when the loop never writes that slot, and
-# the pc of the ``CONST`` it came from (-1 when not): a never-written
-# slot keeps its string length and ToInt32 for the whole run, and a
+# the pc of the ``CONST`` it came from (-1 when not): such a slot keeps
+# its string length and ToInt32 for as long as its type is known, and a
 # literal's ToInt32 is known when the loop is translated.
 
-#: Slot types a typed loop may assume on entry, as spelt in its source.
+#: Variable types a loop may assume on entry, as spelt in its source.
 _TYPE_NAMES: Dict[Any, str] = {float: "float", str: "str", bool: "bool", JSArray: "JSArray"}
 #: What each ``STRING_METHODS`` builtin returns.
 _METHOD_RESULTS: Dict[str, Any] = {
@@ -938,17 +556,17 @@ _BOOL_OPS = frozenset(("<", ">", "<=", ">=", "==", "!=", "===", "!==", "instance
 #: Comparisons that Python spells the same on two floats or two strings.
 _COMPARES = frozenset(_BOOL_OPS - {"instanceof", "in"})
 _UNARY_TYPES: Dict[str, Any] = {"!": bool, "-": float, "+": float, "~": float, "void": None}
-#: Branches a typed loop nests before a block gets a dispatch case of
-#: its own: Python refuses source indented past 100 levels.
+#: Branches a loop nests before a block gets a dispatch case of its
+#: own: Python refuses source indented past 100 levels.
 _MAX_NESTING = 24
-#: Ops whose generic code neither raises nor reads ``steps``, so a
-#: charge run needs no flush before them: slot and stack moves, and the
-#: value helpers (``to_number``, ``to_int32``, ``truthy``, ``type_of``)
-#: that never fail.
+#: Ops whose code neither raises nor reads ``steps``, so a charge run
+#: needs no flush before them: slot and stack moves, and the value
+#: helpers (``to_number``, ``to_int32``, ``truthy``, ``type_of``) that
+#: never fail.
 _PURE = frozenset((
     LOAD_SLOT, STORE_SLOT, STORE_SLOT_POP, DECLARE_SLOT_POP, INC_SLOT, CONST, DUP, SWAP,
     ROT3, POP, NOP, SET_COMPL, SET_COMPL_UNDEF, LOAD_THIS, TO_NUMBER, INCDEC, UNARY, TYPEOF,
-    ARRAY, OBJECT,
+    TYPEOF_SLOT, ARRAY, OBJECT,
 ))
 
 Entry = Tuple[Any, int, int]
@@ -969,70 +587,7 @@ def _binary_type(op: str, left: Any, right: Any) -> Any:
     return bool if op in _BOOL_OPS else float
 
 
-def _transfer(
-    pc: int, op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any], invariant: Set[int]
-) -> None:
-    """Apply the instruction at ``pc``, which is not a jump, to the types."""
-    if op == LOAD_SLOT:
-        stack.append((slots[arg], arg if arg in invariant else -1, -1))
-    elif op == STORE_SLOT:
-        slots[arg] = stack[-1][0]
-    elif op == STORE_SLOT_POP or op == DECLARE_SLOT_POP:
-        # DECLARE_SLOT_POP keeps the old value only when storing
-        # undefined, which a known token never is.
-        slots[arg] = stack.pop()[0]
-    elif op == INC_SLOT:
-        slots[arg[0]] = float
-    elif op == CONST:
-        stack.append((_const_type(arg), -1, pc))
-    elif op == STRING or op == TYPEOF_NAME:
-        stack.append((str, -1, -1))
-    elif op == BINARY:
-        right = stack.pop()[0]
-        stack[-1] = (_binary_type(arg, stack[-1][0], right), -1, -1)
-    elif op == MEMBER_GET:
-        token = stack[-1][0]
-        sized = arg == "length" and (token is str or token is JSArray)
-        stack[-1] = (float if sized else None, -1, -1)
-    elif op == METHOD_LOOKUP:
-        known = stack[-1][0] is str and arg in STRING_METHODS
-        stack.append((("method", arg) if known else None, -1, -1))
-    elif op == CALL_THIS:
-        argc = int(arg[1])
-        callee = stack[-argc - 1][0]
-        del stack[-argc - 2:]
-        result = _METHOD_RESULTS.get(callee[1]) if type(callee) is tuple else None
-        stack.append((result, -1, -1))
-    elif op == DUP:
-        stack.append(stack[-1])
-    elif op == SWAP:
-        stack[-2], stack[-1] = stack[-1], stack[-2]
-    elif op == ROT3:
-        stack[-3:] = [stack[-2], stack[-1], stack[-3]]
-    elif op == TO_NUMBER:
-        stack[-1] = (float, -1, -1)
-    elif op == INCDEC:
-        stack[-1] = (float if stack[-1][0] is float else None, -1, -1)
-    elif op == UNARY:
-        stack[-1] = (_UNARY_TYPES[arg], -1, -1)
-    elif op == TYPEOF:
-        stack[-1] = (str, -1, -1)
-    elif op == ARRAY:
-        del stack[len(stack) - int(arg):]
-        stack.append((JSArray, -1, -1))
-    elif op == MEMBER_SET or op == MEMBER_SET_EXPR:
-        value = stack[-1][0]
-        del stack[-3 if op == MEMBER_SET_EXPR else -2:]
-        stack.append((value, -1, -1))
-    elif op == STORE_NAME or op == NOP:
-        pass
-    else:
-        pops, pushes = _stack_effect(op, arg)
-        del stack[len(stack) - pops:]
-        stack.extend([_NOTHING] * pushes)
-
-
-def _successors(code: Code, header: int, end: int, block: _Block) -> List[int]:
+def _successors(code: Any, header: int, end: int, block: _Block) -> List[int]:
     """The loop blocks control can pass to from ``block``."""
     last = block.stop - 1
     op = code.ops[last]
@@ -1047,7 +602,7 @@ def _successors(code: Code, header: int, end: int, block: _Block) -> List[int]:
     return [target for target in targets if header <= target <= end]
 
 
-def _slot_uses(code: Code, block: _Block) -> Tuple[Set[int], Set[int]]:
+def _slot_uses(code: Any, block: _Block) -> Tuple[Set[int], Set[int]]:
     """Slots ``block`` reads before writing them, and slots it writes.
     A ``DECLARE_SLOT_POP`` counts as both: it keeps the old value when
     it stores undefined."""
@@ -1055,7 +610,7 @@ def _slot_uses(code: Code, block: _Block) -> Tuple[Set[int], Set[int]]:
     written: Set[int] = set()
     for index in range(block.start, block.stop):
         op, arg = code.ops[index], code.args[index]
-        if op == LOAD_SLOT or op == DECLARE_SLOT_POP:
+        if op == LOAD_SLOT or op == DECLARE_SLOT_POP or op == TYPEOF_SLOT:
             if arg not in written:
                 used.add(arg)
             if op == DECLARE_SLOT_POP:
@@ -1084,30 +639,36 @@ def _join(old: State, new: State) -> State:
 
 
 class _Analysis:
-    """Types at every block entry of one loop, for a frame's slot types.
+    """Types at every block entry of one loop, for its variables' values.
 
-    A slot that some path reads before writing it (it is live at the
-    header) starts with the type its frame value has; the rest start
+    A variable that some path reads before writing it (it is live at
+    the header) starts with the type its value has; the rest start
     unknown.  Joining every edge into each block until nothing changes
     leaves, at the header, the types the loop keeps on every iteration:
-    those are the ones its entry checks.
+    those are the ones its entry checks.  With ``names`` (env mode) a
+    general call makes every variable unknown.
     """
 
     def __init__(
-        self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]
+        self, code: Any, header: int, end: int, blocks: List[_Block], values: Sequence[Any],
+        names: bool,
     ) -> None:
         self.succ = {block.start: _successors(code, header, end, block) for block in blocks}
         uses = {block.start: _slot_uses(code, block) for block in blocks}
         touched: Set[int] = set()
-        written: Set[int] = set()
+        self.written: Set[int] = set()
         for used, wrote in uses.values():
             touched |= used | wrote
-            written |= wrote
-        self.invariant = touched - written
+            self.written |= wrote
+        self.names = names
+        # A variable nothing in the loop writes keeps its value while its
+        # type is known: a call that could rebind a cached name leaves
+        # its type unknown.
+        self.invariant = touched - self.written
         live = self._live_at_header(blocks, uses, header)
         entry: Dict[int, Any] = {}
         for slot in touched:
-            kind = type(frame[slot])
+            kind = type(values[slot])
             entry[slot] = kind if slot in live and kind in _TYPE_NAMES else None
         self.states = self._infer(code, header, end, blocks, entry)
         self.checks = {
@@ -1133,7 +694,7 @@ class _Analysis:
         return live[header]
 
     def _infer(
-        self, code: Code, header: int, end: int, blocks: List[_Block], entry: Dict[int, Any]
+        self, code: Any, header: int, end: int, blocks: List[_Block], entry: Dict[int, Any]
     ) -> Dict[int, State]:
         stops = {block.start: block.stop for block in blocks}
         states: Dict[int, State] = {header: (entry, ())}
@@ -1169,10 +730,82 @@ class _Analysis:
                         stack.pop()
                         flow(arg, slots, stack)
                 elif op != RETURN and op != THROW:
-                    _transfer(index, op, arg, stack, slots, self.invariant)
+                    self.transfer(index, op, arg, stack, slots)
             if code.ops[index] not in _TERMINATORS:
                 flow(stops[start], slots, stack)
         return states
+
+    def transfer(
+        self, pc: int, op: int, arg: Any, stack: List[Entry], slots: Dict[int, Any]
+    ) -> None:
+        """Apply the instruction at ``pc``, which is not a jump, to the types."""
+        if op == LOAD_SLOT:
+            stack.append((slots[arg], arg if arg in self.invariant else -1, -1))
+        elif op == STORE_SLOT:
+            slots[arg] = stack[-1][0]
+        elif op == STORE_SLOT_POP or op == DECLARE_SLOT_POP:
+            # DECLARE_SLOT_POP keeps the old value only when storing
+            # undefined, which a known token never is.
+            slots[arg] = stack.pop()[0]
+        elif op == INC_SLOT:
+            slots[arg[0]] = float
+        elif op == CONST:
+            stack.append((_const_type(arg), -1, pc))
+        elif op == STRING or op == TYPEOF_NAME or op == TYPEOF_SLOT:
+            stack.append((str, -1, -1))
+        elif op == BINARY:
+            right = stack.pop()[0]
+            stack[-1] = (_binary_type(arg, stack[-1][0], right), -1, -1)
+        elif op == MEMBER_GET:
+            token = stack[-1][0]
+            sized = arg == "length" and (token is str or token is JSArray)
+            stack[-1] = (float if sized else None, -1, -1)
+        elif op == METHOD_LOOKUP:
+            known = stack[-1][0] is str and arg in STRING_METHODS
+            stack.append((("method", arg) if known else None, -1, -1))
+        elif op == CALL_THIS and type(stack[-int(arg[1]) - 1][0]) is tuple:
+            # A proven string's own builtin runs no JS code.
+            argc = int(arg[1])
+            method = stack[-argc - 1][0][1]
+            del stack[-argc - 2:]
+            stack.append((_METHOD_RESULTS.get(method), -1, -1))
+        elif op == CALL or op == CALL_THIS or op == CALL_THIS_DYN:
+            pops, _ = _stack_effect(op, arg)
+            del stack[len(stack) - pops:]
+            stack.append(_NOTHING)
+            if self.names:
+                for slot in slots:
+                    slots[slot] = None
+        elif op == DUP:
+            stack.append(stack[-1])
+        elif op == SWAP:
+            stack[-2], stack[-1] = stack[-1], stack[-2]
+        elif op == ROT3:
+            stack[-3:] = [stack[-2], stack[-1], stack[-3]]
+        elif op == TO_NUMBER:
+            stack[-1] = (float, -1, -1)
+        elif op == INCDEC:
+            stack[-1] = (float if stack[-1][0] is float else None, -1, -1)
+        elif op == UNARY:
+            stack[-1] = (_UNARY_TYPES[arg], -1, -1)
+        elif op == TYPEOF:
+            stack[-1] = (str, -1, -1)
+        elif op == ARRAY:
+            del stack[len(stack) - int(arg):]
+            stack.append((JSArray, -1, -1))
+        elif op == MEMBER_SET or op == MEMBER_SET_EXPR:
+            value = stack[-1][0]
+            del stack[-3 if op == MEMBER_SET_EXPR else -2:]
+            stack.append((value, -1, -1))
+        elif op == STORE_NAME or op == NOP:
+            pass
+        else:
+            pops, pushes = _stack_effect(op, arg)
+            del stack[len(stack) - pops:]
+            stack.extend([_NOTHING] * pushes)
+
+
+# -- code generation -------------------------------------------------------------
 
 
 class _TooDeep(Exception):
@@ -1181,15 +814,16 @@ class _TooDeep(Exception):
         self.start = start
 
 
-class _TypedGenerator(_Generator):
-    """Renders one slot-mode loop for the slot types its frame holds.
+class _Generator:
+    """Renders one loop as the source of ``_loop``, for the types its
+    variables hold (:class:`_Analysis`).
 
     Where the analysis proves an operand's type, the ``type()`` test
-    goes; where it does not, the instruction is emitted as the generic
-    translation emits it.  Blocks reached from one place only (and the
-    short ``i++`` latch before a back-edge) are inlined where control
-    reaches them, so a loop whose only join point is its header has no
-    block dispatch at all.
+    goes; where it does not, :meth:`op` emits the dispatch loop's own
+    tests.  Blocks reached from one place only (and the short ``i++``
+    latch before a back-edge) are inlined where control reaches them,
+    so a loop whose only join point is its header has no block
+    dispatch at all.
 
     The step budget is charged per *run*: a stretch of one block that
     starts on an empty operand stack and ends at the block's end or at
@@ -1203,15 +837,19 @@ class _TypedGenerator(_Generator):
     ``interp.steps`` sync, a branch or an exit.  A fast path's slow
     branch adds them before its call and takes them back after.  A run
     with one charged instruction, and every instruction charged on a
-    non-empty stack, is checked at its instruction as before.
+    non-empty stack, is checked at its instruction.
     """
 
     def __init__(
-        self, code: Code, header: int, end: int, blocks: List[_Block], frame: List[Any]
+        self, code: Any, header: int, end: int, blocks: List[_Block], values: Sequence[Any],
+        names: Sequence[str],
     ) -> None:
-        super().__init__(code, header, end, blocks)
-        self.analysis = _Analysis(code, header, end, blocks, frame)
-        self.leading = ["generic"]
+        self.code = code
+        self.header = header
+        self.end = end
+        #: Env mode: the cached names, by pseudo-slot.
+        self.names = names
+        self.analysis = _Analysis(code, header, end, blocks, values, bool(names))
         self.by_start = {block.start: block for block in blocks}
         preds = {block.start: 0 for block in blocks}
         for targets in self.analysis.succ.values():
@@ -1229,12 +867,41 @@ class _TypedGenerator(_Generator):
         self.sections: List[int] = []
         self.section_ids: Dict[int, int] = {}
         self.current = 0
-        #: Never-written string slots whose length is read, and
-        #: never-written number slots an int32 operator reads.
+        self.constants: List[Any] = []
+        self.lines: List[str] = []
+        self.has_calls = False
+        #: Variables the loop uses, and those it writes: a slot's local
+        #: goes back to the frame on every way out.
+        self.slots: Set[int] = set()
+        self.written: Set[int] = set()
+        #: Variables whose length is read and whose ToInt32 an int32
+        #: operator reads, where nothing writes them while the loop runs.
         self.lengths: Set[int] = set()
         self.int32s: Set[int] = set()
         #: Charges of the guarded run so far that ``steps`` lacks.
         self.pending = 0
+        #: The constants holding the cached names, by pseudo-slot.
+        self.keys: List[str] = []
+
+    # -- plumbing
+
+    def const(self, value: Any) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+    def slot(self, index: Any, written: bool = False) -> str:
+        """The local caching variable ``index`` for the loop's run."""
+        number = int(index)
+        self.slots.add(number)
+        if written:
+            self.written.add(number)
+        return f"l{number}"
+
+    def put(self, level: int, *lines: str) -> None:
+        pad = "    " * level
+        self.lines.extend(pad + line for line in lines)
+
+    # -- rendering
 
     def render(self) -> Tuple[str, Tuple[Any, ...]]:
         while True:
@@ -1242,23 +909,87 @@ class _TypedGenerator(_Generator):
             self.section_ids = {start: sid for sid, start in enumerate(self.sections)}
             self.constants, self.lines, self.has_calls, self.pending = [], [], False, 0
             self.slots, self.written, self.lengths, self.int32s = set(), set(), set(), set()
+            self.keys = [self.const(name) for name in self.names]
             try:
                 self.body()
             except _TooDeep as deep:
                 self.joins.add(deep.start)
                 continue
             break
+        return self.assemble()
+
+    def assemble(self) -> Tuple[str, Tuple[Any, ...]]:
+        """The whole function around the emitted body: constants and
+        variables loaded and checked, then the loop and its ways out."""
+        back = f"return ({self.header}, steps, compl)"
+        handler = self.signal_handler()
+        lines = ["def _loop(interp, frame, env, this, steps, compl, K):"]
+        if self.constants:
+            lines.append(f"    {', '.join(f'k{i}' for i in range(len(self.constants)))}, = K")
+        lines.append("    bindings = env.bindings")
+        if self.names:
+            lines.append("    try:")
+            lines += [f"        l{slot} = bindings[{key}]" for slot, key in enumerate(self.keys)]
+            lines += ["    except KeyError:", f"        {back}"]
+        else:
+            lines += [f"    l{slot} = frame[{slot}]" for slot in sorted(self.slots)]
         checks = self.analysis.checks
-        entry: List[str] = []
         if checks:
             test = " or ".join(
-                f"type(l{slot}) is not {_TYPE_NAMES[token]}"
-                for slot, token in sorted(checks.items())
+                f"type(l{slot}) is not {_TYPE_NAMES[token]}" for slot, token in sorted(checks.items())
             )
-            entry += [f"if {test}:", "    return generic(interp, frame, env, this, steps, compl)"]
-        entry += [f"m{slot} = float(len(l{slot}))" for slot in sorted(self.lengths)]
-        entry += [f"i{slot} = to_int32(l{slot})" for slot in sorted(self.int32s)]
-        return self.assemble(entry, dispatch=len(self.sections) > 1)
+            lines += [f"    if {test}:", f"        {back}"]
+        lines += [f"    m{slot} = float(len(l{slot}))" for slot in sorted(self.lengths)]
+        lines += [f"    i{slot} = to_int32(l{slot})" for slot in sorted(self.int32s)]
+        lines += ["    " + line for line in _SETUP]
+        if len(self.sections) > 1:
+            lines.append("    b = 0")
+        lines += ["    ip = -1", "    try:", "        while True:"]
+        lines += ["            " + line for line in self.lines]
+        lines += ["    " + line for line in handler]
+        lines.append("    finally:")
+        if self.names:
+            # A call that raised left its callee's bindings (ip >= 0).
+            stores = self.stores()
+            if stores:
+                lines += ["        if ip < 0:"] + ["            " + line for line in stores]
+        else:
+            lines += [f"        frame[{slot}] = l{slot}" for slot in sorted(self.written)]
+        lines += [
+            "        if interp.steps < steps:",
+            "            interp.steps = steps",
+        ]
+        return "\n".join(lines) + "\n", tuple(self.constants)
+
+    def stores(self) -> List[str]:
+        """Write every cached name the loop assigns back to the bindings."""
+        return [f"bindings[{self.keys[slot]}] = l{slot}" for slot in sorted(self.analysis.written)]
+
+    def around_call(self, index: int, lines: List[str]) -> List[str]:
+        """``lines``, a general call at ``index``, with the cached names
+        written back before it and read again after it."""
+        if not self.names:
+            return [f"ip = {index}", *lines]
+        stores = self.stores()
+        loads = [f"l{slot} = bindings[{key}]" for slot, key in enumerate(self.keys)]
+        return [*stores, f"ip = {index}", *lines, *loads, *(["ip = -1"] if stores else [])]
+
+    def signal_handler(self) -> List[str]:
+        """A Break/ContinueSignal out of a call maps through the region
+        table from the call's pc, as in the dispatch loop, which then
+        resumes at the target; with no region it unwinds further."""
+        if not self.has_calls:
+            return []
+        regions = self.const(self.code.regions)
+        return [
+            "except (BreakSignal, ContinueSignal) as signal:",
+            "    if interp.steps > steps:",
+            "        steps = interp.steps",
+            f"    t = signal_target({regions}, ip, isinstance(signal, ContinueSignal))[0]",
+            "    if t < 0:",
+            "        raise",
+            "    return (t, steps, compl)",
+        ]
 
     def body(self) -> None:
         if len(self.sections) == 1:
@@ -1268,10 +999,6 @@ class _TypedGenerator(_Generator):
             self.current = sid
             self.put(0, f"if b == {sid}:")
             self.chain(start, 1)
-
-    def put(self, level: int, *lines: str) -> None:
-        pad = "    " * level
-        self.lines.extend(pad + line for line in lines)
 
     # -- control flow
 
@@ -1288,7 +1015,7 @@ class _TypedGenerator(_Generator):
             return sid <= self.current
         return self.ends_in_back_edge(target)
 
-    def goto_typed(self, level: int, target: int) -> bool:
+    def goto(self, level: int, target: int) -> bool:
         """Transfer control to ``target``; True when the emitted code
         leaves this iteration's straight line (return or continue)."""
         if not self.header <= target <= self.end:
@@ -1310,10 +1037,10 @@ class _TypedGenerator(_Generator):
         if self.leaves(if_false) and not self.leaves(if_true):
             test, if_true, if_false = f"not ({test})", if_false, if_true
         self.put(level, f"if {test}:")
-        if self.goto_typed(level + 1, if_true):
-            return self.goto_typed(level, if_false)
+        if self.goto(level + 1, if_true):
+            return self.goto(level, if_false)
         self.put(level, "else:")
-        self.goto_typed(level + 1, if_false)
+        self.goto(level + 1, if_false)
         return False
 
     def chain(self, start: int, level: int) -> bool:
@@ -1344,20 +1071,22 @@ class _TypedGenerator(_Generator):
             if op == JUMP or op in _CONDITIONAL or op == RETURN or op == THROW:
                 self.flush(level)
             if op == JUMP:
-                return self.goto_typed(level, arg)
+                return self.goto(level, arg)
             if op in _CONDITIONAL:
                 return self.conditional(level, index, op, arg, stack)
-            if op == RETURN or op == THROW:
-                self.nest = level - 1
-                _Generator.op(self, 0, index, op, arg, len(stack))
+            if op == RETURN:
+                self.put(level, f"return (-1, steps, s{len(stack) - 1})")
+                return True
+            if op == THROW:
+                self.put(level, f"raise JSThrow(s{len(stack) - 1})")
                 return True
             if op == BINARY and index + 2 == block.stop and self.fusable(index, stack):
                 self.flush(level)
                 return self.fused(level, index, arg, len(stack))
             self.typed_op(level, index, op, arg, stack, slots)
-            _transfer(index, op, arg, stack, slots, self.analysis.invariant)
+            self.analysis.transfer(index, op, arg, stack, slots)
         self.flush(level)
-        return self.goto_typed(level, block.stop)
+        return self.goto(level, block.stop)
 
     # -- the step budget
 
@@ -1375,7 +1104,7 @@ class _TypedGenerator(_Generator):
             if op == CALL_THIS and type(stack[-int(arg[1]) - 1][0]) is not tuple:
                 return index + 1  # not a proven string's own builtin
             if op != JUMP and op not in _CONDITIONAL and op != RETURN and op != THROW:
-                _transfer(index, op, arg, stack, slots, self.analysis.invariant)
+                self.analysis.transfer(index, op, arg, stack, slots)
         return stop
 
     def guard(self, level: int, start: int, stop: int) -> bool:
@@ -1477,7 +1206,7 @@ class _TypedGenerator(_Generator):
                 self.put(level, f"s{d} = {self.const(method)}")
         elif op == CALL_THIS and self.typed_call(level, index, arg, stack):
             pass
-        elif op == MEMBER_GET_EXPR and (token is float or stack[-2][0] is JSArray):
+        elif op == MEMBER_GET_EXPR:
             obj = f"s{d - 2}"
             self.put(
                 level,
@@ -1488,7 +1217,7 @@ class _TypedGenerator(_Generator):
                 "else:",
                 *self.slow(f"{obj} = get_property({obj}, to_string({top}))"),
             )
-        elif op == MEMBER_SET_EXPR and (stack[-2][0] is float or stack[-3][0] is JSArray):
+        elif op == MEMBER_SET_EXPR:
             key, obj = f"s{d - 2}", f"s{d - 3}"
             self.put(
                 level,
@@ -1508,12 +1237,14 @@ class _TypedGenerator(_Generator):
         else:
             if op not in _PURE:
                 self.flush(level)
-            self.nest = level - 1
-            _Generator.op(self, 0, index, op, arg, d)
+            self.op(level, index, op, arg, d)
 
     @staticmethod
     def element_test(key: str, key_token: Any, obj: str, obj_token: Any) -> str:
-        """``_ARRAY_INDEX`` without the type tests the analysis proved."""
+        """The element fast path's test, without the type tests the
+        analysis proved: a whole float in 0..2**32-2 (exactly what
+        ``to_string`` -> ``array_index`` accepts) keying a ``JSArray``.
+        The bound is fixed text, never a value from the ``Code``."""
         tests = []
         if key_token is not float:
             tests.append(f"type({key}) is float")
@@ -1579,8 +1310,8 @@ class _TypedGenerator(_Generator):
 
     def int32_operand(self, name: str, entry: Entry, tests: List[str]) -> str:
         """``name``'s ToInt32 as an int, adding to ``tests`` what must
-        hold for the inline form: a literal's and a never-written
-        number slot's are computed before the loop runs."""
+        hold for the inline form: a literal's and an unwritten number
+        variable's are computed before the loop runs."""
         token, slot, pc = entry
         if pc >= 0:
             return self.const(to_int32(self.code.args[pc]))
@@ -1601,10 +1332,9 @@ class _TypedGenerator(_Generator):
         args = "[" + ", ".join(f"s{slot}" for slot in range(d - argc, d)) + "]"
         last, last_token = f"s{d - 1}", stack[-1][0]
         if type(callee) is tuple:
-            # The raw builtin of a proven string: no type dispatch.
-            self.has_calls = True
+            # The raw builtin of a proven string: no type dispatch, and
+            # no JS code runs.
             method = callee[1]
-            self.put(level, f"ip = {index}")
             if argc == 1 and (method == "charCodeAt" or method == "charAt"):
                 test = f"0.0 <= {last} < len({recv})"
                 if last_token is not float:
@@ -1631,48 +1361,251 @@ class _TypedGenerator(_Generator):
                 test += f" and type({last}) is float"
             message = f"{self.const(name)} + ' is not a function'"
             self.put(
-                level, f"ip = {index}", f"f = {fn}", f"if {test} and 0.0 <= {last} < 65536.0:",
+                level, f"f = {fn}", f"if {test} and 0.0 <= {last} < 65536.0:",
                 "    interp.steps = steps", f"    {recv} = chr(trunc({last}))", "else:",
             )
-            self.put(level + 1, *self.dispatch(recv, receiver, d, argc, message, True))
+            dispatch = self.dispatch(recv, receiver, d, argc, message, True)
+            self.put(level + 1, *self.around_call(index, dispatch))
             return True
         return False
 
+    def op(self, level: int, index: int, op: int, arg: Any, depth: int) -> None:
+        """Emit one instruction at stack ``depth`` whose operands the
+        analysis does not prove: the dispatch loop's own type tests."""
+        d = depth
+        top = f"s{d - 1}"
+        put = self.put
+        if op == LOAD_SLOT:
+            put(level, f"s{d} = {self.slot(arg)}")
+        elif op == INC_SLOT:
+            slot = self.slot(arg[0], written=True)
+            put(
+                level,
+                f"v = {slot}",
+                "if type(v) is not float:",
+                "    v = to_number(v)",
+                f"{slot} = v + {_DELTAS[arg[1]]}",
+            )
+        elif op == STORE_SLOT_POP or op == STORE_SLOT:
+            put(level, f"{self.slot(arg, written=True)} = {top}")
+        elif op == CONST:
+            put(level, f"s{d} = {self.const(arg)}")
+        elif op == STRING:
+            # The compiler emits STRING only for literals of 2+ chars,
+            # and _record_string ignores shorter ones anyway.
+            put(level, f"s{d} = record_string({self.const(arg)})")
+        elif op == BINARY:
+            self.binary(level, arg, f"s{d - 2}", top)
+        elif op == LOAD_NAME:
+            # The running scope's own bindings are lookup()'s first hop.
+            name = self.const(arg)
+            put(level, f"s{d} = bindings[{name}] if {name} in bindings else lookup({name})")
+        elif op == STORE_NAME:
+            name = self.const(arg)
+            put(
+                level,
+                f"if {name} in bindings:",
+                f"    bindings[{name}] = {top}",
+                "else:",
+                f"    env.assign({name}, {top})",
+            )
+        elif op == POP or op == NOP:
+            pass
+        elif op == MEMBER_GET:
+            name = self.const(arg)
+            is_length = self.const(arg == "length")
+            put(
+                level,
+                f"t = type({top})",
+                "if t is str:",
+                f"    {top} = float(len({top})) if {is_length} else get_property({top}, {name})",
+                f"elif t is JSArray and {is_length}:",
+                f"    {top} = float(len({top}.elements))",
+                f"elif t in PLAIN and {name} in {top}.properties:",
+                f"    {top} = {top}.properties[{name}]",
+                "else:",
+                f"    {top} = get_property({top}, {name})",
+            )
+        elif op == METHOD_LOOKUP:
+            name = self.const(arg)
+            method = self.const(STRING_METHODS.get(arg))
+            put(
+                level,
+                f"t = type({top})",
+                "if t is str:",
+                f"    s{d} = {method}",
+                f"    if s{d} is None:",
+                f"        s{d} = get_property({top}, {name})",
+                f"elif t in PLAIN and {name} in {top}.properties:",
+                f"    s{d} = {top}.properties[{name}]",
+                "else:",
+                f"    s{d} = get_property({top}, {name})",
+            )
+        elif op == CALL_THIS:
+            argc = int(arg[1])
+            receiver = d - argc - 2
+            message = f"{self.const(arg[0])} + ' is not a function'"
+            self.call(level, index, f"s{receiver + 1}", f"s{receiver}", receiver, d, argc, message, True)
+        elif op == CALL:
+            argc = int(arg)
+            callee = d - argc - 1
+            self.call(
+                level, index, f"s{callee}", "global_this", callee, d, argc,
+                "'value is not a function'", False,
+            )
+        elif op == CALL_THIS_DYN:
+            argc = int(arg)
+            receiver = d - argc - 3
+            message = f"s{receiver + 2} + ' is not a function'"
+            self.call(level, index, f"s{receiver + 1}", f"s{receiver}", receiver, d, argc, message, True)
+        elif op == DUP:
+            put(level, f"s{d} = {top}")
+        elif op == INCDEC:
+            put(level, f"{top} = {top} + {_DELTAS[arg]}")
+        elif op == TO_NUMBER:
+            put(level, f"if type({top}) is not float:", f"    {top} = to_number({top})")
+        elif op == SWAP:
+            put(level, f"{top}, s{d - 2} = s{d - 2}, {top}")
+        elif op == ROT3:
+            put(level, f"s{d - 3}, s{d - 2}, {top} = s{d - 2}, {top}, s{d - 3}")
+        elif op == MEMBER_SET:
+            put(level, f"set_member(s{d - 2}, {self.const(arg)}, {top})", f"s{d - 2} = {top}")
+        elif op == METHOD_LOOKUP_EXPR:
+            put(
+                level,
+                f"v = to_string({top})",
+                f"if type(s{d - 2}) is str:",
+                "    f = STRING_METHODS.get(v)",
+                "    if f is None:",
+                f"        f = get_property(s{d - 2}, v)",
+                "else:",
+                f"    f = get_property(s{d - 2}, v)",
+                f"{top} = f",
+                f"s{d} = v",
+            )
+        elif op == ARRAY:
+            count = int(arg)
+            items = ", ".join(f"s{slot}" for slot in range(d - count, d))
+            put(level, f"s{d - count} = JSArray([{items}])")
+        elif op == OBJECT:
+            count = len(arg)
+            keys = self.const(arg)
+            put(level, "o = JSObject()")
+            if count:
+                values = ", ".join(f"s{slot}" for slot in range(d - count, d))
+                put(level, f"for v, f in zip({keys}, ({values},)):", "    o.set(v, f)")
+            put(level, f"s{d - count} = o")
+        elif op == UNARY:
+            put(level, f"{top} = {_UNARY_OPS[arg].format(v=top)}")
+        elif op == TYPEOF:
+            put(level, f"{top} = type_of({top})")
+        elif op == TYPEOF_SLOT:
+            put(level, f"s{d} = type_of({self.slot(arg)})")
+        elif op == TYPEOF_NAME:
+            name = self.const(arg)
+            put(level, f"s{d} = type_of(env.lookup({name})) if env.has({name}) else 'undefined'")
+        elif op == DELETE_MEMBER:
+            put(
+                level,
+                f"{top} = {top}.delete({self.const(arg)}) "
+                f"if isinstance({top}, JSObject) else True",
+            )
+        elif op == DELETE_MEMBER_EXPR:
+            put(
+                level,
+                f"v = to_string({top})",
+                f"s{d - 2} = s{d - 2}.delete(v) if isinstance(s{d - 2}, JSObject) else True",
+            )
+        elif op == SET_COMPL:
+            put(level, f"compl = {top}")
+        elif op == SET_COMPL_UNDEF:
+            put(level, "compl = UNDEFINED")
+        elif op == DECLARE:
+            put(level, f"env.declare({self.const(arg)})")
+        elif op == DECLARE_POP:
+            put(level, f"env.declare({self.const(arg)}, {top})")
+        elif op == DECLARE_SLOT_POP:
+            put(level, f"if {top} is not UNDEFINED:", f"    {self.slot(arg, written=True)} = {top}")
+        elif op == LOAD_THIS:
+            put(level, f"s{d} = this")
+        else:  # pragma: no cover - _translatable() admits nothing else
+            raise AssertionError(f"untranslatable op {op}")
 
-def typed_loop_source(
-    code: Code, header: int, frame: List[Any]
-) -> Optional[Tuple[str, Tuple[Any, ...]]]:
-    """Generated source and constants of the slot-mode loop at
-    ``header``, typed for the values ``frame`` holds; ``None`` when the
-    loop stays on the dispatch loop.  The function takes the generic
-    translation's entry as the first constant (see :func:`translate_loop`)."""
-    end = _loop_end(code, header)
-    if end < 0:
-        return None
-    blocks = _blocks(code, header, end)
-    if blocks is None:
-        return None
-    return _TypedGenerator(code, header, end, blocks, frame).render()
+    def binary(self, level: int, op: str, left: str, right: str) -> None:
+        text = _OP_TEXT[op]
+        slow = f"{left} = binary_op({text!r}, {left}, {right})"
+        if text in _FLOAT_OPS:
+            fast = _FLOAT_OPS[text].format(l=left, r=right)
+            self.put(
+                level,
+                f"if type({left}) is float and type({right}) is float:",
+                f"    {left} = {fast}",
+            )
+            if text == "+":
+                self.put(
+                    level,
+                    f"elif type({left}) is str and type({right}) is str:",
+                    f"    {left} = record_string({left} + {right})",
+                )
+            self.put(level, "else:", f"    {slow}")
+        elif text in _INT32_OPS:
+            self.put(
+                level,
+                f"if (type({left}) is float and type({right}) is float"
+                f" and -2147483648.0 <= {left} <= 2147483647.0"
+                f" and -2147483648.0 <= {right} <= 2147483647.0):",
+                f"    {left} = float(int({left}) {_INT32_OPS[text]} int({right}))",
+                "else:",
+                f"    {slow}",
+            )
+        else:
+            self.put(level, slow)
 
+    def call(
+        self,
+        level: int,
+        index: int,
+        fn: str,
+        this: str,
+        result: int,
+        depth: int,
+        argc: int,
+        message: str,
+        string_methods: bool,
+    ) -> None:
+        """One general call site: the dispatch loop's CALL/CALL_THIS
+        paths, with ``interp.steps`` synced around every call that can
+        charge."""
+        self.has_calls = True
+        dispatch = self.dispatch(this, result, depth, argc, message, string_methods)
+        self.put(level, *self.around_call(index, [f"f = {fn}", *dispatch]))
 
-class _Generic:
-    """A typed loop's fallback: the generic translation, built the first
-    time an entry check fails and run in the typed loop's place.
-    Threads sharing the loop may both build it; each gets a working
-    translation of the same loop."""
-
-    __slots__ = ("code", "header", "translated")
-
-    def __init__(self, code: Code, header: int) -> None:
-        self.code = code
-        self.header = header
-        self.translated: Optional[Translated] = None
-
-    def __call__(
-        self, interp: Any, frame: Any, env: Any, this: Any, steps: int, compl: Any
-    ) -> Tuple[int, int, Any]:
-        translated = self.translated
-        if translated is None:
-            translated = self.translated = translate_loop(self.code, self.header)
-            assert translated is not None  # the typed tier translated it
-        return translated[0](interp, frame, env, this, steps, compl, translated[1])
+    def dispatch(
+        self, this: str, result: int, depth: int, argc: int, message: str, string_methods: bool
+    ) -> List[str]:
+        """The lines that call ``f`` on the callee's type."""
+        args = "[" + ", ".join(f"s{slot}" for slot in range(depth - argc, depth)) + "]"
+        out = f"s{result}"
+        lines = ["t = type(f)"]
+        keyword = "if"
+        if string_methods:
+            # String-method fast path: f is the raw STRING_METHODS builtin.
+            lines += ["if t is FunctionType:", f"    {out} = f(interp, {this}, {args})"]
+            keyword = "elif"
+        lines += [
+            f"{keyword} t is CompiledFunction:",
+            "    interp.steps = steps",
+            f"    {out} = call_with_code(f.code, f, {this}, {args})",
+            "    steps = interp.steps",
+            "elif t is NativeFunction:",
+            "    interp.steps = steps",
+            f"    {out} = f.fn(interp, {this}, {args})",
+            "    steps = interp.steps",
+            "else:",
+            "    if not is_callable(f):",
+            f"        raise JSRuntimeError({message}, 'TypeError')",
+            "    interp.steps = steps",
+            f"    {out} = call_inner(f, {this}, {args})",
+            "    steps = interp.steps",
+        ]
+        return lines

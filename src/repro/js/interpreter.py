@@ -109,6 +109,32 @@ class Environment:
             self.bindings[name] = value
 
 
+def _this_arg(interp: "Interpreter", args: List[Any]) -> Any:
+    """``call``'s and ``apply``'s receiver: a missing, ``undefined`` or
+    ``null`` one is the global object, as for a plain call (ES5
+    §10.4.3, non-strict code)."""
+    this = args[0] if args else UNDEFINED
+    return interp.global_this if this is UNDEFINED or this is None else this
+
+
+def _call_method(interp: "Interpreter", fn: Any, args: List[Any]) -> Any:
+    """``Function.prototype.call`` (ES5 §15.3.4.4)."""
+    return interp._call(fn, _this_arg(interp, args), list(args[1:]))
+
+
+def _apply_method(interp: "Interpreter", fn: Any, args: List[Any]) -> Any:
+    """``Function.prototype.apply`` (ES5 §15.3.4.3); an array (or a
+    function's ``arguments``) supplies the arguments."""
+    rest = args[1] if len(args) > 1 else UNDEFINED
+    if rest is UNDEFINED or rest is None:
+        arguments: List[Any] = []
+    elif isinstance(rest, JSArray):
+        arguments = list(rest.elements)
+    else:
+        raise JSRuntimeError("Function.prototype.apply needs an array", "TypeError")
+    return interp._call(fn, _this_arg(interp, args), arguments)
+
+
 class Host:
     """Callbacks from the engine to its embedder (the simulated reader).
 
@@ -306,6 +332,8 @@ class Interpreter:
                 method = array_method(self, obj, name)
                 if method is not None:
                     return method
+            if (name == "call" or name == "apply") and is_callable(obj):
+                return self.native(name, _call_method if name == "call" else _apply_method)
             if name == "hasOwnProperty":
                 return self.native(
                     "hasOwnProperty",

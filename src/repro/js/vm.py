@@ -333,7 +333,7 @@ class BytecodeInterpreter(Interpreter):
                             if arg <= ip and not stack and not iters:
                                 # A loop's back-edge: count it, and run a
                                 # hot loop as its translation.
-                                loop = hot_loop(code, arg, frame)
+                                loop = hot_loop(code, arg, frame, env)
                                 if loop is not None:
                                     self.translated_loop_runs += 1
                                     # A signal the loop re-raises found no

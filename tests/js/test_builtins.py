@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.js import evaluate
+from repro.js.values import UNDEFINED
 from tests.js import unescape_reference
 
 
@@ -497,6 +498,57 @@ class TestBooleanMethods:
     def test_both_engines_give_what_node_gives(self, source, expected):
         walker, vm = _run_both(source)
         assert walker == vm == expected
+
+
+class TestFunctionMethods:
+    """Every callable has ``call`` and ``apply`` (ES5 §15.3.4.3-4) on
+    both engines; each expected value as node 20 gives it.  Every row
+    gave another result before: ``call`` and ``apply`` were undefined."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("(function (a, b) { return this.x + a + b; }).call({x: 1}, 2, 3)", 6.0),
+            ("(function (a, b) { return this.x + a + b; }).apply({x: 'a'}, ['b', 'c'])", "abc"),
+            ("(function () { return arguments.length; }).apply(null)", 0.0),
+            ("(function () { return arguments.length; }).call()", 0.0),
+            ("(function () { return arguments.length; }).apply({}, [1, 2, 3])", 3.0),
+            ("typeof (function () {}).call", "function"),
+            ("typeof String.fromCharCode.apply", "function"),
+            ("String.fromCharCode.apply(null, [72, 105])", "Hi"),
+            ("Math.max.apply(null, [3, 9, 4])", 9.0),
+            ("function g() { return Math.max.apply(null, arguments); } g(1, 5, 2)", 5.0),
+            ("function f(n) { return n ? n + f.call(null, n - 1) : 0; } f(4)", 10.0),
+            (
+                "var o = {v: 7, m: function (k) { return this.v * k; }};"
+                " o.m.call({v: 3}, 2) + o.m.apply(o, [2])",
+                20.0,
+            ),
+            ("(function () {}).call(this)", UNDEFINED),
+            ("(function () { return 1; }).apply(null, 5)", "TypeError"),
+        ],
+    )
+    def test_both_engines_give_what_node_gives(self, source, expected):
+        walker, vm = _run_both(source)
+        assert walker == vm
+        assert vm is expected if expected is UNDEFINED else vm == expected
+
+    def test_a_call_prefix_keeps_the_spray_malicious(self):
+        """Behind ``(function(){}).call(this);`` the suite's spray script
+        keeps the malscore it scans with alone; it scanned benign, with
+        malscore 1, while ``call`` threw."""
+        from repro.core.pipeline import ProtectionPipeline
+        from repro.pdf.builder import DocumentBuilder
+        from tests.conftest import spray_js
+
+        verdicts = []
+        for prefix in ("", "(function(){}).call(this);\n"):
+            builder = DocumentBuilder()
+            builder.add_page("prefixed")
+            builder.add_javascript(prefix + spray_js())
+            verdict = ProtectionPipeline(seed=1).scan(builder.to_bytes(), "spray.pdf").verdict
+            verdicts.append((verdict.malicious, verdict.malscore))
+        assert verdicts == [(True, 28.0), (True, 28.0)]
 
 
 class TestES5StringAndMath:

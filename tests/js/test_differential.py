@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 from unittest import mock
 
 import pytest
@@ -44,7 +44,7 @@ from repro.corpus.js_snippets import (
 from repro.corpus.sized import table_x_documents, table_x_js_documents
 from repro.js import hotloop
 from repro.js import vm as vm_mod
-from repro.js.compiler import MAKE_FUNCTION, Code, clear_code_cache, compile_source
+from repro.js.compiler import Code, clear_code_cache
 from repro.js.interpreter import Host, Interpreter
 from repro.js.values import UNDEFINED
 from repro.js.vm import BytecodeInterpreter
@@ -482,11 +482,78 @@ ENV_LOOP_SWEEP_CASES = [
         " find('banana')"
     ),
     # `%` on two floats whose divisor turns 0, then dividend Infinity:
-    # the NaN results of a generic translation's `%` at every cutoff.
+    # the typed `%`'s slow branch at every cutoff.
     (
         "var t = 0, d = 5, x = 7, nans = 0; for (var i = 0; i < 6; i++) {"
         " if (i == 2) d = 0; if (i == 4) { x = 1 / 0; d = 3; }"
         " var r = x % d; if (r != r) nans++; else t = t + r * i; } t + ':' + nans"
+    ),
+    # A callee rebinds a global the loop has cached, and changes its
+    # type: the loop writes its names back before the call and reads
+    # them again after it.
+    (
+        "var g = 1, t = ''; function flip(i) { if (i == 1) g = 'x' + t.length; if (i == 3) g = [i]; }"
+        " for (var i = 0; i < 5; i++) { t = t + (g + 1) + ','; flip(i); } t + typeof g"
+    ),
+    # The length and ToInt32 of names the loop never writes, which a
+    # callee rebinds: after the call neither is known.
+    (
+        "var c = 'ab', k = 3, t = 0; function grow(i) { if (i == 2) { c = c + 'xyz'; k = 2.5e9; } }"
+        " for (var i = 0; i < 5; i++) { t = t + c.length + (i | k); grow(i); } t + ':' + c.length"
+    ),
+    # A callee creates an implicit global after the loop was translated,
+    # which the loop then reads through the bindings dict.
+    (
+        "function mk(i) { made = i * 2; } var t = 0;"
+        " for (var i = 0; i < 5; i++) { if (i == 2) mk(i); if (i > 2) t = t + made; }"
+        " t + ':' + made"
+    ),
+    # `typeof` of an undeclared name, of a cached one, and of an
+    # implicit global the loop itself creates.
+    (
+        "var n = ''; for (var i = 0; i < 4; i++) {"
+        " n = n + typeof nope + typeof n + typeof later; if (i == 1) later = i; }"
+        " n + typeof later"
+    ),
+    # `var x = undefined` in the loop body keeps a cached name's value,
+    # as it keeps a bound name's (DECLARE_POP).
+    (
+        "var x = 5, t = ''; for (var i = 0; i < 4; i++) {"
+        " var x = undefined; t = t + x; var y = i; t = t + y; x = i; } t + ':' + x + ':' + y"
+    ),
+    # Host calls between reads: parseInt, and an indirect eval that runs
+    # against the global scope and rebinds a cached name.
+    (
+        "var ev = eval, c = 0, t = 0; for (var i = 0; i < 4; i++) {"
+        " t = t + parseInt('1' + i) + c; ev('c = c + 2'); t = t + c; } t + ':' + c"
+    ),
+    # A callee rebinds a cached name and then throws out of the loop:
+    # its binding stands, and the loop writes nothing back over it.
+    (
+        "var a = 0; function bump(i) { a = 'b' + i; if (i == 2) throw 'stop'; }"
+        " try { for (var i = 0; i < 5; i++) { a = a + 1; bump(i); } } catch (e) { a = a + e; } a"
+    ),
+    # An eval'd loop in a function that calls eval: the function's own
+    # names are cached, and the global `g2` is read through lookup().
+    (
+        "var g2 = 1; function run(s) { var t = '';"
+        " eval('for (var i = 0; i < 4; i++) { t = t + s + g2; }'); return t + i; } run('a')"
+    ),
+]
+
+#: Env-mode loops entered a second time with a variable of another
+#: type: the entry check fails, and the dispatch loop runs the loop.
+ENV_REENTRY_CASES = [
+    # One eval'd Code, typed for a number in `g`.
+    (
+        "var src = 'for (var i = 0; i < 4; i++) { t = t + g; }', t = 0, g = 1;"
+        " eval(src); g = 'x'; eval(src); t"
+    ),
+    # An env-mode function (it declares a closure) typed for its first
+    # call's argument.
+    (
+        "function f(a) { function id(v) { return v; } var t = 0;"
+        " for (var i = 0; i < 3; i++) { t = t + a; } return t; } f(1) + ':' + f('s') + ':' + f(2)"
     ),
 ]
 
@@ -499,6 +566,7 @@ SWEEP_CASES = [
     "var i = 1; eval('i++; i++;'); i",
     *SLOT_LOOP_SWEEP_CASES,
     *ENV_LOOP_SWEEP_CASES,
+    *ENV_REENTRY_CASES,
 ]
 
 
@@ -515,20 +583,116 @@ def run_vm_counting(source: str, max_steps: int) -> Tuple[Tuple[Any, int, int, i
     return footprint, sum(vm.translated_loop_runs for vm in runs)
 
 
+def _no_translation(code: Code, header: int, frame: Any, env: Any) -> None:
+    return None
+
+
+def run_dispatch_only(source: str, max_steps: int) -> Tuple[Any, int, int, int]:
+    """``run_engine`` on the VM with translation off: every loop runs on
+    the dispatch loop, the translated tier's oracle beside the walker."""
+    with mock.patch.object(vm_mod, "hot_loop", _no_translation):
+        return run_engine(BytecodeInterpreter, source, max_steps)
+
+
+def run_watching_loops(source: str, max_steps: int) -> Tuple[Tuple[Any, int, int, int], list]:
+    """``run_engine`` on the VM, logging each translated-loop entry as
+    ``(loop, kind)``.  ``kind`` is "ran" when the function ran some of
+    the loop; "entry failed" when it returned to the header at once
+    with budget to spare for the header's block, so its entry check
+    failed; "fallback" when it returned to a pc inside the loop whose
+    block does not fit the budget left (a run guard); and "early
+    fallback" when it returned inside the loop with the block fitting,
+    which no guard may do."""
+    events: list = []
+
+    def watching_hot_loop(code: Code, header: int, frame: Any, env: Any) -> Any:
+        translated = hotloop.hot_loop(code, header, frame, env)
+        if translated is None:
+            return None
+        function, constants = translated
+        end = hotloop._loop_end(code, header)
+        blocks = hotloop._blocks(code, header, end)
+        assert blocks is not None
+        key = (id(code), header)
+
+        def watched(interp: Any, frame: Any, env: Any, this: Any, steps: int, *rest: Any) -> Any:
+            try:
+                pc, after, value = function(interp, frame, env, this, steps, *rest)
+            except BaseException:
+                events.append((key, "ran"))
+                raise
+            if header <= pc <= end:
+                stop = next(block.stop for block in blocks if block.start <= pc < block.stop)
+                fits = after + sum(code.charges[pc:stop]) <= interp.max_steps
+                if pc == header and after == steps:
+                    events.append((key, "entry failed" if fits else "fallback"))
+                    return pc, after, value
+                events.append((key, "ran"))
+                events.append((key, "early fallback" if fits else "fallback"))
+            else:
+                events.append((key, "ran"))
+            return pc, after, value
+
+        return watched, constants
+
+    clear_code_cache()
+    with mock.patch.object(vm_mod, "hot_loop", watching_hot_loop):
+        footprint = run_engine(BytecodeInterpreter, source, max_steps)
+    clear_code_cache()
+    return footprint, events
+
+
+def translated_counts(events: list) -> Tuple[int, int]:
+    """How many loops ran translated, and how many of those failed an
+    entry check on some entry."""
+    ran = {key for key, kind in events if kind == "ran"}
+    failed = {key for key, kind in events if kind == "entry failed"}
+    return len(ran), len(ran & failed)
+
+
+def assert_fallbacks_exhaust(footprint: Any, kinds: list, where: str) -> bool:
+    """A run guard returns to the dispatch loop only when its block does
+    not fit the budget left, so the dispatch loop then raises before
+    any loop is entered again; whether one did."""
+    assert "early fallback" not in kinds, f"a guard fell back early {where}"
+    if "fallback" not in kinds:
+        return False
+    assert kinds[-1] == "fallback", f"a loop ran after a fallback {where}"
+    assert footprint[0][:2] == ("err", "ResourceLimitExceeded"), (
+        f"a guard fell back with budget to spare {where}: {footprint}"
+    )
+    return True
+
+
 @pytest.mark.parametrize("source", SWEEP_CASES, ids=lambda s: s[:40])
 def test_budget_exhaustion_sweep(source: str) -> None:
+    """At every cutoff the walker, the VM and the VM with translation
+    off agree; a guard falls back only when the budget runs out in its
+    block; a loop's entry check fails only where the case enters it
+    with other types; and every loop case runs translated."""
     _, full_steps, _, _ = run_engine(Walker, source, max_steps=2_000)
-    translated = 0
-    for max_steps in range(1, min(full_steps + 2, 400)):
+    cutoffs = range(1, min(full_steps + 2, 400))
+    ran = 0
+    for max_steps in cutoffs:
         ast_run = run_engine(Walker, source, max_steps)
-        bc_run, runs = run_vm_counting(source, max_steps)
-        translated += runs
-        assert ast_run == bc_run, (
+        bc_run, events = run_watching_loops(source, max_steps)
+        off_run = run_dispatch_only(source, max_steps)
+        assert ast_run == bc_run == off_run, (
             f"divergence at max_steps={max_steps} on:\n{source}\n"
-            f"  ast: {ast_run}\n  bytecode: {bc_run}"
+            f"  ast: {ast_run}\n  bytecode: {bc_run}\n  dispatch loop: {off_run}"
         )
-    if source in SLOT_LOOP_SWEEP_CASES or source in ENV_LOOP_SWEEP_CASES:
-        assert translated > 0, "the sweep never ran the loop translated"
+        kinds = [kind for _, kind in events]
+        assert_fallbacks_exhaust(bc_run, kinds, f"at max_steps={max_steps}")
+        if source not in ENV_REENTRY_CASES:
+            assert "entry failed" not in kinds, f"an entry check failed at {max_steps}"
+        ran += kinds.count("ran")
+    if source in SLOT_LOOP_SWEEP_CASES or source in ENV_LOOP_SWEEP_CASES or source in ENV_REENTRY_CASES:
+        assert ran > 0, "the sweep never ran the loop translated"
+        _, events = run_watching_loops(source, max_steps=full_steps + 1)
+        ran_full, failed_full = translated_counts(events)
+        assert ran_full > 0, "the loop did not run translated on the full budget"
+        if source in ENV_REENTRY_CASES:
+            assert failed_full == ran_full, "the entry check never failed"
 
 
 #: Two translator pitfalls, as the program fuzzer found them: the budget
@@ -686,54 +850,23 @@ def test_float_modulo_matches_the_generic_operator(left: float, right: float) ->
 
 
 # ---------------------------------------------------------------------------
-# Typed loops: a slot-mode loop is translated for the types its frame
-# slots hold when it turns hot (here, at its first back-edge), checks
-# them on every entry and runs the generic translation when they differ.
-# Each case runs three ways: on the walker, on the VM, and on the VM with
-# every loop translated generically, the typed tier's oracle.
-
-
-def _function_codes(code: Code) -> Dict[int, Code]:
-    """The Code of every function declared or created in ``code``."""
-    found: Dict[int, Code] = {}
-    inner = [action[1] for action in code.hoist_actions if action[0] != "var"]
-    inner += [arg for op, arg in zip(code.ops, code.args) if op == MAKE_FUNCTION]
-    for function in inner:
-        found[id(function)] = function
-        found.update(_function_codes(function))
-    return found
-
-
-def typed_loops(source: str) -> Tuple[int, int]:
-    """How many of ``source``'s function loops were translated typed, and
-    how many of those ran their generic translation on some entry."""
-    typed = fell_back = 0
-    for code in _function_codes(compile_source(source)).values():
-        for state in code.loops.values():
-            if type(state) is tuple and isinstance(state[1][0], hotloop._Generic):
-                typed += 1
-                fell_back += state[1][0].translated is not None
-    return typed, fell_back
-
-
-def _generic_hot_loop(code: Code, header: int, frame: Any) -> Any:
-    return hotloop.hot_loop(code, header, None)
+# Typed loops: a loop is translated for the types its variables hold when
+# it turns hot (here, at its first back-edge), checks them on every entry
+# and returns to the dispatch loop at its header when they differ.  Each
+# case runs three ways: on the walker, on the VM, and on the VM with
+# translation off, where the dispatch loop runs every loop.
 
 
 def assert_typed_equivalent(source: str, max_steps: int = 300_000) -> Tuple[int, int]:
-    """Walker, VM and generic-only VM agree; the VM run's typed_loops()."""
+    """Walker, VM and dispatch-only VM agree; the VM run's
+    ``translated_counts``."""
     walker = run_engine(Walker, source, max_steps)
-    clear_code_cache()
-    typed = run_engine(BytecodeInterpreter, source, max_steps)
-    counts = typed_loops(source)
-    clear_code_cache()
-    with mock.patch.object(vm_mod, "hot_loop", _generic_hot_loop):
-        generic = run_engine(BytecodeInterpreter, source, max_steps)
-    clear_code_cache()
-    assert walker == typed == generic, (
-        f"divergence on:\n{source}\n  ast: {walker}\n  typed: {typed}\n  generic: {generic}"
+    typed, events = run_watching_loops(source, max_steps)
+    dispatch = run_dispatch_only(source, max_steps)
+    assert walker == typed == dispatch, (
+        f"divergence on:\n{source}\n  ast: {walker}\n  typed: {typed}\n  dispatch loop: {dispatch}"
     )
-    return counts
+    return translated_counts(events)
 
 
 TYPED_LOOP_CASES = {
@@ -813,9 +946,11 @@ TYPED_LOOP_CASES = {
 @pytest.mark.parametrize("source", TYPED_LOOP_CASES.values(), ids=TYPED_LOOP_CASES.keys())
 def test_typed_loops(source: str) -> None:
     typed, fell_back = assert_typed_equivalent(source)
-    assert typed > 0, "no loop was translated typed"
+    assert typed > 0, "no loop ran translated"
     if source == TYPED_LOOP_CASES["entry-check-fails"]:
         assert fell_back == typed, "the entry check never failed"
+    else:
+        assert fell_back == 0, "an entry check failed"
 
 
 #: Loops the typed tier exists for: the Table X tiers' work() loop on a
@@ -848,8 +983,7 @@ def test_typed_loop_budget_sweep(source: str) -> None:
             f"divergence at max_steps={max_steps} on:\n{source}\n"
             f"  ast: {ast_run}\n  bytecode: {bc_run}"
         )
-    assert typed_loops(source) == (1, 0)
-    assert_typed_equivalent(source)
+    assert assert_typed_equivalent(source) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -915,61 +1049,20 @@ TYPED_RUN_SWEEP_CASES = {
 }
 
 
-def run_watching_loops(source: str, max_steps: int) -> Tuple[Tuple[Any, int, int, int], list]:
-    """``run_engine`` on the VM, logging each translated-loop entry
-    ("enter") and each return to a pc inside the loop ("fallback"): a
-    guard that found too little budget left for its run.  A fallback
-    whose block would have fit the budget from there on is logged as
-    "early fallback" instead: its run, which lies within that block,
-    fit too."""
-    events: list = []
-
-    def watching_hot_loop(code: Code, header: int, frame: Any) -> Any:
-        translated = hotloop.hot_loop(code, header, frame)
-        if translated is None:
-            return None
-        function, constants = translated
-        end = hotloop._loop_end(code, header)
-        blocks = hotloop._blocks(code, header, end)
-        assert blocks is not None
-
-        def watched(interp: Any, *args: Any) -> Any:
-            events.append("enter")
-            pc, steps, value = function(interp, *args)
-            if header <= pc <= end:
-                stop = next(block.stop for block in blocks if block.start <= pc < block.stop)
-                fits = steps + sum(code.charges[pc:stop]) <= interp.max_steps
-                events.append("early fallback" if fits else "fallback")
-            return pc, steps, value
-
-        return watched, constants
-
-    clear_code_cache()
-    with mock.patch.object(vm_mod, "hot_loop", watching_hot_loop):
-        footprint = run_engine(BytecodeInterpreter, source, max_steps)
-    clear_code_cache()
-    return footprint, events
-
-
 @pytest.mark.parametrize(
     "source", TYPED_RUN_SWEEP_CASES.values(), ids=TYPED_RUN_SWEEP_CASES.keys()
 )
 def test_typed_run_budget_sweep(source: str) -> None:
-    """At every cutoff the walker, the VM with generic loops and the VM
-    with typed loops agree; a guard falls back only when the budget runs
-    out in its run, so the dispatch loop then raises before any loop is
-    entered again."""
-    assert assert_typed_equivalent(source)[0] == 1, "the loop was not translated typed"
+    """At every cutoff the walker, the VM and the VM with translation off
+    agree; a guard falls back only when the budget runs out in its run,
+    so the dispatch loop then raises before any loop is entered again."""
+    assert assert_typed_equivalent(source) == (1, 0), "the loop did not run translated"
     _, full_steps, _, _ = run_engine(Walker, source, max_steps=100_000)
     fallbacks = 0
     for max_steps in range(1, full_steps + 2):
         assert_typed_equivalent(source, max_steps)
         footprint, events = run_watching_loops(source, max_steps)
-        assert "early fallback" not in events, f"a guard fell back early at {max_steps}"
-        if "fallback" in events:
-            fallbacks += 1
-            assert events[-1] == "fallback", f"a loop ran after a fallback at {max_steps}"
-            assert footprint[0][:2] == ("err", "ResourceLimitExceeded"), (
-                f"a guard fell back with budget to spare at max_steps={max_steps}: {footprint}"
-            )
+        kinds = [kind for _, kind in events]
+        assert "entry failed" not in kinds, f"an entry check failed at {max_steps}"
+        fallbacks += assert_fallbacks_exhaust(footprint, kinds, f"at max_steps={max_steps}")
     assert fallbacks > 0, "no guard ever fell back"

@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.monitor_code import ENCRYPTION_SCHEMES, MonitorCodeGenerator
 from repro.corpus.sized import _js_workload_script
 from repro.js import hotloop
+from repro.js import vm as vm_module
 from repro.js.compiler import (
     JUMP,
     STRING,
@@ -35,14 +36,8 @@ from repro.js.compiler import (
     clear_code_cache,
     compile_source,
 )
-from repro.js.hotloop import (
-    HOT_LOOP_THRESHOLD,
-    MAX_LOOP_INSTRS,
-    loop_source,
-    translate_loop,
-    typed_loop_source,
-)
-from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Host
+from repro.js.hotloop import HOT_LOOP_THRESHOLD, MAX_LOOP_INSTRS, loop_source, translate_loop
+from repro.js.interpreter import SPRAY_POOL_THRESHOLD, Environment, Host
 from repro.js.parser import parse
 from repro.js.values import UNDEFINED, JSArray, JSObject, NativeFunction
 from repro.js.vm import BytecodeInterpreter
@@ -123,14 +118,15 @@ def test_translated_loop_hands_back_the_completion_register() -> None:
     loop: the body's last value, or what came in when no iteration ran."""
     for bound, expected in ((3, "last"), (0, "before")):
         code = program_code(f"var n = 0; while (n < {bound}) {{ n++; 'last'; }}")
-        translated = translate_loop(code, loop_header(code))
-        assert translated is not None
-        function, constants = translated
         vm = BytecodeInterpreter()
         vm.run("var n = 0;")
+        translated = translate_loop(code, loop_header(code), None, vm.global_env)
+        assert translated is not None
+        function, constants = translated
         pc, _, value = function(vm, None, vm.global_env, vm.global_this, 0, "before", constants)
         assert pc > loop_header(code)
         assert value == expected
+        assert vm.global_env.lookup("n") == float(bound)
 
 
 def test_loop_with_an_untranslated_op_stays_on_the_dispatch_loop() -> None:
@@ -257,10 +253,27 @@ def test_a_cached_loop_is_entered_at_its_second_back_edge(
     assert built == []
 
 
-def test_a_warm_entered_typed_loop_falls_back_on_other_slot_types() -> None:
+def entries(translated: Any) -> Tuple[Any, List[Tuple[int, int, int]]]:
+    """``translated`` with each call logged as ``(steps in, pc out,
+    steps out)``."""
+    function, constants = translated
+    log: List[Tuple[int, int, int]] = []
+
+    def logged(interp: Any, frame: Any, env: Any, this: Any, steps: int, *rest: Any) -> Any:
+        pc, after, value = function(interp, frame, env, this, steps, *rest)
+        log.append((steps, pc, after))
+        return pc, after, value
+
+    return (logged, constants), log
+
+
+def test_a_warm_entered_typed_loop_falls_back_on_other_slot_types(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
     """A typed loop entered warm was typed for the slots of its second
-    back-edge; called again with a string, its entry check fails and the
-    generic translation runs, with the walker's value and steps."""
+    back-edge; called again with a string, its entry check fails at every
+    entry and the dispatch loop runs the loop, with the walker's and the
+    dispatch-only VM's value and steps."""
     template = (
         "function total(a) {{ var t = {k}; for (var i = 0; i < a.length; i++)"
         " {{ t = t + a[i]; }} return t; }} "
@@ -270,14 +283,33 @@ def test_a_warm_entered_typed_loop_falls_back_on_other_slot_types() -> None:
         f" for (var j = 0; j < {HOT_LOOP_THRESHOLD + 10}; j++) {{ n[j] = j; }} total(n)"
     )
     source = template.format(k=1) + "total([1, 2, 3, 4]) + ':' + total('abcd')"
-    value, vm = run_vm(source)
+    logs: List[List[Tuple[int, int, int]]] = []
+    hot_loop = vm_module.hot_loop
+
+    def logging_hot_loop(code: Code, header: int, frame: Any, env: Any) -> Any:
+        translated = hot_loop(code, header, frame, env)
+        if translated is None:
+            return None
+        translated, log = entries(translated)
+        logs.append(log)
+        return translated
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vm_module, "hot_loop", logging_hot_loop)
+        value, vm = run_vm(source)
     walker = Walker()
     assert value == walker.run(source) == "11:1abcd"
     assert vm.steps == walker.steps
-    assert vm.translated_loop_runs == 2
-    total = compile_source(source).hoist_actions[0][1]
-    (function, constants), = total.loops.values()
-    assert constants[0].translated is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(vm_module, "hot_loop", lambda code, header, frame, env: None)
+        assert run_vm(source)[1].steps == vm.steps
+    header = loop_header(_named_function(source, "total"))
+    calls = [entry for log in logs for entry in log]
+    # The array call runs translated from its second back-edge; each
+    # entry of the string call returns to the header untouched.
+    assert calls[0][1] != header
+    assert len(calls) > 1
+    assert all(pc == header and after == steps for steps, pc, after in calls[1:])
 
 
 def test_warm_entry_never_compiles(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -368,16 +400,29 @@ number = st.integers(0, 2**53).map(str) | st.floats(
 ).map(repr)
 
 
+#: The values a typed translation of TEMPLATE is made for, by
+#: placeholder; every other slot holds undefined.  At the top level
+#: these names are bound and the rest (``g``, ``h``) are not.
+FRAME_VALUES: Dict[str, Any] = {"p": "a string", "q": JSArray([]), "a": "ab", "c": 1.0, "i": 0.0}
+
+
 def _translation(
-    fills: Dict[str, str], top_level: bool = False
+    fills: Dict[str, str], top_level: bool = False, typed: bool = False
 ) -> Tuple[List[Any], str, Tuple[Any, ...]]:
-    """The loop's string literals, generated source and constants."""
+    """The loop's string literals, generated source and constants.
+    Untyped, every variable holds undefined, so no operand is proven."""
+    values = {name: value if typed else UNDEFINED for name, value in FRAME_VALUES.items()}
+    env = Environment()
+    frame = None
     if top_level:
         code = program_code(TOP_LEVEL_TEMPLATE.format(**fills))
+        env.bindings.update({fills[name]: value for name, value in values.items()})
     else:
         code = function_code(TEMPLATE.format(**fills))
+        placeholders = {fills[name]: name for name in NAMES}
+        frame = [values.get(placeholders.get(name, ""), UNDEFINED) for name in code.slot_names]
     header = loop_header(code)
-    rendered = loop_source(code, header)
+    rendered = loop_source(code, header, frame, env)
     assert rendered is not None
     end = max(
         index for index, (op, arg) in enumerate(zip(code.ops, code.args))
@@ -400,13 +445,14 @@ fills_strategy = st.tuples(
 )
 
 
-def _assert_no_attacker_text(fills: Dict[str, str], top_level: bool) -> None:
-    _, canonical_source, _ = _translation(CANONICAL, top_level)
-    literals, source, constants = _translation(fills, top_level)
+def _assert_no_attacker_text(fills: Dict[str, str], top_level: bool, typed: bool = False) -> str:
+    _, canonical_source, _ = _translation(CANONICAL, top_level, typed)
+    literals, source, constants = _translation(fills, top_level, typed)
     assert source == canonical_source
     # The constants tuple carries the Code's own literal objects.
     assert len(literals) == 3
     assert all(any(k is literal for k in constants) for literal in literals)
+    return source
 
 
 @given(fills_strategy)
@@ -418,41 +464,27 @@ def test_generated_source_holds_no_attacker_text(fills: Dict[str, str]) -> None:
 @given(fills_strategy)
 @settings(max_examples=100, deadline=None)
 def test_generated_top_level_source_holds_no_attacker_text(fills: Dict[str, str]) -> None:
-    """At the top level every variable is a name, read and written
-    through ``env``: names still reach the function only as constants."""
-    _assert_no_attacker_text(fills, top_level=True)
+    """At the top level every variable is a name: the ones the scope
+    binds are cached in locals and written back through ``bindings``,
+    the rest go through ``env``.  Names still reach the function only as
+    constants."""
+    source = _assert_no_attacker_text(fills, top_level=True)
+    assert "bindings[k" in source and "lookup(k" in source
 
 
-#: The frame values a typed translation of TEMPLATE is made for, by
-#: placeholder; every other slot holds undefined.
-FRAME_VALUES: Dict[str, Any] = {"p": "a string", "q": JSArray([]), "a": "ab", "c": 1.0, "i": 0.0}
-
-
-def _typed_translation(fills: Dict[str, str]) -> Tuple[List[Any], str, Tuple[Any, ...]]:
-    """``_translation`` for the typed tier, with a frame of FRAME_VALUES."""
-    code = function_code(TEMPLATE.format(**fills))
-    header = loop_header(code)
-    placeholders = {fills[name]: name for name in NAMES}
-    frame = [FRAME_VALUES.get(placeholders.get(name, ""), UNDEFINED) for name in code.slot_names]
-    rendered = typed_loop_source(code, header, frame)
-    assert rendered is not None
-    literals = [arg for op, arg in zip(code.ops[header:], code.args[header:]) if op == STRING]
-    return literals, rendered[0], rendered[1]
-
-
-@given(fills_strategy)
+@pytest.mark.parametrize("top_level", [False, True], ids=["slot", "env"])
+@given(fills=fills_strategy)
 @settings(max_examples=150, deadline=None)
-def test_typed_source_holds_no_attacker_text(fills: Dict[str, str]) -> None:
+def test_typed_source_holds_no_attacker_text(top_level: bool, fills: Dict[str, str]) -> None:
     """A typed translation depends on the loop's shape and the types it
     is made for: renaming every identifier and refilling every literal
     with another of its type gives the same source."""
-    _, canonical_source, _ = _typed_translation(CANONICAL)
-    literals, source, constants = _typed_translation(fills)
-    assert source == canonical_source
-    assert len(literals) == 3
-    assert all(any(k is literal for k in constants) for literal in literals)
-    # It is typed: it checks the slots it was made for on entry.
-    assert "return generic(" in source and "is not str" in source
+    source = _assert_no_attacker_text(fills, top_level, typed=True)
+    # It is typed: it checks the variables it was made for on entry, and
+    # returns to the dispatch loop when one differs.
+    check = r"\n    if type\(l\d+\) is not [^\n]+:\n        return \(\d+, steps, compl\)\n"
+    assert re.search(check, source)
+    assert top_level or "is not str" in source
 
 
 def test_profiler_sees_each_translated_loop() -> None:
@@ -481,8 +513,8 @@ def test_profiler_sees_each_translated_loop() -> None:
 def test_shape_alike_loops_share_one_compiled_function() -> None:
     first = function_code(TEMPLATE.format(**CANONICAL))
     other = function_code(TEMPLATE.format(**{**CANONICAL, "s1": "'zz'", "g": "G2"}))
-    one = translate_loop(first, loop_header(first))
-    two = translate_loop(other, loop_header(other))
+    one = translate_loop(first, loop_header(first), [UNDEFINED] * first.nlocals, Environment())
+    two = translate_loop(other, loop_header(other), [UNDEFINED] * other.nlocals, Environment())
     assert one is not None and two is not None
     assert one[0] is two[0]
     assert one[1] != two[1]
@@ -534,13 +566,13 @@ def test_js_heavy_main_loop_compares_once_per_run(monkeypatch: pytest.MonkeyPatc
     guard falls back to its run's first pc."""
     rendered: List[Tuple[int, str]] = []
 
-    def spy(code: Code, header: int, frame: List[Any]) -> Any:
-        plan = typed_loop_source(code, header, frame)
+    def spy(code: Code, header: int, frame: Any, env: Any) -> Any:
+        plan = loop_source(code, header, frame, env)
         if plan is not None and "float(ord(" in plan[0]:
             rendered.append((header, plan[0]))
         return plan
 
-    monkeypatch.setattr(hotloop, "typed_loop_source", spy)
+    monkeypatch.setattr(hotloop, "loop_source", spy)
     BytecodeInterpreter().run(_js_workload_script("tier", 1 << 20, 7))
     header, source = rendered[0]
     comparisons = [line.strip() for line in source.splitlines() if "> max_steps:" in line]
@@ -591,13 +623,13 @@ def test_wrapped_script_decrypts_without_generic_modulo(
     and takes ``%`` on two floats inline: no ``_binary_op`` call."""
     sources: List[str] = []
 
-    def spy(code: Code, header: int, frame: List[Any]) -> Any:
-        plan = typed_loop_source(code, header, frame)
-        if plan is not None:
-            sources.append(plan[0])
+    def spy(code: Code, header: int, frame: Any, env: Any) -> Any:
+        plan = loop_source(code, header, frame, env)
+        if plan is not None and frame is not None:
+            sources.append(plan[0])  # the decryptor runs inside a function
         return plan
 
-    monkeypatch.setattr(hotloop, "typed_loop_source", spy)
+    monkeypatch.setattr(hotloop, "loop_source", spy)
     marker = "x" * 600
     vm = ModuloCountingVM()
     soap = JSObject()
@@ -620,8 +652,8 @@ def test_threads_share_one_translated_decode_loop() -> None:
     """Serve's thread backend shares Code objects, and with them loop
     counters and translations, across threads: here a function's decode
     loop, a top-level checksum loop of one cached program, and a typed
-    loop whose entry check fails in every thread, which then builds or
-    shares its generic fallback."""
+    loop whose entry check fails in every thread, which then runs on the
+    dispatch loop."""
     source = (
         "function decode(data, key) { var out = '';"
         " for (var i = 0; i < data.length; i++)"
@@ -671,8 +703,17 @@ def test_threads_share_one_translated_decode_loop() -> None:
     assert compile_source(source) is program
     # The top-level checksum loop ran translated from the shared program.
     assert any(type(state) is tuple for state in program.loops.values())
-    # total() was typed for a string, and entered with an array too.
+    # total() was typed for a string, and entered with an array too: on
+    # an array its translation returns to the header at once.
     total = program.hoist_actions[1][1]
     assert total.name == "total"
-    (function, constants), = total.loops.values()
-    assert constants[0].translated is not None
+    ((header, (function, constants)),) = total.loops.items()
+    assert total.slot_names[1::2] == ("a", "t")
+    vm = BytecodeInterpreter()
+    frame = [UNDEFINED, JSArray([1.0]), UNDEFINED, "", 0.0]
+    assert function(vm, frame, vm.global_env, None, 5, UNDEFINED, constants) == (
+        header, 5, UNDEFINED
+    )
+    frame[1] = "ab"
+    pc, steps, _ = function(vm, frame, vm.global_env, None, 5, UNDEFINED, constants)
+    assert pc > header and steps > 5 and frame[4] == 2.0

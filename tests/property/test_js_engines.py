@@ -13,11 +13,13 @@ of the contract.
 from __future__ import annotations
 
 from typing import Any, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.js import hotloop
+from repro.js import vm as vm_module
 from repro.js.interpreter import Host
 from repro.js.vm import BytecodeInterpreter
 from tests.js.walker_reference import Walker
@@ -27,7 +29,7 @@ pytestmark = pytest.mark.diff
 
 @pytest.fixture(autouse=True)
 def translate_every_loop(monkeypatch) -> None:
-    """Translate a slot-mode loop at its first back-edge, so generated
+    """Translate a loop at its first back-edge, so generated programs and
     function bodies run the translated-loop path too."""
     monkeypatch.setattr(hotloop, "HOT_LOOP_THRESHOLD", 1)
 
@@ -150,6 +152,59 @@ loop_fn_program = st.tuples(
     )
 )
 
+#: Top-level and eval'd loops (env mode), whose translation caches the
+#: names the running scope binds: loop bodies call helpers that rebind a
+#: cached global with another type, create an implicit global the loop
+#: then reads, rebind a cached name and throw, and run an indirect eval
+#: against the global scope; they read `typeof` of undeclared and cached
+#: names and redeclare `var u = undefined`.
+ENV_PRELUDE = (
+    "function helper(x) { return x + 1; }"
+    " function thrower(x) { if (x === 3) throw 'T' + x; return 'ok'; }"
+    " function rebind(k) { if (k == 2) { a = 'a' + k; b = [k]; } if (k == 4) { c = k; fresh = k * 2; } }"
+    " function bump(k) { s = s + k; if (k == 5) throw 'B' + k; return k; }"
+    " var o = {m: function (v) { return v + 'm'; }}, ev = eval;\n"
+)
+
+env_loop_statement = st.recursive(
+    st.one_of(
+        assign, compound, update, expr_stmt,
+        st.sampled_from([
+            "break;", "continue;", "if (i > 3) break;", "a = helper(a);", "rebind(k);",
+            "s = thrower(a) + s;", "c = o.m(c);", "b = bump(k) + b;", "ev('a = a + 1');",
+            "s = s + typeof fresh + typeof a;", "var u = undefined; s = s + u;", "u = k;",
+            "if (typeof fresh == 'number') { i = i + fresh; }", "i = unescape('%41') + i;",
+        ]),
+    ),
+    _stmt_layer,
+    max_leaves=8,
+)
+
+
+def _env_loop(body: Any, bound: int) -> str:
+    return f"for (k = 0; k < {bound}; k++) {{ " + " ".join(body) + " }"
+
+
+env_loop_program = st.tuples(
+    st.lists(env_loop_statement, min_size=1, max_size=4), st.integers(0, 8), expression,
+    st.booleans(),
+).map(
+    lambda t: (
+        ENV_PRELUDE + "var a = 0, b = 1, c = 'z', s = '', i = 0, k = 0, u;\n"
+        # Twice over one eval'd Code, its names rebound with other types in
+        # between, or once at the top level.
+        + (
+            f"var L = {_js_quote(_env_loop(t[0], t[1]))}, out = '';\n"
+            "try { eval(L); } catch (e) { out = 'caught ' + e; }"
+            " a = 'x'; b = [1]; i = true; s = 0;"
+            " try { eval(L); } catch (e) { out = out + 'caught ' + e; }"
+            if t[3] else
+            f"var out; try {{ {_env_loop(t[0], t[1])} }} catch (e) {{ out = 'caught ' + e; }}"
+        )
+        + f"\nout + ':' + ({t[2]}) + ':' + k + ':' + typeof fresh"
+    )
+)
+
 eval_program = statement.map(
     lambda s: "var a = 0, b = 1, c = 'z', s = '', i = 0;\n"
     + f"eval({_js_quote(s)}); a + ':' + s"
@@ -182,6 +237,17 @@ def assert_engines_agree(source: str) -> None:
     )
 
 
+def assert_tiers_agree(source: str) -> None:
+    """The walker, the VM and the VM with translation off agree: the
+    dispatch loop is the translated tier's oracle beside the walker."""
+    assert_engines_agree(source)
+    with mock.patch.object(vm_module, "hot_loop", lambda code, header, frame, env: None):
+        dispatch = footprint(BytecodeInterpreter, source)
+    assert footprint(Walker, source) == dispatch, (
+        f"the dispatch loop diverged on:\n{source}\n  dispatch loop: {dispatch}"
+    )
+
+
 @given(program)
 @settings(max_examples=200, deadline=None)
 def test_random_programs_agree(source):
@@ -203,7 +269,7 @@ def test_random_loop_bodies_agree(source):
 #: The same loops, reading both arguments first, entered again with
 #: other argument types: a slot-mode loop is typed for the slot types
 #: of the call it turns hot in, so the later calls fail its entry check
-#: and run the generic translation.
+#: and run on the dispatch loop.
 reentered_loop_program = loop_fn_program.map(
     lambda source: source.replace(
         "k++) { ", "k++) { s = s + b; i = i + a; ", 1
@@ -217,7 +283,13 @@ reentered_loop_program = loop_fn_program.map(
 @given(reentered_loop_program)
 @settings(max_examples=100, deadline=None)
 def test_random_loops_reentered_with_other_types_agree(source):
-    assert_engines_agree(source)
+    assert_tiers_agree(source)
+
+
+@given(env_loop_program)
+@settings(max_examples=150, deadline=None)
+def test_random_top_level_and_eval_loops_agree(source):
+    assert_tiers_agree(source)
 
 
 @given(eval_program)
